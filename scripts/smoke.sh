@@ -38,10 +38,12 @@ EOF
 
 # Profiler smoke: a profiled microbenchmark; the Chrome trace must be
 # valid (finite, non-negative timestamps), the stage attribution must
-# tile each op's latency exactly, and a self-diff must be clean.
+# tile each op's latency exactly, a self-diff must be clean, and the
+# run's event hash must equal the committed BENCH_profile.json's (the
+# run writes its own copy; the committed baseline is only read).
 python -m repro profile run --clients 32 --ops 24 --warmup 16 \
     --deployments 4 --out "$out/profile" \
-    --bench-json BENCH_profile.json > "$out/profile.txt"
+    --bench-json "$out/BENCH_profile.json" > "$out/profile.txt"
 grep -q "critical-path latency by op type" "$out/profile.txt"
 python - "$out" <<'EOF'
 import json
@@ -64,10 +66,15 @@ for record in profile.ops:
     assert gap < 1e-6, (record.op, record.span_id, gap)
 diff = diff_profiles(profile, profile)
 assert not diff.regressions(), "self-diff reported regressions"
-bench = json.load(open("BENCH_profile.json"))
+bench = json.load(open(f"{out}/BENCH_profile.json"))
 assert bench["ops"], "bench json has no op summaries"
+committed = json.load(open("BENCH_profile.json"))
+assert bench["event_hash"] == committed["event_hash"], (
+    f"event hash {bench['event_hash']} != committed {committed['event_hash']}"
+)
 print(f"profile smoke ok: {len(profile.ops)} ops attributed, "
-      f"{len(events)} trace events, self-diff clean")
+      f"{len(events)} trace events, self-diff clean, "
+      f"event hash {bench['event_hash']}")
 EOF
 
 # Chaos smoke: one fast fault scenario end-to-end under load — the

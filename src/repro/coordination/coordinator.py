@@ -187,9 +187,9 @@ class Coordinator:
         round_started = self.env.now
         pending = _PendingInv(self.env, set(targets))
         self._pending[inv.inv_id] = pending
-        for member_id, handler in targets.items():
-            self.invs_sent += 1
-            self.env.process(self._deliver(inv, member_id, handler, round_span))
+        self.invs_sent += len(targets)
+        if targets:
+            self.env.process(self._deliver(inv, targets, round_span))
         yield pending.event
         self._pending.pop(inv.inv_id, None)
         if metrics is not None:
@@ -216,64 +216,87 @@ class Coordinator:
     def _deliver(
         self,
         inv: Invalidation,
-        member_id: str,
-        handler: Callable[[Invalidation], None],
+        targets: Dict[str, Callable[[Invalidation], None]],
         round_span=None,
     ) -> Generator:
+        """Deliver ``inv`` to every target and collect their ACKs.
+
+        Every member runs on the same timeline: the INV lands
+        ``publish_ms`` after the round starts (or after a redelivery),
+        its ACK ``ack_ms`` later, and a lost ACK is redelivered after
+        ``ack_retry_ms``.  So one process serves the whole round: it
+        waits once per leg, then walks the members in order.  Nothing
+        else can run between two members' steps at the same instant,
+        so each member sees the timeline a process of its own would
+        give it.  Members whose ACK was lost are redelivered together.
+        """
         tracer = self.env.tracer
-        member_span = None
+        member_spans = {}
         if tracer is not None:
             # One per-member publish→ACK leg: the slowest of these is
             # the coherence round's critical path.
-            member_span = tracer.begin(
-                "coord.member", member_id, parent=round_span,
-                inv_id=inv.inv_id,
-            )
+            for member_id in targets:
+                member_spans[member_id] = tracer.begin(
+                    "coord.member", member_id, parent=round_span,
+                    inv_id=inv.inv_id,
+                )
+        cohort = list(targets.items())
         attempt = 0
         while True:
             attempt += 1
             yield self.env.timeout(self.config.publish_ms)
-            # The member may have died in flight; deregistration
-            # already released the pending set in that case.
             live = self._members.get(inv.deployment, {})
-            if member_id not in live:
+            delivered = []
+            for member_id, handler in cohort:
+                # The member may have died in flight; deregistration
+                # already released the pending set in that case.
+                if member_id not in live:
+                    if tracer is not None:
+                        tracer.end(member_spans[member_id], delivered=False)
+                    continue
                 if tracer is not None:
-                    tracer.end(member_span, delivered=False)
+                    # From this instant, any cached copy of these paths
+                    # on the member is stale by protocol — emitted
+                    # *before* the handler runs so a broken handler
+                    # cannot hide staleness from the coherence checker.
+                    tracer.point(
+                        "coord.inv_deliver", member_id, parent=round_span,
+                        inv_id=inv.inv_id, paths=inv.paths, prefix=inv.prefix,
+                    )
+                handler(inv)
+                delivered.append((member_id, handler))
+            if not delivered:
                 return
-            if tracer is not None:
-                # From this instant, any cached copy of these paths on
-                # the member is stale by protocol — emitted *before*
-                # the handler runs so a broken handler cannot hide
-                # staleness from the coherence checker.
-                tracer.point(
-                    "coord.inv_deliver", member_id, parent=round_span,
-                    inv_id=inv.inv_id, paths=inv.paths, prefix=inv.prefix,
-                )
-            handler(inv)
             yield self.env.timeout(self.config.ack_ms)
             chaos = self.env.chaos
-            if chaos is not None and chaos.ack_should_drop(
-                inv.deployment, member_id
-            ):
-                if tracer is not None:
-                    tracer.point(
-                        "chaos.ack_drop", member_id, parent=round_span,
-                        inv_id=inv.inv_id, attempt=attempt,
-                    )
-                if attempt > self.config.ack_max_retries:
-                    # Redelivery exhausted (or disabled): the writer
-                    # stays blocked until this member deregisters.
+            cohort = []
+            for member_id, handler in delivered:
+                if chaos is not None and chaos.ack_should_drop(
+                    inv.deployment, member_id
+                ):
                     if tracer is not None:
-                        tracer.end(member_span, delivered=True, acked=False)
-                    return
-                # Handlers are idempotent: redeliver the whole INV
-                # after a short backoff and collect the ACK again.
-                yield self.env.timeout(self.config.ack_retry_ms)
-                continue
-            if tracer is not None:
-                tracer.end(member_span, delivered=True)
-            self.ack(inv.inv_id, member_id)
-            return
+                        tracer.point(
+                            "chaos.ack_drop", member_id, parent=round_span,
+                            inv_id=inv.inv_id, attempt=attempt,
+                        )
+                    if attempt > self.config.ack_max_retries:
+                        # Redelivery exhausted (or disabled): the writer
+                        # stays blocked until this member deregisters.
+                        if tracer is not None:
+                            tracer.end(
+                                member_spans[member_id], delivered=True, acked=False
+                            )
+                        continue
+                    cohort.append((member_id, handler))
+                    continue
+                if tracer is not None:
+                    tracer.end(member_spans[member_id], delivered=True)
+                self.ack(inv.inv_id, member_id)
+            if not cohort:
+                return
+            # Handlers are idempotent: redeliver the whole INV after a
+            # short backoff and collect the ACKs again.
+            yield self.env.timeout(self.config.ack_retry_ms)
 
 
 class ZooKeeperCoordinator(Coordinator):

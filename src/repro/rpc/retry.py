@@ -16,7 +16,6 @@ class RetryPolicy:
     base_ms: float = 20.0
     factor: float = 2.0
     max_ms: float = 2_000.0
-    jitter: float = 0.5
     max_attempts: int = 16
     """The single source of truth for RPC attempt limits: everything
     that counts attempts (the client submit loop, its straggler
@@ -32,28 +31,12 @@ class RetryPolicy:
             "policy_max_ms": self.max_ms,
         }
 
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        """Backoff before retry number ``attempt`` (1-based).
-
-        .. note:: **Legacy.** Centred jitter keeps retriers correlated
-           around the same expected wait; every RPC/txn retry path now
-           uses :meth:`full_jitter_delay` instead.  This survives only
-           for the client's straggler resubmit pacing, where staying
-           near the expected wait is intentional (the resubmit races
-           the original, it does not replace it).
-        """
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        raw = min(self.base_ms * (self.factor ** (attempt - 1)), self.max_ms)
-        spread = raw * self.jitter
-        return max(0.0, raw - spread + rng.random() * 2 * spread)
-
     def full_jitter_delay(self, attempt: int, rng: random.Random) -> float:
         """Full-jitter backoff: uniform over [0, capped exponential].
 
         Decorrelates synchronized retry storms (e.g. many transactions
-        aborted by the same lock-timeout burst) better than centred
-        jitter: no two retriers share even the expected wait.
+        aborted by the same lock-timeout burst): no two retriers share
+        even the expected wait.
         """
         if attempt < 1:
             raise ValueError("attempt is 1-based")

@@ -1,15 +1,9 @@
 """Shared fixtures for the incidents suite.
 
-``reset_sim_counters`` mirrors tests/chaos/conftest.py: the global
-itertools id counters make two same-process runs non-comparable, so
-any test that compares event hashes across runs must reset them.
-
 ``_hermetic_rulesets`` (autouse) snapshots the module-level ruleset
 registry so a test that registers a custom ruleset cannot leak it into
 the rest of the session.
 """
-
-import itertools
 
 import pytest
 
@@ -22,25 +16,3 @@ def _hermetic_rulesets():
     yield
     rules_mod.RULESETS.clear()
     rules_mod.RULESETS.update(snapshot)
-
-
-@pytest.fixture
-def reset_sim_counters(monkeypatch):
-    """Reset global id counters so two runs in one process are comparable."""
-    from repro.core import client as client_mod
-    from repro.core import messages
-    from repro.faas import platform as platform_mod
-    from repro.rpc import connections
-
-    def reset():
-        monkeypatch.setattr(
-            client_mod.LambdaFSClient, "_ids", itertools.count(1))
-        monkeypatch.setattr(connections.TcpConnection, "_ids", itertools.count(1))
-        monkeypatch.setattr(connections.TcpServer, "_ids", itertools.count(1))
-        monkeypatch.setattr(connections.ClientVM, "_ids", itertools.count(1))
-        monkeypatch.setattr(
-            platform_mod.FunctionInstance, "_ids", itertools.count(1))
-        monkeypatch.setattr(messages, "_request_ids", itertools.count(1))
-
-    reset()
-    return reset

@@ -1,4 +1,4 @@
-"""Unit tests for the RPC fabric (latency, connections, retry)."""
+"""Unit tests for the RPC fabric (latency and connections)."""
 
 import random
 
@@ -9,7 +9,6 @@ from repro.rpc import (
     ConnectionDropped,
     LatencyConfig,
     LatencyModel,
-    RetryPolicy,
     TcpServer,
 )
 from repro.sim import Environment
@@ -168,32 +167,6 @@ def test_find_shared_returns_none_when_absent():
     env.process(client(env))
     env.run()
     assert result == [None]
-
-
-def test_retry_policy_backs_off_exponentially():
-    policy = RetryPolicy(base_ms=10, factor=2, max_ms=1000, jitter=0.0)
-    rng = random.Random(0)
-    assert policy.delay(1, rng) == 10
-    assert policy.delay(2, rng) == 20
-    assert policy.delay(3, rng) == 40
-
-
-def test_retry_policy_caps_at_max():
-    policy = RetryPolicy(base_ms=10, factor=10, max_ms=50, jitter=0.0)
-    assert policy.delay(5, random.Random(0)) == 50
-
-
-def test_retry_policy_jitter_spreads():
-    policy = RetryPolicy(base_ms=100, factor=1, max_ms=100, jitter=0.5)
-    rng = random.Random(0)
-    draws = {policy.delay(1, rng) for _ in range(50)}
-    assert len(draws) > 10
-    assert all(50 <= d <= 150 for d in draws)
-
-
-def test_retry_policy_rejects_zero_attempt():
-    with pytest.raises(ValueError):
-        RetryPolicy().delay(0, random.Random(0))
 
 
 def test_vm_rejects_bad_clients_per_server():

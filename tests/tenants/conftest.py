@@ -1,7 +1,5 @@
 import pytest
 
-from tests.chaos.conftest import reset_sim_counters  # noqa: F401
-
 
 @pytest.fixture(autouse=True)
 def _fresh_sim_counters(reset_sim_counters):
