@@ -15,12 +15,22 @@ pending-set pressure is precisely what separates schedulers: a global
 binary heap pays O(log n) cache-cold comparisons on it for every
 event, a calendar queue does not.
 
+The bench's watchdogs have no subscriber, but the real stack races its
+watchdogs through ``AnyOf``: a losing timer carries that subscription
+until its deadline, and the bench does not exercise what it keeps
+alive (a fired condition detaches from its losers for exactly that
+reason, see ``docs/kernel.md``).
+
 The timed pass runs with the garbage collector's setup graph frozen
 (``gc.freeze``) and a raised gen-0 threshold, restored afterwards.
 This is benchmark methodology, applied identically to whichever kernel
 is being measured: the workload produces no cyclic garbage, so default
 GC heuristics only add full-heap scans whose cost says nothing about
-the scheduler under test.
+the scheduler under test.  The same quiesce hides heap-retention
+costs: objects kept alive longer than needed are never scanned here,
+while ``perfbench/`` runs the real stack with GC on and pays for every
+live object on each gen-1/gen-2 pass.  Use it, not this bench, to
+measure retention.
 
 Reported numbers are **wall-clock** events/sec and
 ops/sec plus peak memory, so kernel speedups are proven, not claimed:
@@ -161,6 +171,10 @@ def _gc_quiesced():
     already-built environment and raising the gen-0 threshold silences
     that noise; both are restored afterwards.  Applied identically to
     any kernel under measurement, old or new.
+
+    It also hides what a kernel keeps alive: a larger live heap costs
+    nothing here, whereas with GC on (as ``perfbench/`` runs the real
+    stack) every collector pass scans it.
     """
     thresholds = gc.get_threshold()
     gc.collect()

@@ -23,6 +23,14 @@ Hot-path notes (see docs/kernel.md):
   which it subscribed (``_target_index``) and tombstones that slot to
   ``None`` instead of ``list.remove`` scanning the callback list.  The
   environment's dispatch loop skips ``None`` entries.
+* A fired :class:`Condition` detaches from its losers: it swaps its
+  ``_check`` subscription on every still-pending member for
+  :func:`_defuse_late`, which holds no reference to the condition.  A
+  raced watchdog (``call | timer``) therefore no longer pins the
+  condition, its value and the finished call until its own deadline.
+  The swap is in place (lists stay append-only, so interrupt tombstone
+  indices stay valid), and the loser still runs one callback as a
+  kernel step, so the event sequence and every hash are unchanged.
 """
 
 from __future__ import annotations
@@ -412,6 +420,10 @@ class Condition(Event):
             callbacks = event.callbacks
             if callbacks is None:
                 check(event)
+                if self._value is not PENDING:
+                    # Fired by an already-processed member: the rest
+                    # subscribe as losers straight away.
+                    check = _defuse_late
             elif callbacks is _NO_CALLBACKS:
                 event.callbacks = check  # sole subscriber
             elif type(callbacks) is list:
@@ -427,20 +439,53 @@ class Condition(Event):
 
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
-            # The condition already fired (e.g. a timeout won the
-            # race); a late failure of another member must not crash
-            # the simulation.
-            if not event._ok:
-                event._defused = True
+            # Already fired, but this member's callbacks were taken for
+            # dispatch before the detach (it is listed twice, or the
+            # condition was triggered directly).
+            _defuse_late(event)
             return
         self._count += 1
         if not event._ok:
             event._defused = True
             self.fail(event._value)
+            self._detach()
         elif self._evaluate(self._events, self._count):
             value = ConditionValue()
             self._collect(value)
             self.succeed(value)
+            self._detach()
+
+    def _detach(self) -> None:
+        """Swap this condition's subscription on every still-pending
+        member for :func:`_defuse_late`.
+
+        A losing member (typically a raced watchdog timer) otherwise
+        holds the bound ``_check`` until its own deadline, and with it
+        this condition, its value and every finished member.  The swap
+        is in place: lists stay append-only, so the indices processes
+        recorded for O(1) interrupt unsubscription stay valid.  The
+        member still dispatches a callback when it fires, so the event
+        sequence is unchanged.
+        """
+        mine = self._check  # equal (not identical) to the installed one
+        for event in self._events:
+            callbacks = event.callbacks
+            if type(callbacks) is list:
+                for index, callback in enumerate(callbacks):
+                    if callback == mine:
+                        callbacks[index] = _defuse_late
+            elif callbacks == mine:
+                event.callbacks = _defuse_late
+
+
+def _defuse_late(event: Event) -> None:
+    """Callback left on a member that lost a condition's race.
+
+    The condition already fired, so a late failure of this member must
+    not crash the simulation.  It holds no reference to the condition.
+    """
+    if not event._ok:
+        event._defused = True
 
 
 class AllOf(Condition):
