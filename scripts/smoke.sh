@@ -78,17 +78,18 @@ print(f"profile smoke ok: {len(profile.ops)} ops attributed, "
 EOF
 
 # Chaos smoke: one fast fault scenario end-to-end under load — the
-# engine injects, the invariant/liveness/SLO verifier must pass.
-python -m repro chaos run ack-loss --clients 12 --window 4000 \
+# engine injects, the invariant/liveness/SLO verifier must pass.  The
+# chaos family turns detection on; this stage runs without it.
+python -m repro chaos run ack-loss --no-detect --clients 12 --window 4000 \
     --drain 5000 > "$out/chaos.txt"
 grep -q "verifier: PASS" "$out/chaos.txt"
 grep -q "fault log:" "$out/chaos.txt"
 echo "chaos smoke ok: $(head -1 "$out/chaos.txt")"
 
-# Datanode smoke: the two-scenario data-plane chaos matrix — kills
-# must be repaired within the SLO, slow disks must not cause deficits,
-# and the baseline JSON must carry the replication evidence.
-python -m repro chaos matrix --scenarios datanode-kill disk-slow \
+# Datanode smoke: the two-scenario data-plane family at reduced scale
+# — kills must be repaired within the SLO, slow disks must not cause
+# deficits, and the records must carry the replication evidence.
+python -m repro chaos matrix --family datanode \
     --clients 8 --deployments 2 --window 8000 --drain 3000 \
     --bench-json "$out/BENCH_datanode.json" > "$out/datanode.txt"
 grep -q "matrix: PASS" "$out/datanode.txt"
@@ -144,7 +145,7 @@ EOF
 # Incidents smoke: one fault scenario with online detection — the
 # detector must page, the correlator must blame the injected fault,
 # and the JSON export must round-trip through the report loader.
-python -m repro incidents run ack-loss --clients 12 --window 4000 \
+python -m repro chaos run ack-loss --detect --clients 12 --window 4000 \
     --drain 5000 --out "$out/incidents" > "$out/incidents.txt"
 grep -q "PASS detection: incident #0 blamed fault:ack_loss" \
     "$out/incidents.txt"
@@ -170,19 +171,20 @@ EOF
 # Resilience smoke: the metastable-overload family end-to-end — the
 # brownout must pass gate 7 (goodput floor, zero ops committed past
 # deadline, legal breaker transitions), the -noshed twin must fail it
-# for the honest reason, and the verdicts must match the committed
-# baseline (ordering matters: the drift gate compares exact counters,
-# which are only reproducible over the full default matrix).
-python -m repro resilience run metastable-brownout > "$out/resilience.txt"
+# for the honest reason, and every record field, hashes included, must
+# match the committed baseline (ordering matters: global id counters
+# carry over between scenarios, so the records only reproduce over the
+# whole family in its order).
+python -m repro chaos run metastable-brownout > "$out/resilience.txt"
 grep -q "PASS resilience:" "$out/resilience.txt"
 grep -q "0 deadline violations" "$out/resilience.txt"
-python -m repro incidents run metastable-brownout --window 8000 \
+python -m repro chaos run metastable-brownout --detect \
     --drain 6000 > "$out/resilience_incidents.txt"
 grep -q "alert breaker-open \[page\]" "$out/resilience_incidents.txt"
 grep -q "PASS detection: incident #0 blamed fault:load_spike" \
     "$out/resilience_incidents.txt"
-python -m repro resilience matrix --baseline BENCH_resilience.json \
-    > "$out/resilience_matrix.txt"
+python -m repro chaos matrix --family resilience \
+    --baseline BENCH_resilience.json > "$out/resilience_matrix.txt"
 grep -q "FAIL (expected)" "$out/resilience_matrix.txt"
 grep -q "resilience baseline: OK" "$out/resilience_matrix.txt"
 grep -q "resilience matrix: PASS" "$out/resilience_matrix.txt"

@@ -13,9 +13,10 @@ Deterministic, composable fault injection with recovery verification:
 - :mod:`repro.chaos.verifier` — :class:`ChaosVerifier`, the post-run
   invariants / liveness / recovery-SLO gates;
 - :mod:`repro.chaos.runner` — end-to-end scenario runs under load
-  (``repro chaos run`` / ``repro chaos matrix``);
+  (``repro chaos run`` / ``repro chaos matrix``), the baseline record
+  schema and the drift gate;
 - :mod:`repro.chaos.scenarios` — the built-in catalog and the
-  regression :data:`~repro.chaos.scenarios.MATRIX`.
+  regression :data:`~repro.chaos.scenarios.FAMILIES`.
 """
 
 from repro.chaos.engine import ChaosEngine, FaultEvent, install_chaos
@@ -34,9 +35,10 @@ from repro.chaos.runner import (
     RECOVERABLE_ERRORS,
     ChaosRunConfig,
     ChaosRunResult,
-    resilience_run_config,
+    baseline_drift,
     run_matrix,
     run_scenario,
+    scenario_record,
     scenario_needs_datanodes,
     scenario_needs_resilience,
     scenario_needs_tenants,
@@ -48,12 +50,11 @@ from repro.chaos.scenario import (
     save_scenario,
 )
 from repro.chaos.scenarios import (
-    DATANODE_MATRIX,
     EXPECTED_FAIL,
-    MATRIX,
-    RESILIENCE_MATRIX,
-    TENANT_MATRIX,
+    FAMILIES,
+    Family,
     builtin_scenarios,
+    family_of,
     get_scenario,
 )
 from repro.chaos.verifier import ChaosVerifier, RecoverySLO, VerifierReport
@@ -63,33 +64,33 @@ __all__ = [
     "ChaosRunConfig",
     "ChaosRunResult",
     "ChaosVerifier",
-    "DATANODE_MATRIX",
     "EXPECTED_FAIL",
+    "FAMILIES",
     "FAULT_TYPES",
+    "Family",
     "Fault",
     "FaultEvent",
     "FaultSpec",
     "KillRecord",
-    "MATRIX",
     "NameNodeKiller",
     "RECOVERABLE_ERRORS",
-    "RESILIENCE_MATRIX",
     "RecoverySLO",
     "Scenario",
-    "TENANT_MATRIX",
     "VICTIM_POLICIES",
     "VerifierReport",
+    "baseline_drift",
     "builtin_scenarios",
     "derive_rng",
+    "family_of",
     "get_scenario",
     "install_chaos",
     "load_scenario",
     "make_fault",
     "pick_victim",
-    "resilience_run_config",
     "run_matrix",
     "run_scenario",
     "save_scenario",
+    "scenario_record",
     "scenario_needs_datanodes",
     "scenario_needs_resilience",
     "scenario_needs_tenants",

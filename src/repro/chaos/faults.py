@@ -17,8 +17,7 @@ faults consumes no randomness and injects no events, so its presence
 does not perturb the simulation.
 
 The :class:`NameNodeKiller` (§5.6 fault-tolerance experiment) lives
-here as the canonical implementation; :mod:`repro.faas.chaos`
-re-exports it for backwards compatibility.  Victim selection is a
+here too, as one fault among the catalog.  Victim selection is a
 seeded policy: ``round_robin`` (the paper's — first warm instance of
 the next deployment), ``random`` (uniform over warm instances), or
 ``youngest`` (most recently provisioned).
@@ -50,7 +49,7 @@ def derive_rng(seed: int, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-# -- NameNode killer (canonical home; repro.faas.chaos re-exports) ------
+# -- NameNode killer ----------------------------------------------------
 
 VICTIM_POLICIES = ("round_robin", "random", "youngest")
 

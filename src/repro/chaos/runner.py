@@ -15,13 +15,16 @@ an op still in flight at that point stays an *open* ``client.op``
 span, which is exactly what the :class:`~repro.chaos.verifier
 .ChaosVerifier` liveness gate looks for.
 
-:func:`run_matrix` sweeps a list of scenarios (default: the regression
-:data:`~repro.chaos.scenarios.MATRIX`) in fresh environments and
-returns per-scenario results for ``repro chaos matrix``.
+:func:`run_matrix` sweeps a list of scenarios (a
+:data:`~repro.chaos.scenarios.FAMILIES` entry for ``repro chaos
+matrix``) in fresh environments.  :func:`scenario_record` turns each
+result into one baseline record, and :func:`baseline_drift` compares
+records against a committed ``BENCH_<family>.json``, field by field.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -140,30 +143,6 @@ class ChaosRunConfig:
     verifier gains the detection gate (gate 6)."""
     ruleset: str = "default"
     """Named rule catalog from :data:`repro.incidents.RULESETS`."""
-
-
-def resilience_run_config(seed: int = 0, **overrides) -> ChaosRunConfig:
-    """The canonical workload for the overload/resilience scenarios.
-
-    The metastable family needs a *convoy-prone* workload — many
-    writers colliding on a small hot file set — which the default
-    chaos shape (24 mostly-reading clients over a ~500-file tree)
-    never produces: its brownouts recover the instant the fault
-    clears.  This shape is shared by ``repro resilience``, the smoke
-    stage, and the regression tests so gate-7 verdicts stay
-    comparable across all three.
-    """
-    defaults = dict(
-        seed=seed,
-        clients=48,
-        write_fraction=0.5,
-        think_ms=40.0,
-        tree=TreeSpec(depth=1, dirs_per_dir=2, files_per_dir=8),
-        drain_ms=8_000.0,
-        slo=RecoverySLO(window_ms=8_000.0),
-    )
-    defaults.update(overrides)
-    return ChaosRunConfig(**defaults)
 
 
 @dataclass
@@ -480,3 +459,105 @@ def run_matrix(
 ) -> List[ChaosRunResult]:
     """Run each scenario in a fresh environment; collect results."""
     return [run_scenario(scenario, config) for scenario in scenarios]
+
+
+def scenario_record(result: ChaosRunResult) -> Dict[str, object]:
+    """One scenario's baseline record: verdict, counters, and hashes.
+
+    The base fields come from every run; the detection, tenant, fleet
+    and resilience blocks are added only when the run produced that
+    evidence.
+    """
+    from repro.chaos.scenarios import EXPECTED_FAIL
+
+    report = result.report
+    record: Dict[str, object] = {
+        "passed": result.passed,
+        "expected_fail": result.scenario.name in EXPECTED_FAIL,
+        "ops_ok": result.ops_ok,
+        "ops_failed": result.ops_failed,
+        "errors": result.errors,
+        "checks": report.checks,
+        "hung_ops": len(report.hung_ops),
+        "recovery_time_ms": report.recovery_time_ms,
+        "duration_ms": result.duration_ms,
+        "event_hash": result.event_hash,
+        "fault_log_hash": result.log_hash,
+    }
+    if result.incidents is not None:
+        record.update({
+            "incidents": len(result.incidents.incidents),
+            "alerts": result.incidents.alerts_total,
+            "mttd_ms": result.incidents.mttd_ms,
+            "top_suspect": report.top_suspect,
+        })
+    if result.tenant_counts is not None:
+        record.update({
+            "tenants": {
+                tenant: {"issued": c.issued, "ok": c.ok,
+                         "failed": c.failed, "errors": c.errors}
+                for tenant, c in sorted(result.tenant_counts.items())
+            },
+            "jain_min": report.jain_min,
+            "jain_recovered": report.jain_recovered,
+            "baseline_victim_p99_ms": report.baseline_victim_p99_ms,
+            "recovered_victim_p99_ms": report.recovered_victim_p99_ms,
+            "fairness_recovery_ms": report.fairness_recovery_ms,
+        })
+    if result.fleet is not None:
+        record.update({
+            "datanodes": len(result.fleet.nodes),
+            "datanodes_dead": len(result.fleet.tracker.dead()),
+            "blocks": len(result.fleet.blocks),
+            "repairs": len(result.fleet.scanner.records),
+            "lost_blocks": sorted(result.fleet.scanner.lost),
+            "replication_recovery_ms": report.replication_recovery_ms,
+        })
+    if result.resilience is not None:
+        snap = result.resilience
+        record.update({
+            "shed": snap["sheds"],
+            "deadline_expirations": snap["deadline_expirations"],
+            "deadline_violations": report.deadline_violations,
+            "breaker_opened": snap["breaker_opens"] > 0,
+            "breaker_opens": snap["breaker_opens"],
+            "breaker_transitions": snap["breaker_transitions"],
+            "stale_reads": snap["stale_reads"],
+            "budget_exhaustions": snap["budget_exhaustions"],
+            "baseline_goodput": report.baseline_goodput,
+            "recovered_goodput": report.recovered_goodput,
+        })
+    return record
+
+
+_ABSENT = "<absent>"
+
+
+def baseline_drift(
+    records: Dict[str, Dict[str, object]],
+    baseline: Dict[str, Dict[str, object]],
+) -> List[str]:
+    """Every difference between a run's records and a baseline's.
+
+    Whole records are compared, ``event_hash`` and ``fault_log_hash``
+    included.  A baseline scenario the run did not produce, or a run
+    scenario the baseline lacks, is drift too.  Returns one line per
+    difference; empty means the run reproduced the baseline.
+    """
+    # Round-trip through JSON so tuples compare equal to the lists a
+    # baseline file holds.
+    records = json.loads(json.dumps(records))
+    drift = []
+    for name in sorted(set(baseline) | set(records)):
+        if name not in records:
+            drift.append(f"{name}: in the baseline but not in the run")
+            continue
+        if name not in baseline:
+            drift.append(f"{name}: in the run but not in the baseline")
+            continue
+        expected, got = baseline[name], records[name]
+        for key in sorted(set(expected) | set(got)):
+            before, after = expected.get(key, _ABSENT), got.get(key, _ABSENT)
+            if before != after:
+                drift.append(f"{name}: {key} {before!r} -> {after!r}")
+    return drift

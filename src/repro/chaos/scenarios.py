@@ -1,56 +1,73 @@
-"""Built-in chaos scenarios and the regression matrix.
+"""Built-in chaos scenarios and the regression families.
 
 Every scenario follows the same shape: ~1.5 s of steady state (the
 verifier's SLO baseline), a fault window of a few seconds, then
 recovery.  Times are relative to engine start, after system prewarm
 and the TCP-connection prelude — see :mod:`repro.chaos.runner`.
 
-``MATRIX`` is the regression set run by ``repro chaos matrix``: one
-scenario per layer (FaaS kills, TCP fabric, HTTP gateway, metastore
-shard, coordinator ACKs), each expected to pass all three verifier
-gates.  ``ack-loss-noretry`` is the deliberately broken recovery path
-— ACK loss with coordinator redelivery disabled — kept out of the
-matrix and *expected to fail* (the verifier must flag the stranded
-writers); it doubles as the self-test that the verifier can actually
-catch a broken system.
+:data:`FAMILIES` is the regression set, run one family at a time by
+``repro chaos matrix --family F`` and gated against ``BENCH_<F>.json``.
+Each family names its scenarios in run order and the run shape they
+need; every scenario is judged by whichever of the seven verifier gates
+its evidence enables.  The order is part of the baseline: global
+id counters carry over between scenarios run in one process, so a
+scenario's hashes depend on what ran before it.
+
+The :data:`EXPECTED_FAIL` scenarios are deliberately broken recovery
+paths the verifier *must* fail — e.g. ``ack-loss-noretry``, ACK loss
+with coordinator redelivery disabled, which strands writers.  They are
+the self-test that the verifier can actually catch a broken system.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
+from repro.chaos.runner import ChaosRunConfig
 from repro.chaos.scenario import FaultSpec, Scenario
+from repro.chaos.verifier import RecoverySLO
+from repro.namespace.treegen import TreeSpec
 
-#: The regression matrix (all expected to pass).
-MATRIX: Tuple[str, ...] = (
-    "nn-kills",
-    "tcp-sever",
-    "gateway-brownout",
-    "shard-outage",
-    "ack-loss",
-)
 
-#: The data-plane matrix (needs a DataNode fleet; ``repro chaos
-#: matrix --scenarios datanode-kill disk-slow``).
-DATANODE_MATRIX: Tuple[str, ...] = (
-    "datanode-kill",
-    "disk-slow",
-)
+@dataclass(frozen=True)
+class Family:
+    """A regression family: scenario names in run order + run shape."""
 
-#: The multi-tenant matrix (tenant fleets + fairness gate; ``repro
-#: chaos matrix --scenarios noisy-neighbor noisy-neighbor-runaway``).
-TENANT_MATRIX: Tuple[str, ...] = (
-    "noisy-neighbor",
-    "noisy-neighbor-runaway",
-)
+    scenarios: Tuple[str, ...]
+    config: ChaosRunConfig = ChaosRunConfig()
+    """The run shape, including whether detection is on."""
 
-#: The overload/resilience matrix (needs the resilience layer; ``repro
-#: resilience matrix``).
-RESILIENCE_MATRIX: Tuple[str, ...] = (
-    "overload-storm",
-    "retry-storm-amplification",
-    "metastable-brownout",
-)
+
+FAMILIES: Dict[str, Family] = {
+    # One scenario per layer (FaaS kills, TCP fabric, HTTP gateway,
+    # metastore shard, coordinator ACKs) plus the no-fault control,
+    # with the online detector attached (gate 6).
+    "chaos": Family(
+        ("nn-kills", "tcp-sever", "gateway-brownout", "shard-outage",
+         "ack-loss", "control"),
+        ChaosRunConfig(detect=True),
+    ),
+    # The data plane: these get a DataNode fleet automatically.
+    "datanode": Family(("datanode-kill", "disk-slow")),
+    # Tenant fleets + the fairness gate.
+    "tenants": Family(("noisy-neighbor", "noisy-neighbor-runaway")),
+    # The overload family needs a *convoy-prone* workload — many
+    # writers colliding on a small hot file set — which the default
+    # chaos shape (24 mostly-reading clients over a ~500-file tree)
+    # never produces: its brownouts recover the instant the fault
+    # clears.
+    "resilience": Family(
+        ("overload-storm", "retry-storm-amplification",
+         "metastable-brownout", "metastable-brownout-noshed"),
+        ChaosRunConfig(
+            clients=48,
+            write_fraction=0.5,
+            tree=TreeSpec(depth=1, dirs_per_dir=2, files_per_dir=8),
+            slo=RecoverySLO(window_ms=8_000.0),
+        ),
+    ),
+}
 
 #: Scenarios whose verifier verdict is expected to be FAIL.
 EXPECTED_FAIL: Tuple[str, ...] = (
@@ -59,6 +76,15 @@ EXPECTED_FAIL: Tuple[str, ...] = (
     "noisy-neighbor-runaway",
     "metastable-brownout-noshed",
 )
+
+
+def family_of(name: str) -> Optional[str]:
+    """The family that lists scenario ``name``, or None."""
+    return next(
+        (family for family, spec in FAMILIES.items()
+         if name in spec.scenarios),
+        None,
+    )
 
 
 def builtin_scenarios() -> Dict[str, Scenario]:

@@ -14,15 +14,18 @@ Commands:
   microbenchmark (attribution report + Perfetto/flamegraph exports),
   ``diff`` two profile.json files stage-by-stage, ``export`` from a
   spans dump;
-* ``chaos`` — deterministic fault injection: ``run`` one scenario
-  (built-in name or JSON file) under load and verify recovery,
-  ``matrix`` the regression scenario set (add ``--detect`` for online
-  alerting + the detection gate);
-* ``incidents`` — online SLO alerting + root-cause attribution:
-  ``run`` one detected chaos scenario (incident timeline report),
-  ``matrix`` the detection regression set with ``BENCH_incidents.json``
-  baselines, ``analyze`` a telemetry JSONL export offline, ``rules``
-  the alert-rule catalog;
+* ``chaos`` — deterministic fault injection, the one scenario
+  pipeline: ``run`` one scenario (built-in name or JSON file) under
+  load in its family's run shape and verify recovery (``--detect``
+  adds online alerting + the detection gate, ``--out`` writes the
+  incident report and telemetry); ``matrix --family F`` runs one
+  regression family, writes ``BENCH_<F>.json`` with ``--bench-json``
+  and fails on any drift from it with ``--baseline``;
+* ``incidents`` — offline alerting + root-cause attribution:
+  ``analyze`` a telemetry JSONL export, ``rules`` the alert-rule
+  catalog;
+* ``tenants`` — a multi-tenant run: per-tenant dashboard + fairness
+  report;
 * ``bench`` — wall-clock benchmarks of the toolkit itself: ``kernel``
   measures raw simulator events/sec + peak RSS at 1k/10k/100k client
   scales, with ``--baseline`` regression gating against a committed
@@ -37,6 +40,14 @@ import sys
 from typing import List, Optional
 
 from repro.bench.report import tabulate
+
+
+def _dump_json(path: str, doc, label: str = "bench json") -> None:
+    import json
+
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+    print(f"\n{label}: {path}")
 
 
 def _print_trace_summary(tracer) -> None:
@@ -308,7 +319,6 @@ def _run_profiled_micro(args):
 
 
 def _cmd_profile(args) -> int:
-    import json
     import os
 
     from repro.profile import (
@@ -347,17 +357,11 @@ def _cmd_profile(args) -> int:
             for kind in sorted(paths):
                 print(f"  {kind:8s} {paths[kind]}")
         if args.bench_json:
-            summary = profile.to_dict()["summary"]
-            with open(args.bench_json, "w") as fh:
-                json.dump(
-                    {
-                        "version": 1,
-                        "event_hash": handle.tracer.event_hash(),
-                        "ops": summary,
-                    },
-                    fh, indent=2, sort_keys=True,
-                )
-            print(f"\nbench json: {args.bench_json}")
+            _dump_json(args.bench_json, {
+                "version": 1,
+                "event_hash": handle.tracer.event_hash(),
+                "ops": profile.to_dict()["summary"],
+            })
         _print_trace_summary(handle.tracer)
         return 0
 
@@ -388,202 +392,168 @@ def _cmd_profile(args) -> int:
     raise ValueError(f"unknown profile subcommand {args.profile_command!r}")
 
 
-def _chaos_run_config(args, detect: Optional[bool] = None):
-    from repro.chaos import ChaosRunConfig, RecoverySLO
+def _chaos_run_config(args, family: Optional[str]):
+    """``family``'s run shape (the default one for None), overridden by
+    every knob set on the command line.  Knobs are stored under their
+    :class:`~repro.chaos.ChaosRunConfig` field names."""
+    from dataclasses import fields, replace
 
-    return ChaosRunConfig(
-        seed=args.seed,
-        clients=args.clients,
-        deployments=args.deployments,
-        write_fraction=args.write_frac,
-        think_ms=args.think,
-        telemetry_interval_ms=args.interval,
-        drain_ms=args.drain,
-        slo=RecoverySLO(window_ms=args.window),
-        datanodes=args.datanodes,
-        chunk_write_fraction=args.chunk_write_frac,
-        detect=(
-            detect if detect is not None
-            else getattr(args, "detect", False)
-        ),
-        ruleset=getattr(args, "ruleset", "default"),
-    )
+    from repro.chaos import FAMILIES, ChaosRunConfig
+
+    base = FAMILIES[family].config if family else ChaosRunConfig()
+    changes = {
+        f.name: getattr(args, f.name) for f in fields(base)
+        if getattr(args, f.name, None) is not None
+    }
+    if args.window is not None:
+        changes["slo"] = replace(base.slo, window_ms=args.window)
+    return replace(base, **changes)
 
 
-def _chaos_result_lines(result) -> List[str]:
-    lines = [result.summary(), result.report.render()]
-    injections = [e for e in result.engine.log if e.action == "inject"]
-    lines.append(
-        f"fault log: {len(result.engine.log)} event(s), "
-        f"{len(injections)} injection(s), hash {result.log_hash}"
-    )
-    if result.incidents is not None:
-        lines.append("")
-        lines.append(result.incidents.render())
-    return lines
-
-
-def _cmd_chaos(args) -> int:
-    import json
-
+def _cmd_chaos_run(args) -> int:
     from repro.chaos import (
-        EXPECTED_FAIL,
-        MATRIX,
         builtin_scenarios,
+        family_of,
+        get_scenario,
         load_scenario,
         run_scenario,
     )
 
-    if args.chaos_command == "run":
-        if args.list:
-            rows = [
-                [s.name, len(s.faults), f"{s.clear_ms / 1000:.1f}s",
-                 s.description]
-                for s in builtin_scenarios().values()
-            ]
-            print(tabulate(["scenario", "faults", "clear", "description"],
-                           rows))
-            return 0
-        if args.file:
-            scenario = load_scenario(args.file)
-        elif args.scenario:
-            scenario = builtin_scenarios().get(args.scenario)
-            if scenario is None:
-                print(f"unknown scenario {args.scenario!r} "
-                      f"(try: repro chaos run --list)", file=sys.stderr)
-                return 2
-        else:
-            print("need a scenario name or --file (or --list)",
+    if args.list:
+        rows = [
+            [s.name, family_of(s.name) or "-", len(s.faults),
+             f"{s.clear_ms / 1000:.1f}s", s.description]
+            for s in builtin_scenarios().values()
+        ]
+        print(tabulate(
+            ["scenario", "family", "faults", "clear", "description"], rows
+        ))
+        return 0
+    if args.file:
+        scenario = load_scenario(args.file)
+    elif args.scenario:
+        try:
+            scenario = get_scenario(args.scenario)
+        except KeyError as exc:
+            print(f"{exc.args[0]} (try: repro chaos run --list)",
                   file=sys.stderr)
             return 2
-        result = run_scenario(scenario, _chaos_run_config(args))
-        for line in _chaos_result_lines(result):
-            print(line)
-        if args.verbose:
-            for event in result.engine.log:
-                print(f"  {event}")
-        return 0 if result.passed else 1
+    else:
+        print("need a scenario name or --file (or --list)", file=sys.stderr)
+        return 2
+    result = run_scenario(
+        scenario, _chaos_run_config(args, family_of(scenario.name))
+    )
+    print(result.summary())
+    print(result.report.render())
+    injections = [e for e in result.engine.log if e.action == "inject"]
+    print(f"fault log: {len(result.engine.log)} event(s), "
+          f"{len(injections)} injection(s), hash {result.log_hash}")
+    if result.incidents is not None:
+        print()
+        print(result.incidents.render())
+    if args.verbose:
+        for event in result.engine.log:
+            print(f"  {event}")
+    if args.out:
+        import os
 
-    if args.chaos_command == "matrix":
-        scenarios = builtin_scenarios()
-        names = list(args.scenarios) if args.scenarios else list(MATRIX)
-        unknown = [n for n in names if n not in scenarios]
-        if unknown:
-            print(f"unknown scenario(s): {unknown}", file=sys.stderr)
-            return 2
-        config = _chaos_run_config(args)
-        rows = []
-        records = {}
-        exit_code = 0
-        for name in names:
-            result = run_scenario(scenarios[name], config)
-            expected_fail = name in EXPECTED_FAIL
-            ok = result.passed != expected_fail
-            verdict = "PASS" if result.passed else "FAIL"
-            if expected_fail:
-                verdict += " (expected)" if ok else " (!)"
-            elif not ok:
-                exit_code = 1
-            if expected_fail and not ok:
-                exit_code = 1
-            recovery = result.report.recovery_time_ms
-            rows.append([
-                name, verdict, result.ops_ok, result.ops_failed,
-                "-" if recovery is None else f"{recovery:.0f} ms",
-                result.event_hash[:12],
-            ])
-            records[name] = {
-                "passed": result.passed,
-                "expected_fail": expected_fail,
-                "ops_ok": result.ops_ok,
-                "ops_failed": result.ops_failed,
-                "errors": result.errors,
-                "checks": result.report.checks,
-                "hung_ops": len(result.report.hung_ops),
-                "recovery_time_ms": recovery,
-                "duration_ms": result.duration_ms,
-                "event_hash": result.event_hash,
-                "fault_log_hash": result.log_hash,
-            }
-            if result.incidents is not None:
-                records[name].update({
-                    "incidents": len(result.incidents.incidents),
-                    "mttd_ms": result.incidents.mttd_ms,
-                    "top_suspect": result.report.top_suspect,
-                })
-            if result.tenant_counts is not None:
-                records[name].update({
-                    "tenants": {
-                        tenant: {"issued": c.issued, "ok": c.ok,
-                                 "failed": c.failed, "errors": c.errors}
-                        for tenant, c in sorted(result.tenant_counts.items())
-                    },
-                    "jain_min": result.report.jain_min,
-                    "jain_recovered": result.report.jain_recovered,
-                    "baseline_victim_p99_ms":
-                        result.report.baseline_victim_p99_ms,
-                    "recovered_victim_p99_ms":
-                        result.report.recovered_victim_p99_ms,
-                    "fairness_recovery_ms":
-                        result.report.fairness_recovery_ms,
-                })
-            if result.fleet is not None:
-                scanner = result.fleet.scanner
-                records[name].update({
-                    "datanodes": len(result.fleet.nodes),
-                    "datanodes_dead": len(result.fleet.tracker.dead()),
-                    "blocks": len(result.fleet.blocks),
-                    "repairs": len(scanner.records),
-                    "lost_blocks": sorted(scanner.lost),
-                    "replication_recovery_ms":
-                        result.report.replication_recovery_ms,
-                })
-            if not ok:
-                print(result.report.render())
-        print(tabulate(
-            ["scenario", "verdict", "ok", "failed", "recovery", "events"],
-            rows,
-        ))
-        if args.bench_json:
-            with open(args.bench_json, "w") as fh:
-                json.dump(
-                    {"version": 1, "seed": args.seed, "scenarios": records},
-                    fh, indent=2, sort_keys=True,
-                )
-            print(f"\nbench json: {args.bench_json}")
-        print("matrix:", "PASS" if exit_code == 0 else "FAIL")
-        return exit_code
+        from repro.telemetry.export import write_jsonl
 
-    raise ValueError(f"unknown chaos subcommand {args.chaos_command!r}")
+        os.makedirs(args.out, exist_ok=True)
+        paths = []
+        if result.incidents is not None:
+            paths.append(result.incidents.save(
+                os.path.join(args.out, "incidents.json")
+            ))
+            paths.append(os.path.join(args.out, "incidents.md"))
+            with open(paths[-1], "w") as handle:
+                handle.write(result.incidents.render_markdown())
+        if result.timeseries is not None:
+            paths.append(os.path.join(args.out, "telemetry.jsonl"))
+            write_jsonl(result.timeseries, paths[-1])
+        print("\nexports:")
+        for path in paths:
+            print(f"  {path}")
+    return 0 if result.passed else 1
+
+
+def _cmd_chaos_matrix(args) -> int:
+    import json
+
+    from repro.chaos import (
+        FAMILIES,
+        baseline_drift,
+        get_scenario,
+        run_matrix,
+        scenario_record,
+    )
+
+    family = args.family
+    config = _chaos_run_config(args, family)
+    results = run_matrix(
+        [get_scenario(name) for name in FAMILIES[family].scenarios], config
+    )
+    records = {r.scenario.name: scenario_record(r) for r in results}
+    rows = []
+    exit_code = 0
+    for result in results:
+        expected_fail = records[result.scenario.name]["expected_fail"]
+        ok = result.passed != expected_fail
+        if not ok:
+            exit_code = 1
+            print(result.report.render())
+        recovery = result.report.recovery_time_ms
+        rows.append([
+            result.scenario.name,
+            ("PASS" if result.passed else "FAIL")
+            + (" (expected)" if expected_fail and ok else "")
+            + (" (!)" if not ok else ""),
+            result.ops_ok,
+            result.ops_failed,
+            "-" if recovery is None else f"{recovery:.0f} ms",
+            result.event_hash[:12],
+            result.log_hash[:12],
+        ])
+    print(tabulate(
+        ["scenario", "verdict", "ok", "failed", "recovery", "events",
+         "faults"],
+        rows,
+    ))
+    if args.bench_json:
+        doc = {"version": 1, "family": family, "seed": config.seed,
+               "scenarios": records}
+        if config.detect:
+            doc["detection_window_ms"] = config.slo.detection_window_ms
+        _dump_json(args.bench_json, doc)
+    if args.baseline:
+        with open(args.baseline) as fh:
+            drift = baseline_drift(records, json.load(fh)["scenarios"])
+        if drift:
+            exit_code = 1
+            print(f"\n{family} baseline drift:")
+            for line in drift:
+                print(f"  {line}")
+        else:
+            print(f"\n{family} baseline: OK")
+    print(f"{family} matrix:", "PASS" if exit_code == 0 else "FAIL")
+    return exit_code
+
+
+def _cmd_chaos(args) -> int:
+    if args.chaos_command == "run":
+        return _cmd_chaos_run(args)
+    return _cmd_chaos_matrix(args)
 
 
 def _incident_rules(args):
     """Resolve --ruleset / --rules-file into a rule list."""
     from repro.incidents import get_ruleset, load_rules
 
-    if getattr(args, "rules_file", None):
+    if args.rules_file:
         with open(args.rules_file) as handle:
             return load_rules(handle.read())
-    return get_ruleset(getattr(args, "ruleset", "default"))
-
-
-def _incidents_exports(result, out: str) -> List[str]:
-    """Write incidents.json / incidents.md / telemetry.jsonl to ``out``."""
-    import os
-
-    from repro.telemetry.export import write_jsonl
-
-    os.makedirs(out, exist_ok=True)
-    paths = [result.incidents.save(os.path.join(out, "incidents.json"))]
-    md = os.path.join(out, "incidents.md")
-    with open(md, "w") as handle:
-        handle.write(result.incidents.render_markdown())
-    paths.append(md)
-    if result.timeseries is not None:
-        series = os.path.join(out, "telemetry.jsonl")
-        write_jsonl(result.timeseries, series)
-        paths.append(series)
-    return paths
+    return get_ruleset(args.ruleset)
 
 
 def _cmd_incidents(args) -> int:
@@ -615,278 +585,26 @@ def _cmd_incidents(args) -> int:
         ))
         return 0
 
-    if args.incidents_command == "analyze":
-        from repro.telemetry import read_jsonl
+    from repro.telemetry import read_jsonl
 
-        timeseries = read_jsonl(args.series)
-        engine = AlertEngine(_incident_rules(args))
-        alerts = engine.replay(timeseries)
-        end_ms = timeseries.samples[-1][0] if timeseries.samples else 0.0
-        report = build_report(
-            alerts, Evidence(timeseries=timeseries),
-            scenario=args.scenario or os.path.basename(args.series),
-            end_ms=end_ms,
-        )
-        print(report.render())
-        if args.json:
-            report.save(args.json)
-            print(f"\nincidents json: {args.json}")
-        return 0
-
-    from repro.chaos import EXPECTED_FAIL, MATRIX, builtin_scenarios, \
-        load_scenario, run_scenario
-
-    if args.incidents_command == "run":
-        if args.file:
-            scenario = load_scenario(args.file)
-        else:
-            scenario = builtin_scenarios().get(args.scenario or "")
-            if scenario is None:
-                print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
-                return 2
-        result = run_scenario(scenario, _chaos_run_config(args, detect=True))
-        print(result.summary())
-        print(result.report.render())
-        print()
-        print(result.incidents.render())
-        if args.out:
-            print("\nexports:")
-            for path in _incidents_exports(result, args.out):
-                print(f"  {path}")
-        return 0 if result.passed else 1
-
-    if args.incidents_command == "matrix":
-        scenarios = builtin_scenarios()
-        names = (
-            list(args.scenarios) if args.scenarios
-            else list(MATRIX) + ["control"]
-        )
-        unknown = [n for n in names if n not in scenarios]
-        if unknown:
-            print(f"unknown scenario(s): {unknown}", file=sys.stderr)
-            return 2
-        config = _chaos_run_config(args, detect=True)
-        rows = []
-        records = {}
-        exit_code = 0
-        for name in names:
-            result = run_scenario(scenarios[name], config)
-            expected_fail = name in EXPECTED_FAIL
-            ok = result.passed != expected_fail
-            if not ok:
-                exit_code = 1
-                print(result.report.render())
-            incidents = result.incidents
-            mttd = incidents.mttd_ms
-            rows.append([
-                name,
-                ("PASS" if result.passed else "FAIL")
-                + (" (expected)" if expected_fail and ok else "")
-                + (" (!)" if not ok else ""),
-                len(incidents.incidents),
-                "-" if mttd is None else f"{mttd:.0f} ms",
-                result.report.top_suspect or "-",
-            ])
-            records[name] = {
-                "passed": result.passed,
-                "expected_fail": expected_fail,
-                "incidents": len(incidents.incidents),
-                "alerts": incidents.alerts_total,
-                "mttd_ms": mttd,
-                "top_suspect": result.report.top_suspect,
-                "event_hash": result.event_hash,
-                "fault_log_hash": result.log_hash,
-            }
-        print(tabulate(
-            ["scenario", "verdict", "incidents", "MTTD", "top suspect"], rows
-        ))
-        if args.bench_json:
-            with open(args.bench_json, "w") as fh:
-                json.dump(
-                    {"version": 1, "seed": args.seed,
-                     "detection_window_ms": config.slo.detection_window_ms,
-                     "scenarios": records},
-                    fh, indent=2, sort_keys=True,
-                )
-            print(f"\nbench json: {args.bench_json}")
-        if args.baseline:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-            drift = []
-            for name, expected in sorted(baseline["scenarios"].items()):
-                got = records.get(name)
-                if got is None:
-                    continue
-                for field in ("passed", "incidents", "top_suspect"):
-                    if got[field] != expected[field]:
-                        drift.append(
-                            f"{name}: {field} {expected[field]!r} -> "
-                            f"{got[field]!r}"
-                        )
-            if drift:
-                exit_code = 1
-                print("\ndetection baseline drift:")
-                for line in drift:
-                    print(f"  {line}")
-            else:
-                print("\ndetection baseline: OK")
-        print("detection matrix:", "PASS" if exit_code == 0 else "FAIL")
-        return exit_code
-
-    raise ValueError(
-        f"unknown incidents subcommand {args.incidents_command!r}"
+    timeseries = read_jsonl(args.series)
+    engine = AlertEngine(_incident_rules(args))
+    alerts = engine.replay(timeseries)
+    end_ms = timeseries.samples[-1][0] if timeseries.samples else 0.0
+    report = build_report(
+        alerts, Evidence(timeseries=timeseries),
+        scenario=args.scenario or os.path.basename(args.series),
+        end_ms=end_ms,
     )
-
-
-def _resilience_config(args):
-    from repro.chaos import RecoverySLO, resilience_run_config
-
-    return resilience_run_config(
-        seed=args.seed,
-        clients=args.clients,
-        deployments=args.deployments,
-        write_fraction=args.write_frac,
-        think_ms=args.think,
-        telemetry_interval_ms=args.interval,
-        drain_ms=args.drain,
-        slo=RecoverySLO(window_ms=args.window),
-        ruleset=getattr(args, "ruleset", "default"),
-    )
-
-
-def _cmd_resilience(args) -> int:
-    import json
-
-    from repro.chaos import (
-        EXPECTED_FAIL,
-        RESILIENCE_MATRIX,
-        builtin_scenarios,
-        run_scenario,
-    )
-
-    scenarios = builtin_scenarios()
-    default_names = list(RESILIENCE_MATRIX) + ["metastable-brownout-noshed"]
-
-    if args.resilience_command == "run":
-        if args.list:
-            rows = [
-                [s.name, len(s.faults), f"{s.clear_ms / 1000:.1f}s",
-                 s.description]
-                for s in (scenarios[n] for n in default_names)
-            ]
-            print(tabulate(["scenario", "faults", "clear", "description"],
-                           rows))
-            return 0
-        if not args.scenario:
-            print("need a scenario name (or --list)", file=sys.stderr)
-            return 2
-        scenario = scenarios.get(args.scenario)
-        if scenario is None:
-            print(f"unknown scenario {args.scenario!r} "
-                  f"(try: repro resilience run --list)", file=sys.stderr)
-            return 2
-        result = run_scenario(scenario, _resilience_config(args))
-        for line in _chaos_result_lines(result):
-            print(line)
-        if args.verbose:
-            for event in result.engine.log:
-                print(f"  {event}")
-        return 0 if result.passed else 1
-
-    if args.resilience_command == "matrix":
-        names = list(args.scenarios) if args.scenarios else default_names
-        unknown = [n for n in names if n not in scenarios]
-        if unknown:
-            print(f"unknown scenario(s): {unknown}", file=sys.stderr)
-            return 2
-        config = _resilience_config(args)
-        rows = []
-        records = {}
-        exit_code = 0
-        for name in names:
-            result = run_scenario(scenarios[name], config)
-            expected_fail = name in EXPECTED_FAIL
-            ok = result.passed != expected_fail
-            if not ok:
-                exit_code = 1
-                print(result.report.render())
-            snap = result.resilience or {}
-            violations = result.report.deadline_violations
-            rows.append([
-                name,
-                ("PASS" if result.passed else "FAIL")
-                + (" (expected)" if expected_fail and ok else "")
-                + (" (!)" if not ok else ""),
-                result.ops_ok,
-                snap.get("sheds", 0),
-                snap.get("deadline_expirations", 0),
-                "-" if violations is None else violations,
-                snap.get("breaker_opens", 0),
-            ])
-            records[name] = {
-                "passed": result.passed,
-                "expected_fail": expected_fail,
-                "ops_ok": result.ops_ok,
-                "ops_failed": result.ops_failed,
-                "shed": snap.get("sheds", 0),
-                "deadline_expirations": snap.get("deadline_expirations", 0),
-                "deadline_violations": violations,
-                "breaker_opened": snap.get("breaker_opens", 0) > 0,
-                "breaker_opens": snap.get("breaker_opens", 0),
-                "breaker_transitions": snap.get("breaker_transitions", 0),
-                "stale_reads": snap.get("stale_reads", 0),
-                "budget_exhaustions": snap.get("budget_exhaustions", 0),
-                "baseline_goodput": result.report.baseline_goodput,
-                "recovered_goodput": result.report.recovered_goodput,
-                "event_hash": result.event_hash,
-                "fault_log_hash": result.log_hash,
-            }
-        print(tabulate(
-            ["scenario", "verdict", "ok", "sheds", "give-ups",
-             "violations", "breaker opens"],
-            rows,
-        ))
-        if args.bench_json:
-            with open(args.bench_json, "w") as fh:
-                json.dump(
-                    {"version": 1, "seed": args.seed, "scenarios": records},
-                    fh, indent=2, sort_keys=True,
-                )
-            print(f"\nbench json: {args.bench_json}")
-        if args.baseline:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-            drift = []
-            for name, expected in sorted(baseline["scenarios"].items()):
-                got = records.get(name)
-                if got is None:
-                    continue
-                for field in ("passed", "deadline_violations",
-                              "breaker_opened", "shed"):
-                    if got[field] != expected[field]:
-                        drift.append(
-                            f"{name}: {field} {expected[field]!r} -> "
-                            f"{got[field]!r}"
-                        )
-            if drift:
-                exit_code = 1
-                print("\nresilience baseline drift:")
-                for line in drift:
-                    print(f"  {line}")
-            else:
-                print("\nresilience baseline: OK")
-        print("resilience matrix:", "PASS" if exit_code == 0 else "FAIL")
-        return exit_code
-
-    raise ValueError(
-        f"unknown resilience subcommand {args.resilience_command!r}"
-    )
+    print(report.render())
+    if args.json:
+        report.save(args.json)
+        print(f"\nincidents json: {args.json}")
+    return 0
 
 
 def _cmd_tenants(args) -> int:
     """Multi-tenant run: per-tenant dashboard + fairness report."""
-    import json
-
     from repro.tenants import TenantRunConfig, render_tenant_dashboard, run_tenants
 
     config = TenantRunConfig(
@@ -940,9 +658,7 @@ def _cmd_tenants(args) -> int:
                 for tenant, c in sorted(result.counts.items())
             },
         }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"\njson: {args.json}")
+        _dump_json(args.json, payload, label="json")
     return 0
 
 
@@ -1007,6 +723,8 @@ def _cmd_experiments(_args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.chaos.scenarios import FAMILIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="λFS (ASPLOS '23) reproduction toolkit",
@@ -1118,134 +836,74 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
 
     def _chaos_knobs(p):
-        p.add_argument("--clients", type=int, default=24)
-        p.add_argument("--deployments", type=int, default=4)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--write-frac", type=float, default=0.15,
+        # Unset (None) keeps the run shape of the scenario's family.
+        p.add_argument("--clients", type=int)
+        p.add_argument("--deployments", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--write-frac", dest="write_fraction", type=float,
                        help="fraction of ops that are metadata writes")
-        p.add_argument("--think", type=float, default=40.0,
+        p.add_argument("--think", dest="think_ms", type=float,
                        help="mean client think time (sim-ms)")
-        p.add_argument("--interval", type=float, default=250.0,
+        p.add_argument("--interval", dest="telemetry_interval_ms",
+                       type=float,
                        help="telemetry sampling interval (sim-ms)")
-        p.add_argument("--window", type=float, default=10_000.0,
+        p.add_argument("--window", type=float,
                        help="recovery-SLO window after faults clear (sim-ms)")
-        p.add_argument("--drain", type=float, default=8_000.0,
+        p.add_argument("--drain", dest="drain_ms", type=float,
                        help="grace beyond the SLO window before cutoff")
-        p.add_argument("--datanodes", type=int, default=None,
+        p.add_argument("--datanodes", type=int,
                        help="DataNode fleet size (default: auto — 9 for "
                             "data-plane scenarios, none otherwise)")
-        p.add_argument("--chunk-write-frac", type=float, default=0.25,
+        p.add_argument("--chunk-write-frac", dest="chunk_write_fraction",
+                       type=float,
                        help="fraction of ops that are pipelined chunk "
                             "writes when a fleet is attached")
-        p.add_argument("--ruleset", default="default",
-                       help="alert rule catalog for --detect runs")
-
-    chaos_detect_help = ("attach the online alert engine and add the "
-                         "detection gate to the verdict")
+        p.add_argument("--ruleset",
+                       help="alert rule catalog for detection runs")
 
     chaos_run = chaos_sub.add_parser(
-        "run", help="one scenario under load + recovery verification"
+        "run", help="one scenario under load + recovery verification, "
+                    "in its family's run shape"
     )
     chaos_run.add_argument("scenario", nargs="?", default=None,
                            help="built-in scenario name")
     chaos_run.add_argument("--file", default=None, metavar="JSON",
                            help="load the scenario from a JSON file instead")
     chaos_run.add_argument("--list", action="store_true",
-                           help="list built-in scenarios and exit")
+                           help="list built-in scenarios and their families")
     chaos_run.add_argument("--verbose", action="store_true",
                            help="print the full fault log")
-    chaos_run.add_argument("--detect", action="store_true",
-                           help=chaos_detect_help)
+    chaos_run.add_argument("--detect", action=argparse.BooleanOptionalAction,
+                           default=None,
+                           help="attach the online alert engine and add the "
+                                "detection gate to the verdict (default: "
+                                "the family's setting)")
+    chaos_run.add_argument("--out", default=None, metavar="DIR",
+                           help="write incidents.json / incidents.md / "
+                                "telemetry.jsonl")
     _chaos_knobs(chaos_run)
 
     chaos_matrix = chaos_sub.add_parser(
-        "matrix", help="the regression scenario matrix"
+        "matrix", help="one regression family, gated against its baseline"
     )
-    chaos_matrix.add_argument("--scenarios", nargs="+", default=None,
-                              help="override the default matrix set")
+    chaos_matrix.add_argument("--family", default="chaos",
+                              choices=list(FAMILIES),
+                              help="scenario family (default: chaos)")
     chaos_matrix.add_argument("--bench-json", default=None, metavar="PATH",
-                              help="write per-scenario verdicts + hashes JSON")
-    chaos_matrix.add_argument("--detect", action="store_true",
-                              help=chaos_detect_help)
+                              help="write the family's records "
+                                   "(BENCH_<family>.json)")
+    chaos_matrix.add_argument("--baseline", default=None, metavar="PATH",
+                              help="compare every record field against a "
+                                   "committed baseline (exit 1 on drift)")
     _chaos_knobs(chaos_matrix)
-
-    resilience = sub.add_parser(
-        "resilience",
-        help="overload resilience: deadline / breaker / shedding "
-             "scenarios with the gate-7 verdict: run / matrix",
-    )
-    resilience_sub = resilience.add_subparsers(
-        dest="resilience_command", required=True
-    )
-
-    resilience_run = resilience_sub.add_parser(
-        "run", help="one overload scenario under the convoy-prone "
-                    "workload shape"
-    )
-    resilience_run.add_argument("scenario", nargs="?", default=None,
-                                help="built-in scenario name")
-    resilience_run.add_argument("--list", action="store_true",
-                                help="list the overload scenarios and exit")
-    resilience_run.add_argument("--verbose", action="store_true",
-                                help="print the full fault log")
-    _chaos_knobs(resilience_run)
-
-    resilience_matrix = resilience_sub.add_parser(
-        "matrix", help="the overload regression set (includes the "
-                       "expected-FAIL noshed twin)"
-    )
-    resilience_matrix.add_argument("--scenarios", nargs="+", default=None,
-                                   help="override the default set")
-    resilience_matrix.add_argument("--bench-json", default=None,
-                                   metavar="PATH",
-                                   help="write the resilience baseline JSON "
-                                        "(BENCH_resilience.json)")
-    resilience_matrix.add_argument("--baseline", default=None, metavar="PATH",
-                                   help="gate against a committed resilience "
-                                        "baseline (exit 1 on drift)")
-    _chaos_knobs(resilience_matrix)
-
-    for p in (resilience_run, resilience_matrix):
-        # The convoy-prone canonical shape (see resilience_run_config),
-        # not the generic chaos defaults.
-        p.set_defaults(clients=48, write_frac=0.5, window=8_000.0)
 
     incidents = sub.add_parser(
         "incidents",
-        help="online alerting + root-cause attribution: "
-             "run / matrix / analyze / rules",
+        help="online alerting + root-cause attribution: analyze / rules",
     )
     incidents_sub = incidents.add_subparsers(
         dest="incidents_command", required=True
     )
-
-    incidents_run = incidents_sub.add_parser(
-        "run", help="one chaos scenario with detection on: incident "
-                    "timeline + ranked suspects"
-    )
-    incidents_run.add_argument("scenario", nargs="?", default=None,
-                               help="built-in scenario name")
-    incidents_run.add_argument("--file", default=None, metavar="JSON",
-                               help="load the scenario from a JSON file")
-    incidents_run.add_argument("--out", default=None, metavar="DIR",
-                               help="write incidents.json / incidents.md / "
-                                    "telemetry.jsonl")
-    _chaos_knobs(incidents_run)
-
-    incidents_matrix = incidents_sub.add_parser(
-        "matrix", help="the detection regression set (matrix + control)"
-    )
-    incidents_matrix.add_argument("--scenarios", nargs="+", default=None,
-                                  help="override the default set "
-                                       "(matrix + control)")
-    incidents_matrix.add_argument("--bench-json", default=None,
-                                  metavar="PATH",
-                                  help="write the detection baseline JSON "
-                                       "(BENCH_incidents.json)")
-    incidents_matrix.add_argument("--baseline", default=None, metavar="PATH",
-                                  help="gate against a committed detection "
-                                       "baseline (exit 1 on drift)")
-    _chaos_knobs(incidents_matrix)
 
     incidents_analyze = incidents_sub.add_parser(
         "analyze", help="offline rule replay over a telemetry JSONL export"
@@ -1335,7 +993,6 @@ COMMANDS = {
     "telemetry": _cmd_telemetry,
     "profile": _cmd_profile,
     "chaos": _cmd_chaos,
-    "resilience": _cmd_resilience,
     "incidents": _cmd_incidents,
     "tenants": _cmd_tenants,
     "bench": _cmd_bench,

@@ -24,8 +24,9 @@ Three stages, three modules:
     autoscaler + coordinator + fairness signals, and the JSON +
     markdown incident timeline with MTTD/MTTR.
 
-Wiring: ``repro incidents run|matrix|analyze|rules`` on the CLI,
-``--detect`` on ``repro chaos``, and the verifier's detection gate
+Wiring: ``repro incidents analyze|rules`` on the CLI, ``--detect`` on
+``repro chaos run`` (the ``chaos`` scenario family runs with detection
+on), and the verifier's detection gate
 (every fault-injecting PASS scenario must yield an incident whose top
 suspect names the injected fault within the detection SLO).  See
 ``docs/incidents.md``.

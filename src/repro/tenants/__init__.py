@@ -17,8 +17,9 @@ through the simulator:
 - :mod:`repro.tenants.dashboard` — the ascii per-tenant dashboard;
 - :mod:`repro.tenants.run` — the ``repro tenants`` driver.
 
-The noisy-neighbor chaos scenarios (:data:`repro.chaos.scenarios
-.TENANT_MATRIX`) compose these into a verified isolation test.
+The noisy-neighbor chaos scenarios (the ``tenants`` family of
+:data:`repro.chaos.scenarios.FAMILIES`) compose these into a verified
+isolation test.
 """
 
 from repro.tenants.context import (

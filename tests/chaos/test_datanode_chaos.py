@@ -11,7 +11,7 @@ the expected FAIL.
 import pytest
 
 from repro.chaos import ChaosRunConfig, RecoverySLO, run_scenario
-from repro.chaos.scenarios import DATANODE_MATRIX, builtin_scenarios
+from repro.chaos.scenarios import FAMILIES, builtin_scenarios
 
 pytestmark = [pytest.mark.chaos, pytest.mark.datanode, pytest.mark.slow]
 
@@ -82,5 +82,5 @@ def test_same_seed_datanode_kill_reproduces_everything(reset_sim_counters):
 
 def test_datanode_matrix_names_resolve():
     scenarios = builtin_scenarios()
-    for name in DATANODE_MATRIX:
+    for name in FAMILIES["datanode"].scenarios:
         assert name in scenarios

@@ -4,7 +4,7 @@ import pytest
 
 from repro.chaos import (
     EXPECTED_FAIL,
-    MATRIX,
+    FAMILIES,
     FaultSpec,
     Scenario,
     builtin_scenarios,
@@ -124,15 +124,17 @@ def test_builtin_catalog_is_valid_and_covers_the_matrix():
     scenarios = builtin_scenarios()
     for scenario in scenarios.values():
         validate_scenario(scenario)
-    for name in MATRIX:
-        assert name in scenarios
+    matrix = FAMILIES["chaos"].scenarios
+    for family in FAMILIES.values():
+        for name in family.scenarios:
+            assert name in scenarios
     for name in EXPECTED_FAIL:
         assert name in scenarios
-        assert name not in MATRIX
-    # The matrix spans the required layers: FaaS kills, TCP fabric,
-    # HTTP gateway, metastore shard, coordinator ACKs.
+        assert name not in matrix
+    # The chaos family spans the required layers: FaaS kills, TCP
+    # fabric, HTTP gateway, metastore shard, coordinator ACKs.
     kinds = {
-        spec.kind for name in MATRIX for spec in scenarios[name].faults
+        spec.kind for name in matrix for spec in scenarios[name].faults
     }
     assert {"namenode_kill", "tcp_sever", "http_brownout",
             "shard_outage", "ack_loss"} <= kinds

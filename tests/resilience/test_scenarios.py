@@ -10,14 +10,16 @@ reason that ops ground past their stamped deadlines.
 
 import pytest
 
-from repro.chaos import builtin_scenarios, resilience_run_config, run_scenario
+from repro.chaos import FAMILIES, builtin_scenarios, run_scenario
+
+CONVOY = FAMILIES["resilience"].config
 
 pytestmark = [pytest.mark.resilience, pytest.mark.chaos, pytest.mark.slow]
 
 
 def test_metastable_brownout_passes_with_enforcement(reset_sim_counters):
     result = run_scenario(
-        builtin_scenarios()["metastable-brownout"], resilience_run_config()
+        builtin_scenarios()["metastable-brownout"], CONVOY
     )
     assert result.passed, result.report.render()
     snapshot = result.resilience
@@ -32,7 +34,7 @@ def test_metastable_brownout_passes_with_enforcement(reset_sim_counters):
 def test_noshed_twin_fails_with_deadline_violations(reset_sim_counters):
     result = run_scenario(
         builtin_scenarios()["metastable-brownout-noshed"],
-        resilience_run_config(),
+        CONVOY,
     )
     assert not result.passed
     snapshot = result.resilience
@@ -47,7 +49,7 @@ def test_noshed_twin_fails_with_deadline_violations(reset_sim_counters):
 
 
 def test_resilience_scenarios_are_deterministic(reset_sim_counters):
-    config = resilience_run_config()
+    config = CONVOY
     scenario = builtin_scenarios()["metastable-brownout"]
     first = run_scenario(scenario, config)
     reset_sim_counters()

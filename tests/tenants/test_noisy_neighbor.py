@@ -4,7 +4,7 @@ import pytest
 
 from repro.chaos import (
     EXPECTED_FAIL,
-    TENANT_MATRIX,
+    FAMILIES,
     ChaosRunConfig,
     FaultSpec,
     RecoverySLO,
@@ -52,7 +52,7 @@ def _flood(disable_isolation: bool) -> Scenario:
 
 def test_catalog_wiring():
     scenarios = builtin_scenarios()
-    for name in TENANT_MATRIX:
+    for name in FAMILIES["tenants"].scenarios:
         assert name in scenarios
         assert scenario_needs_tenants(scenarios[name])
     assert "noisy-neighbor-runaway" in EXPECTED_FAIL
