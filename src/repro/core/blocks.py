@@ -13,7 +13,10 @@ Rack awareness: when the caller knows each DataNode's rack,
 write-one-rack-survives-a-rack-loss policy) while staying layered on
 the same rendezvous ranking, so placements remain deterministic in
 (block id, live DataNode set) and minimally disturbed by membership
-changes.
+changes.  The NameNode places rack-aware whenever every published
+report carries a rack (the DataNode fleet's rows do), so while both
+see the same live set a READ_FILE reports the replicas the fleet
+writes to; rack-less rows keep plain rendezvous placement.
 """
 
 from __future__ import annotations
@@ -129,11 +132,14 @@ class BlockManager:
         return ranked[: min(self.config.replication, len(ranked))]
 
     def locations(
-        self, block_ids: Sequence[int], datanodes: Sequence[str]
+        self,
+        block_ids: Sequence[int],
+        datanodes: Sequence[str],
+        racks: Optional[Mapping[str, str]] = None,
     ) -> Dict[int, List[str]]:
         """Placement map for a whole file."""
         return {
-            block_id: self.place(block_id, datanodes)
+            block_id: self.place(block_id, datanodes, racks)
             for block_id in block_ids
         }
 

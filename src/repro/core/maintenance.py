@@ -11,7 +11,7 @@ view of the data layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List
+from typing import Generator, List, Optional
 
 from repro.metastore.errors import TransactionAborted
 from repro.metastore.ndb import NdbStore
@@ -33,6 +33,9 @@ class BlockReport:
     published_at_ms: float
     block_count: int
     healthy: bool = True
+    rack: Optional[str] = None
+    """Rack label, when the publisher knows it (NameNodes then place
+    replicas rack-aware, matching the fleet's own placement)."""
 
 
 class DataNodeService:

@@ -41,7 +41,7 @@ _WRITE_OPS = frozenset(
 _request_ids = count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class MetadataRequest:
     """One metadata RPC.
 
@@ -69,7 +69,7 @@ class MetadataRequest:
     request once it has expired instead of executing dead work."""
 
 
-@dataclass
+@dataclass(slots=True)
 class MetadataResponse:
     """The reply to one metadata RPC."""
 

@@ -14,7 +14,7 @@ persistent metadata store on a regular interval (§1, Fig. 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from repro.coordination.coordinator import Invalidation
 from repro.core.errors import FsError
@@ -76,7 +76,11 @@ class LambdaNameNode:
         # re-running the operation.
         self._inflight: Dict[int, Event] = {}
         self._datanode_view: List[str] = []
+        self._datanode_racks: Optional[Dict[str, str]] = None
         self._datanode_view_at = -float("inf")
+        # inode id -> the READ_FILE view of that INode over the current
+        # DataNode view (see _file_view); cleared when the view changes.
+        self._file_views: Dict[int, dict] = {}
         self._last_result_purge = 0.0
         self._backoff_rng = fs.rngs.stream("nn-retry")
         # Resilience control plane (None keeps every path identical).
@@ -390,15 +394,34 @@ class LambdaNameNode:
         """What a READ_FILE returns: metadata plus block locations.
 
         Placement is computed from the published DataNode reports via
-        rendezvous hashing, so every instance agrees without holding
-        DataNode state (see :mod:`repro.core.blocks`)."""
-        return {
+        rendezvous hashing (rack-aware when every report has a rack),
+        so every instance agrees without holding DataNode state (see
+        :mod:`repro.core.blocks`).  The view is memoised per inode id
+        for the current DataNode view and shared by every response
+        that returns it, so callers must treat it as read-only."""
+        views = self._file_views
+        view = views.get(inode.id)
+        if view is not None and view["inode"] is inode:
+            return view
+        if len(views) > len(self.cache):
+            views.clear()  # entries of LRU-evicted INodes
+        nodes = self._datanode_view
+        views[inode.id] = view = {
             "inode": inode,
-            "locations": list(self._datanode_view),
+            "locations": nodes,
             "blocks": self.fs.ops.blocks.locations(
-                inode.block_ids, self._datanode_view
+                inode.block_ids, nodes, self._datanode_racks
             ),
         }
+        return view
+
+    def _forget(self, path: str) -> None:
+        """Drop ``path``'s cache entry and its memoised READ_FILE view."""
+        if self._file_views:
+            inode = self.cache.peek(path)
+            if inode is not None:
+                self._file_views.pop(inode.id, None)
+        self.cache.invalidate(path)
 
     def _maybe_refresh_datanodes(self) -> Generator:
         """Lazy DataNode discovery from the persistent store."""
@@ -413,7 +436,7 @@ class LambdaNameNode:
 
         rows = yield from self.fs.store.run_transaction(body)
         stale_after = self.config.datanode_stale_after_ms
-        view = []
+        labels = {}
         for key, report in rows.items():
             if not getattr(report, "healthy", True):
                 continue
@@ -422,8 +445,13 @@ class LambdaNameNode:
                 > stale_after
             ):
                 continue
-            view.append(key[-1])
-        self._datanode_view = sorted(view)
+            labels[key[-1]] = getattr(report, "rack", None)
+        view = sorted(labels)
+        racks = labels if labels and None not in labels.values() else None
+        if view != self._datanode_view or racks != self._datanode_racks:
+            self._datanode_view = view
+            self._datanode_racks = racks
+            self._file_views.clear()
 
     # -- writes ---------------------------------------------------------------
     def _handle_write(self, request: MetadataRequest, span=None) -> Generator:
@@ -652,7 +680,7 @@ class LambdaNameNode:
         tracer = self.fs.env.tracer
         gone = set(removed)
         for path in removed:
-            self.cache.invalidate(path)
+            self._forget(path)
             if self._stale_inodes:
                 # The leader deleted it: a stale snapshot must not
                 # resurrect the entry under shed pressure.
@@ -713,7 +741,7 @@ class LambdaNameNode:
             return
         for path in inv.paths:
             self._remember_stale(path)
-            self.cache.invalidate(path)
+            self._forget(path)
             self._listing_cache.pop(path, None)
             self._drop_listing_of_parent(path)
 
@@ -725,6 +753,7 @@ class LambdaNameNode:
                 path=prefix, prefix=prefix,
             )
         self.cache.invalidate_prefix(prefix)
+        self._file_views.clear()
         for cached_path in list(self._listing_cache):
             if is_descendant(cached_path, prefix):
                 del self._listing_cache[cached_path]

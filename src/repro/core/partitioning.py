@@ -10,7 +10,7 @@ deployment can run arbitrarily many instances.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from repro._util import stable_hash
 from repro.namespace.paths import normalize, parent_of
@@ -25,6 +25,9 @@ class NamespacePartitioner:
         self.num_deployments = num_deployments
         self.prefix = prefix
         self._names = [f"{prefix}{index}" for index in range(num_deployments)]
+        # anchor directory -> deployment index (bounded by the number
+        # of directories; hashing is the hot part of every routing).
+        self._index: Dict[str, int] = {}
 
     def deployment_names(self) -> List[str]:
         return list(self._names)
@@ -33,7 +36,10 @@ class NamespacePartitioner:
         """Deployment index responsible for caching ``path``."""
         normalized = normalize(path)
         anchor = "/" if normalized == "/" else parent_of(normalized)
-        return stable_hash(anchor) % self.num_deployments
+        index = self._index.get(anchor)
+        if index is None:
+            index = self._index[anchor] = stable_hash(anchor) % self.num_deployments
+        return index
 
     def deployment_for(self, path: str) -> str:
         """Deployment name responsible for caching ``path``."""

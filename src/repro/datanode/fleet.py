@@ -166,6 +166,7 @@ class DataNodeFleet:
                     published_at_ms=self.env.now,
                     block_count=len(dn.replicas),
                     healthy=True,
+                    rack=dn.rack,
                 )
 
                 def body(txn, row=report):
