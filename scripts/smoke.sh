@@ -38,9 +38,9 @@ EOF
 
 # Profiler smoke: a profiled microbenchmark; the Chrome trace must be
 # valid (finite, non-negative timestamps), the stage attribution must
-# tile each op's latency exactly, a self-diff must be clean, and the
-# run's event hash must equal the committed BENCH_profile.json's (the
-# run writes its own copy; the committed baseline is only read).
+# tile each op's latency exactly, and a self-diff must be clean.  (The
+# run's event hash against the committed BENCH_profile.json is pinned
+# by tests/profile/test_bench_profile_pinned.py.)
 python -m repro profile run --clients 32 --ops 24 --warmup 16 \
     --deployments 4 --out "$out/profile" \
     --bench-json "$out/BENCH_profile.json" > "$out/profile.txt"
@@ -68,13 +68,8 @@ diff = diff_profiles(profile, profile)
 assert not diff.regressions(), "self-diff reported regressions"
 bench = json.load(open(f"{out}/BENCH_profile.json"))
 assert bench["ops"], "bench json has no op summaries"
-committed = json.load(open("BENCH_profile.json"))
-assert bench["event_hash"] == committed["event_hash"], (
-    f"event hash {bench['event_hash']} != committed {committed['event_hash']}"
-)
 print(f"profile smoke ok: {len(profile.ops)} ops attributed, "
-      f"{len(events)} trace events, self-diff clean, "
-      f"event hash {bench['event_hash']}")
+      f"{len(events)} trace events, self-diff clean")
 EOF
 
 # Chaos smoke: one fast fault scenario end-to-end under load — the
@@ -113,8 +108,9 @@ EOF
 
 # Tenant smoke: the noisy-neighbor scenario at reduced scale — the
 # QoS governor must cap the hog so the fairness gate (Jain floor +
-# victim p99) recovers — then a short multi-tenant run whose exports
-# must contain per-tenant series for every cast member.
+# victim p99) recovers — then a short multi-tenant run through the
+# scenario pipeline: its verifier must pass, and its exports must
+# contain per-tenant series for every cast member.
 python -m repro chaos run noisy-neighbor --deployments 2 \
     --window 8000 --drain 4000 --interval 200 > "$out/tenant.txt"
 grep -q "verifier: PASS" "$out/tenant.txt"
@@ -122,6 +118,7 @@ grep -q "PASS fairness: Jain" "$out/tenant.txt"
 python -m repro tenants --duration 1500 --deployments 2 \
     --interval 200 --out "$out/tenants" > "$out/tenants.txt"
 grep -q "Jain overall" "$out/tenants.txt"
+grep -q "verifier: PASS" "$out/tenants.txt"
 python - "$out" <<'EOF'
 import sys
 

@@ -143,6 +143,10 @@ class ChaosRunConfig:
     verifier gains the detection gate (gate 6)."""
     ruleset: str = "default"
     """Named rule catalog from :data:`repro.incidents.RULESETS`."""
+    profile: bool = False
+    """Attribute every op's critical path after the run (slower; the
+    per-tenant stage breakdown of ``repro tenants --profile``).  Reads
+    only the finished trace, so hashes are byte-identical either way."""
 
 
 @dataclass
@@ -163,8 +167,12 @@ class ChaosRunResult:
     tenant_counts: Optional[Dict[str, object]] = None
     """Tenant → :class:`repro.workloads.multitenant.TenantCounts`
     when the run was multi-tenant."""
-    timeseries: Optional[object] = None
-    """The sampled telemetry, for post-run fairness analysis."""
+    telemetry: Optional[object] = None
+    """The run's :class:`repro.telemetry.Telemetry` bundle (registry +
+    sampled series), for post-run analysis and export."""
+    profile: Optional[object] = None
+    """The critical-path :class:`repro.profile.Profile` of a
+    ``profile`` or ``detect`` run; None otherwise."""
     incidents: Optional[object] = None
     """The :class:`repro.incidents.IncidentReport` of a ``detect``
     run; None when detection was off."""
@@ -302,7 +310,7 @@ def run_scenario(
     )
     fs = handle.system
     detector = None
-    if config.detect and handle.telemetry is not None:
+    if config.detect:
         # Online detection: the engine rides the sampler's on_sample
         # hook — pure arithmetic per sample, no events, no RNG — and
         # mirrors firing state back into the same registry so
@@ -324,7 +332,7 @@ def run_scenario(
     clients = handle.make_clients(
         workload.total_clients() if workload is not None else config.clients
     )
-    if workload is not None and env.metrics is not None:
+    if workload is not None:
         install_tenant_telemetry(
             env.metrics, [spec.name for spec in tenant_specs]
         )
@@ -390,20 +398,20 @@ def run_scenario(
                 errors[name] = errors.get(name, 0) + count
 
     engine.stop()
-    if handle.telemetry is not None:
-        handle.telemetry.stop()
+    handle.telemetry.stop()
+    profile = None
+    if config.profile or detector is not None:
+        from repro.profile import analyze_trace
+
+        profile = analyze_trace(handle.tracer)
     incident_report = None
     if detector is not None:
         from repro.incidents import Evidence, build_report
-        from repro.profile import analyze_trace
 
         alerts = detector.finish(env.now)
         evidence = Evidence(
             fault_log=engine.log,
-            profile=(
-                analyze_trace(handle.tracer)
-                if handle.tracer is not None else None
-            ),
+            profile=profile,
             timeseries=handle.telemetry.timeseries,
         )
         incident_report = build_report(
@@ -415,9 +423,7 @@ def run_scenario(
         )
     verifier = ChaosVerifier(
         tracer=handle.tracer,
-        timeseries=(
-            handle.telemetry.timeseries if handle.telemetry is not None else None
-        ),
+        timeseries=handle.telemetry.timeseries,
         engine=engine,
         slo=config.slo,
         fleet=fleet if config.datanode_start else None,
@@ -438,10 +444,8 @@ def run_scenario(
         log_hash=engine.log_hash(),
         fleet=fleet,
         tenant_counts=dict(workload.counts) if workload is not None else None,
-        timeseries=(
-            handle.telemetry.timeseries
-            if handle.telemetry is not None else None
-        ),
+        telemetry=handle.telemetry,
+        profile=profile,
         incidents=incident_report,
         resilience=(
             fs.resilience.snapshot() if fs.resilience is not None else None

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
+from repro.telemetry.sampler import interval_deltas
+
 
 @dataclass(frozen=True)
 class RecoverySLO:
@@ -125,29 +127,6 @@ class VerifierReport:
         for violation in self.violations:
             lines.append(f"  violation: {violation}")
         return "\n".join(lines)
-
-
-def _family_totals(timeseries: Any, family: str) -> List[Tuple[float, float]]:
-    """Per-sample sum of every labelled series in ``family``."""
-    by_key = timeseries.series_matching(family)
-    if not by_key:
-        return []
-    totals: List[Tuple[float, float]] = []
-    for index, (t_ms, _values) in enumerate(timeseries.samples):
-        total = 0.0
-        for points in by_key.values():
-            total += points[index][1]
-        totals.append((t_ms, total))
-    return totals
-
-
-def _deltas(points: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    out: List[Tuple[float, float]] = []
-    previous = 0.0
-    for t_ms, value in points:
-        out.append((t_ms, max(0.0, value - previous)))
-        previous = value
-    return out
 
 
 class ChaosVerifier:
@@ -294,10 +273,14 @@ class ChaosVerifier:
         self._check_latency_slo(report, first_fault, clear)
         self._check_hit_rate_slo(report, first_fault, clear)
 
+    def _interval_totals(self, family: str) -> List[Tuple[float, float]]:
+        """(t, increase of ``family``'s fleet-wide total) per interval."""
+        return interval_deltas(self.timeseries.totals(family).get((), []))
+
     def _latency_intervals(self) -> List[Tuple[float, float]]:
         """(t, mean per-interval op latency) for intervals with ops."""
-        counts = _deltas(_family_totals(self.timeseries, "op_latency_ms_count"))
-        sums = _deltas(_family_totals(self.timeseries, "op_latency_ms_sum"))
+        counts = self._interval_totals("op_latency_ms_count")
+        sums = self._interval_totals("op_latency_ms_sum")
         out = []
         for (t_ms, n), (_t, total) in zip(counts, sums):
             if n > 0:
@@ -305,8 +288,8 @@ class ChaosVerifier:
         return out
 
     def _hit_rate_intervals(self) -> List[Tuple[float, float]]:
-        hits = _deltas(_family_totals(self.timeseries, "cache_hits_total"))
-        misses = _deltas(_family_totals(self.timeseries, "cache_misses_total"))
+        hits = self._interval_totals("cache_hits_total")
+        misses = self._interval_totals("cache_misses_total")
         out = []
         for (t_ms, h), (_t, m) in zip(hits, misses):
             if h + m > 0:
@@ -434,7 +417,9 @@ class ChaosVerifier:
             return
         from repro.tenants import fairness
 
-        names = fairness.tenant_names(self.timeseries)
+        names = list(
+            fairness.tenant_totals(self.timeseries, "tenant_ops_total")
+        )
         victims = [name for name in names if name not in noisy]
         if not victims:
             report._skip("fairness (no victim-tenant telemetry)")
@@ -593,8 +578,8 @@ class ChaosVerifier:
     # -- gate 7: resilience --------------------------------------------
     def _goodput_intervals(self) -> List[Tuple[float, float]]:
         """(t, successful ops this interval) across the fleet."""
-        totals = _deltas(_family_totals(self.timeseries, "ops_total"))
-        failed = _deltas(_family_totals(self.timeseries, "ops_failed_total"))
+        totals = self._interval_totals("ops_total")
+        failed = self._interval_totals("ops_failed_total")
         failed_at = dict(failed)
         return [
             (t_ms, max(0.0, n - failed_at.get(t_ms, 0.0)))

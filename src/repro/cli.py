@@ -24,8 +24,9 @@ Commands:
 * ``incidents`` — offline alerting + root-cause attribution:
   ``analyze`` a telemetry JSONL export, ``rules`` the alert-rule
   catalog;
-* ``tenants`` — a multi-tenant run: per-tenant dashboard + fairness
-  report;
+* ``tenants`` — the default tenant cast through the no-fault
+  ``control`` scenario: per-tenant dashboard, fairness report and
+  verifier verdict;
 * ``bench`` — wall-clock benchmarks of the toolkit itself: ``kernel``
   measures raw simulator events/sec + peak RSS at 1k/10k/100k client
   scales, with ``--baseline`` regression gating against a committed
@@ -469,9 +470,9 @@ def _cmd_chaos_run(args) -> int:
             paths.append(os.path.join(args.out, "incidents.md"))
             with open(paths[-1], "w") as handle:
                 handle.write(result.incidents.render_markdown())
-        if result.timeseries is not None:
+        if result.telemetry is not None:
             paths.append(os.path.join(args.out, "telemetry.jsonl"))
-            write_jsonl(result.timeseries, paths[-1])
+            write_jsonl(result.telemetry.timeseries, paths[-1])
         print("\nexports:")
         for path in paths:
             print(f"  {path}")
@@ -605,23 +606,43 @@ def _cmd_incidents(args) -> int:
 
 def _cmd_tenants(args) -> int:
     """Multi-tenant run: per-tenant dashboard + fairness report."""
-    from repro.tenants import TenantRunConfig, render_tenant_dashboard, run_tenants
+    from repro.chaos import (
+        ChaosRunConfig,
+        RecoverySLO,
+        get_scenario,
+        run_scenario,
+    )
+    from repro.tenants import (
+        default_tenants,
+        render_tenant_dashboard,
+        summarize,
+    )
 
-    config = TenantRunConfig(
+    specs = default_tenants()
+    result = run_scenario(get_scenario("control"), ChaosRunConfig(
         seed=args.seed,
-        duration_ms=args.duration,
         deployments=args.deployments,
         telemetry_interval_ms=args.interval,
-        governed=args.governed,
+        tenants=specs,
+        slo=RecoverySLO(window_ms=args.duration),
         profile=args.profile,
-    )
-    result = run_tenants(config=config)
-    print(render_tenant_dashboard(
-        result.timeseries, specs=result.specs, report=result.report,
     ))
-    print(f"\n{result.total_ops} op(s) across {len(result.specs)} tenant(s) "
-          f"in {result.duration_ms:.0f} sim-ms  "
+    # Judge the workload window only: the prewarm and the untagged
+    # prelude before the scenario epoch emit no tenant series.
+    epoch = result.engine.epoch
+    timeseries = result.telemetry.timeseries.window(epoch, result.duration_ms)
+    report = summarize(timeseries, specs=specs)
+    print(render_tenant_dashboard(timeseries, specs=specs, report=report))
+    counts = result.tenant_counts
+    total_ops = sum(c.issued for c in counts.values())
+    print(f"\n{total_ops} op(s) across {len(specs)} tenant(s) "
+          f"in {result.duration_ms - epoch:.0f} sim-ms  "
           f"events={result.event_hash[:12]}")
+    throttled = result.engine.governor.throttled
+    print("throttled: " + (", ".join(
+        f"{tenant}={count}" for tenant, count in sorted(throttled.items())
+    ) or "none"))
+    print(result.report.render())
     if result.profile is not None:
         print("\nper-tenant critical-path shares:")
         for tenant, ops in sorted(result.profile.by_tenant().items()):
@@ -632,34 +653,24 @@ def _cmd_tenants(args) -> int:
             stages = "  ".join(f"{s} {100 * v:.0f}%" for s, v in top)
             print(f"  {tenant:<12s} {len(ops):5d} ops  {stages}")
     if args.out:
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
-        from repro.telemetry.export import write_csv, write_jsonl, write_prometheus
-
-        jsonl = os.path.join(args.out, "tenants.jsonl")
-        csv = os.path.join(args.out, "tenants.csv")
-        prom = os.path.join(args.out, "tenants.prom")
-        write_jsonl(result.timeseries, jsonl)
-        write_csv(result.timeseries, csv)
-        write_prometheus(result.registry, prom)
+        paths = result.telemetry.export(args.out, "tenants")
         print("\nexports:")
-        for path in (jsonl, csv, prom):
-            print(f"  {path}")
+        for kind in ("jsonl", "csv", "prom"):
+            print(f"  {paths[kind]}")
     if args.json:
         payload = {
             "version": 1,
             "seed": args.seed,
             "duration_ms": result.duration_ms,
             "event_hash": result.event_hash,
-            "report": result.report.as_dict(),
+            "report": report.as_dict(),
             "counts": {
                 tenant: {"issued": c.issued, "ok": c.ok, "failed": c.failed}
-                for tenant, c in sorted(result.counts.items())
+                for tenant, c in sorted(counts.items())
             },
         }
         _dump_json(args.json, payload, label="json")
-    return 0
+    return 0 if result.passed else 1
 
 
 def _cmd_bench(args) -> int:
@@ -933,12 +944,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tenants.add_argument("--seed", type=int, default=0)
     tenants.add_argument("--duration", type=float, default=10_000.0,
-                         help="workload duration (sim-ms)")
+                         help="workload window after the prelude (sim-ms)")
     tenants.add_argument("--deployments", type=int, default=4)
     tenants.add_argument("--interval", type=float, default=250.0,
                          help="telemetry sampling interval (sim-ms)")
-    tenants.add_argument("--governed", action="store_true",
-                         help="attach the QoS token-bucket governor")
     tenants.add_argument("--profile", action="store_true",
                          help="also attribute per-tenant critical paths")
     tenants.add_argument("--out", default=None, metavar="DIR",

@@ -52,9 +52,6 @@ class HeartbeatTracker:
                 metrics.inc("dn_revivals_total")
 
     # -- liveness queries ----------------------------------------------
-    def is_live(self, node_id: str) -> bool:
-        return node_id not in self._dead
-
     def live(self) -> List[str]:
         """Sorted ids of nodes currently considered alive."""
         return sorted(

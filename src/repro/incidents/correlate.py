@@ -289,17 +289,10 @@ def _family_totals_at(values: Mapping[str, float], family: str) -> float:
     )
 
 
-def _window_samples(timeseries: Any, t0_ms: float, t1_ms: float):
-    return [
-        (t, values) for t, values in timeseries.samples
-        if t0_ms <= t <= t1_ms
-    ]
-
-
 def _autoscaler_gap(timeseries: Any, t0_ms: float, t1_ms: float) -> float:
     """Largest desired-minus-actual NameNode gap inside the window."""
     gap = 0.0
-    for _, values in _window_samples(timeseries, t0_ms, t1_ms):
+    for _, values in timeseries.window(t0_ms, t1_ms).samples:
         desired = _family_totals_at(values, "fleet_desired_namenodes")
         actual = _family_totals_at(values, "fleet_actual_namenodes")
         gap = max(gap, desired - actual)
@@ -319,7 +312,7 @@ def _ack_latency_lift(timeseries: Any, t0_ms: float, t1_ms: float) -> float:
             return None
         return total / count
 
-    window_mean = mean(_window_samples(timeseries, t0_ms, t1_ms))
+    window_mean = mean(timeseries.window(t0_ms, t1_ms).samples)
     run_mean = mean(timeseries.samples)
     if window_mean is None or run_mean is None:
         return 0.0
@@ -330,7 +323,7 @@ def _fairness_floor(
     timeseries: Any, t0_ms: float, t1_ms: float
 ) -> Optional[float]:
     """Jain index of per-tenant op throughput across the window."""
-    samples = _window_samples(timeseries, t0_ms, t1_ms)
+    samples = timeseries.window(t0_ms, t1_ms).samples
     if len(samples) < 2:
         return None
 

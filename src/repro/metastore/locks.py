@@ -54,10 +54,6 @@ class _KeyLock:
         # hot ancestor row.
         self.exclusive_holder: Any = None
 
-    @property
-    def exclusive_held(self) -> bool:
-        return self.exclusive_holder is not None
-
     def grant(self, owner: Any, mode: LockMode) -> None:
         self.holders[owner] = mode
         if mode is LockMode.EXCLUSIVE:

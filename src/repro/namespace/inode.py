@@ -39,10 +39,6 @@ class INode:
         """A copy of this INode with the given fields replaced."""
         return replace(self, **changes)
 
-    @property
-    def is_root(self) -> bool:
-        return self.id == ROOT_INODE_ID
-
     @staticmethod
     def root() -> "INode":
         """The canonical root directory INode."""

@@ -5,24 +5,16 @@ replacement coin flips, ...) draws from its own named stream derived
 from a single master seed, so experiments are reproducible and
 components never perturb each other's randomness.
 
-Three amortization layers sit on top of the raw streams, all of them
-**sequence-preserving** — a component that migrates from direct
-``random.Random`` calls to any of these sees the byte-identical value
-sequence, so same-seed event hashes cannot change:
-
-* *cached-method handles* (:meth:`RngStreams.handle`) memoize a bound
-  method of a stream, removing the dict lookup + attribute chase that
-  every hot-path draw otherwise pays;
-* *batch draws* (:meth:`RngStreams.uniform_batch`,
-  :meth:`RngStreams.expovariate_batch`, :meth:`RngStreams.random_batch`)
-  produce ``n`` values with one call, exactly equal to ``n`` sequential
-  single draws from the same stream;
-* :class:`BufferedDraws` prefetches raw ``random()`` blocks from one
-  stream and derives ``uniform``/``expovariate`` values with the same
-  formulas ``random.Random`` uses, so per-call overhead collapses to a
-  list index.  Because it *prefetches*, a buffer must be the stream's
-  **only** consumer; :meth:`RngStreams.buffered` memoizes one buffer
-  per stream name to make that easy to honour.
+One amortization layer sits on top of the raw streams:
+:class:`BufferedDraws` prefetches raw ``random()`` blocks from one
+stream and derives ``uniform``/``expovariate`` values with the same
+formulas ``random.Random`` uses, so per-call overhead collapses to a
+list index.  It is **sequence-preserving** — a component that
+migrates from direct ``random.Random`` calls to it sees the
+byte-identical value sequence, so same-seed event hashes cannot
+change.  Because it *prefetches*, a buffer must be the stream's
+**only** consumer; :meth:`RngStreams.buffered` memoizes one buffer
+per stream name to make that easy to honour.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 from math import log as _log
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 
 class BufferedDraws:
@@ -120,10 +112,6 @@ class BufferedDraws:
         u = self.uniform
         return u(a, b), u(a, b), u(a, b), u(a, b)
 
-    def pending(self) -> int:
-        """Prefetched-but-unserved draws (diagnostics only)."""
-        return len(self._buf) - self._i if self._buf else 0
-
 
 class RngStreams:
     """A factory of independent ``random.Random`` streams.
@@ -133,12 +121,11 @@ class RngStreams:
     sequence seen by existing ones.
     """
 
-    __slots__ = ("seed", "_streams", "_handles", "_buffers")
+    __slots__ = ("seed", "_streams", "_buffers")
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._streams: Dict[str, random.Random] = {}
-        self._handles: Dict[Tuple[str, str], Callable] = {}
         self._buffers: Dict[str, BufferedDraws] = {}
 
     def stream(self, name: str) -> random.Random:
@@ -154,21 +141,6 @@ class RngStreams:
         return self.stream(name)
 
     # -- amortized access --------------------------------------------------
-    def handle(self, name: str, method: str = "random") -> Callable:
-        """Memoized bound ``method`` of the named stream.
-
-        ``streams.handle("latency", "uniform")`` is the same callable
-        on every call, so hot paths hoist it once and skip the stream
-        dict lookup plus the method attribute chase per draw.  Draw
-        sequences are untouched — it *is* the stream's own method.
-        """
-        key = (name, method)
-        fn = self._handles.get(key)
-        if fn is None:
-            fn = getattr(self.stream(name), method)
-            self._handles[key] = fn
-        return fn
-
     def buffered(self, name: str, block: int = 256) -> BufferedDraws:
         """Memoized :class:`BufferedDraws` over the named stream.
 
@@ -182,19 +154,3 @@ class RngStreams:
             buf = BufferedDraws(self.stream(name), block)
             self._buffers[name] = buf
         return buf
-
-    # -- batch draws -------------------------------------------------------
-    def random_batch(self, name: str, n: int) -> List[float]:
-        """``n`` raw draws — equal to ``n`` sequential ``random()`` calls."""
-        raw = self.handle(name, "random")
-        return [raw() for _ in range(n)]
-
-    def uniform_batch(self, name: str, a: float, b: float, n: int) -> List[float]:
-        """``n`` uniform draws — equal to ``n`` ``uniform(a, b)`` calls."""
-        u = self.handle(name, "uniform")
-        return [u(a, b) for _ in range(n)]
-
-    def expovariate_batch(self, name: str, lambd: float, n: int) -> List[float]:
-        """``n`` exponential draws — equal to ``n`` ``expovariate`` calls."""
-        e = self.handle(name, "expovariate")
-        return [e(lambd) for _ in range(n)]

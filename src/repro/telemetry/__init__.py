@@ -111,9 +111,6 @@ class Telemetry:
         self.sampler.on_sample = detector.observe
         return detector
 
-    def detach_detector(self) -> None:
-        self.sampler.on_sample = None
-
 
 def install_telemetry(
     env: Any,

@@ -61,15 +61,38 @@ class TimeSeries:
                 out[key] = self.series(key)
         return out
 
+    def totals(
+        self, family: str, by: Tuple[str, ...] = ()
+    ) -> Dict[Tuple[str, ...], List[Tuple[float, float]]]:
+        """Per-sample sums of the series in metric family ``family``.
+
+        Series are grouped by the values of the ``by`` labels; the
+        result maps each group's value tuple to its (t, total) points,
+        so ``by=()`` yields at most the one group ``()``.  Series that
+        lack one of the ``by`` labels are left out, and a sample
+        missing a series counts it as 0.0.  Each group sums its series
+        in sorted-key order, so the floats are the same on every run.
+        """
+        groups: Dict[Tuple[str, ...], List[str]] = {}
+        for key in self.keys():
+            name, labels = parse_series_key(key)
+            if name == family and all(label in labels for label in by):
+                group = tuple(labels[label] for label in by)
+                groups.setdefault(group, []).append(key)
+        out: Dict[Tuple[str, ...], List[Tuple[float, float]]] = {}
+        for group, keys in groups.items():
+            points = []
+            for t_ms, values in self.samples:
+                total = 0.0
+                for key in keys:
+                    total += values.get(key, 0.0)
+                points.append((t_ms, total))
+            out[group] = points
+        return out
+
     def deltas(self, key: str) -> List[Tuple[float, float]]:
         """Per-interval increases of a cumulative series (for rates)."""
-        points = self.series(key)
-        out: List[Tuple[float, float]] = []
-        previous = 0.0
-        for t, value in points:
-            out.append((t, max(0.0, value - previous)))
-            previous = value
-        return out
+        return interval_deltas(self.series(key))
 
     def last(self, key: str) -> float:
         for _, values in reversed(self.samples):
@@ -77,7 +100,6 @@ class TimeSeries:
                 return values[key]
         return 0.0
 
-    # -- windowed queries (the detectors' read API) --------------------
     def window(self, t0_ms: float, t1_ms: float) -> "TimeSeries":
         """Samples with ``t0_ms <= t <= t1_ms`` (both ends inclusive).
 
@@ -93,41 +115,21 @@ class TimeSeries:
                 out.samples.append((t_ms, values))
         return out
 
-    def last_k(self, key: str, k: int, default: float = 0.0) -> List[Tuple[float, float]]:
-        """The trailing ``k`` (t, value) points of one series.
 
-        Fewer than ``k`` samples yields all of them; ``k <= 0`` yields
-        an empty list.
-        """
-        if k <= 0:
-            return []
-        return [
-            (t, values.get(key, default))
-            for t, values in self.samples[-k:]
-        ]
+def interval_deltas(
+    points: List[Tuple[float, float]]
+) -> List[Tuple[float, float]]:
+    """Per-interval increases of cumulative (t, value) points.
 
-    def rate_over_window(
-        self, key: str, t0_ms: float, t1_ms: float
-    ) -> float:
-        """Increase of a cumulative series across a window, per second.
-
-        The increase is measured between the first and last samples
-        inside ``[t0_ms, t1_ms]`` (inclusive) and divided by their
-        time span.  Empty and single-sample windows have no measurable
-        span and return 0.0; counter resets (decreases) clamp to 0.0.
-        """
-        points = [
-            (t, values.get(key, 0.0))
-            for t, values in self.samples
-            if t0_ms <= t <= t1_ms
-        ]
-        if len(points) < 2:
-            return 0.0
-        (first_t, first_v), (last_t, last_v) = points[0], points[-1]
-        span_ms = last_t - first_t
-        if span_ms <= 0:
-            return 0.0
-        return max(0.0, last_v - first_v) / (span_ms / 1_000.0)
+    The first interval counts from zero; a decrease (a counter reset)
+    clamps to 0.0.
+    """
+    out: List[Tuple[float, float]] = []
+    previous = 0.0
+    for t_ms, value in points:
+        out.append((t_ms, max(0.0, value - previous)))
+        previous = value
+    return out
 
 
 class Sampler:

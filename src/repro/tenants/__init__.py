@@ -14,10 +14,12 @@ through the simulator:
   gauges for windowed quantiles);
 - :mod:`repro.tenants.fairness` — Jain's fairness index, per-tenant
   interval p50/p99, SLO burn rate, and the :class:`FairnessReport`;
-- :mod:`repro.tenants.dashboard` — the ascii per-tenant dashboard;
-- :mod:`repro.tenants.run` — the ``repro tenants`` driver.
+- :mod:`repro.tenants.dashboard` — the ascii per-tenant dashboard.
 
-The noisy-neighbor chaos scenarios (the ``tenants`` family of
+Runs go through the one scenario pipeline,
+:func:`repro.chaos.run_scenario`: ``repro tenants`` drives the
+:func:`default_tenants` cast through the no-fault ``control``
+scenario, and the noisy-neighbor scenarios (the ``tenants`` family of
 :data:`repro.chaos.scenarios.FAMILIES`) compose these into a verified
 isolation test.
 """
@@ -40,17 +42,14 @@ from repro.tenants.fairness import (
     jain_timeline,
     p99_timeline,
     summarize,
-    tenant_names,
+    tenant_totals,
 )
-from repro.tenants.run import TenantRunConfig, TenantRunResult, run_tenants
 from repro.tenants.telemetry import TENANT_FAMILIES, install_tenant_telemetry
 
 __all__ = [
     "FairnessReport",
     "TENANT_FAMILIES",
     "TenantGovernor",
-    "TenantRunConfig",
-    "TenantRunResult",
     "TenantSpec",
     "TenantStats",
     "WORKLOADS",
@@ -63,8 +62,7 @@ __all__ = [
     "jain_timeline",
     "p99_timeline",
     "render_tenant_dashboard",
-    "run_tenants",
     "summarize",
     "tag_clients",
-    "tenant_names",
+    "tenant_totals",
 ]

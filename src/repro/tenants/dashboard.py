@@ -9,40 +9,15 @@ Read-only over the sampled time-series, like the fleet dashboard in
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.metrics.ascii_plot import sparkline
+from repro.telemetry.dashboard import _spark_row
 from repro.tenants.fairness import (
     FairnessReport,
     interval_ops,
     p99_timeline,
     summarize,
-    tenant_names,
 )
-
-
-def _resample(values: Sequence[float], width: int) -> List[float]:
-    if len(values) <= width:
-        return list(values)
-    step = len(values) / width
-    return [values[int(i * step)] for i in range(width)]
-
-
-def _row(label: str, points: Sequence[Tuple[float, float]], width: int,
-         fmt: str = "{:,.0f}") -> str:
-    values = [v for _, v in points]
-    spark = sparkline(_resample(values, width))
-    # Summary stats over finite samples only: an empty p99 window
-    # yields NaN, which must not poison min/max.
-    finite = [v for v in values if math.isfinite(v)]
-    low = min(finite) if finite else 0.0
-    high = max(finite) if finite else 0.0
-    last = values[-1] if values else 0.0
-    last_text = fmt.format(last) if math.isfinite(last) else str(last)
-    return (f"    {label:<14s} {spark}  "
-            f"min {fmt.format(low)}  max {fmt.format(high)}  "
-            f"last {last_text}")
 
 
 def render_tenant_dashboard(
@@ -52,7 +27,8 @@ def render_tenant_dashboard(
     report: Optional[FairnessReport] = None,
 ) -> str:
     """The multi-tenant run at a glance."""
-    names = tenant_names(timeseries)
+    rows = interval_ops(timeseries)
+    names = list(rows[0][1]) if rows else []
     if not names:
         return "tenant dashboard: no tenant-labelled series sampled"
     if report is None:
@@ -65,17 +41,20 @@ def render_tenant_dashboard(
         f"tenants ({len(names)}), {len(timeseries.samples)} samples "
         f"@ ~{interval_ms:.0f} ms"
     ]
-    ops_rows = interval_ops(timeseries, names)
     for name in names:
         lines.append(f"  {name}")
-        per_interval = [(t, row[name]) for t, row in ops_rows]
-        lines.append(_row("ops/interval", per_interval, width))
+        per_interval = [(t, row[name]) for t, row in rows]
+        lines.append(_spark_row("  ops/interval", per_interval, width))
         p99 = p99_timeline(timeseries, [name])
         finite = [(t, v) for t, v in p99 if v != float("inf")]
         if finite:
-            lines.append(_row("p99 ms", finite, width, fmt="{:,.1f}"))
+            lines.append(
+                _spark_row("  p99 ms", finite, width, fmt="{:,.1f}")
+            )
     lines.append("  fairness (Jain index per interval)")
-    lines.append(_row("jain", report.timeline, width, fmt="{:.3f}"))
+    lines.append(
+        _spark_row("  jain", report.timeline, width, fmt="{:.3f}")
+    )
     lines.append("")
     lines.append(report.render())
     return "\n".join(lines)

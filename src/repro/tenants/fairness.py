@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.tenants.telemetry import INF_LABEL
-from repro.telemetry.registry import parse_series_key
+from repro.telemetry.sampler import interval_deltas
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -39,46 +39,33 @@ def jain_index(values: Sequence[float]) -> float:
     return (total * total) / (len(scaled) * squares)
 
 
-def tenant_names(timeseries) -> List[str]:
-    """Tenants that emitted ops into this time-series, sorted."""
-    names = set()
-    for key in timeseries.series_matching("tenant_ops_total"):
-        label = parse_series_key(key)[1].get("tenant")
-        if label:
-            names.add(label)
-    return sorted(names)
-
-
-def _tenant_delta_rows(
-    timeseries, family: str, tenants: Sequence[str]
-) -> List[Tuple[float, Dict[str, float]]]:
-    """Per-sample interval deltas of ``family`` summed per tenant."""
-    by_key = timeseries.series_matching(family)
-    wanted = set(tenants)
-    per_tenant: Dict[str, List[List[float]]] = {t: [] for t in tenants}
-    for key, points in by_key.items():
-        tenant = parse_series_key(key)[1].get("tenant")
-        if tenant in wanted:
-            per_tenant[tenant].append([v for _t, v in points])
-    rows: List[Tuple[float, Dict[str, float]]] = []
-    previous = {t: 0.0 for t in tenants}
-    for index, (t_ms, _values) in enumerate(timeseries.samples):
-        row: Dict[str, float] = {}
-        for tenant in tenants:
-            total = sum(series[index] for series in per_tenant[tenant])
-            row[tenant] = max(0.0, total - previous[tenant])
-            previous[tenant] = total
-        rows.append((t_ms, row))
-    return rows
+def tenant_totals(
+    timeseries, family: str
+) -> Dict[str, List[Tuple[float, float]]]:
+    """Tenant → (t, summed ``family`` value) points, tenants sorted."""
+    grouped = timeseries.totals(family, by=("tenant",))
+    return {tenant: grouped[(tenant,)] for (tenant,) in sorted(grouped)}
 
 
 def interval_ops(
     timeseries, tenants: Optional[Sequence[str]] = None
 ) -> List[Tuple[float, Dict[str, float]]]:
     """(sample time, {tenant: ops completed that interval})."""
+    ops = {
+        tenant: interval_deltas(points)
+        for tenant, points in tenant_totals(
+            timeseries, "tenant_ops_total"
+        ).items()
+    }
     if tenants is None:
-        tenants = tenant_names(timeseries)
-    return _tenant_delta_rows(timeseries, "tenant_ops_total", tenants)
+        tenants = list(ops)
+    return [
+        (t_ms, {
+            tenant: ops[tenant][index][1] if tenant in ops else 0.0
+            for tenant in tenants
+        })
+        for index, t_ms in enumerate(timeseries.times())
+    ]
 
 
 def jain_timeline(
@@ -107,19 +94,6 @@ def jain_timeline(
 
 # -- interval latency quantiles from bucket series ----------------------
 
-def _bucket_bounds(timeseries, tenant: str) -> List[str]:
-    """The ``le`` labels present for ``tenant``, sorted numerically."""
-    bounds = set()
-    for key in timeseries.series_matching("tenant_latency_bucket"):
-        labels = parse_series_key(key)[1]
-        if labels.get("tenant") == tenant and "le" in labels:
-            bounds.add(labels["le"])
-    return sorted(
-        bounds,
-        key=lambda le: float("inf") if le == INF_LABEL else float(le),
-    )
-
-
 def bucket_delta_rows(
     timeseries, tenants: Sequence[str]
 ) -> Tuple[List[str], List[Tuple[float, List[float]]]]:
@@ -131,16 +105,13 @@ def bucket_delta_rows(
     """
     if not tenants:
         return [], []
-    bounds = _bucket_bounds(timeseries, tenants[0])
+    series = timeseries.totals("tenant_latency_bucket", by=("tenant", "le"))
+    bounds = sorted(
+        {le for tenant, le in series if tenant == tenants[0]},
+        key=lambda le: float("inf") if le == INF_LABEL else float(le),
+    )
     if not bounds:
         return [], []
-    series: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
-    for key, points in timeseries.series_matching(
-        "tenant_latency_bucket"
-    ).items():
-        labels = parse_series_key(key)[1]
-        if labels.get("tenant") in tenants and labels.get("le") in bounds:
-            series[(labels["tenant"], labels["le"])] = points
     rows: List[Tuple[float, List[float]]] = []
     previous = [0.0] * len(bounds)
     for index, (t_ms, _values) in enumerate(timeseries.samples):
@@ -301,14 +272,6 @@ class FairnessReport:
         return "\n".join(lines)
 
 
-def _tenant_total(timeseries, family: str, tenant: str) -> float:
-    total = 0.0
-    for key, points in timeseries.series_matching(family).items():
-        if parse_series_key(key)[1].get("tenant") == tenant and points:
-            total += points[-1][1]
-    return total
-
-
 def summarize(
     timeseries,
     specs: Optional[Sequence] = None,
@@ -326,7 +289,16 @@ def summarize(
         weights = {
             spec.name: getattr(spec, "weight", 1.0) for spec in specs
         }
-    names = tenant_names(timeseries)
+    ops_by_tenant = tenant_totals(timeseries, "tenant_ops_total")
+    names = list(ops_by_tenant)
+    ends = {
+        family: {
+            tenant: points[-1][1]
+            for tenant, points in tenant_totals(timeseries, family).items()
+        }
+        for family in ("tenant_ops_failed_total", "tenant_cache_hits_total",
+                       "tenant_cache_misses_total")
+    }
     report = FairnessReport()
     duration_ms = 0.0
     if timeseries.samples:
@@ -341,13 +313,13 @@ def summarize(
         for _t, counts in rows:
             for index, count in enumerate(counts):
                 merged[index] += count
-        ops = _tenant_total(timeseries, "tenant_ops_total", name)
-        hits = _tenant_total(timeseries, "tenant_cache_hits_total", name)
-        misses = _tenant_total(timeseries, "tenant_cache_misses_total", name)
+        ops = ops_by_tenant[name][-1][1]
+        hits = ends["tenant_cache_hits_total"].get(name, 0.0)
+        misses = ends["tenant_cache_misses_total"].get(name, 0.0)
         stats = TenantStats(
             name=name,
             ops=ops,
-            failed=_tenant_total(timeseries, "tenant_ops_failed_total", name),
+            failed=ends["tenant_ops_failed_total"].get(name, 0.0),
             mean_ops_per_s=(
                 1_000.0 * ops / duration_ms if duration_ms > 0 else 0.0
             ),

@@ -147,11 +147,16 @@ class MultiTenantWorkload:
                 position = (env.now - start + phase) % period
                 if position >= spec.burst_on_ms:
                     # Off phase: sleep to the next on-window (capped at
-                    # the deadline so the loop always terminates).
+                    # the deadline so the loop always terminates).  The
+                    # kernel wakes at ``env.now + wait``; when that
+                    # rounds back to ``env.now`` (a residue under half
+                    # an ulp of the clock), no later instant precedes
+                    # the on-window, so the client is at its edge and
+                    # issues the op now.
                     wait = min(period - position, deadline - env.now)
-                    if wait > 0:
+                    if env.now + wait > env.now:
                         yield env.timeout(wait)
-                    continue
+                        continue
             if self.governor is not None:
                 yield from self.governor.acquire(spec.name)
             serial += 1

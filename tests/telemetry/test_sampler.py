@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import Environment
 from repro.telemetry import MetricsRegistry, Sampler, TimeSeries
+from repro.telemetry.sampler import interval_deltas
 
 
 def test_timeseries_series_and_keys():
@@ -127,31 +128,53 @@ def test_window_single_sample_on_bound():
     assert len(ts.window(50.0, 50.0).samples) == 1
 
 
-def test_last_k_trailing_points_and_default():
-    ts = _ts([(0.0, {"a": 1.0}), (1.0, {}), (2.0, {"a": 3.0})])
-    assert ts.last_k("a", 2) == [(1.0, 0.0), (2.0, 3.0)]
-    assert ts.last_k("a", 2, default=9.0)[0] == (1.0, 9.0)
-    # k beyond the series length yields everything; k <= 0 nothing.
-    assert len(ts.last_k("a", 100)) == 3
-    assert ts.last_k("a", 0) == []
-    assert ts.last_k("a", -3) == []
+# -- family totals and interval deltas ----------------------------------
 
 
-def test_rate_over_window_basic():
-    ts = _ts([(0.0, {"c": 0.0}), (500.0, {"c": 5.0}), (1000.0, {"c": 20.0})])
-    # 20 increase over 1s.
-    assert ts.rate_over_window("c", 0.0, 1000.0) == pytest.approx(20.0)
-    # Sub-window: 15 increase over 0.5s.
-    assert ts.rate_over_window("c", 500.0, 1000.0) == pytest.approx(30.0)
+def test_totals_group_by_labels_and_skip_series_missing_one():
+    ts = _ts([
+        (0.0, {
+            'ops{op="read",tenant="a"}': 1.0,
+            'ops{op="stat",tenant="a"}': 2.0,
+            'ops{op="read",tenant="b"}': 4.0,
+            'ops{op="read"}': 8.0,
+            'other{tenant="a"}': 16.0,
+        }),
+        (1.0, {
+            'ops{op="read",tenant="a"}': 3.0,
+            'ops{op="read",tenant="b"}': 5.0,
+            'ops{op="read"}': 8.0,
+        }),
+    ])
+    # No grouping: every series of the family, one group keyed ().
+    assert ts.totals("ops") == {(): [(0.0, 15.0), (1.0, 16.0)]}
+    # By tenant: the label-less series is left out, and a series
+    # missing from a sample counts as 0.0 there.
+    assert ts.totals("ops", by=("tenant",)) == {
+        ("a",): [(0.0, 3.0), (1.0, 3.0)],
+        ("b",): [(0.0, 4.0), (1.0, 5.0)],
+    }
+    assert ts.totals("ops", by=("tenant", "op")) == {
+        ("a", "read"): [(0.0, 1.0), (1.0, 3.0)],
+        ("a", "stat"): [(0.0, 2.0), (1.0, 0.0)],
+        ("b", "read"): [(0.0, 4.0), (1.0, 5.0)],
+    }
+    assert ts.totals("missing") == {}
 
 
-def test_rate_over_window_degenerate():
-    ts = _ts([(0.0, {"c": 1.0}), (1000.0, {"c": 2.0})])
-    assert ts.rate_over_window("c", 0.0, 0.0) == 0.0      # single sample
-    assert ts.rate_over_window("c", 5000.0, 9000.0) == 0.0  # empty window
-    assert TimeSeries().rate_over_window("c", 0.0, 1e9) == 0.0
+def test_totals_sum_in_sorted_key_order():
+    # Float addition is not associative: 1e16 + 1.0 + 1.0 loses both
+    # ones, while 1.0 + 1.0 + 1e16 keeps them.  Insertion order puts
+    # the big value first; sorted-key order puts it last.
+    ts = _ts([(0.0, {'f{k="c"}': 1e16, 'f{k="a"}': 1.0, 'f{k="b"}': 1.0})])
+    ((_t, total),) = ts.totals("f")[()]
+    assert total == (1.0 + 1.0) + 1e16
+    assert total != (1e16 + 1.0) + 1.0
 
 
-def test_rate_over_window_clamps_counter_reset():
-    ts = _ts([(0.0, {"c": 100.0}), (1000.0, {"c": 3.0})])
-    assert ts.rate_over_window("c", 0.0, 1000.0) == 0.0
+def test_interval_deltas_count_from_zero_and_clamp_resets():
+    points = [(0.0, 3.0), (1.0, 10.0), (2.0, 4.0), (3.0, 6.0)]
+    assert interval_deltas(points) == [
+        (0.0, 3.0), (1.0, 7.0), (2.0, 0.0), (3.0, 2.0)
+    ]
+    assert interval_deltas([]) == []

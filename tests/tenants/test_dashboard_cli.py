@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from repro.telemetry import read_jsonl
 from repro.telemetry.sampler import TimeSeries
-from repro.telemetry.registry import label_key, series_key
+from repro.telemetry.registry import label_key, parse_series_key, series_key
 from repro.tenants import render_tenant_dashboard
 
 pytestmark = pytest.mark.tenant
@@ -52,15 +53,24 @@ def test_tenants_cli_end_to_end(tmp_path, capsys, reset_sim_counters):
     report_json = tmp_path / "report.json"
     code = main([
         "tenants", "--duration", "1500", "--deployments", "2",
-        "--interval", "200",
+        "--interval", "200", "--profile",
         "--out", str(out_dir), "--json", str(report_json),
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "mltrain" in out and "analytics" in out
     assert "Jain overall" in out
-    assert (out_dir / "tenants.jsonl").exists()
-    assert (out_dir / "tenants.prom").exists()
+    assert "verifier: PASS" in out
+    assert "throttled: " in out
+    assert "per-tenant critical-path shares:" in out
+    for name in ("tenants.jsonl", "tenants.csv", "tenants.prom"):
+        assert (out_dir / name).exists()
+    tenants = {
+        parse_series_key(key)[1]["tenant"]
+        for key in read_jsonl(str(out_dir / "tenants.jsonl")).keys()
+        if key.startswith("tenant_ops_total")
+    }
+    assert tenants == {"prod", "analytics", "mltrain", "batch"}
     payload = json.loads(report_json.read_text())
     assert payload["version"] == 1
     assert {t["name"] for t in payload["report"]["tenants"]} >= {
@@ -74,5 +84,5 @@ def test_tenants_parser_defaults():
 
     args = build_parser().parse_args(["tenants"])
     assert args.duration == 10_000.0
-    assert args.governed is False
+    assert args.deployments == 4
     assert args.profile is False

@@ -12,7 +12,7 @@ from repro.tenants.fairness import (
     quantile_from_counts,
     slo_violation_fraction,
     summarize,
-    tenant_names,
+    tenant_totals,
 )
 from repro.tenants.telemetry import INF_LABEL
 
@@ -62,7 +62,9 @@ def _synthetic_ts():
 
 
 def test_tenant_names_from_series():
-    assert tenant_names(_synthetic_ts()) == ["a", "b"]
+    totals = tenant_totals(_synthetic_ts(), "tenant_ops_total")
+    assert list(totals) == ["a", "b"]
+    assert totals["b"][-1] == (1250.0, 100.0)
 
 
 def test_interval_ops_are_deltas():
