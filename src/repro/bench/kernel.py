@@ -40,7 +40,9 @@ ops/sec plus peak memory, so kernel speedups are proven, not claimed:
   count of the workload; ``verify_count=True`` asserts both against an
   ``on_step`` counting hook);
 * ``ops`` — client operations completed (one think+round-trip chain);
-* ``rss_max_kb`` — process peak RSS via :mod:`resource` after the run;
+* ``rss_max_kb`` — process peak RSS via :mod:`resource` after the
+  point's first attempt, before its memory probe runs (so the column
+  does not depend on which repeat was fastest);
 * ``py_heap_peak_kb`` — peak Python heap from a separate, *untimed*
   :mod:`tracemalloc` probe at the same concurrency (2 ops/client), i.e.
   the kernel's per-pending-client footprint, measured without slowing
@@ -48,8 +50,9 @@ ops/sec plus peak memory, so kernel speedups are proven, not claimed:
 
 ``compare_kernel_bench`` implements ``repro profile diff``-style
 regression gating: candidate events/sec more than ``threshold`` below
-the baseline at any shared scale point fails (exit 1 in the CLI), so
-``scripts/smoke.sh`` can gate on the committed ``BENCH_kernel.json``.
+the baseline at any shared scale point fails (exit 1 in the CLI).
+``scripts/kernel_ab.sh`` feeds it the median of alternating same-host
+runs of a base revision and the working tree.
 
 The workload itself is fully deterministic (named, seeded RNG streams;
 sim behaviour is independent of wall time), so same-seed runs execute
@@ -308,19 +311,23 @@ def run_kernel_bench(
     for name in scales:
         scale = SCALES[name]
         best: Optional[Dict[str, object]] = None
-        heap_kb: Optional[float] = None
+        first: Optional[Dict[str, object]] = None
         for attempt in range(repeats):
             record = run_kernel_point(
                 scale, seed=seed,
                 verify_count=verify_count and attempt == 0,
                 mem_probe=mem_probe and attempt == 0,
             )
-            if attempt == 0:
-                heap_kb = record.get("py_heap_peak_kb")
+            if first is None:
+                first = record
             if best is None or record["wall_s"] < best["wall_s"]:
                 best = record
-        if heap_kb is not None:
-            best["py_heap_peak_kb"] = heap_kb
+        # Memory comes from attempt 0 whichever repeat was fastest: its
+        # RSS is read before its tracemalloc probe runs, while later
+        # attempts would read a process peak the probe already raised.
+        best["rss_max_kb"] = first["rss_max_kb"]
+        if "py_heap_peak_kb" in first:
+            best["py_heap_peak_kb"] = first["py_heap_peak_kb"]
         points[name] = best
     return {
         "version": 1,

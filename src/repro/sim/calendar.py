@@ -37,10 +37,15 @@ Structure
     holding bucket occupancy near ``_TARGET_OCC`` the scan cost per
     dequeued event is a fraction of a slot.
 ``_far``
-    Heap fallback for events beyond the ring's window (timers like
-    10 s SLO windows).  Due entries are pulled back into the calendar
+    The coarse level for the sparse tail: a heap of every entry beyond
+    the ring's window (30 s invoke timeouts, straggler watchdogs, 10 s
+    SLO windows).  Due entries are pulled back into the calendar
     whenever the active bucket advances, using bucket-index
     comparisons so float boundary rounding cannot reorder anything.
+    Together with the ring this is a two-level timer structure (a fine
+    wheel for the dense near future, a heap for the far tail), in the
+    spirit of Brown's calendar queue and Varghese & Lauck's
+    hierarchical timing wheels.
 
 Automatic width resizing
 ------------------------
@@ -62,12 +67,23 @@ rebuilding the structure in O(n).  Two design points matter:
   One-shot targeting lands on the right width in a single rebuild and
   the hysteresis band keeps it there.
 
-At each rebuild the ring is re-sized so its window covers the full
-time span of the pending entries (within ``max_ring`` slots); whatever
-still does not fit stays in the far heap.  Resizing is driven purely
+At each rebuild the ring is re-sized by the pending *population*, not
+the pending time span: one lap covers twice the span when that is
+small, but never more than 4 slots per pending entry (at least 8192
+slots).  A few far-off timers would otherwise size an array of mostly
+empty slots — a 30 s watchdog at a 0.02 ms width asks for ~10^6.  By
+Little's law the pending count is the pop rate times the mean delay at
+which entries are scheduled, so a lap of 4 slots per entry spans
+4 x occupancy times that mean delay (~770x at the occupancy target):
+by Markov's bound at most 1 in 4 x occupancy scheduled entries
+overflows into the far heap — the sparse tail.  The far heap's *size*
+therefore says nothing about the width; the grow signal is its *pull
+traffic* instead: over a quarter of a check window's pops streaming in
+from the far heap means due entries are stuck there, while a tail that
+merely waits there pulls almost nothing.  Resizing is driven purely
 by the pop sequence — it is deterministic, and pop *order* is
-invariant under any width, so the kernel's event-sequence hash cannot
-depend on it.
+invariant under any width or ring size, so the kernel's event-sequence
+hash cannot depend on it.
 """
 
 from __future__ import annotations
@@ -88,8 +104,8 @@ class CalendarQueue:
     __slots__ = (
         "_width", "_inv_width", "_ring", "_mask", "_ring_count",
         "_cur", "_over", "_cur_idx", "_far", "_far_limit",
-        "_pops", "_check_time", "_scanned",
-        "min_width", "max_width", "max_ring", "resizes",
+        "_pops", "_check_time", "_scanned", "_pulled",
+        "min_width", "max_width", "resizes",
     )
 
     #: Pops between width checks.
@@ -109,15 +125,20 @@ class CalendarQueue:
     #: before paying an O(n) rebuild.
     _SHRINK_RATIO = 4.0
     _GROW_RATIO = 16.0
+    #: Ring size bounds at a rebuild.  The lap is capped by the pending
+    #: population, not the pending time span, so the ring's pointer
+    #: array costs at most a few slots per entry (see the module
+    #: docstring for why only the sparse tail overflows it).
+    _MIN_RING = 8192
+    _LAP_PER_ENTRY = 4
 
     def __init__(
         self,
         width: float = 0.5,
         start: float = 0.0,
-        ring: int = 8192,
+        ring: int = _MIN_RING,
         min_width: float = 1e-7,
         max_width: float = 1e9,
-        max_ring: int = 1 << 20,
     ) -> None:
         if width <= 0:
             raise ValueError("width must be positive")
@@ -136,9 +157,9 @@ class CalendarQueue:
         self._far_limit = self._cur_idx + ring
         self.min_width = min_width
         self.max_width = max_width
-        self.max_ring = max_ring
         self._pops = 0
         self._scanned = 0
+        self._pulled = 0
         self.resizes = 0
 
     def __len__(self) -> int:
@@ -273,6 +294,7 @@ class CalendarQueue:
         cur_idx = self._cur_idx
         ring = self._ring
         mask = self._mask
+        pulled = len(far)
         while far and int(far[0][0] * inv) < limit:
             entry = heappop(far)
             idx = int(entry[0] * inv)
@@ -286,6 +308,7 @@ class CalendarQueue:
                 else:
                     bucket.append(entry)
                 self._ring_count += 1
+        self._pulled += pulled - len(far)
 
     # -- automatic width resizing -----------------------------------------
     def _auto_resize(self, now: float) -> None:
@@ -298,6 +321,10 @@ class CalendarQueue:
         # the window so the burst never pollutes a later estimate.
         elapsed = now - self._check_time
         self._check_time = now
+        pulled = self._pulled
+        scanned = self._scanned
+        self._pulled = 0
+        self._scanned = 0
         if elapsed <= 0.0:
             return
         ideal = self._TARGET_OCC * elapsed / self._CHECK_POPS
@@ -305,15 +332,17 @@ class CalendarQueue:
         if ratio < 1.0 / self._SHRINK_RATIO:
             self._rescale(ideal)
         elif ratio > self._GROW_RATIO and (
-            len(self._far) * 4 > len(self)
-            or self._scanned > 2 * self._CHECK_POPS
+            pulled * 4 > self._CHECK_POPS
+            or scanned > 2 * self._CHECK_POPS
         ):
             # Growing only pays when the narrow width causes actual
-            # pressure: due events parked in the far heap, or empty-slot
-            # scans exceeding ~2 slots per pop.  A quiet drain tail with
-            # falling density never rebuilds.
+            # pressure: due entries streaming through the far heap
+            # (over a quarter of the window's pops), or empty-slot
+            # scans exceeding ~2 slots per pop.  How many entries the
+            # far heap *holds* is no signal: the sparse tail lives
+            # there by design.  A quiet drain tail with falling density
+            # never rebuilds.
             self._rescale(ideal)
-        self._scanned = 0
 
     def _rescale(self, new_width: float) -> None:
         new_width = min(max(new_width, self.min_width), self.max_width)
@@ -351,14 +380,18 @@ class CalendarQueue:
                 tmin = t
             elif t > tmax:
                 tmax = t
-        # Size the ring so one lap covers the whole pending span (with
-        # slack for the frontier to keep advancing); beyond max_ring
-        # the far heap absorbs the tail.
+        # One lap covers the pending span with slack for the frontier
+        # to keep advancing, but never more than _LAP_PER_ENTRY slots
+        # per pending entry: a handful of far-off timers (30 s
+        # watchdogs) must not size an array of mostly empty slots.
+        # The sparse tail beyond the lap waits in the far heap.
         span_slots = int((tmax - tmin) * self._inv_width) + 2
-        ring = 8192
-        target = min(span_slots * 2, self.max_ring)
-        while ring < target:
+        ring = self._MIN_RING
+        while ring < span_slots * 2:
             ring <<= 1
+        cap = len(entries) * self._LAP_PER_ENTRY
+        while ring > self._MIN_RING and ring > cap:
+            ring >>= 1
         self._ring = [None] * ring
         self._mask = ring - 1
         self._cur_idx = int(tmin * self._inv_width)

@@ -2,14 +2,16 @@
 
 Covers the closed-form event count (cross-checked against an actual
 run via the counting ``on_step`` hook), the regression-gating
-semantics ``scripts/smoke.sh`` relies on, result-file round-tripping,
-and the CLI's scale selection.
+semantics ``scripts/kernel_ab.sh`` relies on, result-file
+round-tripping, the memory columns' independence from which repeat
+wins, and the CLI's scale selection.
 """
 
 import json
 
 import pytest
 
+from repro.bench import kernel
 from repro.bench.kernel import (
     QUICK_SCALES,
     SCALES,
@@ -112,3 +114,36 @@ def test_run_kernel_bench_rejects_bad_arguments():
         run_kernel_bench(scales=("nope",))
     with pytest.raises(ValueError, match="repeats"):
         run_kernel_bench(scales=("1k",), repeats=0)
+
+
+@pytest.mark.parametrize("walls", [(1.0, 2.0, 3.0), (3.0, 1.0, 2.0),
+                                   (3.0, 2.0, 1.0)])
+def test_memory_columns_do_not_depend_on_the_fastest_repeat(
+        monkeypatch, walls):
+    # The tracemalloc probe runs after attempt 0 and raises the process
+    # peak, so any later attempt would read a higher RSS.  The recorded
+    # memory must be attempt 0's whichever repeat wins on time.
+    probe_ran = []
+    ticks = iter(t for wall in walls for t in (0.0, wall))
+
+    class _Clock:
+        @staticmethod
+        def perf_counter():
+            return next(ticks)
+
+    def fake_probe(scale, seed):
+        probe_ran.append(scale.name)
+        return 64.0
+
+    monkeypatch.setattr(kernel, "time", _Clock)
+    monkeypatch.setattr(kernel, "_rss_max_kb",
+                        lambda: 150_000.0 if probe_ran else 100_000.0)
+    monkeypatch.setattr(kernel, "_py_heap_peak_kb", fake_probe)
+    monkeypatch.setitem(kernel.SCALES, "tiny",
+                        KernelScale("tiny", clients=4, ops_per_client=2))
+    result = run_kernel_bench(scales=("tiny",), repeats=len(walls))
+    point = result["points"]["tiny"]
+    assert point["wall_s"] == min(walls)
+    assert point["rss_max_kb"] == 100_000.0
+    assert point["py_heap_peak_kb"] == 64.0
+    assert probe_ran == ["tiny"]

@@ -167,6 +167,83 @@ class TestResizeMachinery:
         assert q.stats()["far"] > 0
         assert _drain(q) == _reference_order(entries)
 
+    @staticmethod
+    def _dense_head_sparse_tail(q, pops, seed=11):
+        """512 self-re-arming entries 0.01-0.2 ahead of the frontier;
+        every other pop also arms a watchdog-like timer 50 ms-30 s out.
+        Checks every pop against a reference heap; returns pop times."""
+        rng = random.Random(seed)
+        heap = []
+        eid = 0
+
+        def push(t, kind):
+            nonlocal eid
+            entry = (t, 1, eid, kind)
+            eid += 1
+            heapq.heappush(heap, entry)
+            q.push(*entry)
+
+        for _ in range(512):
+            push(rng.uniform(0.01, 0.2), "head")
+        times = []
+        for step in range(pops):
+            got = q.pop()
+            assert got == heapq.heappop(heap)
+            now = got[0]
+            times.append(now)
+            if got[3] == "head":
+                push(now + rng.uniform(0.01, 0.2), "head")
+            if step & 1:
+                push(now + rng.uniform(50.0, 30_000.0), "tail")
+        return times
+
+    @staticmethod
+    def _target_ratio(q, times):
+        """Density target of the last check window over the width."""
+        window = q._CHECK_POPS
+        gap = (times[-1] - times[-1 - window]) / window
+        return q._TARGET_OCC * gap / q.width
+
+    def test_ring_follows_population_not_span(self):
+        # The tail stretches the pending span to ~30 s; sizing the lap
+        # by span would allocate ~10^6 slots for ~3*10^4 entries.  The
+        # tail then lives in the far heap without pulling the width
+        # away from its density target.
+        q = CalendarQueue()
+        times = self._dense_head_sparse_tail(q, 60_000)
+        stats = q.stats()
+        assert stats["ring_slots"] <= max(8192, 4 * len(q))
+        assert stats["far"] > 0
+        assert 1 <= q.resizes <= 3
+        ratio = self._target_ratio(q, times)
+        assert 1.0 / q._SHRINK_RATIO <= ratio <= q._GROW_RATIO
+
+    def test_sparse_tail_in_far_heap_does_not_grow(self):
+        # Start ~40x narrower than the density target: inside the band
+        # where a narrow width costs a fraction of a scanned slot per
+        # pop.  The tail parks in the far heap and is never due, so
+        # nothing is stuck there and no grow rebuild may fire.
+        width = 0.04 / 40  # head density: ~4900 pops per sim-ms
+        q = CalendarQueue(width=width)
+        times = self._dense_head_sparse_tail(q, 60_000)
+        assert q.stats()["far"] * 2 > len(q)
+        assert q.resizes == 0
+        assert q.width == width
+        # Cross-check the premise: the window's density target sits
+        # above the grow hysteresis, so only the pressure gate held.
+        assert self._target_ratio(q, times) > q._GROW_RATIO
+
+    def test_due_entries_stuck_in_far_heap_grow_the_width(self):
+        # The contrast case: a lap of 8 narrow slots cannot hold the
+        # dense head, so due entries stream through the far heap.
+        # That pressure must grow the width to the density target.
+        q = CalendarQueue(width=0.04 / 40, ring=8)
+        times = self._dense_head_sparse_tail(q, 60_000)
+        assert 1 <= q.resizes <= 3
+        ratio = self._target_ratio(q, times)
+        assert 1.0 / q._SHRINK_RATIO <= ratio <= q._GROW_RATIO
+        assert q.stats()["ring_slots"] <= max(8192, 4 * len(q))
+
     def test_len_and_stats_track_partitions(self):
         q = CalendarQueue(width=1.0, ring=8192)
         q.push(0.0, 1, 0, "over")      # current bucket
