@@ -4,22 +4,25 @@
 # then the median events/s of each side through the bench's own
 # `--diff` gate (fails on a >25% drop).
 #
-#   scripts/kernel_ab.sh [REV] [PAIRS]     # defaults: HEAD~1, 6 pairs
+#   scripts/kernel_ab.sh [REV]
 #
 # The base is `git archive REV`, unpacked into a temporary directory;
-# the candidate is the working tree's src/, committed or not.  Both
-# sides run with the same interpreter on the same host, so the verdict
+# the candidate is the working tree's src/, committed or not.  Without
+# REV the base is the candidate's parent: HEAD while src/ has
+# uncommitted changes, HEAD~1 once they are committed.  Both sides run
+# with the same interpreter on the same host, 6 pairs, so the verdict
 # says nothing about the host's absolute speed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-rev="${1:-HEAD~1}"
-pairs="${2:-6}"
-threshold=0.25
-if (( pairs < 1 )); then
-    echo "kernel A/B: PAIRS must be at least 1" >&2
-    exit 2
+if [[ -n "$(git status --porcelain -- src)" ]]; then
+    default_rev=HEAD
+else
+    default_rev=HEAD~1
 fi
+rev="${1:-$default_rev}"
+pairs=6
+threshold=0.25
 commit="$(git rev-parse --verify --quiet "$rev^{commit}")" || {
     echo "kernel A/B: cannot resolve revision '$rev'" >&2
     exit 2

@@ -187,11 +187,11 @@ grep -q "resilience baseline: OK" "$out/resilience_matrix.txt"
 grep -q "resilience matrix: PASS" "$out/resilience_matrix.txt"
 echo "resilience smoke ok: $(grep 'PASS resilience:' "$out/resilience.txt" | head -1 | sed 's/^ *//')"
 
-# Kernel smoke: a same-host A/B of the quick kernel bench, the parent
-# commit against this tree in alternating runs, gated on the median
+# Kernel smoke: a same-host A/B of the quick kernel bench, this tree's
+# parent against this tree in alternating runs, gated on the median
 # events/s (fails on a >25% drop).  Both sides share the host, so the
 # verdict does not depend on how fast or loaded the host is.
-scripts/kernel_ab.sh HEAD~1 6 > "$out/kernel.txt" || {
+scripts/kernel_ab.sh > "$out/kernel.txt" || {
     cat "$out/kernel.txt"
     exit 1
 }

@@ -71,16 +71,18 @@ At each rebuild the ring is re-sized by the pending *population*, not
 the pending time span: one lap covers twice the span when that is
 small, but never more than 4 slots per pending entry (at least 8192
 slots).  A few far-off timers would otherwise size an array of mostly
-empty slots — a 30 s watchdog at a 0.02 ms width asks for ~10^6.  By
-Little's law the pending count is the pop rate times the mean delay at
-which entries are scheduled, so a lap of 4 slots per entry spans
-4 x occupancy times that mean delay (~770x at the occupancy target):
-by Markov's bound at most 1 in 4 x occupancy scheduled entries
-overflows into the far heap — the sparse tail.  The far heap's *size*
-therefore says nothing about the width; the grow signal is its *pull
-traffic* instead: over a quarter of a check window's pops streaming in
-from the far heap means due entries are stuck there, while a tail that
-merely waits there pulls almost nothing.  Resizing is driven purely
+empty slots — a 30 s watchdog at a 0.02 ms width asks for ~10^6.
+The entries beyond one lap wait in the far heap — the sparse tail.
+How large that tail is depends on the width: at the occupancy target
+a 4-slots-per-entry lap spans far past the mean scheduling delay and
+little overflows, but the grow gate tolerates widths 16x and more
+below the target, and there the tail can be a large share of the
+pending set (about a third on ``perfbench``'s ``read-hot``).  The far
+heap's *size* therefore says nothing about whether the width is
+wrong; the grow signal is its *pull traffic* instead: over a quarter
+of a check window's pops streaming in from the far heap means due
+entries are stuck there, while a tail that merely waits there pulls
+little (703 pulls in ~151k pops on ``read-hot``).  Resizing is driven purely
 by the pop sequence — it is deterministic, and pop *order* is
 invariant under any width or ring size, so the kernel's event-sequence
 hash cannot depend on it.
