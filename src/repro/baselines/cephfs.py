@@ -16,7 +16,6 @@ writes contend on a shared journal resource.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import Dict, Generator, List, Optional, Set
 
 from repro._util import stable_hash
@@ -52,11 +51,9 @@ class CephFSConfig:
 class _CephMDS:
     """One MDS daemon."""
 
-    _ids = count(1)
-
     def __init__(self, env: Environment, config: CephFSConfig) -> None:
         self.env = env
-        self.id = f"ceph-mds{next(self._ids)}"
+        self.id = f"ceph-mds{env.next_id('ceph-mds')}"
         self.dispatch = Resource(env, capacity=config.dispatch_threads)
         self.cpu = Resource(env, capacity=max(1, config.vcpus_per_mds))
         self.config = config
@@ -242,11 +239,9 @@ class CephFSCluster:
 class CephFSClient:
     """A CephFS client issuing ops to the MDS cluster."""
 
-    _ids = count(1)
-
     def __init__(self, cluster: CephFSCluster) -> None:
         self.cluster = cluster
-        self.id = f"ceph-client{next(self._ids)}"
+        self.id = f"ceph-client{cluster.env.next_id('ceph-client')}"
 
     def execute(
         self,
@@ -260,7 +255,7 @@ class CephFSClient:
         start = env.now
         request = MetadataRequest(
             op=op, path=path, dst_path=dst_path, recursive=recursive,
-            client_id=self.id,
+            request_id=env.next_id("request"), client_id=self.id,
         )
         mds = self.cluster.mds_for(path)
         yield env.timeout(config.tcp_oneway_ms)

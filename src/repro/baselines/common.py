@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Callable, Generator
 
 from repro.sim import Environment, Resource
@@ -17,8 +16,6 @@ class MetadataServer:
     overload shows up as latency, exactly like a saturated server.
     """
 
-    _ids = count(1)
-
     def __init__(
         self,
         env: Environment,
@@ -27,7 +24,7 @@ class MetadataServer:
         cpu_ms_per_op: float,
     ) -> None:
         self.env = env
-        self.id = f"mds{next(self._ids)}"
+        self.id = f"mds{env.next_id('mds')}"
         self.cpu = Resource(env, capacity=max(1, int(vcpus)))
         self.handlers = Resource(env, capacity=rpc_handlers)
         self.cpu_ms_per_op = cpu_ms_per_op

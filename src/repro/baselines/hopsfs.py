@@ -16,7 +16,6 @@ NameNode (§5.3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro._util import stable_hash
@@ -471,11 +470,9 @@ class HopsFSCachedCluster(HopsFSCluster):
 class HopsFSClient:
     """A HopsFS client: TCP RPCs against the fixed NameNode fleet."""
 
-    _ids = count(1)
-
     def __init__(self, cluster: HopsFSCluster) -> None:
         self.cluster = cluster
-        self.id = f"hops-client{next(self._ids)}"
+        self.id = f"hops-client{cluster.env.next_id('hops-client')}"
         self._rng = cluster.rngs.stream(f"client:{self.id}")
 
     def execute(
@@ -490,7 +487,8 @@ class HopsFSClient:
         start = env.now
         request = MetadataRequest(
             op=op, path=path, dst_path=dst_path, recursive=recursive,
-            client_id=self.id, payload=payload,
+            request_id=env.next_id("request"), client_id=self.id,
+            payload=payload,
         )
         namenode = self.cluster.pick_namenode(path, self._rng)
         yield env.timeout(self.cluster.latency.tcp_oneway())

@@ -14,7 +14,6 @@ benchmark: ``mknod`` writes followed by random ``getattr`` reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro._util import stable_hash
@@ -92,11 +91,9 @@ class IndexFSCluster:
 class IndexFSClient:
     """tree-test style client: mknod writes, getattr reads."""
 
-    _ids = count(1)
-
     def __init__(self, cluster: IndexFSCluster) -> None:
         self.cluster = cluster
-        self.id = f"ifs-client{next(self._ids)}"
+        self.id = f"ifs-client{cluster.env.next_id('ifs-client')}"
 
     def _call(self, path: str, body) -> Generator:
         env = self.cluster.env
@@ -291,13 +288,11 @@ class LambdaIndexFS:
 class LambdaIndexFSClient:
     """λIndexFS client: the λFS hybrid RPC pattern."""
 
-    _ids = count(1)
-
     def __init__(self, system: LambdaIndexFS, vm: ClientVM) -> None:
         self.system = system
         self.vm = vm
         self.server = vm.assign_server()
-        self.id = f"lifs-client{next(self._ids)}"
+        self.id = f"lifs-client{system.env.next_id('lifs-client')}"
         self._rng = system.rngs.stream(f"client:{self.id}")
 
     def _submit(self, kind: str, path: str) -> Generator:

@@ -141,8 +141,6 @@ class ChaosRunConfig:
     the run.  Adds no sim events and draws no RNG, so the event hash
     and fault-log hash are byte-identical either way — and the
     verifier gains the detection gate (gate 6)."""
-    ruleset: str = "default"
-    """Named rule catalog from :data:`repro.incidents.RULESETS`."""
     profile: bool = False
     """Attribute every op's critical path after the run (slower; the
     per-tenant stage breakdown of ``repro tenants --profile``).  Reads
@@ -315,11 +313,10 @@ def run_scenario(
         # hook — pure arithmetic per sample, no events, no RNG — and
         # mirrors firing state back into the same registry so
         # alerts_firing/alerts_fired_total land in the exports.
-        from repro.incidents import AlertEngine, get_ruleset
+        from repro.incidents import AlertEngine, default_rules
 
         detector = handle.telemetry.attach_detector(
-            AlertEngine(get_ruleset(config.ruleset),
-                        registry=handle.telemetry.registry)
+            AlertEngine(default_rules(), registry=handle.telemetry.registry)
         )
     fleet = None
     if fleet_config is not None:

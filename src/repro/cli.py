@@ -548,13 +548,13 @@ def _cmd_chaos(args) -> int:
 
 
 def _incident_rules(args):
-    """Resolve --ruleset / --rules-file into a rule list."""
-    from repro.incidents import get_ruleset, load_rules
+    """The --rules-file catalog, or the default one."""
+    from repro.incidents import default_rules, load_rules
 
     if args.rules_file:
         with open(args.rules_file) as handle:
             return load_rules(handle.read())
-    return get_ruleset(args.ruleset)
+    return default_rules()
 
 
 def _cmd_incidents(args) -> int:
@@ -869,8 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
                        type=float,
                        help="fraction of ops that are pipelined chunk "
                             "writes when a fleet is attached")
-        p.add_argument("--ruleset",
-                       help="alert rule catalog for detection runs")
 
     chaos_run = chaos_sub.add_parser(
         "run", help="one scenario under load + recovery verification, "
@@ -922,18 +920,16 @@ def build_parser() -> argparse.ArgumentParser:
     incidents_analyze.add_argument("series", help="telemetry.jsonl path")
     incidents_analyze.add_argument("--scenario", default=None,
                                    help="label for the report header")
-    incidents_analyze.add_argument("--ruleset", default="default")
     incidents_analyze.add_argument("--rules-file", default=None,
                                    metavar="JSON",
                                    help="load rules from a JSON file "
-                                        "instead of a named ruleset")
+                                        "instead of the default catalog")
     incidents_analyze.add_argument("--json", default=None, metavar="PATH",
                                    help="write the incident report JSON")
 
     incidents_rules = incidents_sub.add_parser(
         "rules", help="show the alert-rule catalog"
     )
-    incidents_rules.add_argument("--ruleset", default="default")
     incidents_rules.add_argument("--rules-file", default=None, metavar="JSON")
     incidents_rules.add_argument("--json", action="store_true",
                                  help="dump the catalog as JSON")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
 from typing import TYPE_CHECKING, Deque, Generator, Optional
 
 from repro.core.messages import MetadataRequest, OpType
@@ -76,14 +75,12 @@ class ClientConfig:
 class LambdaFSClient:
     """One DFS client process endpoint."""
 
-    _ids = count(1)
-
     def __init__(self, fs: "LambdaFS", vm: "ClientVM") -> None:
         self.fs = fs
         self.vm = vm
         self.server: "TcpServer" = vm.assign_server()
         self.config = fs.config.client
-        self.id = f"client{next(self._ids)}"
+        self.id = f"client{fs.env.next_id('client')}"
         #: Tenant this client issues ops for (multi-tenant mode).
         #: None (the default) leaves spans and metrics exactly as in
         #: single-tenant runs — no extra attrs, no extra series.
@@ -159,6 +156,7 @@ class LambdaFSClient:
             path=path,
             dst_path=dst_path,
             recursive=recursive,
+            request_id=env.next_id("request"),
             client_id=self.id,
             tcp_servers=tuple(self.vm.servers),
             payload=payload,

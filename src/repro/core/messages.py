@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Any, Optional, Tuple
 
 
@@ -38,8 +37,6 @@ _WRITE_OPS = frozenset(
      OpType.SET_PERMISSION}
 )
 
-_request_ids = count(1)
-
 
 @dataclass(slots=True)
 class MetadataRequest:
@@ -53,7 +50,8 @@ class MetadataRequest:
     path: str
     dst_path: Optional[str] = None
     recursive: bool = False
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(kw_only=True)
+    """Unique within its run: callers pass ``env.next_id("request")``."""
     client_id: str = ""
     tcp_servers: Tuple = ()
     attempt: int = 1

@@ -137,7 +137,7 @@ class SubtreeProtocol:
 
         local_request = MetadataRequest(
             op=OpType.EXEC_BATCH, path="/", payload=batches[0],
-            trace_parent=trace_parent,
+            request_id=env.next_id("request"), trace_parent=trace_parent,
         )
         jobs = [env.process(leader._exec_batch(local_request, span))]
 
@@ -153,6 +153,7 @@ class SubtreeProtocol:
                 helper = helpers[index % len(helpers)]
                 batch_request = MetadataRequest(
                     op=OpType.EXEC_BATCH, path="/", payload=batch,
+                    request_id=env.next_id("request"),
                     trace_parent=trace_parent,
                 )
                 jobs.append(env.process(self._offload(helper, batch_request)))
@@ -160,6 +161,7 @@ class SubtreeProtocol:
             for batch in batches[1:]:
                 batch_request = MetadataRequest(
                     op=OpType.EXEC_BATCH, path="/", payload=batch,
+                    request_id=env.next_id("request"),
                     trace_parent=trace_parent,
                 )
                 jobs.append(env.process(leader._exec_batch(batch_request, span)))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.sim import Environment, Event, Resource
@@ -53,8 +52,6 @@ class ScaleEvent:
 class FunctionInstance:
     """An instantiated, running serverless function (one NameNode)."""
 
-    _ids = count(1)
-
     def __init__(
         self,
         env: Environment,
@@ -64,7 +61,7 @@ class FunctionInstance:
         self.env = env
         self.platform = platform
         self.deployment = deployment
-        self.id = f"{deployment.name}#{next(self._ids)}"
+        self.id = f"{deployment.name}#{env.next_id('instance')}"
         self.state = "provisioning"
         self.started = Event(env)
         cpu_slots = max(1, int(round(platform.config.vcpus_per_instance)))

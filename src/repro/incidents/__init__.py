@@ -38,13 +38,10 @@ from repro.incidents.rules import (
     AnomalyRule,
     BurnRateRule,
     Rule,
-    RULESETS,
     Signal,
     ThresholdRule,
     default_rules,
-    get_ruleset,
     load_rules,
-    register_ruleset,
     rule_from_dict,
     rule_to_dict,
     rules_to_json,
@@ -77,7 +74,6 @@ __all__ = [
     "GROUP_GAP_MS",
     "Incident",
     "IncidentReport",
-    "RULESETS",
     "Rule",
     "SEVERITIES",
     "SEVERITY_RANK",
@@ -87,12 +83,10 @@ __all__ = [
     "ThresholdRule",
     "build_report",
     "default_rules",
-    "get_ruleset",
     "group_alerts",
     "load_report",
     "load_rules",
     "rank_suspects",
-    "register_ruleset",
     "rule_from_dict",
     "rule_to_dict",
     "rules_to_json",

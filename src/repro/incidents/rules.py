@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 #: Signal reduction modes (see :meth:`Signal.validate`).
 SIGNAL_MODES = (
@@ -474,26 +474,3 @@ def default_rules() -> List[Rule]:
                         "deadlines expire (system slower than its SLO)",
         ),
     ]
-
-
-#: Named rule-set registry (``repro incidents --rules <name>`` and
-#: tests extend this; keep module state re-entrant via the hermetic
-#: conftest snapshot in tests/incidents).
-RULESETS: Dict[str, Callable[[], List[Rule]]] = {
-    "default": default_rules,
-}
-
-
-def register_ruleset(name: str, builder: Callable[[], List[Rule]]) -> None:
-    """Register a named rule-set builder (overwrites an existing name)."""
-    if not name:
-        raise ValueError("ruleset needs a name")
-    RULESETS[name] = builder
-
-
-def get_ruleset(name: str) -> List[Rule]:
-    if name not in RULESETS:
-        raise KeyError(
-            f"unknown ruleset {name!r}; registered: {sorted(RULESETS)}"
-        )
-    return RULESETS[name]()

@@ -11,7 +11,6 @@ same VM (one extra intra-VM hop), exactly as in Figure 4.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.rpc.latency import LatencyModel
@@ -25,10 +24,8 @@ class ConnectionDropped(Exception):
 class TcpConnection:
     """A live TCP connection between a TCP server and a NameNode."""
 
-    _ids = count(1)
-
     def __init__(self, server: "TcpServer", instance: Any) -> None:
-        self.id = next(self._ids)
+        self.id = server.env.next_id("connection")
         self.server = server
         self.instance = instance
         self.alive = True
@@ -125,10 +122,8 @@ class TcpConnection:
 class TcpServer:
     """One TCP endpoint on a client VM."""
 
-    _ids = count(1)
-
     def __init__(self, env: Environment, vm: "ClientVM", latency: LatencyModel) -> None:
-        self.id = next(self._ids)
+        self.id = env.next_id("tcp-server")
         self.env = env
         self.vm = vm
         self.latency = latency
@@ -195,8 +190,6 @@ class TcpServer:
 class ClientVM:
     """A client VM hosting clients and their TCP servers."""
 
-    _ids = count(1)
-
     def __init__(
         self,
         env: Environment,
@@ -205,7 +198,7 @@ class ClientVM:
     ) -> None:
         if clients_per_server <= 0:
             raise ValueError("clients_per_server must be positive")
-        self.id = next(self._ids)
+        self.id = env.next_id("vm")
         self.env = env
         self.latency = latency
         self.clients_per_server = clients_per_server

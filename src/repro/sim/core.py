@@ -26,7 +26,7 @@ hash and step counters depend on it being invoked for every event).
 from __future__ import annotations
 
 from heapq import heappop
-from typing import Any, Generator, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.sim.calendar import CalendarQueue
 from repro.sim.events import Event, Process, Timeout
@@ -58,7 +58,7 @@ class Environment:
     __slots__ = (
         "_now", "_queue", "_eid_next", "_steps", "_active_proc",
         "_tracer", "_metrics", "_chaos", "_on_step", "instrumented",
-        "__dict__", "__weakref__",
+        "_ids", "__dict__", "__weakref__",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -76,6 +76,7 @@ class Environment:
         #: setters below; hot paths branch on it before touching the
         #: individual subsystems.
         self.instrumented = False
+        self._ids: Dict[str, int] = {}
 
     @property
     def now(self) -> float:
@@ -142,6 +143,17 @@ class Environment:
             or self._tracer is not None
             or self._metrics is not None
         )
+
+    def next_id(self, kind: str) -> int:
+        """The next id of ``kind`` in this run: 1, 2, … per kind.
+
+        Clients, instances, connections and requests are numbered here,
+        so a run's ids (and the RNG streams named after them) do not
+        depend on what else ran in the same process.
+        """
+        n = self._ids.get(kind, 0) + 1
+        self._ids[kind] = n
+        return n
 
     # -- event factories ---------------------------------------------
     def event(self) -> Event:

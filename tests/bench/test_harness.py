@@ -104,3 +104,18 @@ def test_concurrency_sweep_driver_tiny():
     assert [r["concurrency_level"] for r in rows] == [1, 8]
     # A lower concurrency level provisions at least as many instances.
     assert rows[0]["namenodes"] >= rows[1]["namenodes"]
+
+
+def test_scaling_point_does_not_depend_on_earlier_points():
+    """Ids come from each point's own Environment, so a point run after
+    others in one process equals the same point run first."""
+    from repro.bench.experiments import _one_scaling_point
+
+    def point():
+        return _one_scaling_point("lambda", OpType.READ_FILE, 16, 512.0, 8, 4,
+                                  seed=0)
+
+    first = point()
+    _one_scaling_point("lambda", OpType.CREATE_FILE, 8, 512.0, 4, 2, seed=1)
+    _one_scaling_point("hopsfs", OpType.READ_FILE, 8, 512.0, 4, 2, seed=1)
+    assert point() == first

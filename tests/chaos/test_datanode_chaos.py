@@ -25,7 +25,7 @@ SMALL = ChaosRunConfig(
 )
 
 
-def test_datanode_kill_passes_with_rf_restored(reset_sim_counters):
+def test_datanode_kill_passes_with_rf_restored():
     result = run_scenario(builtin_scenarios()["datanode-kill"], SMALL)
     assert result.passed, result.report.render()
     fleet = result.fleet
@@ -42,7 +42,7 @@ def test_datanode_kill_passes_with_rf_restored(reset_sim_counters):
     )
 
 
-def test_datanode_kill_norepair_is_expected_fail(reset_sim_counters):
+def test_datanode_kill_norepair_is_expected_fail():
     result = run_scenario(builtin_scenarios()["datanode-kill-norepair"], SMALL)
     assert not result.passed
     assert any("under-replicated" in f or "lost" in f
@@ -52,20 +52,19 @@ def test_datanode_kill_norepair_is_expected_fail(reset_sim_counters):
     assert not result.fleet.scanner.records
 
 
-def test_disk_slow_passes_without_deficits(reset_sim_counters):
+def test_disk_slow_passes_without_deficits():
     result = run_scenario(builtin_scenarios()["disk-slow"], SMALL)
     assert result.passed, result.report.render()
     assert result.fleet is not None
     assert not result.fleet.tracker.dead()
 
 
-def test_same_seed_datanode_kill_reproduces_everything(reset_sim_counters):
+def test_same_seed_datanode_kill_reproduces_everything():
     """Event hash, fault-log hash, and the full re-replication
     timeline are functions of the seed alone."""
     scenario = builtin_scenarios()["datanode-kill"]
 
     def run_once():
-        reset_sim_counters()
         result = run_scenario(scenario, SMALL)
         repairs = tuple(
             (r.block_id, r.detected_ms, r.restored_ms, r.source, r.target)

@@ -1,7 +1,5 @@
 """ChaosEngine: scheduling, injection queries, determinism."""
 
-import itertools
-
 import pytest
 
 from repro.chaos import ChaosEngine, FaultSpec, Scenario, install_chaos
@@ -156,22 +154,7 @@ def test_same_seed_same_fault_log_hash():
 
 # -- chaos-disabled determinism regression ------------------------------
 
-def _reset_counters(monkeypatch):
-    from repro.core import client as client_mod
-    from repro.core import messages
-    from repro.faas import platform as platform_mod
-    from repro.rpc import connections
-
-    monkeypatch.setattr(client_mod.LambdaFSClient, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.TcpConnection, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.TcpServer, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.ClientVM, "_ids", itertools.count(1))
-    monkeypatch.setattr(platform_mod.FunctionInstance, "_ids",
-                        itertools.count(1))
-    monkeypatch.setattr(messages, "_request_ids", itertools.count(1))
-
-
-def _traced_workload(monkeypatch, attach_engine):
+def _traced_workload(attach_engine):
     from dataclasses import replace
 
     from repro.core import LambdaFS, LambdaFSConfig
@@ -179,7 +162,6 @@ def _traced_workload(monkeypatch, attach_engine):
     from repro.faas import FaaSConfig
     from repro.trace import install_tracer
 
-    _reset_counters(monkeypatch)
     env = Environment()
     tracer = install_tracer(env)
     if attach_engine:
@@ -205,9 +187,9 @@ def _traced_workload(monkeypatch, attach_engine):
     return tracer.event_hash()
 
 
-def test_attached_idle_engine_leaves_run_byte_identical(monkeypatch):
+def test_attached_idle_engine_leaves_run_byte_identical():
     """The chaos-off determinism regression: env.chaos set but no
     scenario running must not perturb a single event."""
-    without = _traced_workload(monkeypatch, attach_engine=False)
-    with_idle = _traced_workload(monkeypatch, attach_engine=True)
+    without = _traced_workload(attach_engine=False)
+    with_idle = _traced_workload(attach_engine=True)
     assert without == with_idle

@@ -8,9 +8,9 @@ and the chaos engine's fault-log hash — recorded from the pre-calendar
 heap kernel.  Any scheduler change that reorders even one event flips
 the event hash; any change to fault timing flips the log hash.
 
-The global id counters are reset first (``reset_sim_counters``), so
+Every id comes from the run's own ``Environment`` (``next_id``), so
 the run sees exactly what a fresh interpreter would — the condition
-under which the goldens were recorded.
+under which the goldens were recorded — wherever it sits in the suite.
 """
 
 import pytest
@@ -39,14 +39,14 @@ GOLDEN_LOG_HASH = "2275e4049ac65a812ef6bb753e569615"
 GOLDEN_OPS_OK = 8268
 
 
-def test_ack_loss_scenario_matches_golden_hashes(reset_sim_counters):
+def test_ack_loss_scenario_matches_golden_hashes():
     result = run_scenario(builtin_scenarios()["ack-loss"], GOLDEN_CONFIG)
     assert result.event_hash == GOLDEN_EVENT_HASH
     assert result.log_hash == GOLDEN_LOG_HASH
     assert result.ops_ok == GOLDEN_OPS_OK
 
 
-def test_attached_idle_fleet_leaves_goldens_byte_identical(reset_sim_counters):
+def test_attached_idle_fleet_leaves_goldens_byte_identical():
     """A DataNode fleet that is constructed and attached but never
     started (no processes, no chunk-write draws) must be completely
     invisible: the same goldens, bit for bit.

@@ -9,6 +9,7 @@ from repro.chaos import (
     Scenario,
     run_matrix,
     run_scenario,
+    scenario_record,
 )
 
 pytestmark = [pytest.mark.chaos, pytest.mark.slow]
@@ -24,7 +25,7 @@ SMALL = ChaosRunConfig(
 )
 
 
-def test_small_drop_scenario_survives(reset_sim_counters):
+def test_small_drop_scenario_survives():
     scenario = Scenario("drops", faults=(
         FaultSpec("tcp_drop", at_ms=700.0, duration_ms=800.0,
                   params={"p": 0.3}),
@@ -38,7 +39,7 @@ def test_small_drop_scenario_survives(reset_sim_counters):
     assert "PASS" in result.summary()
 
 
-def test_ack_loss_without_retry_is_caught(reset_sim_counters):
+def test_ack_loss_without_retry_is_caught():
     """The deliberately broken recovery path: a dropped ACK with
     redelivery disabled strands the writer, and the verifier says so."""
     scenario = Scenario("noretry", faults=(
@@ -56,7 +57,7 @@ def test_ack_loss_without_retry_is_caught(reset_sim_counters):
     assert "FAIL" in result.summary()
 
 
-def test_same_seed_same_event_and_fault_hashes(reset_sim_counters):
+def test_same_seed_same_event_and_fault_hashes():
     scenario = Scenario("repeat", faults=(
         FaultSpec("tcp_drop", at_ms=400.0, duration_ms=600.0,
                   params={"p": 0.4}),
@@ -64,7 +65,6 @@ def test_same_seed_same_event_and_fault_hashes(reset_sim_counters):
                   params={"interval_ms": 200.0, "policy": "random"}),
     ))
     first = run_scenario(scenario, SMALL)
-    reset_sim_counters()
     second = run_scenario(scenario, SMALL)
     assert first.event_hash == second.event_hash
     assert first.log_hash == second.log_hash
@@ -73,17 +73,27 @@ def test_same_seed_same_event_and_fault_hashes(reset_sim_counters):
     ]
 
 
-def test_run_matrix_collects_per_scenario_results(reset_sim_counters):
-    scenarios = [
-        Scenario("m1", faults=(
-            FaultSpec("tcp_delay", at_ms=300.0, duration_ms=500.0,
-                      params={"extra_ms": 5.0}),
-        )),
-        Scenario("m2", faults=(
-            FaultSpec("http_brownout", at_ms=300.0, duration_ms=500.0,
-                      params={"extra_ms": 10.0, "fail_p": 0.2}),
-        )),
-    ]
-    results = run_matrix(scenarios, SMALL)
+PAIR = (
+    Scenario("m1", faults=(
+        FaultSpec("tcp_delay", at_ms=300.0, duration_ms=500.0,
+                  params={"extra_ms": 5.0}),
+    )),
+    Scenario("m2", faults=(
+        FaultSpec("http_brownout", at_ms=300.0, duration_ms=500.0,
+                  params={"extra_ms": 10.0, "fail_p": 0.2}),
+    )),
+)
+
+
+def test_run_matrix_collects_per_scenario_results():
+    results = run_matrix(PAIR, SMALL)
     assert [r.scenario.name for r in results] == ["m1", "m2"]
     assert all(r.passed for r in results)
+
+
+def test_matrix_record_equals_the_scenario_run_alone():
+    """Ids come from each run's own Environment, so a scenario run
+    second in a matrix gives the record it gives alone."""
+    second = run_matrix(PAIR, SMALL)[1]
+    alone = run_scenario(PAIR[1], SMALL)
+    assert scenario_record(second) == scenario_record(alone)

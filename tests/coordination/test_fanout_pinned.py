@@ -87,7 +87,7 @@ def digest(records):
     return hashlib.sha256(text.encode()).hexdigest()[:32]
 
 
-def test_multi_member_rounds_keep_their_op_records(reset_sim_counters):
+def test_multi_member_rounds_keep_their_op_records():
     records, fanouts, engine = run_fanout()
     # The config must exercise fan-out, and redelivery within it.
     assert min(fanouts) >= 2

@@ -291,7 +291,8 @@ def test_result_cache_dedupes_resubmission():
     deployment = fs.platform.deployments[fs.partitioner.deployment_for("/d/f")]
     from repro.core.messages import MetadataRequest
 
-    request = MetadataRequest(op=OpType.CREATE_FILE, path="/d/f")
+    request = MetadataRequest(op=OpType.CREATE_FILE, path="/d/f",
+                              request_id=env.next_id("request"))
     out = {}
 
     def direct(env):

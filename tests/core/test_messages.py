@@ -1,6 +1,9 @@
 """Unit tests for the RPC message types."""
 
+import pytest
+
 from repro.core.messages import MetadataRequest, MetadataResponse, OpType
+from repro.sim import Environment
 
 
 def test_write_op_classification():
@@ -21,13 +24,22 @@ def test_subtree_capable_ops():
 
 
 def test_request_ids_are_unique():
-    a = MetadataRequest(op=OpType.STAT, path="/x")
-    b = MetadataRequest(op=OpType.STAT, path="/x")
-    assert a.request_id != b.request_id
+    env = Environment()
+    assert [env.next_id("request") for _ in range(3)] == [1, 2, 3]
+    # Another run numbers its requests from 1 again, whatever ran before.
+    assert Environment().next_id("request") == 1
+    # Each kind is its own sequence.
+    assert env.next_id("client") == 1
+
+
+def test_request_id_is_required():
+    with pytest.raises(TypeError):
+        MetadataRequest(op=OpType.STAT, path="/x")
 
 
 def test_request_defaults():
-    request = MetadataRequest(op=OpType.MV, path="/a", dst_path="/b")
+    request = MetadataRequest(op=OpType.MV, path="/a", dst_path="/b",
+                              request_id=1)
     assert request.attempt == 1
     assert request.tcp_servers == ()
     assert not request.recursive

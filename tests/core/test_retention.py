@@ -84,7 +84,7 @@ def test_read_views_are_shared_per_namenode_and_inode(monkeypatch):
 
 
 @pytest.mark.parametrize("record", [
-    MetadataRequest(OpType.READ_FILE, "/d/f", client_id="c1"),
+    MetadataRequest(OpType.READ_FILE, "/d/f", request_id=7, client_id="c1"),
     MetadataResponse(request_id=7, ok=True, value={"k": 1}, served_by="nn"),
     OpRecord("read file", 1.0, 2.5, cache_hit=True),
 ], ids=lambda record: type(record).__name__)

@@ -31,7 +31,7 @@ def _baseline(name):
         return json.load(handle)["scenarios"][name]
 
 
-def test_ack_loss_detection_matches_baseline(reset_sim_counters):
+def test_ack_loss_detection_matches_baseline():
     result = run_scenario(get_scenario("ack-loss"), DETECT)
     assert result.passed, result.report.render()
     expect = _baseline("ack-loss")
@@ -51,7 +51,7 @@ def test_ack_loss_detection_matches_baseline(reset_sim_counters):
     assert any("PASS detection" in c for c in result.report.checks)
 
 
-def test_control_run_detects_nothing(reset_sim_counters):
+def test_control_run_detects_nothing():
     result = run_scenario(get_scenario("control"), DETECT)
     assert result.passed, result.report.render()
     assert result.incidents is not None
@@ -59,14 +59,11 @@ def test_control_run_detects_nothing(reset_sim_counters):
     assert "PASS detection: no faults, no incidents" in result.report.checks
 
 
-def test_detector_attachment_keeps_event_hash_byte_identical(
-    reset_sim_counters,
-):
+def test_detector_attachment_keeps_event_hash_byte_identical():
     """The single `is None` contract: a --detect run must replay the
     exact same simulation as a detector-off run."""
     scenario = get_scenario("ack-loss")
     plain = run_scenario(scenario, replace(DETECT, detect=False))
-    reset_sim_counters()
     detected = run_scenario(scenario, DETECT)
     assert plain.event_hash == detected.event_hash
     assert plain.log_hash == detected.log_hash

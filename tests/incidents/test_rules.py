@@ -1,4 +1,4 @@
-"""The rule DSL: validation, JSON round-trips, ruleset registry."""
+"""The rule DSL: validation, JSON round-trips, the default catalog."""
 
 import pytest
 
@@ -8,9 +8,7 @@ from repro.incidents import (
     Signal,
     ThresholdRule,
     default_rules,
-    get_ruleset,
     load_rules,
-    register_ruleset,
     rule_from_dict,
     rule_to_dict,
     rules_to_json,
@@ -116,29 +114,9 @@ def test_rules_to_json_is_versioned():
     assert len(doc["rules"]) == len(default_rules())
 
 
-# -- ruleset registry ---------------------------------------------------
+# -- default catalog ----------------------------------------------------
 
-def test_default_ruleset_is_registered():
-    names = {rule.name for rule in get_ruleset("default")}
+def test_default_rules_include_burn_and_liveness_rules():
+    names = {rule.name for rule in default_rules()}
     assert "error-burn-fast" in names
     assert "instance-terminations" in names
-
-
-def test_register_ruleset_and_unknown_lookup():
-    register_ruleset("just-burn", lambda: [
-        BurnRateRule(
-            name="burn",
-            bad=Signal("ops_failed_total", mode="delta"),
-            total=Signal("ops_total", mode="delta"),
-        ),
-    ])
-    assert [rule.name for rule in get_ruleset("just-burn")] == ["burn"]
-    with pytest.raises(KeyError, match="unknown ruleset"):
-        get_ruleset("nope")
-
-
-def test_ruleset_registry_is_hermetic_between_tests():
-    # The conftest snapshot restores RULESETS; whichever order this
-    # runs in, the test registration above must not be visible.
-    from repro.incidents.rules import RULESETS
-    assert set(RULESETS) == {"default"} or "just-burn" not in RULESETS

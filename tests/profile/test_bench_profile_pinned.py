@@ -3,8 +3,8 @@
 Runs ``repro profile run`` in the shape that produced the committed
 baseline (32 clients, 24 ops, 16 warm-up reads, 4 deployments) and
 compares the kernel event-sequence hash it writes with the committed
-one.  Id counters are reset first so the run does not depend on which
-tests ran before it in the same process.
+one.  Ids are numbered per ``Environment``, so the run does not depend
+on which tests ran before it in the same process.
 """
 
 import json
@@ -19,9 +19,7 @@ pytestmark = pytest.mark.profile
 BASELINE = Path(__file__).resolve().parents[2] / "BENCH_profile.json"
 
 
-def test_profile_run_reproduces_committed_event_hash(
-    tmp_path, capsys, reset_sim_counters
-):
+def test_profile_run_reproduces_committed_event_hash(tmp_path, capsys):
     bench = tmp_path / "BENCH_profile.json"
     assert main([
         "profile", "run", "--clients", "32", "--ops", "24",

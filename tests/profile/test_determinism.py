@@ -6,35 +6,18 @@ hash: a profiled run is byte-identical to a merely traced run, and
 analyzing mid-run perturbs nothing.
 """
 
-import itertools
-
 import pytest
 
 from repro.bench.harness import build_lambdafs, drive
 from repro.core import OpType
-from repro.core import client as client_mod
-from repro.core import messages
-from repro.faas import platform as platform_mod
 from repro.namespace.treegen import TreeSpec, generate_tree
-from repro.rpc import connections
 from repro.sim import Environment
 from repro.workloads import MicroBenchmark
 
 pytestmark = pytest.mark.profile
 
 
-def _reset_global_counters(monkeypatch):
-    monkeypatch.setattr(client_mod.LambdaFSClient, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.TcpConnection, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.TcpServer, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.ClientVM, "_ids", itertools.count(1))
-    monkeypatch.setattr(platform_mod.FunctionInstance, "_ids", itertools.count(1))
-    monkeypatch.setattr(messages, "_request_ids", itertools.count(1))
-
-
-def _run(monkeypatch, trace=False, profile=False, analyze_midway=False,
-         seed=3):
-    _reset_global_counters(monkeypatch)
+def _run(trace=False, profile=False, analyze_midway=False, seed=3):
     env = Environment()
     tree = generate_tree(TreeSpec(seed=seed))
     handle = build_lambdafs(
@@ -51,9 +34,9 @@ def _run(monkeypatch, trace=False, profile=False, analyze_midway=False,
     return handle
 
 
-def test_profiled_run_hash_matches_traced_run(monkeypatch):
-    traced = _run(monkeypatch, trace=True)
-    profiled = _run(monkeypatch, profile=True)
+def test_profiled_run_hash_matches_traced_run():
+    traced = _run(trace=True)
+    profiled = _run(profile=True)
     assert traced.tracer.summary()["event_hash"] == \
         profiled.tracer.summary()["event_hash"]
     assert traced.tracer.summary()["events_hashed"] == \
@@ -62,9 +45,9 @@ def test_profiled_run_hash_matches_traced_run(monkeypatch):
     assert profiled.profiler is not None
 
 
-def test_same_seed_profiled_runs_are_bit_identical(monkeypatch):
-    first = _run(monkeypatch, profile=True)
-    second = _run(monkeypatch, profile=True)
+def test_same_seed_profiled_runs_are_bit_identical():
+    first = _run(profile=True)
+    second = _run(profile=True)
     assert first.tracer.summary()["event_hash"] == \
         second.tracer.summary()["event_hash"]
     first_profile = first.profiler.analyze()
@@ -72,9 +55,9 @@ def test_same_seed_profiled_runs_are_bit_identical(monkeypatch):
     assert first_profile.to_dict() == second_profile.to_dict()
 
 
-def test_midrun_analysis_does_not_perturb(monkeypatch):
-    plain = _run(monkeypatch, profile=True)
-    poked = _run(monkeypatch, profile=True, analyze_midway=True)
+def test_midrun_analysis_does_not_perturb():
+    plain = _run(profile=True)
+    poked = _run(profile=True, analyze_midway=True)
     assert plain.tracer.summary()["event_hash"] == \
         poked.tracer.summary()["event_hash"]
     assert plain.profiler.analyze().to_dict() == \

@@ -7,37 +7,22 @@ bucket below 5%; and doubling the store's service times must surface
 as a ``store``-stage regression in the profile diff.
 """
 
-import itertools
 import json
 
 import pytest
 
 from repro.bench.harness import build_lambdafs, drive
 from repro.core import OpType
-from repro.core import client as client_mod
-from repro.core import messages
-from repro.faas import platform as platform_mod
 from repro.metastore import NdbConfig
 from repro.namespace.treegen import TreeSpec, generate_tree
 from repro.profile import chrome_trace_events, diff_profiles, folded_stacks
-from repro.rpc import connections
 from repro.sim import Environment
 from repro.workloads import MicroBenchmark
 
 pytestmark = pytest.mark.profile
 
 
-def _reset_global_counters(monkeypatch):
-    monkeypatch.setattr(client_mod.LambdaFSClient, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.TcpConnection, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.TcpServer, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.ClientVM, "_ids", itertools.count(1))
-    monkeypatch.setattr(platform_mod.FunctionInstance, "_ids", itertools.count(1))
-    monkeypatch.setattr(messages, "_request_ids", itertools.count(1))
-
-
-def _profiled_run(monkeypatch, slow_store=1.0, clients=16, ops=12, seed=0):
-    _reset_global_counters(monkeypatch)
+def _profiled_run(slow_store=1.0, clients=16, ops=12, seed=0):
     env = Environment()
     tree = generate_tree(TreeSpec(seed=seed))
     ndb = None
@@ -64,8 +49,8 @@ def _profiled_run(monkeypatch, slow_store=1.0, clients=16, ops=12, seed=0):
     return handle, handle.profiler.analyze()
 
 
-def test_attribution_is_exact_on_a_real_run(monkeypatch):
-    handle, profile = _profiled_run(monkeypatch)
+def test_attribution_is_exact_on_a_real_run():
+    handle, profile = _profiled_run()
     assert len(profile.ops) > 100
     for record in profile.ops:
         # The tiling is exact: stage sums equal end-to-end latency.
@@ -83,8 +68,8 @@ def test_attribution_is_exact_on_a_real_run(monkeypatch):
     assert profile.open_roots == 0
 
 
-def test_real_run_touches_the_expected_stages(monkeypatch):
-    _, profile = _profiled_run(monkeypatch)
+def test_real_run_touches_the_expected_stages():
+    _, profile = _profiled_run()
     by_type = profile.by_op_type()
     assert set(by_type) == {"read file", "create file"}
     reads = profile.stage_totals("read file")
@@ -99,8 +84,8 @@ def test_real_run_touches_the_expected_stages(monkeypatch):
     assert max(writes, key=writes.get) == "store"
 
 
-def test_exports_from_a_real_run_are_well_formed(monkeypatch, tmp_path):
-    handle, profile = _profiled_run(monkeypatch, clients=8, ops=6)
+def test_exports_from_a_real_run_are_well_formed(tmp_path):
+    handle, profile = _profiled_run(clients=8, ops=6)
     events = chrome_trace_events(handle.tracer.spans.values())
     payload = json.loads(json.dumps({"traceEvents": events}))
     assert payload["traceEvents"]
@@ -114,9 +99,9 @@ def test_exports_from_a_real_run_are_well_formed(monkeypatch, tmp_path):
         assert int(line.rsplit(" ", 1)[1]) > 0
 
 
-def test_doubled_store_service_time_is_flagged_in_store_stage(monkeypatch):
-    _, baseline = _profiled_run(monkeypatch)
-    _, slowed = _profiled_run(monkeypatch, slow_store=2.0)
+def test_doubled_store_service_time_is_flagged_in_store_stage():
+    _, baseline = _profiled_run()
+    _, slowed = _profiled_run(slow_store=2.0)
     diff = diff_profiles(baseline, slowed)
     regressions = diff.regressions()
     assert regressions
@@ -126,9 +111,9 @@ def test_doubled_store_service_time_is_flagged_in_store_stage(monkeypatch):
     assert diff.worst().stage == "store"
 
 
-def test_self_diff_of_a_real_run_is_clean(monkeypatch):
-    _, first = _profiled_run(monkeypatch)
-    _, second = _profiled_run(monkeypatch)
+def test_self_diff_of_a_real_run_is_clean():
+    _, first = _profiled_run()
+    _, second = _profiled_run()
     diff = diff_profiles(first, second)
     assert diff.regressions() == []
     assert diff.improvements() == []

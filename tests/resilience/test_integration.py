@@ -105,6 +105,7 @@ def test_shed_at_admission_never_reaches_the_store():
     force_pressure(instance.app)
 
     request = MetadataRequest(op=OpType.MKDIRS, path="/shedded",
+                             request_id=env.next_id("request"),
                              client_id="probe")
     response = drive(env, instance.serve(request, via="tcp"))
     assert response.shed and not response.ok
@@ -127,6 +128,7 @@ def test_expired_deadline_is_refused_before_execution():
     def scenario(env):
         yield env.timeout(10.0)
         request = MetadataRequest(op=OpType.CREATE_FILE, path="/late",
+                                 request_id=env.next_id("request"),
                                  client_id="probe",
                                  deadline_ms=env.now - 1.0)
         response = yield from instance.serve(request, via="tcp")
@@ -177,7 +179,9 @@ def test_bounded_stale_read_verified_by_coherence_checker():
     def degraded(env):
         yield env.timeout(100.0)
         return (yield from instance.serve(
-            MetadataRequest(op=OpType.STAT, path="/d/f", client_id="probe"),
+            MetadataRequest(op=OpType.STAT, path="/d/f",
+                            request_id=env.next_id("request"),
+                            client_id="probe"),
             via="tcp",
         ))
 
@@ -218,7 +222,9 @@ def test_stale_snapshot_beyond_bound_is_not_served():
         # and the read must take the normal store path instead.
         yield env.timeout(fs.config.resilience.stale_read_bound_ms + 1.0)
         return (yield from instance.serve(
-            MetadataRequest(op=OpType.STAT, path="/d/f", client_id="probe"),
+            MetadataRequest(op=OpType.STAT, path="/d/f",
+                            request_id=env.next_id("request"),
+                            client_id="probe"),
             via="tcp",
         ))
 

@@ -17,7 +17,7 @@ CONVOY = FAMILIES["resilience"].config
 pytestmark = [pytest.mark.resilience, pytest.mark.chaos, pytest.mark.slow]
 
 
-def test_metastable_brownout_passes_with_enforcement(reset_sim_counters):
+def test_metastable_brownout_passes_with_enforcement():
     result = run_scenario(
         builtin_scenarios()["metastable-brownout"], CONVOY
     )
@@ -31,7 +31,7 @@ def test_metastable_brownout_passes_with_enforcement(reset_sim_counters):
     assert result.report.breaker_transitions > 0
 
 
-def test_noshed_twin_fails_with_deadline_violations(reset_sim_counters):
+def test_noshed_twin_fails_with_deadline_violations():
     result = run_scenario(
         builtin_scenarios()["metastable-brownout-noshed"],
         CONVOY,
@@ -48,11 +48,10 @@ def test_noshed_twin_fails_with_deadline_violations(reset_sim_counters):
     )
 
 
-def test_resilience_scenarios_are_deterministic(reset_sim_counters):
+def test_resilience_scenarios_are_deterministic():
     config = CONVOY
     scenario = builtin_scenarios()["metastable-brownout"]
     first = run_scenario(scenario, config)
-    reset_sim_counters()
     second = run_scenario(scenario, config)
     assert first.event_hash == second.event_hash
     assert first.log_hash == second.log_hash

@@ -6,8 +6,6 @@ the guarantees the subsystem advertises: determinism with telemetry
 on, zero footprint with it off.
 """
 
-import itertools
-
 import pytest
 
 from repro.bench.harness import (
@@ -16,27 +14,12 @@ from repro.bench.harness import (
     drive,
 )
 from repro.core import OpType
-from repro.core import client as client_mod
-from repro.core import messages
-from repro.faas import platform as platform_mod
-from repro.rpc import connections
 from repro.namespace.cache import CacheStats
 from repro.namespace.treegen import TreeSpec, generate_tree
 from repro.sim import Environment
 from repro.workloads import MicroBenchmark
 
 pytestmark = pytest.mark.telemetry
-
-
-def _reset_global_counters(monkeypatch):
-    """Fresh-interpreter id numbering (they feed RNG stream names),
-    as in tests/trace/test_determinism.py."""
-    monkeypatch.setattr(client_mod.LambdaFSClient, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.TcpConnection, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.TcpServer, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.ClientVM, "_ids", itertools.count(1))
-    monkeypatch.setattr(platform_mod.FunctionInstance, "_ids", itertools.count(1))
-    monkeypatch.setattr(messages, "_request_ids", itertools.count(1))
 
 
 def _run_micro(telemetry: bool, trace: bool = False, clients: int = 16,
@@ -112,9 +95,8 @@ def test_telemetry_off_leaves_no_registry():
     assert handle.telemetry is None
 
 
-def test_same_seed_runs_are_byte_identical(monkeypatch):
+def test_same_seed_runs_are_byte_identical():
     def sample_stream():
-        _reset_global_counters(monkeypatch)
         handle = _run_micro(telemetry=True, trace=True)
         ts = handle.telemetry.timeseries
         return ts.samples, handle.tracer.summary()["event_hash"]
@@ -125,13 +107,12 @@ def test_same_seed_runs_are_byte_identical(monkeypatch):
     assert first_hash == second_hash
 
 
-def test_disabled_telemetry_preserves_event_hash(monkeypatch):
+def test_disabled_telemetry_preserves_event_hash():
     # The instrumentation sites must be invisible when telemetry is
     # off: a traced run hashes identically to the pre-telemetry
     # behavior (and trivially to any other telemetry-off run).
     hashes = set()
     for _ in range(2):
-        _reset_global_counters(monkeypatch)
         handle = _run_micro(telemetry=False, trace=True)
         hashes.add(handle.tracer.summary()["event_hash"])
     assert len(hashes) == 1

@@ -46,7 +46,7 @@ def test_dashboard_empty_fallback():
 
 
 @pytest.mark.slow
-def test_tenants_cli_end_to_end(tmp_path, capsys, reset_sim_counters):
+def test_tenants_cli_end_to_end(tmp_path, capsys):
     from repro.cli import main
 
     out_dir = tmp_path / "exports"

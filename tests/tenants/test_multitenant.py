@@ -45,7 +45,7 @@ def test_mix_weights_cover_every_archetype():
         assert all(weight > 0 for weight in mix.values())
 
 
-def test_run_emits_per_tenant_series(reset_sim_counters):
+def test_run_emits_per_tenant_series():
     result = run_tenants()
     assert result.passed
     for name in ("alpha", "beta"):
@@ -61,9 +61,8 @@ def test_run_emits_per_tenant_series(reset_sim_counters):
     assert stats == {"alpha", "beta"}
 
 
-def test_same_seed_same_hash(reset_sim_counters):
+def test_same_seed_same_hash():
     first = run_tenants()
-    reset_sim_counters()
     second = run_tenants()
     assert first.event_hash == second.event_hash
     assert {n: c.issued for n, c in first.tenant_counts.items()} == {
@@ -71,13 +70,12 @@ def test_same_seed_same_hash(reset_sim_counters):
     }
 
 
-def _hash_of_run(reset, tagged: bool = True, governed: bool = False):
+def _hash_of_run(tagged: bool = True, governed: bool = False):
     """One multi-tenant run on a hand-built stack with tracing on and
     telemetry OFF; with ``tagged=False`` the clients carry no tenant
     identity, with ``governed=True`` a :class:`TenantGovernor` gates
     every op.  Returns the event hash and the governor's throttle
     counts."""
-    reset()
     env = Environment()
     workload = MultiTenantWorkload(env, SMALL_CAST, seed=3)
     if governed:
@@ -97,18 +95,17 @@ def _hash_of_run(reset, tagged: bool = True, governed: bool = False):
     return handle.tracer.event_hash(), throttled
 
 
-def test_tenant_labels_do_not_perturb_event_hash(reset_sim_counters):
+def test_tenant_labels_do_not_perturb_event_hash():
     """The acceptance gate: with telemetry off, tagging clients with
     tenant identities (span attrs only) must leave the kernel
     event-sequence hash byte-identical."""
-    tagged, _ = _hash_of_run(reset_sim_counters)
-    untagged, _ = _hash_of_run(reset_sim_counters, tagged=False)
+    tagged, _ = _hash_of_run()
+    untagged, _ = _hash_of_run(tagged=False)
     assert tagged == untagged
 
 
-def test_per_tenant_stage_sums_tile_op_latency(reset_sim_counters):
+def test_per_tenant_stage_sums_tile_op_latency():
     plain = run_tenants()
-    reset_sim_counters()
     result = run_tenants(replace(SMALL_RUN, profile=True))
     # Attribution reads only the finished trace.
     assert result.event_hash == plain.event_hash
@@ -126,13 +123,11 @@ def test_per_tenant_stage_sums_tile_op_latency(reset_sim_counters):
             )
 
 
-def test_governed_compliant_run_hash_matches_ungoverned(
-    reset_sim_counters,
-):
+def test_governed_compliant_run_hash_matches_ungoverned():
     """A compliant cast never hits its budget, so attaching the
     governor must not change the event sequence."""
-    plain, _ = _hash_of_run(reset_sim_counters)
-    governed, throttled = _hash_of_run(reset_sim_counters, governed=True)
+    plain, _ = _hash_of_run()
+    governed, throttled = _hash_of_run(governed=True)
     assert plain == governed
     assert throttled == {}
 

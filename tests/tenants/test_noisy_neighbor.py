@@ -59,7 +59,7 @@ def test_catalog_wiring():
     assert not scenario_needs_tenants(scenarios["nn-kills"])
 
 
-def test_governed_flood_recovers(reset_sim_counters):
+def test_governed_flood_recovers():
     result = run_scenario(_flood(False), CONFIG)
     assert result.passed, result.report.render()
     assert result.tenant_counts is not None
@@ -75,7 +75,7 @@ def test_governed_flood_recovers(reset_sim_counters):
     assert result.engine.governor.throttled.get("hog", 0) > 0
 
 
-def test_runaway_flood_is_caught(reset_sim_counters):
+def test_runaway_flood_is_caught():
     """disable_isolation kills the governor and latches the flood past
     its window — the fairness gate must fail the run."""
     result = run_scenario(_flood(True), CONFIG)
@@ -93,17 +93,14 @@ def test_runaway_flood_is_caught(reset_sim_counters):
     assert result.report.jain_min < CONFIG.slo.jain_floor
 
 
-def test_same_seed_same_hashes_in_tenant_mode(reset_sim_counters):
+def test_same_seed_same_hashes_in_tenant_mode():
     first = run_scenario(_flood(False), CONFIG)
-    reset_sim_counters()
     second = run_scenario(_flood(False), CONFIG)
     assert first.event_hash == second.event_hash
     assert first.log_hash == second.log_hash
 
 
-def test_non_tenant_scenario_report_has_no_fairness_line(
-    reset_sim_counters,
-):
+def test_non_tenant_scenario_report_has_no_fairness_line():
     """The fairness gate engages only for tenant_flood scenarios —
     existing single-tenant runs keep their exact report shape."""
     scenario = Scenario("plain", faults=(

@@ -1,36 +1,18 @@
 """Determinism regression: same seed, same bits.
 
 The tracer folds every kernel step into a streaming hash, so two
-runs are step-for-step identical iff their hashes match.  A handful
-of module-level id counters (client/connection/request numbering)
-feed RNG stream names and must be reset between in-process runs —
-exactly what a fresh interpreter would see.
+runs are step-for-step identical iff their hashes match.  Client,
+connection and request ids (which name RNG streams) come from each
+run's own ``Environment``, so two in-process runs see exactly what a
+fresh interpreter would.
 """
-
-import itertools
 
 import pytest
 
 from repro.bench.experiments import fig8_spotify
-from repro.core import client as client_mod
-from repro.core import messages
-from repro.faas import platform as platform_mod
-from repro.rpc import connections
 
 
-def _reset_global_counters(monkeypatch):
-    """Give every process-global id counter a fresh start, as a new
-    interpreter would."""
-    monkeypatch.setattr(client_mod.LambdaFSClient, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.TcpConnection, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.TcpServer, "_ids", itertools.count(1))
-    monkeypatch.setattr(connections.ClientVM, "_ids", itertools.count(1))
-    monkeypatch.setattr(platform_mod.FunctionInstance, "_ids", itertools.count(1))
-    monkeypatch.setattr(messages, "_request_ids", itertools.count(1))
-
-
-def _run(monkeypatch, seed):
-    _reset_global_counters(monkeypatch)
+def _run(seed):
     run = fig8_spotify(
         base_throughput=800.0,
         duration_ms=4_000.0,
@@ -45,9 +27,9 @@ def _run(monkeypatch, seed):
 
 
 @pytest.mark.slow
-def test_same_seed_is_bit_identical(monkeypatch):
-    first = _run(monkeypatch, seed=8)
-    second = _run(monkeypatch, seed=8)
+def test_same_seed_is_bit_identical():
+    first = _run(seed=8)
+    second = _run(seed=8)
 
     assert first.trace_report["event_hash"] == second.trace_report["event_hash"]
     assert first.trace_report["events_hashed"] == \
@@ -64,7 +46,7 @@ def test_same_seed_is_bit_identical(monkeypatch):
 
 
 @pytest.mark.slow
-def test_different_seed_diverges(monkeypatch):
-    first = _run(monkeypatch, seed=8)
-    other = _run(monkeypatch, seed=9)
+def test_different_seed_diverges():
+    first = _run(seed=8)
+    other = _run(seed=9)
     assert first.trace_report["event_hash"] != other.trace_report["event_hash"]
