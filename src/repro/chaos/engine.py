@@ -1,8 +1,8 @@
 """The chaos engine: scheduled fault activation + injection queries.
 
-One :class:`ChaosEngine` attaches to ``env.chaos`` (mirroring
-``env.tracer``/``env.metrics``: instrumented sites pay a single
-``is None`` check when chaos is off).  :meth:`start` runs a
+One :class:`ChaosEngine` attaches to ``env.chaos``, a plain attribute
+like ``env.tracer`` and ``env.metrics`` (``None`` = chaos off).
+:meth:`start` runs a
 :class:`~repro.chaos.scenario.Scenario` — a scheduler process walks
 the activation/deactivation edges in time order, and while a fault is
 active the fabric/store/coordinator hooks consult the engine on every
@@ -199,11 +199,11 @@ class ChaosEngine:
         for fault in self._active.get("tcp_delay", ()):
             if not fault.matches(deployment):
                 continue
-            p = float(fault.params.get("p", 1.0))
+            p = fault.p
             if p < 1.0 and self.rng.random() >= p:
                 continue
-            extra += float(fault.params.get("extra_ms", 5.0))
-            jitter = float(fault.params.get("jitter_ms", 0.0))
+            extra += fault.extra_ms
+            jitter = fault.jitter_ms
             if jitter > 0.0:
                 extra += self.rng.uniform(0.0, jitter)
         return extra
@@ -212,7 +212,7 @@ class ChaosEngine:
         """True when this TCP request is lost in the fabric."""
         for fault in self._active.get("tcp_drop", ()):
             if fault.matches(deployment) and (
-                self.rng.random() < float(fault.params.get("p", 0.1))
+                self.rng.random() < fault.p
             ):
                 self._log("tcp_drop", "inject", deployment=deployment)
                 return True
@@ -222,7 +222,7 @@ class ChaosEngine:
         """True when this TCP request is delivered twice."""
         for fault in self._active.get("tcp_duplicate", ()):
             if fault.matches(deployment) and (
-                self.rng.random() < float(fault.params.get("p", 0.1))
+                self.rng.random() < fault.p
             ):
                 self._log("tcp_duplicate", "inject", deployment=deployment)
                 return True
@@ -233,11 +233,11 @@ class ChaosEngine:
         extra = 0.0
         fail = False
         for fault in self._active.get("http_brownout", ()):
-            extra += float(fault.params.get("extra_ms", 0.0))
-            jitter = float(fault.params.get("jitter_ms", 0.0))
+            extra += fault.extra_ms
+            jitter = fault.jitter_ms
             if jitter > 0.0:
                 extra += self.rng.uniform(0.0, jitter)
-            fail_p = float(fault.params.get("fail_p", 0.0))
+            fail_p = fault.fail_p
             if fail_p > 0.0 and self.rng.random() < fail_p:
                 fail = True
         if fail:
@@ -257,7 +257,7 @@ class ChaosEngine:
         factor = 1.0
         for fault in self._active.get("store_slowdown", ()):
             if fault.matches_shard(shard_index):
-                factor *= float(fault.params.get("factor", 2.0))
+                factor *= fault.factor
         return factor
 
     def datanode_disk_factor(
@@ -310,7 +310,7 @@ class ChaosEngine:
         """True when this member's INV ACK is lost."""
         for fault in self._active.get("ack_loss", ()):
             if fault.matches(deployment) and (
-                self.rng.random() < float(fault.params.get("p", 0.5))
+                self.rng.random() < fault.p
             ):
                 self._log(
                     "ack_loss", "inject",

@@ -185,7 +185,11 @@ class Fault:
         self.validate()
 
     def validate(self) -> None:
-        """Subclass hook for parameter checking (raise ValueError)."""
+        """Subclass hook: parse and check params (raise ValueError).
+
+        Each parsed value becomes an attribute, so the engine's
+        per-request queries read it instead of re-parsing ``params``.
+        """
 
     def matches(self, deployment: Optional[str]) -> bool:
         target = self.params.get("deployment")
@@ -220,7 +224,7 @@ class TcpDropFault(Fault):
     allowed_params = ("p", "deployment")
 
     def validate(self) -> None:
-        self._p()
+        self.p = self._p()
 
 
 class TcpDelayFault(Fault):
@@ -231,9 +235,11 @@ class TcpDelayFault(Fault):
     allowed_params = ("extra_ms", "jitter_ms", "p", "deployment")
 
     def validate(self) -> None:
-        self._p(default=1.0)
-        if float(self.params.get("extra_ms", 5.0)) < 0:
+        self.p = self._p(default=1.0)
+        self.extra_ms = float(self.params.get("extra_ms", 5.0))
+        if self.extra_ms < 0:
             raise ValueError(f"{self.kind}: extra_ms must be >= 0")
+        self.jitter_ms = float(self.params.get("jitter_ms", 0.0))
 
 
 class TcpDuplicateFault(Fault):
@@ -249,7 +255,7 @@ class TcpDuplicateFault(Fault):
     allowed_params = ("p", "deployment")
 
     def validate(self) -> None:
-        self._p()
+        self.p = self._p()
 
 
 class TcpSeverFault(Fault):
@@ -319,9 +325,11 @@ class HttpBrownoutFault(Fault):
     allowed_params = ("extra_ms", "jitter_ms", "fail_p")
 
     def validate(self) -> None:
-        self._p("fail_p", default=0.0)
-        if float(self.params.get("extra_ms", 0.0)) < 0:
+        self.fail_p = self._p("fail_p", default=0.0)
+        self.extra_ms = float(self.params.get("extra_ms", 0.0))
+        if self.extra_ms < 0:
             raise ValueError(f"{self.kind}: extra_ms must be >= 0")
+        self.jitter_ms = float(self.params.get("jitter_ms", 0.0))
 
 
 # -- metastore ----------------------------------------------------------
@@ -351,7 +359,8 @@ class StoreSlowdownFault(Fault):
     allowed_params = ("factor", "shard")
 
     def validate(self) -> None:
-        if float(self.params.get("factor", 2.0)) <= 0:
+        self.factor = float(self.params.get("factor", 2.0))
+        if self.factor <= 0:
             raise ValueError(f"{self.kind}: factor must be > 0")
 
     def matches_shard(self, index: int) -> bool:
@@ -411,7 +420,7 @@ class AckLossFault(Fault):
         self._saved: Optional[Dict[str, Any]] = None
 
     def validate(self) -> None:
-        self._p(default=0.5)
+        self.p = self._p(default=0.5)
 
     def on_activate(self) -> None:
         coordinator = self.engine.coordinator
@@ -742,7 +751,8 @@ class DiskSlowFault(Fault):
     allowed_params = ("factor", "rack", "datanode")
 
     def validate(self) -> None:
-        if float(self.params.get("factor", 4.0)) <= 0:
+        self.factor = float(self.params.get("factor", 4.0))
+        if self.factor <= 0:
             raise ValueError(f"{self.kind}: factor must be > 0")
 
     def matches_datanode(self, node_id: str, rack: Optional[str]) -> bool:
@@ -751,10 +761,6 @@ class DiskSlowFault(Fault):
             return False
         want_rack = self.params.get("rack")
         return want_rack is None or want_rack == rack
-
-    @property
-    def factor(self) -> float:
-        return float(self.params.get("factor", 4.0))
 
 
 class TenantFloodFault(Fault):
@@ -785,16 +791,10 @@ class TenantFloodFault(Fault):
     def validate(self) -> None:
         if not self.params.get("tenant"):
             raise ValueError(f"{self.kind}: tenant param is required")
-        if float(self.params.get("think_ms", 0.0)) < 0:
+        self.tenant = str(self.params["tenant"])
+        self.think_ms = float(self.params.get("think_ms", 0.0))
+        if self.think_ms < 0:
             raise ValueError(f"{self.kind}: think_ms must be >= 0")
-
-    @property
-    def tenant(self) -> str:
-        return str(self.params["tenant"])
-
-    @property
-    def think_ms(self) -> float:
-        return float(self.params.get("think_ms", 0.0))
 
     def on_activate(self) -> None:
         engine = self.engine
@@ -826,12 +826,9 @@ class LoadSpikeFault(Fault):
     allowed_params = ("think_factor",)
 
     def validate(self) -> None:
-        if float(self.params.get("think_factor", 0.25)) <= 0:
+        self.think_factor = float(self.params.get("think_factor", 0.25))
+        if self.think_factor <= 0:
             raise ValueError(f"{self.kind}: think_factor must be > 0")
-
-    @property
-    def think_factor(self) -> float:
-        return float(self.params.get("think_factor", 0.25))
 
 
 class DisableSheddingFault(Fault):

@@ -79,6 +79,13 @@ def scenario_needs_resilience(scenario: Scenario) -> bool:
 #: Typed errors a chaos client absorbs and retries past.
 RECOVERABLE_ERRORS = (ConnectionDropped, InstanceTerminated, RequestTimeout)
 
+#: Prewarm depth; ≥2 keeps a remote INV target alive per deployment.
+PREWARM_INSTANCES = 2
+#: Per-client warm-up reads before the scenario starts (establishes
+#: TCP connections and populates caches; excluded from the SLO
+#: baseline, which starts at the engine epoch).
+PRELUDE_READS = 12
+
 
 @dataclass(frozen=True)
 class ChaosRunConfig:
@@ -88,8 +95,6 @@ class ChaosRunConfig:
     clients: int = 24
     deployments: int = 4
     vcpus: float = 512.0
-    instances_per_deployment: int = 2
-    """Prewarm depth; ≥2 keeps a remote INV target alive per deployment."""
     write_fraction: float = 0.15
     """Slice of ops that are metadata writes (drive INV rounds)."""
     think_ms: float = 40.0
@@ -97,10 +102,6 @@ class ChaosRunConfig:
     replacement_probability: float = 0.02
     """Client FaaS re-invoke probability (keeps the HTTP path warm)."""
     telemetry_interval_ms: float = 250.0
-    prelude_ops: int = 12
-    """Per-client warm-up reads before the scenario starts (establishes
-    TCP connections and populates caches; excluded from the SLO
-    baseline, which starts at the engine epoch)."""
     drain_ms: float = 8_000.0
     """Grace beyond the SLO window before the run is cut off; ops
     still in flight then are hung by definition."""
@@ -110,7 +111,6 @@ class ChaosRunConfig:
     """DataNode fleet size.  None = auto: 9 when the scenario injects
     data-plane faults, 0 (no fleet, the legacy byte-identical
     configuration) otherwise.  Explicit 0 always disables."""
-    datanode_racks: int = 3
     datanode_start: bool = True
     """False attaches the fleet without spawning any of its processes
     (the attached-but-idle determinism regression)."""
@@ -125,10 +125,6 @@ class ChaosRunConfig:
     otherwise.  An empty tuple always disables; a non-empty tuple
     forces tenant mode (``config.clients`` is then ignored — each
     spec sizes its own fleet)."""
-    governor_headroom: float = 2.0
-    """QoS governor budget per tenant, as a multiple of its nominal
-    demand (see :meth:`TenantGovernor.for_tenants`)."""
-    governor_burst_ms: float = 250.0
     resilience: Optional[ResilienceConfig] = None
     """Resilience layer.  None = auto: a default
     :class:`~repro.resilience.ResilienceConfig` when the scenario
@@ -275,9 +271,7 @@ def run_scenario(
     fleet_config = None
     build_extra = {}
     if datanodes > 0:
-        fleet_config = DataNodeFleetConfig(
-            count=datanodes, racks=config.datanode_racks
-        )
+        fleet_config = DataNodeFleetConfig(count=datanodes)
         if config.datanode_start:
             # A *running* fleet replaces the legacy report publisher;
             # a stale-row filter makes the NameNodes drop DataNodes
@@ -333,16 +327,12 @@ def run_scenario(
         install_tenant_telemetry(
             env.metrics, [spec.name for spec in tenant_specs]
         )
-    drive(env, fs.prewarm(config.instances_per_deployment))
-    if config.prelude_ops > 0:
-        # Prelude runs before clients are tenant-tagged, so its warm-up
-        # reads stay out of the per-tenant series (and the SLO baseline
-        # starts clean at the engine epoch either way).
-        bench = MicroBenchmark(env, tree, seed=config.seed)
-        drive(
-            env,
-            bench.run(clients, OpType.READ_FILE, 0, config.prelude_ops),
-        )
+    drive(env, fs.prewarm(PREWARM_INSTANCES))
+    # Prelude runs before clients are tenant-tagged, so its warm-up
+    # reads stay out of the per-tenant series (and the SLO baseline
+    # starts clean at the engine epoch either way).
+    bench = MicroBenchmark(env, tree, seed=config.seed)
+    drive(env, bench.run(clients, OpType.READ_FILE, 0, PRELUDE_READS))
 
     engine = install_chaos(env, system=fs, seed=config.seed)
     engine.start(scenario)
@@ -358,11 +348,7 @@ def run_scenario(
         # (``tenant_flood``'s ``disable_isolation`` kills it via
         # ``engine.governor``), and the flood lookup turns the noisy
         # tenant's loops into a storm while the fault is active.
-        governor = TenantGovernor.for_tenants(
-            env, tenant_specs,
-            headroom=config.governor_headroom,
-            burst_ms=config.governor_burst_ms,
-        )
+        governor = TenantGovernor.for_tenants(env, tenant_specs)
         engine.governor = governor
         workload.governor = governor
         workload.flood_think = engine.tenant_flood_think_ms

@@ -9,9 +9,8 @@ and the TCP-connection prelude — see :mod:`repro.chaos.runner`.
 ``repro chaos matrix --family F`` and gated against ``BENCH_<F>.json``.
 Each family names its scenarios in run order and the run shape they
 need; every scenario is judged by whichever of the seven verifier gates
-its evidence enables.  The order is part of the baseline: global
-id counters carry over between scenarios run in one process, so a
-scenario's hashes depend on what ran before it.
+its evidence enables.  Ids are numbered per run, so each record
+reproduces alone: it does not depend on what ran before it.
 
 The :data:`EXPECTED_FAIL` scenarios are deliberately broken recovery
 paths the verifier *must* fail — e.g. ``ack-loss-noretry``, ACK loss

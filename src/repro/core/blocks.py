@@ -142,18 +142,3 @@ class BlockManager:
             block_id: self.place(block_id, datanodes, racks)
             for block_id in block_ids
         }
-
-    def reconcile(
-        self,
-        block_ids: Sequence[int],
-        reported: Dict[str, int],
-        datanodes: Sequence[str],
-    ) -> Dict[int, List[str]]:
-        """Filter placements to DataNodes whose reports are live.
-
-        ``reported`` maps DataNode id to its latest report count; a
-        DataNode missing from it is treated as dead and dropped from
-        placements (the block-map consistency role of block reports).
-        """
-        live = [dn for dn in datanodes if dn in reported]
-        return self.locations(block_ids, live)

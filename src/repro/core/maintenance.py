@@ -71,19 +71,28 @@ class DataNodeService:
                 published_at_ms=self.env.now,
                 block_count=self.config.blocks_per_report,
             )
-
-            def body(txn, row=report):
-                yield from txn.write(("datanode", row.datanode_id), row)
-
-            try:
-                yield from self.store.run_transaction(body)
-            except TransactionAborted:
-                # The store can stay unreachable past the txn retry
-                # budget (shard outage, open circuit breaker).  A block
-                # report is periodic soft state — drop this edition and
-                # publish a fresh one next interval instead of letting
-                # the reporter process die with the exception.
-                self.reports_dropped += 1
-            else:
+            if (yield from publish_report(self.store, report)):
                 self.reports_published += 1
+            else:
+                self.reports_dropped += 1
             yield self.env.timeout(self.config.report_interval_ms)
+
+
+def publish_report(store: NdbStore, report: BlockReport) -> Generator:
+    """Generator: write ``report``'s row; returns False if it was dropped.
+
+    The store can stay unreachable past the txn retry budget (shard
+    outage, open circuit breaker).  A block report is periodic soft
+    state, so the caller drops this edition and publishes a fresh one
+    next interval instead of letting the reporter process die with the
+    exception.
+    """
+
+    def body(txn):
+        yield from txn.write(("datanode", report.datanode_id), report)
+
+    try:
+        yield from store.run_transaction(body)
+    except TransactionAborted:
+        return False
+    return True

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Sequence, Set
 
 from repro.core.blocks import rack_aware_place
-from repro.core.maintenance import BlockReport
+from repro.core.maintenance import BlockReport, publish_report
 from repro.datanode.node import DataNode, DataNodeFleetConfig
 from repro.datanode.pipeline import write_pipeline
 from repro.datanode.scanner import ReplicationScanner
@@ -55,6 +55,7 @@ class DataNodeFleet:
         self.repair_enabled = bool(self.config.repair_enabled)
         self.started = False
         self.reports_published = 0
+        self.reports_dropped = 0
 
     # -- lookups -------------------------------------------------------
     def node(self, node_id: str) -> Optional[DataNode]:
@@ -156,7 +157,8 @@ class DataNodeFleet:
         serverless heartbeat substitute, §1/§3): NameNodes derive
         their DataNode view from these rows.  A dead node stops
         publishing, so its row goes stale and the NameNode's
-        staleness filter drops it from metadata placement.
+        staleness filter drops it from metadata placement.  A write the
+        store aborts is dropped, as in the legacy service.
         """
         interval = self.config.publish_interval_ms
         while True:
@@ -168,10 +170,8 @@ class DataNodeFleet:
                     healthy=True,
                     rack=dn.rack,
                 )
-
-                def body(txn, row=report):
-                    yield from txn.write(("datanode", row.datanode_id), row)
-
-                yield from self.store.run_transaction(body)
-                self.reports_published += 1
+                if (yield from publish_report(self.store, report)):
+                    self.reports_published += 1
+                else:
+                    self.reports_dropped += 1
             yield self.env.timeout(interval)

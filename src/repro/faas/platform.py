@@ -162,7 +162,7 @@ class FunctionInstance:
         if not self.is_alive:
             raise InstanceTerminated(self.id)
         if self.state == "provisioning":
-            tracer = self.env.tracer if self.env.instrumented else None
+            tracer = self.env.tracer
             cold_span = None
             if tracer is not None:
                 cold_span = tracer.begin(
@@ -399,13 +399,8 @@ class FaaSPlatform:
         """
         deployment = self.deployments[deployment_name]
         env = self.env
-        # One flag read covers metrics + tracer on the invoker path.
-        if env.instrumented:
-            metrics = env.metrics
-            tracer = env.tracer
-        else:
-            metrics = None
-            tracer = None
+        metrics = env.metrics
+        tracer = env.tracer
         if metrics is not None:
             metrics.inc(
                 "faas_invocations_total", deployment=deployment_name

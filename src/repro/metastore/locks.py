@@ -98,14 +98,8 @@ class LockManager:
         budget = self.default_timeout_ms if timeout_ms is None else timeout_ms
         lock = self._locks.setdefault(key, _KeyLock())
         env = self.env
-        # One env.instrumented read covers tracer + metrics on the
-        # hottest lock path (every row access comes through here).
-        if env.instrumented:
-            tracer = env.tracer
-            metrics = env.metrics
-        else:
-            tracer = None
-            metrics = None
+        tracer = env.tracer
+        metrics = env.metrics
 
         held = lock.holders.get(owner)
         if held is not None:
@@ -193,7 +187,7 @@ class LockManager:
         if lock is None or owner not in lock.holders:
             return
         lock.revoke(owner)
-        tracer = self.env.tracer if self.env.instrumented else None
+        tracer = self.env.tracer
         if tracer is not None:
             tracer.point("lock.release", repr(owner), key=repr(key))
         self._grant_waiters(key, lock)
@@ -212,7 +206,7 @@ class LockManager:
         return len(lock.holders) == 1 and owner in lock.holders
 
     def _grant_waiters(self, key: Any, lock: _KeyLock) -> None:
-        tracer = self.env.tracer if self.env.instrumented else None
+        tracer = self.env.tracer
         granted_any = True
         while granted_any and lock.queue:
             granted_any = False

@@ -139,7 +139,7 @@ class NdbStore:
         """
         txn = Transaction(self, next(self._txn_ids), label,
                           deadline_ms=deadline_ms)
-        tracer = self.env.tracer if self.env.instrumented else None
+        tracer = self.env.tracer
         if tracer is not None:
             txn._trace_span = tracer.begin(
                 "txn", repr(txn), parent=trace_parent, label=label
@@ -222,7 +222,7 @@ class NdbStore:
                     f"{breaker.name} breaker open"
                 )
         started = self.env.now
-        chaos = self.env.chaos if self.env.instrumented else None
+        chaos = self.env.chaos
         if chaos is not None:
             index = self._shards.index(shard)
             hold = chaos.store_hold_ms(index)
@@ -426,9 +426,8 @@ class Transaction:
         """Apply staged writes and release all locks."""
         self._check_open()
         env = self.store.env
-        instrumented = env.instrumented
         if self._staged:
-            tracer = env.tracer if instrumented else None
+            tracer = env.tracer
             commit_span = None
             if tracer is not None:
                 commit_span = tracer.begin(
@@ -448,7 +447,7 @@ class Transaction:
                 self.store._apply_write(key, value)
             self.store.stats.writes += len(self._staged)
         self.store.stats.commits += 1
-        if instrumented and env.metrics is not None:
+        if env.metrics is not None:
             env.metrics.inc("store_txns_total", outcome="commit")
         self._finish(committed=True)
 
@@ -458,7 +457,7 @@ class Transaction:
             return
         self.store.stats.aborts += 1
         env = self.store.env
-        if env.instrumented and env.metrics is not None:
+        if env.metrics is not None:
             env.metrics.inc("store_txns_total", outcome="abort")
         self._finish(committed=False)
 
@@ -479,7 +478,7 @@ class Transaction:
         self._staged.clear()
         self._done = True
         env = self.store.env
-        tracer = env.tracer if env.instrumented else None
+        tracer = env.tracer
         if tracer is not None:
             # txn.end comes after release_all so the lock-discipline
             # checker has seen every lock.release for this owner.

@@ -55,14 +55,8 @@ class TcpConnection:
         """
         env = self.server.env
         latency = self.server.latency
-        # One flag read covers tracer + chaos when the sim runs bare
-        # (the common case for benchmarks); see docs/kernel.md.
-        if env.instrumented:
-            tracer = env.tracer
-            chaos = env.chaos
-        else:
-            tracer = None
-            chaos = None
+        tracer = env.tracer
+        chaos = env.chaos
         parent = getattr(request, "trace_parent", None)
         if not self.alive or not self.instance.is_alive:
             self.close()
@@ -225,7 +219,7 @@ class ClientVM:
         on this VM, paying one intra-VM hop.  Returns a live
         connection or None.
         """
-        metrics = self.env.metrics if self.env.instrumented else None
+        metrics = self.env.metrics
         connection = own_server.find(deployment)
         if connection is not None:
             if metrics is not None:

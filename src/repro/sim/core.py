@@ -6,21 +6,12 @@ then insertion order), but push/pop cost tracks local event density
 instead of the global pending count, which is what makes 100k+ client
 runs feasible (see docs/kernel.md).
 
-Instrumentation fast path
--------------------------
-``tracer``, ``metrics`` and ``chaos`` read and assign exactly as
-before (``env.chaos = engine`` / ``env.tracer = None``), but they are
-properties whose setters precompute two plain attributes:
-
-* ``instrumented`` — True iff *any* of the three subsystems is
-  attached.  Hot instrumentation sites check this single flag first
-  and skip the three per-subsystem ``is None`` checks when the
-  simulation runs bare (the common case for benchmarks).
-* ``_on_step`` — the tracer's bound ``on_step`` hook or ``None``; the
-  run loop reads one attribute per step instead of two.
-
-Attaching a tracer requires an ``on_step`` callable (the determinism
-hash and step counters depend on it being invoked for every event).
+Hooks
+-----
+``tracer``, ``metrics`` and ``chaos`` are plain attributes; ``None``
+means off.  An attached tracer needs an ``on_step`` callable: the run
+loop calls it for every event (the determinism hash and step counters
+depend on it).
 """
 
 from __future__ import annotations
@@ -53,12 +44,10 @@ class Environment:
     """
 
     # Slotted for attribute-lookup speed on the hot paths (schedule,
-    # the run loop, Timeout's inlined push); ``__dict__`` stays so
-    # external code can still hang arbitrary attributes off an env.
+    # the run loop, Timeout's inlined push).
     __slots__ = (
         "_now", "_queue", "_eid_next", "_steps", "_active_proc",
-        "_tracer", "_metrics", "_chaos", "_on_step", "instrumented",
-        "_ids", "__dict__", "__weakref__",
+        "tracer", "metrics", "chaos", "_ids", "__weakref__",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -67,15 +56,12 @@ class Environment:
         self._eid_next = 0
         self._steps = 0
         self._active_proc: Optional[Process] = None
-        self._tracer: Optional[Any] = None
-        self._metrics: Optional[Any] = None
-        self._chaos: Optional[Any] = None
-        self._on_step: Optional[Any] = None
-        #: True iff a tracer, metrics registry, or chaos engine is
-        #: attached.  Plain attribute, recomputed by the property
-        #: setters below; hot paths branch on it before touching the
-        #: individual subsystems.
-        self.instrumented = False
+        #: Optional :class:`repro.trace.Tracer` (``None`` = tracing off).
+        self.tracer: Optional[Any] = None
+        #: Optional :class:`repro.telemetry.MetricsRegistry`.
+        self.metrics: Optional[Any] = None
+        #: Optional :class:`repro.chaos.ChaosEngine`.
+        self.chaos: Optional[Any] = None
         self._ids: Dict[str, int] = {}
 
     @property
@@ -92,57 +78,6 @@ class Environment:
     def steps(self) -> int:
         """Total events executed by :meth:`step`/:meth:`run` so far."""
         return self._steps
-
-    # -- instrumentation attachment points ----------------------------
-    # Reading/assigning these looks exactly like the plain attributes
-    # they used to be; the setters keep ``instrumented``/``_on_step``
-    # coherent so the run loop and instrumentation sites stay cheap.
-    @property
-    def tracer(self) -> Optional[Any]:
-        """Optional :class:`repro.trace.Tracer` (``None`` = tracing off)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value: Optional[Any]) -> None:
-        self._tracer = value
-        self._on_step = None if value is None else value.on_step
-        self.instrumented = (
-            value is not None
-            or self._metrics is not None
-            or self._chaos is not None
-        )
-
-    @property
-    def metrics(self) -> Optional[Any]:
-        """Optional :class:`repro.telemetry.MetricsRegistry`."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, value: Optional[Any]) -> None:
-        self._metrics = value
-        self.instrumented = (
-            value is not None
-            or self._tracer is not None
-            or self._chaos is not None
-        )
-
-    @property
-    def chaos(self) -> Optional[Any]:
-        """Optional :class:`repro.chaos.ChaosEngine`.
-
-        With no engine attached the simulation is byte-identical to a
-        build without the chaos subsystem.
-        """
-        return self._chaos
-
-    @chaos.setter
-    def chaos(self, value: Optional[Any]) -> None:
-        self._chaos = value
-        self.instrumented = (
-            value is not None
-            or self._tracer is not None
-            or self._metrics is not None
-        )
 
     def next_id(self, kind: str) -> int:
         """The next id of ``kind`` in this run: 1, 2, … per kind.
@@ -193,9 +128,9 @@ class Environment:
 
         self._now = when
         self._steps += 1
-        on_step = self._on_step
-        if on_step is not None:
-            on_step(when, prio, eid, event)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.on_step(when, prio, eid, event)
         callbacks = event.callbacks
         event.callbacks = None
         cls = callbacks.__class__
@@ -292,9 +227,9 @@ class Environment:
                     over = queue._over
                 when, prio, eid, event = entry
                 self._now = when
-                on_step = self._on_step
-                if on_step is not None:
-                    on_step(when, prio, eid, event)
+                tracer = self.tracer
+                if tracer is not None:
+                    tracer.on_step(when, prio, eid, event)
                 callbacks = event.callbacks
                 event.callbacks = None
                 cls = callbacks.__class__

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Default histogram buckets (milliseconds): spans sub-ms lock waits
 #: through multi-second cold starts.
@@ -36,6 +36,28 @@ DEFAULT_BUCKETS_MS = (
 )
 
 LabelKey = Tuple[Tuple[str, str], ...]
+
+
+def bucket_quantile(
+    bounds: Sequence[float], counts: Sequence[float], q: float
+) -> float:
+    """Upper bucket bound containing the ``q``-quantile (0..1).
+
+    ``counts[i]`` counts the bucket bounded by ``bounds[i]``; a count
+    past the last bound is the +Inf bucket.  No observations reads 0.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be in [0, 1]")
+    total = sum(counts)
+    if total <= 0:
+        return 0.0
+    target = q * total
+    running = 0
+    for index, count in enumerate(counts):
+        running += count
+        if running >= target:
+            return bounds[index] if index < len(bounds) else float("inf")
+    return float("inf")
 
 
 def label_key(labels: Dict[str, Any]) -> LabelKey:
@@ -192,41 +214,16 @@ class Histogram:
 
     def quantile(self, q: float, **labels: Any) -> float:
         """Upper bucket bound containing the ``q``-quantile (0..1)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        counts = self._counts.get(label_key(labels))
-        if not counts or sum(counts) == 0:
-            return 0.0
-        target = q * sum(counts)
-        running = 0
-        for index, bucket_count in enumerate(counts):
-            running += bucket_count
-            if running >= target:
-                if index < len(self.buckets):
-                    return self.buckets[index]
-                return float("inf")
-        return float("inf")
+        counts = self._counts.get(label_key(labels), ())
+        return bucket_quantile(self.buckets, counts, q)
 
     def aggregate_quantile(self, q: float) -> float:
         """Quantile over the merged buckets of every labeled child."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
         merged = [0] * (len(self.buckets) + 1)
         for counts in self._counts.values():
             for index, bucket_count in enumerate(counts):
                 merged[index] += bucket_count
-        total = sum(merged)
-        if total == 0:
-            return 0.0
-        target = q * total
-        running = 0
-        for index, bucket_count in enumerate(merged):
-            running += bucket_count
-            if running >= target:
-                if index < len(self.buckets):
-                    return self.buckets[index]
-                return float("inf")
-        return float("inf")
+        return bucket_quantile(self.buckets, merged, q)
 
     def collect(self) -> Dict[str, float]:
         out: Dict[str, float] = {}

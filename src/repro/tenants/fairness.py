@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.tenants.telemetry import INF_LABEL
+from repro.telemetry.registry import bucket_quantile
 from repro.telemetry.sampler import interval_deltas
 
 
@@ -137,19 +138,9 @@ def bucket_delta_rows(
 def quantile_from_counts(
     bounds: Sequence[str], counts: Sequence[float], q: float
 ) -> float:
-    """Upper bucket bound containing the q-quantile (0..1)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
-    total = sum(counts)
-    if total <= 0:
-        return 0.0
-    target = q * total
-    running = 0.0
-    for le, count in zip(bounds, counts):
-        running += count
-        if running >= target:
-            return float("inf") if le == INF_LABEL else float(le)
-    return float("inf")
+    """Upper bucket bound containing the q-quantile (0..1), over
+    ``le`` labels (``float`` parses the ``+Inf`` label too)."""
+    return bucket_quantile([float(le) for le in bounds], counts, q)
 
 
 def p99_timeline(

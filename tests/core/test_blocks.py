@@ -115,14 +115,6 @@ def test_locations_maps_all_blocks():
     assert all(replicas for replicas in table.values())
 
 
-def test_reconcile_drops_dead_datanodes():
-    manager = BlockManager(BlockPlacementConfig(replication=2))
-    datanodes = ["dn0", "dn1", "dn2"]
-    reported = {"dn0": 64, "dn2": 64}  # dn1 stopped reporting
-    table = manager.reconcile((5,), reported, datanodes)
-    assert set(table[5]) <= {"dn0", "dn2"}
-
-
 def test_created_files_get_blocks():
     from repro.core import LambdaFS
     from repro.sim import Environment
