@@ -65,6 +65,12 @@ class MetadataRequest:
     Every hop — gateway, FaaS queue, NameNode admission, metastore
     txn — computes its remaining budget from this and sheds the
     request once it has expired instead of executing dead work."""
+    replies: Optional[dict] = field(default=None, compare=False, repr=False)
+    """NameNode member id -> the :class:`MetadataResponse` it gave this
+    request: the result cache that answers resubmits (§3.2).  Every
+    attempt and duplicate delivers this same object, so a reply is
+    kept exactly as long as some delivery can still look it up, and
+    is freed with the request."""
 
 
 @dataclass(slots=True)

@@ -46,7 +46,6 @@ class NameNodeConfig:
     """Extra CPU on the cache-miss path (building queries, caching)."""
     cpu_ms_write: float = 0.45
     """Extra CPU for write orchestration (locking, coherence)."""
-    result_cache_ttl_ms: float = 30_000.0
     datanode_refresh_ms: float = 5_000.0
     datanode_stale_after_ms: float | None = None
     """Drop DataNodes whose last published report is older than this
@@ -66,10 +65,6 @@ class LambdaNameNode:
         self.cache = MetadataCache(capacity=self.config.cache_capacity)
         self.cache.put("/", INode.root())
         self._listing_cache: Dict[str, List[str]] = {}
-        # Results are retained briefly so resubmitted requests (after
-        # timeouts or dropped connections) get the original answer
-        # instead of re-running the operation (§3.2).
-        self._result_cache: Dict[int, Tuple[float, MetadataResponse]] = {}
         # A resubmitted duplicate can arrive while its original is
         # still executing (straggler watchdog + slow instance); the
         # duplicate waits here for the original's answer instead of
@@ -81,7 +76,6 @@ class LambdaNameNode:
         # inode id -> the READ_FILE view of that INode over the current
         # DataNode view (see _file_view); cleared when the view changes.
         self._file_views: Dict[int, dict] = {}
-        self._last_result_purge = 0.0
         self._backoff_rng = fs.rngs.stream("nn-retry")
         # Resilience control plane (None keeps every path identical).
         res = fs.resilience
@@ -117,8 +111,12 @@ class LambdaNameNode:
         """Serve one metadata RPC; returns a :class:`MetadataResponse`."""
         env = self.fs.env
         tracer = env.tracer
-        self._purge_result_cache()
-        cached = self._result_cache.get(request.request_id)
+        # A resubmitted request (after a timeout or a dropped
+        # connection) gets this NameNode's original answer instead of
+        # re-running the op (§3.2).  The answer rides the request, so
+        # it lives exactly as long as some attempt can deliver it.
+        replies = request.replies
+        cached = replies.get(self.member_id) if replies is not None else None
         if cached is not None:
             if tracer is not None:
                 tracer.point(
@@ -127,7 +125,7 @@ class LambdaNameNode:
                     request_id=request.request_id,
                 )
             yield from self.instance.compute(self.config.cpu_ms_per_op / 2)
-            return cached[1]
+            return cached
 
         inflight = self._inflight.get(request.request_id)
         if inflight is not None:
@@ -201,7 +199,9 @@ class LambdaNameNode:
                 )
             if tracer is not None:
                 tracer.end(span, ok=response.ok, cache_hit=response.cache_hit)
-            self._result_cache[request.request_id] = (env.now, response)
+            if request.replies is None:
+                request.replies = {}
+            request.replies[self.member_id] = response
         finally:
             if self._inflight.get(request.request_id) is marker:
                 del self._inflight[request.request_id]
@@ -779,22 +779,3 @@ class LambdaNameNode:
         """Proactively open TCP connections to the client's servers."""
         for server in request.tcp_servers:
             server.connect_from(self.instance)
-
-    def _purge_result_cache(self) -> None:
-        now = self.fs.env.now
-        ttl = self.config.result_cache_ttl_ms
-        # Purging is amortized: scan at most once per quarter-TTL so
-        # a full cache does not trigger a rescan on every request.
-        if (
-            len(self._result_cache) < 4096
-            or now - self._last_result_purge < ttl / 4
-        ):
-            return
-        self._last_result_purge = now
-        expired = [
-            request_id
-            for request_id, (at, _) in self._result_cache.items()
-            if now - at > ttl
-        ]
-        for request_id in expired:
-            del self._result_cache[request_id]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import LambdaFS, LambdaFSConfig, OpType
 from repro.core.client import ClientConfig
+from repro.core.messages import MetadataRequest
 from repro.core.namenode import NameNodeConfig
 from repro.faas import FaaSConfig
 from repro.metastore import NdbConfig
@@ -311,6 +312,80 @@ def test_result_cache_dedupes_resubmission():
     # Identical request_id: the retained result is returned, the op
     # is NOT re-executed (no AlreadyExists error).
     assert r2.ok and r2.value is r1.value
+
+
+def _invoke_then_replay(env, fs, request, replay_on=lambda served: served,
+                        gap_ms=0.0, between=None):
+    """Invoke ``request`` on its deployment, wait ``gap_ms`` (running
+    ``between`` if given), then deliver the same request object again
+    over TCP to ``replay_on(serving instance)``."""
+    deployment = fs.partitioner.deployment_for(request.path)
+
+    def scenario(env):
+        first, served = yield from fs.platform.invoke(deployment, request)
+        yield env.timeout(gap_ms)
+        if between is not None:
+            yield from between()
+        target = replay_on(served)
+        yield target.started
+        again = yield from target.serve(request, via="tcp")
+        return first, served, again
+
+    return drive(env, scenario(env))
+
+
+def _create_request(env, path):
+    return MetadataRequest(op=OpType.CREATE_FILE, path=path,
+                           request_id=env.next_id("request"))
+
+
+def test_result_cache_answers_a_replay_long_after_its_reply():
+    # The reply rides the request, so no TTL drops it while the request
+    # can still be delivered.
+    env = Environment()
+    fs = make_fs(env)
+    drive(env, fs.new_client().mkdirs("/d"))
+    first, _served, again = _invoke_then_replay(
+        env, fs, _create_request(env, "/d/f"), gap_ms=40_000.0
+    )
+    assert first.ok
+    # Answered from the cache: the op is not re-executed (a second
+    # create would fail with AlreadyExists).
+    assert again is first
+
+
+def test_result_cache_is_per_namenode_instance():
+    env = Environment()
+    fs = make_fs(env)
+    drive(env, fs.new_client().mkdirs("/d"))
+    first, served, again = _invoke_then_replay(
+        env, fs, _create_request(env, "/d/f"),
+        replay_on=lambda served: fs.platform.provision(served.deployment),
+    )
+    assert first.ok and first.served_by == served.id
+    # A sibling of the same deployment holds no reply for the request,
+    # so it executes it, and the file already exists.
+    siblings = {nn.id for nn in served.deployment.live_instances()} - {served.id}
+    assert again.served_by in siblings
+    assert not again.ok and again.error.startswith("AlreadyExistsError")
+
+
+def test_result_cache_replays_a_failure_as_the_same_failure():
+    env = Environment()
+    fs = make_fs(env)
+    client = fs.new_client()
+
+    def make_parent():
+        response = yield from client.mkdirs("/late")
+        assert response.ok
+
+    # The parent is created between the two deliveries, so executing
+    # the replay would now succeed; the cached failure is returned.
+    first, _served, again = _invoke_then_replay(
+        env, fs, _create_request(env, "/late/f"), between=make_parent
+    )
+    assert not first.ok and first.error.startswith("NotFoundError")
+    assert again is first
 
 
 def test_read_file_returns_block_locations():

@@ -6,14 +6,18 @@ deadline.  It must not keep the finished op alive until then: the live
 ``AnyOf`` and ``Process`` count after a closed read loop has to be the
 same whether each client ran a few ops or many.
 
-Responses stay in each NameNode's result cache for its TTL, so what a
-response holds stays live too: a READ_FILE view is shared per
-(NameNode, inode) rather than built per response, and the per-op
-records carry no instance ``__dict__``.
+A NameNode's reply rides the request it answers (its result cache,
+``MetadataRequest.replies``), so it is freed with the request once no
+attempt or duplicate can deliver it again: the live
+``MetadataResponse`` count must not grow with ops per client either.
+What a reply holds while it lives stays small: a READ_FILE view is
+shared per (NameNode, inode) rather than built per response, and the
+per-op records carry no instance ``__dict__``.
 """
 
 import gc
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +33,7 @@ from repro.workloads import MicroBenchmark
 CLIENTS = 64
 
 
-def _live_after_read_loop(ops_per_client: int) -> int:
+def _live_after_read_loop(ops_per_client: int, kinds) -> int:
     tree = generate_tree(TreeSpec(depth=2, dirs_per_dir=4, files_per_dir=8))
     env = Environment()
     handle = build_lambdafs(env, tree, deployments=2, seed=3)
@@ -42,7 +46,7 @@ def _live_after_read_loop(ops_per_client: int) -> int:
     assert env.peek() < float("inf")
     gc.collect()
     live = sum(
-        1 for obj in gc.get_objects() if isinstance(obj, (AnyOf, Process))
+        1 for obj in gc.get_objects() if isinstance(obj, kinds)
     )
     del env, handle, clients, bench, result
     gc.collect()
@@ -50,8 +54,16 @@ def _live_after_read_loop(ops_per_client: int) -> int:
 
 
 def test_live_ops_do_not_grow_with_ops_per_client():
-    few = _live_after_read_loop(16)
-    many = _live_after_read_loop(48)
+    few = _live_after_read_loop(16, (AnyOf, Process))
+    many = _live_after_read_loop(48, (AnyOf, Process))
+    assert many <= few, (few, many)
+
+
+def test_live_replies_do_not_grow_with_ops_per_client():
+    # A TTL-held result cache keeps every reply of the loop: 1,024 vs
+    # 3,072 here, plus the prelude's.
+    few = _live_after_read_loop(16, MetadataResponse)
+    many = _live_after_read_loop(48, MetadataResponse)
     assert many <= few, (few, many)
 
 
@@ -85,9 +97,21 @@ def test_read_views_are_shared_per_namenode_and_inode(monkeypatch):
 
 @pytest.mark.parametrize("record", [
     MetadataRequest(OpType.READ_FILE, "/d/f", request_id=7, client_id="c1"),
+    pytest.param(
+        MetadataRequest(
+            OpType.READ_FILE, "/d/f", request_id=7, client_id="c1",
+            replies={"nn": MetadataResponse(request_id=7, ok=True, served_by="nn")},
+        ),
+        id="answered-MetadataRequest",
+    ),
     MetadataResponse(request_id=7, ok=True, value={"k": 1}, served_by="nn"),
     OpRecord("read file", 1.0, 2.5, cache_hit=True),
 ], ids=lambda record: type(record).__name__)
 def test_per_op_records_are_slotted_and_picklable(record):
     assert not hasattr(record, "__dict__")
-    assert pickle.loads(pickle.dumps(record)) == record
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record
+    if isinstance(record, MetadataRequest):
+        # The replies a request carries are not part of its value.
+        assert copy.replies == record.replies
+        assert record == replace(record, replies=None)
