@@ -15,11 +15,13 @@ pending-set pressure is precisely what separates schedulers: a global
 binary heap pays O(log n) cache-cold comparisons on it for every
 event, a calendar queue does not.
 
-The bench's watchdogs have no subscriber, but the real stack races its
-watchdogs through ``AnyOf``: a losing timer carries that subscription
-until its deadline, and the bench does not exercise what it keeps
-alive (a fired condition detaches from its losers for exactly that
-reason, see ``docs/kernel.md``).
+The bench's watchdogs have no subscriber and are never cancelled.  The
+real stack races its watchdogs through ``AnyOf`` and cancels each one
+whose race is decided (``Timeout.cancel``, see ``docs/kernel.md``), so
+its pending set is not dominated by armed timers: 5 entries are
+pending after ``perfbench``'s ``read-hot`` window.
+The bench keeps the heavier timer load as a scheduler stress, not as
+a model of the stack's current queue.
 
 The timed pass runs with the garbage collector's setup graph frozen
 (``gc.freeze``) and a raised gen-0 threshold, restored afterwards.

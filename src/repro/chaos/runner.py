@@ -20,13 +20,20 @@ span, which is exactly what the :class:`~repro.chaos.verifier
 matrix``) in fresh environments.  :func:`scenario_record` turns each
 result into one baseline record, and :func:`baseline_drift` compares
 records against a committed ``BENCH_<family>.json``, field by field.
+It splits what moved in two.  *Schedule* drift is the event hash
+alone: the kernel executed a different event sequence.  *Outcome*
+drift is every other field, the ``outcome_digest`` of the op records
+included: some op, fault, counter or verdict came out differently.
+A change that reschedules internal events on purpose (cancelling a
+timer that lost its race, folding two processes into one) moves the
+schedule and must hold the outcome.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bench.harness import build_lambdafs, drive
 from repro.core import OpType
@@ -156,6 +163,8 @@ class ChaosRunResult:
     duration_ms: float
     event_hash: str
     log_hash: str
+    outcome_digest: str
+    """:meth:`MetricsRecorder.outcome_digest` of every completed op."""
     fleet: Optional[object] = None
     """The :class:`repro.datanode.DataNodeFleet`, when one ran."""
     tenant_counts: Optional[Dict[str, object]] = None
@@ -425,6 +434,7 @@ def run_scenario(
         duration_ms=env.now,
         event_hash=handle.tracer.event_hash(),
         log_hash=engine.log_hash(),
+        outcome_digest=fs.metrics.outcome_digest(),
         fleet=fleet,
         tenant_counts=dict(workload.counts) if workload is not None else None,
         telemetry=handle.telemetry,
@@ -470,6 +480,7 @@ def scenario_record(result: ChaosRunResult) -> Dict[str, object]:
         "duration_ms": result.duration_ms,
         "event_hash": result.event_hash,
         "fault_log_hash": result.log_hash,
+        "outcome_digest": result.outcome_digest,
     }
     if result.incidents is not None:
         record.update({
@@ -520,31 +531,41 @@ def scenario_record(result: ChaosRunResult) -> Dict[str, object]:
 _ABSENT = "<absent>"
 
 
+class Drift(NamedTuple):
+    """One line per difference, split by what moved."""
+
+    schedule: List[str]
+    """A moved ``event_hash``: the executed event sequence differs."""
+    outcome: List[str]
+    """Every other difference, missing scenarios included."""
+
+
 def baseline_drift(
     records: Dict[str, Dict[str, object]],
     baseline: Dict[str, Dict[str, object]],
-) -> List[str]:
+) -> Drift:
     """Every difference between a run's records and a baseline's.
 
     Whole records are compared, ``event_hash`` and ``fault_log_hash``
     included.  A baseline scenario the run did not produce, or a run
-    scenario the baseline lacks, is drift too.  Returns one line per
-    difference; empty means the run reproduced the baseline.
+    scenario the baseline lacks, is outcome drift.  Both lists empty
+    means the run reproduced the baseline.
     """
     # Round-trip through JSON so tuples compare equal to the lists a
     # baseline file holds.
     records = json.loads(json.dumps(records))
-    drift = []
+    drift = Drift([], [])
     for name in sorted(set(baseline) | set(records)):
         if name not in records:
-            drift.append(f"{name}: in the baseline but not in the run")
+            drift.outcome.append(f"{name}: in the baseline but not in the run")
             continue
         if name not in baseline:
-            drift.append(f"{name}: in the run but not in the baseline")
+            drift.outcome.append(f"{name}: in the run but not in the baseline")
             continue
         expected, got = baseline[name], records[name]
         for key in sorted(set(expected) | set(got)):
             before, after = expected.get(key, _ABSENT), got.get(key, _ABSENT)
             if before != after:
-                drift.append(f"{name}: {key} {before!r} -> {after!r}")
+                lines = drift.schedule if key == "event_hash" else drift.outcome
+                lines.append(f"{name}: {key} {before!r} -> {after!r}")
     return drift

@@ -530,11 +530,16 @@ def _cmd_chaos_matrix(args) -> int:
     if args.baseline:
         with open(args.baseline) as fh:
             drift = baseline_drift(records, json.load(fh)["scenarios"])
-        if drift:
+        if drift.schedule or drift.outcome:
             exit_code = 1
-            print(f"\n{family} baseline drift:")
-            for line in drift:
-                print(f"  {line}")
+            print(f"\n{family} baseline: "
+                  f"schedule {'moved' if drift.schedule else 'held'}, "
+                  f"outcome {'moved' if drift.outcome else 'held'}")
+            for kind, lines in zip(drift._fields, drift):
+                if lines:
+                    print(f"{kind} drift:")
+                    for line in lines:
+                        print(f"  {line}")
         else:
             print(f"\n{family} baseline: OK")
     print(f"{family} matrix:", "PASS" if exit_code == 0 else "FAIL")

@@ -401,6 +401,7 @@ class LambdaFSClient:
         timer = env.timeout(threshold)
         outcome = yield call | timer
         if call in outcome:
+            timer.cancel()
             return outcome[call]
         # Straggler: abandon this request and resubmit elsewhere.
         self.stats_stragglers += 1
@@ -444,6 +445,7 @@ class LambdaFSClient:
         if invoke not in outcome:
             invoke.defused()
             raise RequestTimeout(f"HTTP invoke of {deployment} timed out")
+        timer.cancel()
         response, _instance = outcome[invoke]
         yield env.timeout(latency.http_oneway())
         return response

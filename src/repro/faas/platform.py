@@ -473,7 +473,9 @@ class FaaSPlatform:
                 break
             # Park until this deployment changes, or briefly — other
             # deployments' instances may age past the eviction guard.
-            yield deployment.change_event() | self.env.timeout(100.0)
+            timer = self.env.timeout(100.0)
+            yield deployment.change_event() | timer
+            timer.cancel()
 
         if tracer is not None:
             tracer.end(queue_span, instance=instance.id)

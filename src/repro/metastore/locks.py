@@ -177,6 +177,7 @@ class LockManager:
                 tracer.point("lock.wait_timeout", repr(owner), key=repr(key),
                              budget_ms=budget)
             raise LockTimeout(f"lock wait on {key!r} exceeded {budget} ms")
+        timer.cancel()
         if tracer is not None:
             tracer.end(wait_span, granted=True)
         return

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -49,6 +50,23 @@ class MetricsRecorder:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def outcome_digest(self) -> str:
+        """Hex blake2b over every record, in completion order.
+
+        Covers each op's type, sim-clock start and end (``repr``, so
+        bit-exact), success, transport and cache hit: two runs agree
+        iff every op ended the same way at the same sim time.  Unlike
+        the tracer's event hash it does not see how the kernel got
+        there, so a change that only reschedules internal events
+        (fewer steps, other eids) leaves it unchanged.
+        """
+        digest = hashlib.blake2b(digest_size=16)
+        update = digest.update
+        for r in self.records:
+            update(f"{r.op}|{r.start_ms!r}|{r.end_ms!r}|{r.ok:d}|"
+                   f"{r.via}|{r.cache_hit:d}\n".encode())
+        return digest.hexdigest()
 
     # -- throughput ----------------------------------------------------
     def throughput_timeline(self, bin_ms: float = 1_000.0) -> List[Tuple[float, float]]:

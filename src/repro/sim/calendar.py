@@ -47,6 +47,23 @@ Structure
     spirit of Brown's calendar queue and Varghese & Lauck's
     hierarchical timing wheels.
 
+Removal
+-------
+:meth:`CalendarQueue.remove` takes one pending entry out (a timer whose
+race was decided, see ``Timeout.cancel``).  The bucket index routes it
+exactly as :meth:`push` did: ``_cur`` or ``_over`` at or before the
+current index, a ring bucket inside the window, the far heap beyond it.
+The first three use ``list.remove`` (``_cur`` stays sorted; ``_over``
+is re-heapified).  The far heap is too large to scan on every removal:
+its live size at a removal grows with the number of clients (a median
+of ~760 entries on ``perfbench``'s ``read-hot`` at 1,024 clients,
+~3,000 at 4,096), so it takes a *tombstone* instead: the entry's
+eid goes into ``_dead`` and stays in the heap.  Pulls and rebuilds drop
+tombstoned entries as they meet them, the heap is compacted once
+tombstones are over half of it (O(1) amortised per removal), and
+``len()`` does not count them.  No other entry moves, so pop order is
+the reference heap's with the removed entries left out.
+
 Automatic width resizing
 ------------------------
 Every 4096 pops the queue measures the *frontier density*: the mean
@@ -77,27 +94,24 @@ How large that tail is depends on the width: at the occupancy target
 a 4-slots-per-entry lap spans far past the mean scheduling delay and
 little overflows, but the grow gate tolerates widths 16x and more
 below the target, and there the tail can be a large share of the
-pending set (about a third on ``perfbench``'s ``read-hot``).  The far
-heap's *size* therefore says nothing about whether the width is
-wrong; the grow signal is its *pull traffic* instead: over a quarter
-of a check window's pops streaming in from the far heap means due
-entries are stuck there, while a tail that merely waits there pulls
-little (703 pulls in ~151k pops on ``read-hot``).  Resizing is driven purely
-by the pop sequence — it is deterministic, and pop *order* is
+pending set.  The far heap's *size* therefore says nothing about
+whether the width is wrong; the grow signal is its *pull traffic*
+instead: over a quarter of a check window's pops streaming in from the
+far heap means due entries are stuck there, while a tail that merely
+waits there pulls little.  Tombstones dropped on a pull are not pull
+traffic.  Resizing is driven purely by the pop sequence — it is deterministic, and pop *order* is
 invariant under any width or ring size, so the kernel's event-sequence
 hash cannot depend on it.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Any, List, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Any, List, Optional, Set, Tuple
 
 _INF = float("inf")
 
 Entry = Tuple[float, int, int, Any]
-
-
 
 
 class CalendarQueue:
@@ -105,7 +119,7 @@ class CalendarQueue:
 
     __slots__ = (
         "_width", "_inv_width", "_ring", "_mask", "_ring_count",
-        "_cur", "_over", "_cur_idx", "_far", "_far_limit",
+        "_cur", "_over", "_cur_idx", "_far", "_far_limit", "_dead",
         "_pops", "_check_time", "_scanned", "_pulled",
         "min_width", "max_width", "resizes",
     )
@@ -156,6 +170,7 @@ class CalendarQueue:
         self._cur_idx = int(float(start) * self._inv_width)
         self._check_time = float(start)
         self._far: List[Entry] = []
+        self._dead: Set[int] = set()
         self._far_limit = self._cur_idx + ring
         self.min_width = min_width
         self.max_width = max_width
@@ -167,10 +182,11 @@ class CalendarQueue:
     def __len__(self) -> int:
         # Derived, not maintained: the active bucket (sorted part and
         # overflow heap), the ring population counter, and the far
-        # heap partition every entry.  Keeping size out of push/pop
-        # saves a read-modify-write on the two hottest kernel paths.
-        return (len(self._cur) + len(self._over)
-                + self._ring_count + len(self._far))
+        # heap (less its tombstones) partition every entry.  Keeping
+        # size out of push/pop saves a read-modify-write on the two
+        # hottest kernel paths.
+        return (len(self._cur) + len(self._over) + self._ring_count
+                + len(self._far) - len(self._dead))
 
     @property
     def width(self) -> float:
@@ -194,6 +210,38 @@ class CalendarQueue:
             self._ring_count += 1
         else:
             heappush(self._far, (t, priority, eid, event))
+
+    def remove(self, t: float, priority: int, eid: int, event: Any) -> None:
+        """Take the pending entry ``(t, priority, eid, event)`` out.
+
+        The partition comes from the bucket index, as in :meth:`push`.
+        The far heap is not searched: its entry is tombstoned by eid
+        and dropped when it is pulled, rebuilt, or once tombstones are
+        over half the heap.
+        """
+        entry = (t, priority, eid, event)
+        idx = int(t * self._inv_width)
+        if idx <= self._cur_idx:
+            try:
+                self._cur.remove(entry)  # still sorted
+            except ValueError:
+                self._over.remove(entry)
+                heapify(self._over)
+        elif idx < self._far_limit:
+            slot = idx & self._mask
+            bucket = self._ring[slot]
+            bucket.remove(entry)
+            self._ring_count -= 1
+            if not bucket:
+                self._ring[slot] = None
+        else:
+            dead = self._dead
+            dead.add(eid)
+            far = self._far
+            if len(dead) * 2 > len(far):
+                far[:] = [e for e in far if e[2] not in dead]
+                heapify(far)
+                dead.clear()
 
     def pop(self) -> Optional[Entry]:
         """Remove and return the least entry, or ``None`` when empty."""
@@ -288,17 +336,23 @@ class CalendarQueue:
         """Move far-heap entries now inside the window into place.
 
         Compares bucket indices, not times, so float rounding at
-        bucket boundaries cannot disagree with :meth:`push`.
+        bucket boundaries cannot disagree with :meth:`push`.  Drops
+        the tombstones of removed entries on the way.
         """
         far = self._far
+        dead = self._dead
         inv = self._inv_width
         limit = self._far_limit
         cur_idx = self._cur_idx
         ring = self._ring
         mask = self._mask
-        pulled = len(far)
+        pulled = 0
         while far and int(far[0][0] * inv) < limit:
             entry = heappop(far)
+            if dead and entry[2] in dead:
+                dead.discard(entry[2])
+                continue
+            pulled += 1
             idx = int(entry[0] * inv)
             if idx <= cur_idx:
                 heappush(self._over, entry)
@@ -310,7 +364,7 @@ class CalendarQueue:
                 else:
                     bucket.append(entry)
                 self._ring_count += 1
-        self._pulled += pulled - len(far)
+        self._pulled += pulled
 
     # -- automatic width resizing -----------------------------------------
     def _auto_resize(self, now: float) -> None:
@@ -355,7 +409,12 @@ class CalendarQueue:
         for bucket in self._ring:
             if bucket is not None:
                 entries.extend(bucket)
-        entries.extend(self._far)
+        dead = self._dead
+        if dead:
+            entries.extend(e for e in self._far if e[2] not in dead)
+            dead.clear()
+        else:
+            entries.extend(self._far)
         self.resizes += 1
         self._width = new_width
         self._inv_width = 1.0 / new_width
@@ -436,6 +495,7 @@ class CalendarQueue:
             "ring_slots": self._mask + 1,
             "ring_buckets": sum(1 for b in self._ring if b is not None),
             "ring_entries": self._ring_count,
-            "far": len(self._far),
+            "far": len(self._far) - len(self._dead),
+            "far_tombstones": len(self._dead),
             "resizes": self.resizes,
         }

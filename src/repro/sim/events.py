@@ -29,8 +29,11 @@ Hot-path notes (see docs/kernel.md):
   raced watchdog (``call | timer``) therefore no longer pins the
   condition, its value and the finished call until its own deadline.
   The swap is in place (lists stay append-only, so interrupt tombstone
-  indices stay valid), and the loser still runs one callback as a
-  kernel step, so the event sequence and every hash are unchanged.
+  indices stay valid).  Detaching alone leaves the loser in the queue,
+  where it would still run as one kernel step at its deadline; the
+  site that raced it removes it with :meth:`Timeout.cancel`.  That
+  drops one step per decided race and moves the event hash, but no
+  other event's time, priority or eid, so no op's outcome.
 """
 
 from __future__ import annotations
@@ -144,9 +147,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers after a fixed delay."""
+    """An event that triggers after a fixed delay.
 
-    __slots__ = ()
+    A timer that lost a race can leave the queue early with
+    :meth:`cancel`; it keeps its queue key (fire time and eid) for that.
+    """
+
+    __slots__ = ("_at", "_eid")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -165,6 +172,8 @@ class Timeout(Event):
         env._eid_next = eid + 1
         queue = env._queue
         t = env._now + delay
+        self._at = t
+        self._eid = eid
         idx = int(t * queue._inv_width)
         if idx <= queue._cur_idx:
             heappush(queue._over, (t, 1, eid, self))
@@ -179,6 +188,26 @@ class Timeout(Event):
             queue._ring_count += 1
         else:
             heappush(queue._far, (t, 1, eid, self))
+
+    def cancel(self) -> None:
+        """Take this pending timer out of the queue; it never fires.
+
+        For the timer of a decided race (``call | timer`` where the
+        call won): only the code that created the timer knows nothing
+        will wait on it later, so cancelling is explicit, never done by
+        the condition.  The timer is not a kernel step and the tracer
+        never sees it.  Every other event keeps its time, priority and
+        eid, so their relative order is unchanged.  A no-op once the
+        timer has fired or been cancelled; raises ``RuntimeError`` while
+        a process or an undecided condition still waits on it.
+        """
+        callbacks = self.callbacks
+        if callbacks is None:
+            return
+        if callbacks is not _NO_CALLBACKS and callbacks is not _defuse_late:
+            raise RuntimeError(f"cannot cancel {self!r}: something waits on it")
+        self.callbacks = None
+        self.env._queue.remove(self._at, 1, self._eid, self)
 
 
 class Initialize(Event):

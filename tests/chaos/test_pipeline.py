@@ -22,7 +22,7 @@ pytestmark = pytest.mark.chaos
 BASE_FIELDS = {
     "passed", "expected_fail", "ops_ok", "ops_failed", "errors", "checks",
     "hung_ops", "recovery_time_ms", "duration_ms", "event_hash",
-    "fault_log_hash",
+    "fault_log_hash", "outcome_digest",
 }
 DETECTION_FIELDS = {"incidents", "alerts", "mttd_ms", "top_suspect"}
 TENANT_FIELDS = {
@@ -68,6 +68,7 @@ def _result(name="ack-loss", **evidence):
         duration_ms=1_000.0,
         event_hash="e" * 32,
         log_hash="f" * 32,
+        outcome_digest="d" * 32,
         incidents=evidence.get("incidents"),
         tenant_counts=evidence.get("tenant_counts"),
         fleet=evidence.get("fleet"),
@@ -146,7 +147,7 @@ def test_baseline_drift_passes_identical_records():
     records["ack-loss"]["lost_blocks"] = ("a", "b")  # tuple vs JSON list
     baseline = _records()
     baseline["ack-loss"]["lost_blocks"] = ["a", "b"]
-    assert baseline_drift(records, baseline) == []
+    assert baseline_drift(records, baseline) == ([], [])
 
 
 @pytest.mark.parametrize("field", ["event_hash", "fault_log_hash"])
@@ -154,17 +155,33 @@ def test_baseline_drift_flags_a_hash_only_change(field):
     records = _records()
     before = records["control"][field]
     records["control"][field] = "0" * 32
-    assert baseline_drift(records, _records()) == [
-        f"control: {field} {before!r} -> {'0' * 32!r}"
+    drift = baseline_drift(records, _records())
+    line = f"control: {field} {before!r} -> {'0' * 32!r}"
+    # Only the event hash is schedule drift; a fault-log hash that
+    # moved is an outcome that moved.
+    if field == "event_hash":
+        assert drift == ([line], [])
+    else:
+        assert drift == ([], [line])
+
+
+def test_baseline_drift_counts_a_moved_outcome_digest_as_outcome_drift():
+    records = _records()
+    records["ack-loss"]["event_hash"] = "0" * 32
+    records["ack-loss"]["outcome_digest"] = "1" * 32
+    drift = baseline_drift(records, _records())
+    assert drift.schedule == [f"ack-loss: event_hash {'e' * 32!r} -> {'0' * 32!r}"]
+    assert drift.outcome == [
+        f"ack-loss: outcome_digest {'d' * 32!r} -> {'1' * 32!r}"
     ]
 
 
 def test_baseline_drift_flags_a_scenario_missing_from_the_run():
     records = _records()
     del records["control"]
-    assert baseline_drift(records, _records()) == [
-        "control: in the baseline but not in the run"
-    ]
+    assert baseline_drift(records, _records()) == (
+        [], ["control: in the baseline but not in the run"]
+    )
 
 
 def test_baseline_drift_flags_added_and_removed_fields():
@@ -173,8 +190,9 @@ def test_baseline_drift_flags_added_and_removed_fields():
     records["ack-loss"]["new_field"] = 1
     del records["ack-loss"]["hung_ops"]
     drift = baseline_drift(records, baseline)
-    assert "ack-loss: hung_ops 0 -> '<absent>'" in drift
-    assert "ack-loss: new_field '<absent>' -> 1" in drift
+    assert drift.schedule == []
+    assert "ack-loss: hung_ops 0 -> '<absent>'" in drift.outcome
+    assert "ack-loss: new_field '<absent>' -> 1" in drift.outcome
 
 
 def test_every_family_scenario_belongs_to_exactly_that_family():

@@ -264,3 +264,139 @@ class TestResizeMachinery:
             CalendarQueue(width=0.0)
         with pytest.raises(ValueError):
             CalendarQueue(ring=1000)  # not a power of two
+
+
+class TestRemoval:
+    """``remove`` takes one pending entry out of whichever partition
+    holds it; every other entry pops exactly as before."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("width", [1e-4, 0.5, 100.0])
+    def test_random_schedule_with_cancels_matches_heap(self, seed, width):
+        # Advancing frontier with near, spread and far-future pushes;
+        # a random share of the pending entries is removed between
+        # pops.  The reference heap skips the removed eids.
+        rng = random.Random(2000 + seed)
+        q = CalendarQueue(width=width, ring=8192)
+        heap = []
+        pending = {}
+        removed = set()
+        eid = 0
+        now = 0.0
+        for _ in range(200):
+            for _ in range(rng.randrange(1, 16)):
+                roll = rng.random()
+                if roll < 0.2:
+                    delay = 0.0
+                elif roll < 0.7:
+                    delay = rng.uniform(0.0, 10.0)
+                elif roll < 0.95:
+                    delay = rng.uniform(0.0, 1000.0)
+                else:
+                    delay = rng.uniform(0.0, 1e7)
+                entry = (now + delay, rng.choice([0, 1]), eid, eid)
+                heapq.heappush(heap, entry)
+                q.push(*entry)
+                pending[eid] = entry
+                eid += 1
+            for victim in rng.sample(sorted(pending), len(pending) // 4):
+                q.remove(*pending.pop(victim))
+                removed.add(victim)
+            assert len(q) == len(pending)
+            for _ in range(rng.randrange(0, 12)):
+                while heap and heap[0][2] in removed:
+                    heapq.heappop(heap)
+                expected = heapq.heappop(heap) if heap else None
+                got = q.pop()
+                assert got == expected
+                if got is None:
+                    break
+                del pending[got[2]]
+                now = got[0]
+        rest = [e for e in sorted(heap) if e[2] not in removed]
+        assert _drain(q) == rest
+
+    def test_ring_bucket(self):
+        q = CalendarQueue(width=1.0, ring=8192)
+        q.push(10.0, 1, 0, "a")
+        q.push(10.5, 1, 1, "b")      # same bucket
+        q.push(20.0, 1, 2, "c")      # a bucket of its own
+        q.remove(10.0, 1, 0, "a")
+        q.remove(20.0, 1, 2, "c")
+        stats = q.stats()
+        assert stats["ring_entries"] == 1 and len(q) == 1
+        assert stats["ring_buckets"] == 1  # the emptied slot is freed
+        assert _drain(q) == [(10.5, 1, 1, "b")]
+
+    def test_active_bucket(self):
+        q = CalendarQueue(width=1.0, ring=8192)
+        for eid, t in enumerate([5.0, 5.1, 5.2, 5.3]):
+            q.push(t, 1, eid, eid)
+        assert q.pop() == (5.0, 1, 0, 0)  # loads the bucket into _cur
+        q.remove(5.2, 1, 2, 2)
+        assert len(q._cur) == 2 and len(q) == 2
+        assert _drain(q) == [(5.1, 1, 1, 1), (5.3, 1, 3, 3)]
+
+    def test_overflow_heap(self):
+        q = CalendarQueue(width=1.0, ring=8192)
+        entries = [(0.1 * i, 1, i, i) for i in (5, 3, 8, 1, 7, 2, 6, 4)]
+        for entry in entries:
+            q.push(*entry)  # at or before the current bucket
+        assert len(q._over) == len(entries)
+        q.remove(*min(entries))          # the root
+        q.remove(*max(entries))          # a leaf
+        q.remove(*sorted(entries)[3])    # an interior node
+        kept = [e for e in entries if e[2] not in (1, 8, 4)]
+        assert _drain(q) == _reference_order(kept)
+
+    def _far_queue(self, count):
+        q = CalendarQueue(width=1.0, ring=8192)
+        entries = [(1e6 + i, 1, i, i) for i in range(count)]
+        for entry in entries:
+            q.push(*entry)
+        assert q.stats()["far"] == count
+        return q, entries
+
+    def test_far_tombstone_is_dropped_on_pull(self):
+        q, entries = self._far_queue(10)
+        q.remove(*entries[0])
+        q.remove(*entries[4])
+        assert len(q) == 8
+        assert q.stats()["far"] == 8 and q.stats()["far_tombstones"] == 2
+        assert q.peek() == 1e6 + 1
+        assert q.stats()["far_tombstones"] == 0  # pulled into the ring
+        kept = [e for e in entries if e[2] not in (0, 4)]
+        assert _drain(q) == kept
+
+    def test_far_tombstone_is_dropped_on_rescale(self):
+        q, entries = self._far_queue(10)
+        q.remove(*entries[3])
+        q._rescale(10.0)
+        assert q.stats()["far_tombstones"] == 0
+        assert len(q) == 9
+        assert _drain(q) == entries[:3] + entries[4:]
+
+    def test_far_heap_is_compacted_once_half_is_tombstones(self):
+        q, entries = self._far_queue(10)
+        for entry in entries[:5]:
+            q.remove(*entry)
+        assert q.stats()["far_tombstones"] == 5  # exactly half: kept
+        assert len(q._far) == 10
+        q.remove(*entries[7])
+        assert q.stats()["far_tombstones"] == 0
+        assert len(q._far) == 4 and len(q) == 4
+        assert _drain(q) == [entries[5], entries[6], entries[8], entries[9]]
+
+    def test_only_tombstones_left_reads_empty(self):
+        # A live far entry and a tombstone a lap behind it: pulling the
+        # live one leaves the far heap holding only the tombstone.
+        q = CalendarQueue(width=1.0, ring=8192)
+        q.push(1e6, 1, 0, "live")
+        q.push(2e6, 1, 1, "dead")
+        q.remove(2e6, 1, 1, "dead")
+        assert q.stats()["far_tombstones"] == 1 and len(q) == 1
+        assert q.pop() == (1e6, 1, 0, "live")
+        assert len(q) == 0 and len(q._far) == 1
+        assert q.peek() == float("inf")
+        assert q.pop() is None
+        assert q.stats()["far_tombstones"] == 0
