@@ -33,13 +33,13 @@ ROOT = Path(__file__).resolve().parent.parent
 #: workload -> (event hash, sim-block digest)
 PINNED = {
     "read-hot": (
-        "f2b9ef22f5e16123d48c2ef968bb2859", "d0c0d599e24b024f7f951ac1ffd9b603",
+        "1f59ec7c6153560039666ca0ac63576f", "d0c0d599e24b024f7f951ac1ffd9b603",
     ),
     "create-contended": (
-        "81c4fca17619957bbd308b3afa0b6910", "bcbc11535c56081a1626cb6bbbd3b63b",
+        "e887a38bcb64d4a3f59b48b42c05ebd4", "bcbc11535c56081a1626cb6bbbd3b63b",
     ),
     "spotify-burst": (
-        "c1124e07a1b0edb9ea7a515088441f9b", "a267e12599214354b994d5c47c977d95",
+        "a43e3dc401e2b1399da82f90af311e26", "a267e12599214354b994d5c47c977d95",
     ),
 }
 

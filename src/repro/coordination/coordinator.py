@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Dict, Generator, Iterable, Optional, Set
+from typing import Callable, Dict, Generator, Iterable, Mapping, Optional, Set, Union
 
 from repro.sim import Environment, Event
 
@@ -61,14 +61,30 @@ class Invalidation:
         return self.prefix is not None
 
 
-class _PendingInv:
-    __slots__ = ("waiting", "event")
+class _Round:
+    """One write's INV round: every deployment it reaches settles it."""
 
-    def __init__(self, env: Environment, members: Set[str]) -> None:
-        self.waiting = set(members)
+    __slots__ = ("started", "contacted", "unsettled", "event")
+
+    def __init__(self, env: Environment, shares: int) -> None:
+        self.started = env.now
+        self.contacted = 0
+        self.unsettled = shares
         self.event = Event(env)
-        if not self.waiting:
-            self.event.succeed(0)
+
+
+class _PendingInv:
+    """One deployment's share of a round: its INV, the members whose
+    ACK it still awaits, and its ``coord.inv`` span."""
+
+    __slots__ = ("inv", "round", "waiting", "span")
+
+    def __init__(self, inv: Invalidation, round_: _Round, waiting: Set[str],
+                 span) -> None:
+        self.inv = inv
+        self.round = round_
+        self.waiting = waiting
+        self.span = span
 
 
 class Coordinator:
@@ -79,6 +95,7 @@ class Coordinator:
         self.config = config or CoordinatorConfig()
         # deployment -> member_id -> INV handler callback
         self._members: Dict[str, Dict[str, Callable[[Invalidation], None]]] = {}
+        # inv_id -> the deployment share still awaiting ACKs
         self._pending: Dict[int, _PendingInv] = {}
         self._inv_ids = count(1)
         self._death_watchers: Dict[str, list] = {}
@@ -104,10 +121,11 @@ class Coordinator:
         members = self._members.get(deployment, {})
         members.pop(member_id, None)
         for pending in list(self._pending.values()):
-            if member_id in pending.waiting:
-                pending.waiting.discard(member_id)
-                if not pending.waiting and not pending.event.triggered:
-                    pending.event.succeed(0)
+            waiting = pending.waiting
+            if member_id in waiting:
+                waiting.discard(member_id)
+                if not waiting:
+                    self._settle(pending)
         for callback in self._death_watchers.pop(member_id, []):
             self.env.process(self._notify_death(callback, member_id))
 
@@ -141,14 +159,25 @@ class Coordinator:
     # -- coherence messaging ------------------------------------------------
     def invalidate(
         self,
-        deployment: str,
+        deployment: Union[str, Mapping[str, Iterable[str]]],
         paths: Iterable[str] = (),
         prefix: Optional[str] = None,
         exclude: Iterable[str] = (),
         initiator: str = "",
         trace_parent=None,
     ) -> Generator:
-        """Send an INV to every live member and wait for all ACKs.
+        """Send INVs to every live member and wait for all ACKs.
+
+        ``deployment`` names one deployment, whose members drop
+        ``paths``; or it maps each deployment a write reaches to the
+        paths its members drop.  Either way it is one round: one
+        delivery process serves every member, and the caller waits on
+        one event that fires when every deployment has settled.  Each
+        deployment still gets its own :class:`Invalidation`, its own
+        ``coord.inv`` span and its own metrics, and settles (span
+        ended, ACK latency observed) when its last member ACKs or
+        deregisters.  ``prefix`` gives every INV of the round subtree
+        semantics.
 
         ``exclude`` names members (typically the leader itself) that
         invalidate locally and need no message.  ``initiator`` tags the
@@ -156,47 +185,54 @@ class Coordinator:
         can pair it with that writer's commit.  Returns the number of
         members that were contacted.
         """
-        inv = Invalidation(
-            inv_id=next(self._inv_ids),
-            deployment=deployment,
-            paths=tuple(paths),
-            prefix=prefix,
-        )
+        shares = {deployment: paths} if isinstance(deployment, str) else deployment
+        env = self.env
+        tracer = env.tracer
+        metrics = env.metrics
         excluded = set(exclude)
-        targets = {
-            member_id: handler
-            for member_id, handler in self._members.get(deployment, {}).items()
-            if member_id not in excluded
-        }
-        tracer = self.env.tracer
-        round_span = None
-        if tracer is not None:
-            round_span = tracer.begin(
-                "coord.inv", initiator or "coordinator", parent=trace_parent,
-                inv_id=inv.inv_id, deployment=deployment, paths=inv.paths,
-                prefix=prefix, initiator=initiator, members=len(targets),
+        round_ = _Round(env, len(shares))
+        cohort = []
+        for name, share_paths in shares.items():
+            inv = Invalidation(
+                inv_id=next(self._inv_ids),
+                deployment=name,
+                paths=tuple(share_paths),
+                prefix=prefix,
             )
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.inc("coord_inv_rounds_total", deployment=deployment)
-            if targets:
-                metrics.inc(
-                    "coord_invs_sent_total", len(targets), deployment=deployment
+            live = self._members.get(name, {})
+            waiting = live.keys() - excluded
+            span = None
+            if tracer is not None:
+                span = tracer.begin(
+                    "coord.inv", initiator or "coordinator", parent=trace_parent,
+                    inv_id=inv.inv_id, deployment=name, paths=inv.paths,
+                    prefix=prefix, initiator=initiator, members=len(waiting),
                 )
-            metrics.observe("coord_fanout", float(len(targets)))
-        round_started = self.env.now
-        pending = _PendingInv(self.env, set(targets))
-        self._pending[inv.inv_id] = pending
-        self.invs_sent += len(targets)
-        if targets:
-            self.env.process(self._deliver(inv, targets, round_span))
-        yield pending.event
-        self._pending.pop(inv.inv_id, None)
-        if metrics is not None:
-            metrics.observe("coord_ack_latency_ms", self.env.now - round_started)
-        if tracer is not None:
-            tracer.end(round_span)
-        return len(targets)
+            if metrics is not None:
+                metrics.inc("coord_inv_rounds_total", deployment=name)
+                if waiting:
+                    metrics.inc(
+                        "coord_invs_sent_total", len(waiting), deployment=name
+                    )
+                metrics.observe("coord_fanout", float(len(waiting)))
+            pending = _PendingInv(inv, round_, waiting, span)
+            if not waiting:
+                self._settle(pending)
+                continue
+            round_.contacted += len(waiting)
+            self._pending[inv.inv_id] = pending
+            cohort.extend(
+                (pending, member_id, handler, None)
+                for member_id, handler in live.items()
+                if member_id not in excluded
+            )
+        self.invs_sent += round_.contacted
+        if not shares:
+            round_.event.succeed()
+        if cohort:
+            env.process(self._deliver(cohort))
+        yield round_.event
+        return round_.contacted
 
     def ack(self, inv_id: int, member_id: str) -> None:
         """Record one member's ACK for ``inv_id``."""
@@ -209,50 +245,67 @@ class Coordinator:
         pending = self._pending.get(inv_id)
         if pending is None:
             return
-        pending.waiting.discard(member_id)
-        if not pending.waiting and not pending.event.triggered:
-            pending.event.succeed(0)
+        waiting = pending.waiting
+        waiting.discard(member_id)
+        if not waiting:
+            self._settle(pending)
 
-    def _deliver(
-        self,
-        inv: Invalidation,
-        targets: Dict[str, Callable[[Invalidation], None]],
-        round_span=None,
-    ) -> Generator:
-        """Deliver ``inv`` to every target and collect their ACKs.
+    def _settle(self, pending: _PendingInv) -> None:
+        """One deployment has every ACK it needs: close its share, and
+        the round once no share is left."""
+        self._pending.pop(pending.inv.inv_id, None)
+        round_ = pending.round
+        env = self.env
+        if env.metrics is not None:
+            env.metrics.observe("coord_ack_latency_ms", env.now - round_.started)
+        if env.tracer is not None:
+            env.tracer.end(pending.span)
+        round_.unsettled -= 1
+        if not round_.unsettled:
+            round_.event.succeed()
 
-        Every member runs on the same timeline: the INV lands
-        ``publish_ms`` after the round starts (or after a redelivery),
-        its ACK ``ack_ms`` later, and a lost ACK is redelivered after
-        ``ack_retry_ms``.  So one process serves the whole round: it
-        waits once per leg, then walks the members in order.  Nothing
-        else can run between two members' steps at the same instant,
-        so each member sees the timeline a process of its own would
-        give it.  Members whose ACK was lost are redelivered together.
+    def _deliver(self, cohort: list) -> Generator:
+        """Deliver a round's INVs to every target and collect the ACKs.
+
+        ``cohort`` lists ``(share, member_id, handler, None)`` in
+        deployment order, then member order; the last field holds the
+        member's ``coord.member`` span when tracing.  Every member runs on the same
+        timeline: the INV lands ``publish_ms`` after the round starts
+        (or after a redelivery), its ACK ``ack_ms`` later, and a lost
+        ACK is redelivered after ``ack_retry_ms``.  So one process
+        serves the whole round: it waits once per leg, then walks the
+        members in order.  Nothing else can run between two members'
+        steps at the same instant, so each member sees the timeline a
+        process of its own would give it.  Members whose ACK was lost
+        are redelivered together.
         """
-        tracer = self.env.tracer
-        member_spans = {}
+        env = self.env
+        config = self.config
+        members = self._members
+        tracer = env.tracer
         if tracer is not None:
             # One per-member publish→ACK leg: the slowest of these is
-            # the coherence round's critical path.
-            for member_id in targets:
-                member_spans[member_id] = tracer.begin(
-                    "coord.member", member_id, parent=round_span,
-                    inv_id=inv.inv_id,
-                )
-        cohort = list(targets.items())
+            # its deployment's critical path.
+            cohort = [
+                (pending, member_id, handler, tracer.begin(
+                    "coord.member", member_id, parent=pending.span,
+                    inv_id=pending.inv.inv_id,
+                ))
+                for pending, member_id, handler, _ in cohort
+            ]
         attempt = 0
         while True:
             attempt += 1
-            yield self.env.timeout(self.config.publish_ms)
-            live = self._members.get(inv.deployment, {})
+            yield env.timeout(config.publish_ms)
             delivered = []
-            for member_id, handler in cohort:
+            for entry in cohort:
+                pending, member_id, handler, member_span = entry
+                inv = pending.inv
                 # The member may have died in flight; deregistration
-                # already released the pending set in that case.
-                if member_id not in live:
+                # already released its share in that case.
+                if member_id not in members[inv.deployment]:
                     if tracer is not None:
-                        tracer.end(member_spans[member_id], delivered=False)
+                        tracer.end(member_span, delivered=False)
                     continue
                 if tracer is not None:
                     # From this instant, any cached copy of these paths
@@ -260,43 +313,43 @@ class Coordinator:
                     # *before* the handler runs so a broken handler
                     # cannot hide staleness from the coherence checker.
                     tracer.point(
-                        "coord.inv_deliver", member_id, parent=round_span,
+                        "coord.inv_deliver", member_id, parent=pending.span,
                         inv_id=inv.inv_id, paths=inv.paths, prefix=inv.prefix,
                     )
                 handler(inv)
-                delivered.append((member_id, handler))
+                delivered.append(entry)
             if not delivered:
                 return
-            yield self.env.timeout(self.config.ack_ms)
-            chaos = self.env.chaos
+            yield env.timeout(config.ack_ms)
+            chaos = env.chaos
             cohort = []
-            for member_id, handler in delivered:
+            for entry in delivered:
+                pending, member_id, handler, member_span = entry
+                inv = pending.inv
                 if chaos is not None and chaos.ack_should_drop(
                     inv.deployment, member_id
                 ):
                     if tracer is not None:
                         tracer.point(
-                            "chaos.ack_drop", member_id, parent=round_span,
+                            "chaos.ack_drop", member_id, parent=pending.span,
                             inv_id=inv.inv_id, attempt=attempt,
                         )
-                    if attempt > self.config.ack_max_retries:
+                    if attempt > config.ack_max_retries:
                         # Redelivery exhausted (or disabled): the writer
                         # stays blocked until this member deregisters.
                         if tracer is not None:
-                            tracer.end(
-                                member_spans[member_id], delivered=True, acked=False
-                            )
+                            tracer.end(member_span, delivered=True, acked=False)
                         continue
-                    cohort.append((member_id, handler))
+                    cohort.append(entry)
                     continue
                 if tracer is not None:
-                    tracer.end(member_spans[member_id], delivered=True)
+                    tracer.end(member_span, delivered=True)
                 self.ack(inv.inv_id, member_id)
             if not cohort:
                 return
             # Handlers are idempotent: redeliver the whole INV after a
             # short backoff and collect the ACKs again.
-            yield self.env.timeout(self.config.ack_retry_ms)
+            yield env.timeout(config.ack_retry_ms)
 
 
 class ZooKeeperCoordinator(Coordinator):

@@ -24,7 +24,7 @@ from repro.namespace.cache import MetadataCache
 from repro.namespace.inode import INode, dirent_key, inode_key
 from repro.namespace.paths import components, is_descendant, normalize, parent_of
 from repro.rpc.retry import RetryPolicy
-from repro.sim import AllOf, Event
+from repro.sim import Event
 
 #: Backoff curve for aborted write transactions: full jitter over the
 #: same capped exponential the legacy fixed backoff followed
@@ -68,8 +68,10 @@ class LambdaNameNode:
         # A resubmitted duplicate can arrive while its original is
         # still executing (straggler watchdog + slow instance); the
         # duplicate waits here for the original's answer instead of
-        # re-running the operation.
-        self._inflight: Dict[int, Event] = {}
+        # re-running the operation.  Each serve holds a one-slot list
+        # (identifying it) whose Event is made only once a duplicate
+        # arrives to wait on it.
+        self._inflight: Dict[int, List[Optional[Event]]] = {}
         self._datanode_view: List[str] = []
         self._datanode_racks: Optional[Dict[str, str]] = None
         self._datanode_view_at = -float("inf")
@@ -127,8 +129,9 @@ class LambdaNameNode:
             yield from self.instance.compute(self.config.cpu_ms_per_op / 2)
             return cached
 
-        inflight = self._inflight.get(request.request_id)
-        if inflight is not None:
+        inflight = self._inflight
+        first = inflight.get(request.request_id)
+        if first is not None:
             # A duplicate racing its own original (straggler resubmit
             # or duplicated TCP delivery): wait for the first serve
             # and return its answer.
@@ -138,7 +141,10 @@ class LambdaNameNode:
                     parent=request.trace_parent,
                     request_id=request.request_id,
                 )
-            response = yield inflight
+            marker = first[0]
+            if marker is None:
+                marker = first[0] = Event(env)
+            response = yield marker
             yield from self.instance.compute(self.config.cpu_ms_per_op / 2)
             if response is not None:
                 return response
@@ -152,8 +158,8 @@ class LambdaNameNode:
             if shed is not None:
                 return shed
 
-        marker = Event(env)
-        self._inflight[request.request_id] = marker
+        serve: List[Optional[Event]] = [None]
+        inflight[request.request_id] = serve
         response = None
         try:
             span = None
@@ -203,9 +209,13 @@ class LambdaNameNode:
                 request.replies = {}
             request.replies[self.member_id] = response
         finally:
-            if self._inflight.get(request.request_id) is marker:
-                del self._inflight[request.request_id]
-            if not marker.triggered:
+            # A duplicate whose original died without an answer serves
+            # the request itself; never clear the entry such a later
+            # serve put here.
+            if inflight.get(request.request_id) is serve:
+                del inflight[request.request_id]
+            marker = serve[0]
+            if marker is not None:
                 marker.succeed(response)
         if via == "http":
             self._connect_back(request)
@@ -484,6 +494,7 @@ class LambdaNameNode:
             try:
                 path = normalize(request.path)
                 known = self.cache.get_path_prefix(path)
+                broadcast = False
                 if request.op is OpType.CREATE_FILE:
                     inode, resolved = yield from ops.create_file(txn, path, known)
                     affected = [path, parent_of(path)]
@@ -536,8 +547,7 @@ class LambdaNameNode:
                 # Algorithm 1: INVs go out (and all ACKs return) while
                 # the rows are exclusively locked, *before* persisting.
                 yield from self.run_coherence(
-                    affected, broadcast=locals().get("broadcast", False),
-                    trace_parent=span,
+                    affected, broadcast=broadcast, trace_parent=span,
                 )
                 if (
                     res is not None
@@ -625,48 +635,38 @@ class LambdaNameNode:
 
         With ``broadcast`` the INVs go to *every* deployment — needed
         when a directory's own metadata changes, since directories
-        are cached as ancestors across the whole fleet.
+        are cached as ancestors across the whole fleet.  Every
+        deployment's INV rides one coordinator round, and the write
+        waits once for all of their ACKs (Algorithm 1).
         """
         # Sets of strings iterate in a per-process salted order; sort
         # so the INV fan-out (and therefore the event sequence) is a
         # function of the seed alone.
-        by_deployment: Dict[str, List[str]] = {}
+        paths = sorted(set(affected_paths))
+        partitioner = self.fs.partitioner
         if broadcast:
-            for deployment in self.fs.partitioner.deployment_names():
-                by_deployment[deployment] = sorted(set(affected_paths))
+            by_deployment = dict.fromkeys(partitioner.deployment_names(), paths)
         else:
-            for path in sorted(set(affected_paths)):
-                deployment = self.fs.partitioner.deployment_for(path)
-                by_deployment.setdefault(deployment, []).append(path)
-        env = self.fs.env
-        waits = []
-        for deployment, paths in by_deployment.items():
-            exclude = [self.member_id] if deployment == self.deployment_name else []
-            waits.append(env.process(
-                self.fs.coordinator.invalidate(
-                    deployment, paths=paths, exclude=exclude,
-                    initiator=self.member_id, trace_parent=trace_parent,
-                )
-            ))
-        if waits:
-            yield AllOf(env, waits)
+            by_deployment = {}
+            for path in paths:
+                by_deployment.setdefault(
+                    partitioner.deployment_for(path), []
+                ).append(path)
+        yield from self.fs.coordinator.invalidate(
+            by_deployment, exclude=(self.member_id,),
+            initiator=self.member_id, trace_parent=trace_parent,
+        )
 
     def run_subtree_coherence(
         self, prefix: str, deployments: List[str], trace_parent=None
     ) -> Generator:
-        """One prefix INV per deployment caching subtree metadata."""
-        env = self.fs.env
-        waits = []
-        for deployment in deployments:
-            exclude = [self.member_id] if deployment == self.deployment_name else []
-            waits.append(env.process(
-                self.fs.coordinator.invalidate(
-                    deployment, prefix=prefix, exclude=exclude,
-                    initiator=self.member_id, trace_parent=trace_parent,
-                )
-            ))
-        if waits:
-            yield AllOf(env, waits)
+        """One prefix INV per deployment caching subtree metadata, all
+        in one coordinator round."""
+        yield from self.fs.coordinator.invalidate(
+            dict.fromkeys(deployments, ()), prefix=prefix,
+            exclude=(self.member_id,), initiator=self.member_id,
+            trace_parent=trace_parent,
+        )
         # Leader applies the same invalidation to its own cache.
         self._invalidate_prefix_local(prefix)
 
@@ -739,11 +739,17 @@ class LambdaNameNode:
             # served stale-by-structure.
             self._invalidate_prefix_local(inv.prefix)
             return
+        # Most members cache none of the paths: do only the work that
+        # can change this member's state.
+        cache = self.cache
+        listings = self._listing_cache
         for path in inv.paths:
-            self._remember_stale(path)
-            self._forget(path)
-            self._listing_cache.pop(path, None)
-            self._drop_listing_of_parent(path)
+            if path in cache:
+                self._remember_stale(path)
+                self._forget(path)
+            if listings:
+                listings.pop(path, None)
+                self._drop_listing_of_parent(path)
 
     def _invalidate_prefix_local(self, prefix: str) -> None:
         tracer = self.fs.env.tracer

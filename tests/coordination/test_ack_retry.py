@@ -3,8 +3,9 @@
 These drive the Coordinator directly with a stub ``env.chaos`` that
 implements only ``ack_should_drop`` — the one chaos hook the round's
 delivery process (``_deliver``) consults, once per member per ACK leg —
-so the retry loop and the "no ACK required from terminated NameNodes"
-rule can be pinned down without a full system.
+so the retry loop, the "no ACK required from terminated NameNodes"
+rule and a round spanning several deployments can be pinned down
+without a full system.
 """
 
 import pytest
@@ -282,3 +283,153 @@ def test_each_member_gets_one_span_with_its_outcome():
     assert outcome["c"].end_ms == pytest.approx(6.6)
     assert outcome["gone"].attrs.get("delivered") is False
     assert outcome["gone"].end_ms == pytest.approx(0.4)
+
+
+# -- rounds spanning several deployments -----------------------------------
+# One write's INVs to several deployments share one round: one delivery
+# walks every deployment's members on one timeline and the writer waits
+# on one event.  Each deployment still settles on its own: its
+# ``coord.inv`` span ends, and its ``coord_ack_latency_ms`` is observed,
+# when its own last ACK or deregistration releases it.
+
+class Observations:
+    """Stands in for ``env.metrics``: records every observation."""
+
+    def __init__(self, env):
+        self.env = env
+        self.observed = []
+
+    def inc(self, name, amount=1.0, **labels):
+        pass
+
+    def observe(self, name, value, **labels):
+        self.observed.append((name, value, self.env.now))
+
+
+def register_recording(coord, deployment, members, handled):
+    for member_id in members:
+        coord.register(
+            deployment, member_id,
+            lambda inv, member_id=member_id: handled.append(
+                (member_id, inv.deployment, inv.paths)
+            ),
+        )
+
+
+def inv_spans(tracer):
+    return {
+        span.attrs["deployment"]: span
+        for span in tracer.spans.values() if span.kind == "coord.inv"
+    }
+
+
+def test_two_deployment_round_settles_each_deployment_on_its_own():
+    env, coord = make_env_and_coord()
+    tracer = Tracer(env)
+    metrics = Observations(env)
+    env.metrics = metrics
+    handled = []
+    # d1: the writer w (excluded), a, and b, whose first ACK is lost.
+    # d2: c, and e, which never ACKs and deregisters mid-round.
+    register_recording(coord, "d1", ["w", "a", "b"], handled)
+    register_recording(coord, "d2", ["c", "e"], handled)
+    env.chaos = AckChaos({"b": 1, "e": None})
+    finished = []
+
+    def writer(env):
+        contacted = yield from coord.invalidate(
+            {"d1": ["/p/f"], "d2": ["/p"]}, exclude=["w"], initiator="w",
+        )
+        finished.append((env.now, contacted))
+
+    def killer(env):
+        yield env.timeout(3.0)
+        coord.deregister("d2", "e")
+
+    env.process(writer(env))
+    env.process(killer(env))
+    env.run(until=60.0)
+
+    # d2 settles when e deregisters (c ACKed at 0.8); d1 when b's
+    # redelivered ACK lands: 0.8 + 5.0 retry + 0.8 = 6.6 ms.
+    spans = inv_spans(tracer)
+    assert spans["d2"].end_ms == pytest.approx(3.0)
+    assert spans["d1"].end_ms == pytest.approx(6.6)
+    assert spans["d1"].attrs["members"] == 2
+    assert spans["d2"].attrs["members"] == 2
+    assert spans["d1"].attrs["inv_id"] != spans["d2"].attrs["inv_id"]
+    latencies = [
+        (value, at) for name, value, at in metrics.observed
+        if name == "coord_ack_latency_ms"
+    ]
+    assert latencies == [
+        (pytest.approx(3.0), pytest.approx(3.0)),
+        (pytest.approx(6.6), pytest.approx(6.6)),
+    ]
+    # The writer resumes when the last deployment settles.
+    assert finished == [(pytest.approx(6.6), 4)]
+    assert coord._pending == {}
+    # One delivery walks d1's members, then d2's, on every leg.
+    assert handled[:4] == [
+        ("a", "d1", ("/p/f",)), ("b", "d1", ("/p/f",)),
+        ("c", "d2", ("/p",)), ("e", "d2", ("/p",)),
+    ]
+    assert env.chaos.calls[:4] == [
+        ("d1", "a"), ("d1", "b"), ("d2", "c"), ("d2", "e"),
+    ]
+    assert ("w", "d1", ("/p/f",)) not in handled
+    # Each member span hangs off its own deployment's round span.
+    member_parent = {
+        span.actor: span.parent_id
+        for span in tracer.spans.values() if span.kind == "coord.member"
+    }
+    assert member_parent == {
+        "a": spans["d1"].span_id, "b": spans["d1"].span_id,
+        "c": spans["d2"].span_id, "e": spans["d2"].span_id,
+    }
+
+
+def test_round_with_no_targets_settles_without_delivering():
+    env, coord = make_env_and_coord()
+    tracer = Tracer(env)
+    handled = []
+    register_recording(coord, "d1", ["w"], handled)
+    finished = []
+
+    def writer(env):
+        contacted = yield from coord.invalidate(
+            {"d1": ["/a"], "ghost": ["/b"]}, exclude=["w"], initiator="w",
+        )
+        finished.append((env.now, contacted))
+
+    env.process(writer(env))
+    env.run()
+    assert finished == [(0.0, 0)]
+    assert handled == []
+    assert coord.invs_sent == 0
+    assert coord._pending == {}
+    spans = inv_spans(tracer)
+    assert sorted(spans) == ["d1", "ghost"]
+    assert all(span.end_ms == 0.0 for span in spans.values())
+    kinds = {span.kind for span in tracer.spans.values()}
+    assert "coord.member" not in kinds
+    assert "coord.inv_deliver" not in kinds
+
+
+def test_writer_resumes_same_hops_after_settling_for_any_deployment_count():
+    """Same-instant writers resume in the order their rounds settled,
+    however many deployments each round spans."""
+    env, coord = make_env_and_coord()
+    for deployment in ("d1", "d2", "d3"):
+        coord.register(deployment, f"m-{deployment}", lambda inv: None)
+    resumed = []
+
+    def writer(env, name, shares):
+        yield from coord.invalidate(shares)
+        resumed.append((name, env.now))
+
+    # The two-deployment round is started (so settles) first.
+    env.process(writer(env, "wide", {"d1": ["/a"], "d2": ["/b"]}))
+    env.process(writer(env, "narrow", {"d3": ["/c"]}))
+    env.run()
+    assert resumed == [("wide", pytest.approx(0.8)), ("narrow", pytest.approx(0.8))]

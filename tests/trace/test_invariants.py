@@ -2,10 +2,13 @@
 runs (a clean one that must be violation-free, and a deliberately
 broken coherence path the checker must catch)."""
 
+import re
+
 import pytest
 
+from repro.bench.harness import drive
+from repro.coordination import Coordinator
 from repro.core import LambdaFS, LambdaFSConfig
-from repro.core.namenode import LambdaNameNode
 from repro.faas import FaaSConfig
 from repro.sim import Environment
 from repro.trace import (
@@ -256,46 +259,44 @@ def test_clean_run_has_zero_violations():
 def test_broken_coherence_is_caught(monkeypatch):
     """Skip the ACK wait before commit — the checker must notice.
 
-    The patched ``run_coherence`` fires the INV rounds but returns
-    without awaiting the ACKs, so the write transaction commits while
-    rounds it initiated are still open: exactly the ordering bug
-    Algorithm 1 exists to prevent.
+    The patched ``Coordinator.invalidate`` fires the INV round but
+    returns without awaiting the ACKs, so the write transaction commits
+    while the round it initiated is still open: exactly the ordering
+    bug Algorithm 1 exists to prevent.  Two NameNodes per deployment are
+    prewarmed so the rounds have remote members to wait on; a round
+    with no member settles at once and could not be caught.
     """
+    invalidate = Coordinator.invalidate
 
-    def fire_and_forget(self, affected_paths, broadcast=False, trace_parent=None):
-        by_deployment = {}
-        if broadcast:
-            for deployment in self.fs.partitioner.deployment_names():
-                by_deployment[deployment] = list(set(affected_paths))
-        else:
-            for path in set(affected_paths):
-                deployment = self.fs.partitioner.deployment_for(path)
-                by_deployment.setdefault(deployment, []).append(path)
-        env = self.fs.env
-        for deployment, paths in by_deployment.items():
-            exclude = [self.member_id] if deployment == self.deployment_name else []
-            env.process(self.fs.coordinator.invalidate(
-                deployment, paths=paths, exclude=exclude,
-                initiator=self.member_id, trace_parent=trace_parent,
-            ))
-        yield env.timeout(0.0)   # does NOT wait for the ACKs
+    def fire_and_forget(self, *args, **kwargs):
+        self.env.process(invalidate(self, *args, **kwargs))
+        yield self.env.timeout(0.0)   # does NOT wait for the ACKs
 
-    monkeypatch.setattr(LambdaNameNode, "run_coherence", fire_and_forget)
+    monkeypatch.setattr(Coordinator, "invalidate", fire_and_forget)
 
     env = Environment()
     tracer = install_tracer(env)
     fs = build_fs(env)
+    drive(env, fs.prewarm(2))
     alice = fs.new_client(fs.new_vm())
     bob = fs.new_client(fs.new_vm())
 
     def scenario(env):
-        # Warm a second NameNode so the INV round has a remote member
-        # to wait on (ACK latency > 0).
         yield from bob.stat("/d0/seed")
         yield from alice.create_file("/d0/new")
         yield from alice.delete("/d0/seed")
 
     done = env.process(scenario(env))
     env.run(until=done)
-    rules = {v.rule for v in tracer.violations()}
-    assert "commit-before-ack" in rules
+    flagged = [
+        v for v in tracer.violations() if v.rule == "commit-before-ack"
+    ]
+    assert flagged
+    members = {
+        span.attrs["inv_id"]: span.attrs["members"]
+        for span in tracer.spans.values() if span.kind == "coord.inv"
+    }
+    flagged_rounds = {
+        int(re.search(r"INV round (\d+)", v.message).group(1)) for v in flagged
+    }
+    assert all(members[inv_id] >= 1 for inv_id in flagged_rounds)
