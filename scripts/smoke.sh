@@ -190,13 +190,11 @@ grep -q "PASS detection: incident #0 blamed fault:load_spike" \
     "$out/resilience_incidents.txt"
 echo "resilience smoke ok: $(grep 'PASS resilience:' "$out/resilience.txt" | head -1 | sed 's/^ *//')"
 
-# Kernel smoke: a same-host A/B of the quick kernel bench, this tree's
-# parent against this tree in alternating runs, gated on the median
-# events/s (fails on a >25% drop).  Both sides share the host, so the
-# verdict does not depend on how fast or loaded the host is.
-scripts/kernel_ab.sh > "$out/kernel.txt" || {
+# Kernel smoke: each benchmark workload's traced event hash and sim-block
+# digest against its pin, which is what a scheduler change must hold
+# (~30 s).  Wall-clock speed is perfbench's to judge.
+python3 scripts/check_trace_hashes.py > "$out/kernel.txt" || {
     cat "$out/kernel.txt"
     exit 1
 }
-grep -q "kernel bench: PASS" "$out/kernel.txt"
-echo "kernel smoke ok: $(grep 'kernel bench:' "$out/kernel.txt")"
+echo "kernel smoke ok: $(grep -c ' ok$' "$out/kernel.txt") workloads held their pins"

@@ -27,10 +27,6 @@ Commands:
 * ``tenants`` — the default tenant cast through the no-fault
   ``control`` scenario: per-tenant dashboard, fairness report and
   verifier verdict;
-* ``bench`` — wall-clock benchmarks of the toolkit itself: ``kernel``
-  measures raw simulator events/sec + peak RSS at 1k/10k/100k client
-  scales, with ``--baseline`` regression gating against a committed
-  BENCH_kernel.json;
 * ``experiments`` — list the experiment drivers and what they map to.
 """
 
@@ -678,47 +674,6 @@ def _cmd_tenants(args) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench.kernel import (
-        compare_kernel_bench,
-        format_kernel_bench,
-        format_kernel_diff,
-        load_kernel_bench,
-        quick_scale_names,
-        run_kernel_bench,
-        save_kernel_bench,
-    )
-
-    if args.bench_command != "kernel":
-        raise ValueError(f"unknown bench subcommand {args.bench_command!r}")
-
-    if args.diff:
-        before = load_kernel_bench(args.diff[0])
-        after = load_kernel_bench(args.diff[1])
-        diff = compare_kernel_bench(before, after, threshold=args.threshold)
-        print(format_kernel_diff(diff))
-        return 0 if diff.ok else 1
-
-    scales = quick_scale_names(args.quick, args.scales)
-    result = run_kernel_bench(
-        scales=scales,
-        seed=args.seed,
-        repeats=args.repeats,
-        verify_count=args.verify_count,
-        mem_probe=not args.no_mem,
-    )
-    print(format_kernel_bench(result))
-    if args.json:
-        print(f"\nbench json: {save_kernel_bench(result, args.json)}")
-    if args.baseline:
-        baseline = load_kernel_bench(args.baseline)
-        diff = compare_kernel_bench(baseline, result, threshold=args.threshold)
-        print()
-        print(format_kernel_diff(diff))
-        return 0 if diff.ok else 1
-    return 0
-
-
 def _cmd_experiments(_args) -> int:
     table = [
         ("fig8a/fig8b", "Spotify workload throughput", "benchmarks/test_fig8a…,8b…"),
@@ -956,40 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
     tenants.add_argument("--json", default=None, metavar="PATH",
                          help="write the fairness report JSON")
 
-    bench = sub.add_parser(
-        "bench",
-        help="wall-clock toolkit benchmarks: kernel",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_kernel = bench_sub.add_parser(
-        "kernel",
-        help="raw simulator throughput (events/sec, ops/sec, peak RSS)",
-    )
-    bench_kernel.add_argument("--quick", action="store_true",
-                              help="run only the smoke scale point "
-                                   "(for regression gating)")
-    bench_kernel.add_argument("--scales", nargs="+", default=None,
-                              help="explicit scale points (default: all)")
-    bench_kernel.add_argument("--seed", type=int, default=0)
-    bench_kernel.add_argument("--repeats", type=int, default=2,
-                              help="timed repetitions per point (best wins)")
-    bench_kernel.add_argument("--json", default=None, metavar="PATH",
-                              help="write the result JSON (BENCH_kernel.json)")
-    bench_kernel.add_argument("--baseline", default=None, metavar="PATH",
-                              help="gate events/sec against this bench JSON "
-                                   "(exit 1 on regression)")
-    bench_kernel.add_argument("--threshold", type=float, default=0.10,
-                              help="relative events/sec drop that fails "
-                                   "the gate")
-    bench_kernel.add_argument("--diff", nargs=2, default=None,
-                              metavar=("BEFORE", "AFTER"),
-                              help="compare two bench JSONs without running")
-    bench_kernel.add_argument("--no-mem", action="store_true",
-                              help="skip the tracemalloc heap probe")
-    bench_kernel.add_argument("--verify-count", action="store_true",
-                              help="cross-check event counts with a "
-                                   "counting on_step hook (untimed)")
-
     sub.add_parser("experiments", help="list experiment drivers")
     return parser
 
@@ -1005,7 +926,6 @@ COMMANDS = {
     "chaos": _cmd_chaos,
     "incidents": _cmd_incidents,
     "tenants": _cmd_tenants,
-    "bench": _cmd_bench,
     "experiments": _cmd_experiments,
 }
 

@@ -19,7 +19,6 @@ Quick example::
     env.run()
 """
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.core import Environment, StopSimulation
 from repro.sim.events import (
     AllOf,
@@ -36,7 +35,6 @@ from repro.sim.rng import RngStreams
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "ConditionValue",
     "Container",
     "Environment",

@@ -1,10 +1,11 @@
 """The simulation environment: clock, event queue, and run loop.
 
-The event queue is a :class:`repro.sim.calendar.CalendarQueue` — pop
-order is identical to the former global ``heapq`` (time, then priority,
-then insertion order), but push/pop cost tracks local event density
-instead of the global pending count, which is what makes 100k+ client
-runs feasible (see docs/kernel.md).
+The event queue is a plain ``heapq`` list of ``[time, priority, eid,
+event]`` entries: events run in time order, then priority, then
+insertion order (``eid`` is unique, so comparisons never reach the
+event).  A cancelled timer's entry is emptied (its event set to
+``None``) and skipped when it reaches the head; the heap is compacted
+once emptied entries are an eighth of it (see docs/kernel.md).
 
 Hooks
 -----
@@ -16,10 +17,9 @@ depend on it).
 
 from __future__ import annotations
 
-from heapq import heappop
-from typing import Any, Dict, Generator, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Dict, Generator, List, Optional
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.events import Event, Process, Timeout
 
 #: Scheduling priorities.  Lower runs first at equal time.
@@ -46,13 +46,16 @@ class Environment:
     # Slotted for attribute-lookup speed on the hot paths (schedule,
     # the run loop, Timeout's inlined push).
     __slots__ = (
-        "_now", "_queue", "_eid_next", "_steps", "_active_proc",
+        "_now", "_queue", "_dead", "_eid_next", "_steps", "_active_proc",
         "tracer", "metrics", "chaos", "_ids", "__weakref__",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue = CalendarQueue(start=self._now)
+        #: The event heap of ``[time, priority, eid, event]`` entries.
+        self._queue: List[list] = []
+        #: Entries in the heap emptied by :meth:`Timeout.cancel`.
+        self._dead = 0
         self._eid_next = 0
         self._steps = 0
         self._active_proc: Optional[Process] = None
@@ -113,18 +116,49 @@ class Environment:
         """Queue ``event`` to be processed after ``delay``."""
         eid = self._eid_next
         self._eid_next = eid + 1
-        self._queue.push(self._now + delay, priority, eid, event)
+        heappush(self._queue, [self._now + delay, priority, eid, event])
+
+    def _unschedule(self, entry: list) -> None:
+        """Empty a pending heap entry so it is skipped, not run.
+
+        The heap is compacted in place (the run loop holds the list)
+        once emptied entries are an eighth of it.  Half would bound the
+        heap as well, but emptied entries that linger survive young
+        collections: on ``read-hot`` they cost an extra full collection
+        per window and ~12% of its CPU time.
+        """
+        entry[3] = None
+        dead = self._dead + 1
+        queue = self._queue
+        if 8 * dead >= len(queue):
+            queue[:] = [item for item in queue if item[3] is not None]
+            heapify(queue)
+            dead = 0
+        self._dead = dead
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue.peek()
+        queue = self._queue
+        while queue:
+            if queue[0][3] is not None:
+                return queue[0][0]
+            heappop(queue)
+            self._dead -= 1
+        return float("inf")
 
     def step(self) -> None:
         """Process the next event in the queue."""
-        entry = self._queue.pop()
-        if entry is None:
-            raise EmptySchedule()
-        when, prio, eid, event = entry
+        queue = self._queue
+        while True:
+            if not queue:
+                raise EmptySchedule()
+            entry = heappop(queue)
+            when, prio, eid, event = entry
+            if event is not None:
+                break
+            self._dead -= 1
+        # A Timeout holds its entry (for cancel): break that cycle.
+        entry[3] = None
 
         self._now = when
         self._steps += 1
@@ -181,51 +215,19 @@ class Environment:
                 stop_event.callbacks = [callbacks, _stop_callback]
 
         # The body of :meth:`step` inlined with attribute chases hoisted
-        # into locals — including :meth:`CalendarQueue.pop` itself.  The
-        # queue's partitions (``_cur``/``_over``) and its ``_pops``
-        # resize counter live in locals across iterations: pushes from
-        # callbacks mutate the same list objects, and the only code
-        # that *replaces* them (``_refill``/``_rescale``) is re-read
-        # after the two calls below that can reach it.  A re-entrant
-        # ``env.step()``/``env.peek()`` from a callback self-heals: it
-        # can only leave the locals stale-*empty* (``_rescale`` clears
-        # the lists it retires), which routes the next iteration
-        # through ``refill()`` and a fresh re-read.  ``_pops`` is
-        # written back on exit so subsequent ``step()`` calls stay
-        # coherent.
+        # into locals.  Compaction replaces the heap's contents in
+        # place, so the local ``queue`` stays the live heap.
         queue = self._queue
-        refill = queue._refill
-        check_pops = queue._CHECK_POPS
-        cur = queue._cur
-        over = queue._over
-        # ``steps`` doubles as the pop counter: the next width check
-        # fires when it crosses ``next_check`` (seeded from the
-        # queue's persisted ``_pops`` so step()/run() mixing keeps the
-        # same cadence).
-        next_check = check_pops - queue._pops
         steps = 0
         try:
-            while True:
-                if over:
-                    if cur and cur[-1] < over[0]:
-                        entry = cur.pop()
-                    else:
-                        entry = heappop(over)
-                elif cur:
-                    entry = cur.pop()
-                else:
-                    if not refill():
-                        break
-                    cur = queue._cur
-                    over = queue._over
-                    continue
-                steps += 1
-                if steps >= next_check:
-                    next_check = steps + check_pops
-                    queue._auto_resize(entry[0])
-                    cur = queue._cur
-                    over = queue._over
+            while queue:
+                entry = heappop(queue)
                 when, prio, eid, event = entry
+                if event is None:  # cancelled
+                    self._dead -= 1
+                    continue
+                entry[3] = None  # see step()
+                steps += 1
                 self._now = when
                 tracer = self.tracer
                 if tracer is not None:
@@ -247,7 +249,6 @@ class Environment:
             return stop.args[0]
         finally:
             self._steps += steps
-            queue._pops = check_pops - (next_check - steps)
 
         if stop_event is not None and not stop_event.triggered:
             raise RuntimeError(

@@ -150,19 +150,19 @@ class Timeout(Event):
     """An event that triggers after a fixed delay.
 
     A timer that lost a race can leave the queue early with
-    :meth:`cancel`; it keeps its queue key (fire time and eid) for that.
+    :meth:`cancel`; it keeps its heap entry for that.
     """
 
-    __slots__ = ("_at", "_eid")
+    __slots__ = ("_entry",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        # Timeouts are the bulk of all events; the base ``__init__``,
-        # ``Environment.schedule`` *and* ``CalendarQueue.push`` are
-        # inlined here to save three frames on the hottest allocation
-        # path.  The eid counter and the push routing must stay
-        # byte-identical to ``schedule`` (priority is PRIORITY_NORMAL).
+        # Timeouts are the bulk of all events; the base ``__init__`` and
+        # ``Environment.schedule`` are inlined here to save two frames
+        # on the hottest allocation path.  The eid counter and the
+        # entry must stay byte-identical to ``schedule`` (priority is
+        # PRIORITY_NORMAL).
         self.env = env
         self.callbacks = _NO_CALLBACKS
         self._value = value
@@ -170,24 +170,8 @@ class Timeout(Event):
         self._defused = False
         eid = env._eid_next
         env._eid_next = eid + 1
-        queue = env._queue
-        t = env._now + delay
-        self._at = t
-        self._eid = eid
-        idx = int(t * queue._inv_width)
-        if idx <= queue._cur_idx:
-            heappush(queue._over, (t, 1, eid, self))
-        elif idx < queue._far_limit:
-            ring = queue._ring
-            slot = idx & queue._mask
-            bucket = ring[slot]
-            if bucket is None:
-                ring[slot] = [(t, 1, eid, self)]
-            else:
-                bucket.append((t, 1, eid, self))
-            queue._ring_count += 1
-        else:
-            heappush(queue._far, (t, 1, eid, self))
+        self._entry = entry = [env._now + delay, 1, eid, self]
+        heappush(env._queue, entry)
 
     def cancel(self) -> None:
         """Take this pending timer out of the queue; it never fires.
@@ -196,10 +180,12 @@ class Timeout(Event):
         call won): only the code that created the timer knows nothing
         will wait on it later, so cancelling is explicit, never done by
         the condition.  The timer is not a kernel step and the tracer
-        never sees it.  Every other event keeps its time, priority and
-        eid, so their relative order is unchanged.  A no-op once the
-        timer has fired or been cancelled; raises ``RuntimeError`` while
-        a process or an undecided condition still waits on it.
+        never sees it.  Its heap entry is emptied, so the queue drops
+        its reference at once; every other event keeps its time,
+        priority and eid, so their relative order is unchanged.  A
+        no-op once the timer has fired or been cancelled; raises
+        ``RuntimeError`` while a process or an undecided condition
+        still waits on it.
         """
         callbacks = self.callbacks
         if callbacks is None:
@@ -207,7 +193,7 @@ class Timeout(Event):
         if callbacks is not _NO_CALLBACKS and callbacks is not _defuse_late:
             raise RuntimeError(f"cannot cancel {self!r}: something waits on it")
         self.callbacks = None
-        self.env._queue.remove(self._at, 1, self._eid, self)
+        self.env._unschedule(self._entry)
 
 
 class Initialize(Event):

@@ -1,9 +1,9 @@
 """Golden determinism hashes for the kernel under the chaos engine.
 
-The calendar-queue scheduler and every other kernel optimisation must
-not change what a run produces: same seed, same ops and faults, bit
-for bit, and the same executed event sequence unless the change means
-to reschedule (cancelling a raced timer drops its step).  This pins the traced ``ack-loss`` regression
+The event queue and every other kernel optimisation must not change
+what a run produces: same seed, same ops and faults, bit for bit, and
+the same executed event sequence unless the change means to reschedule
+(cancelling a raced timer drops its step).  This pins the traced ``ack-loss`` regression
 scenario to literal hashes — the tracer's streaming blake2b event hash,
 the chaos engine's fault-log hash and the op records' outcome digest.
 Any scheduler change that reorders, adds or drops even one event flips
