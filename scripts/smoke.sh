@@ -139,14 +139,18 @@ print(f"tenant smoke ok: {sorted(tenants)} tenants, "
       f"{len(buckets)} bucket series")
 EOF
 
-# Incidents smoke: one fault scenario with online detection — the
+# Incidents smoke: one fault scenario with detection on — the
 # detector must page, the correlator must blame the injected fault,
-# and the JSON export must round-trip through the report loader.
+# the JSON export must round-trip through the report loader, and
+# `incidents analyze` on the run's telemetry export must find the
+# run's own alert windows.
 python -m repro chaos run ack-loss --detect --clients 12 --window 4000 \
     --drain 5000 --out "$out/incidents" > "$out/incidents.txt"
 grep -q "PASS detection: incident #0 blamed fault:ack_loss" \
     "$out/incidents.txt"
 grep -q "suspect 1. injected fault 'ack_loss'" "$out/incidents.txt"
+python -m repro incidents analyze "$out/incidents/telemetry.jsonl" \
+    --json "$out/incidents/analyze.json" > "$out/incidents_analyze.txt"
 python - "$out" <<'EOF'
 import sys
 
@@ -154,6 +158,15 @@ from repro.incidents import load_report
 
 out = sys.argv[1]
 report = load_report(f"{out}/incidents/incidents.json")
+analyzed = load_report(f"{out}/incidents/analyze.json")
+
+
+def windows(r):
+    return [(a.rule, a.started_ms, a.ended_ms)
+            for incident in r.incidents for a in incident.alerts]
+
+
+assert windows(analyzed) == windows(report), "analyze and run disagree"
 assert report.scenario == "ack-loss", report.scenario
 assert report.detected, "no incidents in the export"
 top = report.incidents[0].top_suspect

@@ -26,7 +26,6 @@ from repro.chaos.faults import (
     Fault,
     KillRecord,
     NameNodeKiller,
-    derive_rng,
     make_fault,
     pick_victim,
     validate_scenario,
@@ -80,7 +79,6 @@ __all__ = [
     "VerifierReport",
     "baseline_drift",
     "builtin_scenarios",
-    "derive_rng",
     "family_of",
     "get_scenario",
     "install_chaos",

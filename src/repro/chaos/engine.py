@@ -8,8 +8,8 @@ the activation/deactivation edges in time order, and while a fault is
 active the fabric/store/coordinator hooks consult the engine on every
 request.
 
-Determinism: the engine's RNG is derived from ``(seed, "chaos")``
-exactly like a :class:`repro.sim.RngStreams` stream, and is only
+Determinism: the engine's RNG is the ``"chaos"`` stream of a
+:class:`repro.sim.RngStreams` over the run's seed, and is only
 consulted while a matching fault is active, so
 
 * an attached engine with no scenario (or outside every fault window)
@@ -24,9 +24,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Interrupt, RngStreams
 
-from repro.chaos.faults import Fault, derive_rng, make_fault
+from repro.chaos.faults import Fault, make_fault
 from repro.chaos.scenario import Scenario
 
 
@@ -77,7 +77,7 @@ class ChaosEngine:
         self.store = store
         self.fleet = fleet
         self.seed = seed
-        self.rng = derive_rng(seed, "chaos")
+        self.rng = RngStreams(seed).stream("chaos")
         #: The system's :class:`~repro.resilience.ResilienceManager`
         #: (``disable_shedding``'s latch target); None when detached.
         self.resilience: Any = None

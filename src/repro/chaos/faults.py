@@ -25,7 +25,6 @@ the next deployment), ``random`` (uniform over warm instances), or
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, replace
 from typing import (
@@ -38,15 +37,9 @@ from typing import (
     Type,
 )
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Interrupt, RngStreams
 
 from repro.chaos.scenario import FaultSpec
-
-
-def derive_rng(seed: int, name: str) -> random.Random:
-    """A stream seeded like :class:`repro.sim.RngStreams` streams."""
-    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 # -- NameNode killer ----------------------------------------------------
@@ -103,7 +96,10 @@ class NameNodeKiller:
         self.platform = platform
         self.interval_ms = interval_ms
         self.policy = policy
-        self.rng = rng if rng is not None else derive_rng(seed, "namenode-killer")
+        self.rng = (
+            rng if rng is not None
+            else RngStreams(seed).stream("namenode-killer")
+        )
         self._names = deployments
         self._on_kill = on_kill
         self.kills: List[KillRecord] = []

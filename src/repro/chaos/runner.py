@@ -138,12 +138,12 @@ class ChaosRunConfig:
     injects overload faults, detached (the legacy byte-identical
     configuration) otherwise.  An explicit config always attaches."""
     detect: bool = False
-    """Attach the :class:`repro.incidents.AlertEngine` to the sampler
-    (the single-``is None`` ``on_sample`` hook), evaluate alert rules
-    online, and run incident grouping + root-cause attribution after
-    the run.  Adds no sim events and draws no RNG, so the event hash
-    and fault-log hash are byte-identical either way — and the
-    verifier gains the detection gate (gate 6)."""
+    """After the run, evaluate the alert rules over the finished
+    telemetry series with :class:`repro.incidents.AlertEngine`, then
+    group the alerts into incidents and rank their root causes.  Reads
+    only what the run recorded, so the event hash and fault-log hash
+    are byte-identical either way — and the verifier gains the
+    detection gate (gate 6)."""
     profile: bool = False
     """Attribute every op's critical path after the run (slower; the
     per-tenant stage breakdown of ``repro tenants --profile``).  Reads
@@ -310,17 +310,6 @@ def run_scenario(
         **build_extra,
     )
     fs = handle.system
-    detector = None
-    if config.detect:
-        # Online detection: the engine rides the sampler's on_sample
-        # hook — pure arithmetic per sample, no events, no RNG — and
-        # mirrors firing state back into the same registry so
-        # alerts_firing/alerts_fired_total land in the exports.
-        from repro.incidents import AlertEngine, default_rules
-
-        detector = handle.telemetry.attach_detector(
-            AlertEngine(default_rules(), registry=handle.telemetry.registry)
-        )
     fleet = None
     if fleet_config is not None:
         fleet = DataNodeFleet(
@@ -392,15 +381,24 @@ def run_scenario(
     engine.stop()
     handle.telemetry.stop()
     profile = None
-    if config.profile or detector is not None:
+    if config.profile or config.detect:
         from repro.profile import analyze_trace
 
         profile = analyze_trace(handle.tracer)
     incident_report = None
-    if detector is not None:
-        from repro.incidents import Evidence, build_report
+    if config.detect:
+        from repro.incidents import (
+            AlertEngine,
+            Evidence,
+            build_report,
+            default_rules,
+        )
 
-        alerts = detector.finish(env.now)
+        # stop() took a last sample at env.now, so open alerts close
+        # at the end of the run.
+        alerts = AlertEngine(default_rules()).replay(
+            handle.telemetry.timeseries
+        )
         evidence = Evidence(
             fault_log=engine.log,
             profile=profile,

@@ -41,7 +41,7 @@ class Family:
 FAMILIES: Dict[str, Family] = {
     # One scenario per layer (FaaS kills, TCP fabric, HTTP gateway,
     # metastore shard, coordinator ACKs) plus the no-fault control,
-    # with the online detector attached (gate 6).
+    # with detection on (gate 6).
     "chaos": Family(
         ("nn-kills", "tcp-sever", "gateway-brownout", "shard-outage",
          "ack-loss", "control"),

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
-from repro.telemetry.sampler import interval_deltas
-
 
 @dataclass(frozen=True)
 class RecoverySLO:
@@ -273,28 +271,39 @@ class ChaosVerifier:
         self._check_latency_slo(report, first_fault, clear)
         self._check_hit_rate_slo(report, first_fault, clear)
 
-    def _interval_totals(self, family: str) -> List[Tuple[float, float]]:
-        """(t, increase of ``family``'s fleet-wide total) per interval."""
-        return interval_deltas(self.timeseries.totals(family).get((), []))
+    def _signal(
+        self, metric: str, mode: str, divisor: str = ""
+    ) -> List[Optional[float]]:
+        """Per-sample values of an alert-rule signal over the series."""
+        # Imported here: every bench run loads the chaos package (for
+        # NameNodeKiller), and one that never verifies should not load
+        # the incidents layer too.
+        from repro.incidents.rules import Signal
+
+        return Signal(metric, mode=mode, divisor=divisor).values(
+            self.timeseries
+        )
+
+    def _intervals(
+        self, metric: str, mode: str, divisor: str = ""
+    ) -> List[Tuple[float, float]]:
+        """(t, signal value) for the intervals that have data."""
+        return [
+            (t_ms, value)
+            for t_ms, value in zip(
+                self.timeseries.times(), self._signal(metric, mode, divisor)
+            )
+            if value is not None
+        ]
 
     def _latency_intervals(self) -> List[Tuple[float, float]]:
         """(t, mean per-interval op latency) for intervals with ops."""
-        counts = self._interval_totals("op_latency_ms_count")
-        sums = self._interval_totals("op_latency_ms_sum")
-        out = []
-        for (t_ms, n), (_t, total) in zip(counts, sums):
-            if n > 0:
-                out.append((t_ms, total / n))
-        return out
+        return self._intervals("op_latency_ms", "mean")
 
     def _hit_rate_intervals(self) -> List[Tuple[float, float]]:
-        hits = self._interval_totals("cache_hits_total")
-        misses = self._interval_totals("cache_misses_total")
-        out = []
-        for (t_ms, h), (_t, m) in zip(hits, misses):
-            if h + m > 0:
-                out.append((t_ms, h / (h + m)))
-        return out
+        return self._intervals(
+            "cache_hits_total", "ratio", divisor="cache_misses_total"
+        )
 
     def _baseline(
         self, intervals: List[Tuple[float, float]], first_fault: float
@@ -578,12 +587,12 @@ class ChaosVerifier:
     # -- gate 7: resilience --------------------------------------------
     def _goodput_intervals(self) -> List[Tuple[float, float]]:
         """(t, successful ops this interval) across the fleet."""
-        totals = self._interval_totals("ops_total")
-        failed = self._interval_totals("ops_failed_total")
-        failed_at = dict(failed)
+        ops = self._signal("ops_total", "delta")
+        failed = self._signal("ops_failed_total", "delta")
         return [
-            (t_ms, max(0.0, n - failed_at.get(t_ms, 0.0)))
-            for t_ms, n in totals
+            (t_ms, max(0.0, n - (f or 0.0)))
+            for t_ms, n, f in zip(self.timeseries.times(), ops, failed)
+            if n is not None
         ]
 
     def _audit_breakers(self, report: VerifierReport) -> bool:

@@ -17,7 +17,7 @@ Commands:
 * ``chaos`` — deterministic fault injection, the one scenario
   pipeline: ``run`` one scenario (built-in name or JSON file) under
   load in its family's run shape and verify recovery (``--detect``
-  adds online alerting + the detection gate, ``--out`` writes the
+  adds post-run alerting + the detection gate, ``--out`` writes the
   incident report and telemetry); ``matrix --family F`` runs one
   regression family, writes ``BENCH_<F>.json`` with ``--bench-json``
   and fails on any drift from it with ``--baseline``;
@@ -49,7 +49,8 @@ def _dump_json(path: str, doc, label: str = "bench json") -> None:
 
 def _print_trace_summary(tracer) -> None:
     summary = tracer.summary()
-    print(f"\ntrace: {summary['spans']} spans ({summary['points']} points), "
+    print(f"\ntrace: {summary['spans']} spans ({summary['points']} points, "
+          f"{summary['dropped']} dropped), "
           f"{summary['events_hashed']} events hashed, "
           f"event hash {summary['event_hash']}, "
           f"{summary['violations']} invariant violation(s)")
@@ -844,8 +845,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print the full fault log")
     chaos_run.add_argument("--detect", action=argparse.BooleanOptionalAction,
                            default=None,
-                           help="attach the online alert engine and add the "
-                                "detection gate to the verdict (default: "
+                           help="evaluate the alert rules after the run and "
+                                "add the detection gate to the verdict "
+                                "(default: "
                                 "the family's setting)")
     chaos_run.add_argument("--out", default=None, metavar="DIR",
                            help="write incidents.json / incidents.md / "
@@ -868,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     incidents = sub.add_parser(
         "incidents",
-        help="online alerting + root-cause attribution: analyze / rules",
+        help="alerting + root-cause attribution: analyze / rules",
     )
     incidents_sub = incidents.add_subparsers(
         dest="incidents_command", required=True

@@ -1,9 +1,9 @@
-"""Online SLO alerting, anomaly detection, and root-cause attribution.
+"""SLO alerting, anomaly detection, and root-cause attribution.
 
 The sixth observability layer (trace → telemetry → profile → chaos →
 tenants → **incidents**): where the first five *record* what the
-simulated λFS deployment did, this one *detects and explains* it while
-the run is still going, the way an SRE stack would.
+simulated λFS deployment did, this one *detects and explains* it from
+the finished run's telemetry, the way an SRE stack would.
 
 Three stages, three modules:
 
@@ -13,11 +13,11 @@ Three stages, three modules:
     SLO rules — plus the :func:`default_rules` catalog covering every
     metric family the stack emits.
 :mod:`repro.incidents.detect`
-    The :class:`AlertEngine`: incremental, sim-clock evaluation of a
-    rule list over the telemetry ``TimeSeries``, attached to the
-    sampler's single-``is None`` ``on_sample`` hook so detection adds
-    no events and no RNG — a detector-on run keeps the event hash
-    byte-identical to a detector-off run.
+    The :class:`AlertEngine`: sim-clock evaluation of a rule list
+    over a finished telemetry ``TimeSeries``, the same call for a live
+    run and a loaded JSONL export.  It reads only the series, so a
+    detection-on run keeps the event hash byte-identical to a
+    detection-off run.
 :mod:`repro.incidents.correlate` / :mod:`repro.incidents.report`
     Temporal grouping of firing alerts into incidents, root-cause
     ranking against the chaos fault log / critical-path stage shifts /

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.telemetry.registry import parse_series_key
+from repro.incidents.rules import Signal
+from repro.tenants.fairness import jain_index
 
 #: How far (sim-ms) before an incident opens a fault may lie and still
 #: count as temporally linked — detection necessarily lags injection
@@ -282,38 +283,36 @@ def _stage_score(shift: Mapping[str, float], kind: str) -> float:
 
 # -- timeseries evidence (circumstantial suspects) ---------------------
 
-def _family_totals_at(values: Mapping[str, float], family: str) -> float:
-    return sum(
-        value for key, value in values.items()
-        if parse_series_key(key)[0] == family
-    )
+def _family_total(timeseries: Any, family: str) -> List[float]:
+    """Per-sample fleet-wide total of ``family`` (0.0 where absent)."""
+    points = timeseries.totals(family).get(())
+    if points is None:
+        return [0.0] * len(timeseries)
+    return [total for _, total in points]
 
 
 def _autoscaler_gap(timeseries: Any, t0_ms: float, t1_ms: float) -> float:
     """Largest desired-minus-actual NameNode gap inside the window."""
-    gap = 0.0
-    for _, values in timeseries.window(t0_ms, t1_ms).samples:
-        desired = _family_totals_at(values, "fleet_desired_namenodes")
-        actual = _family_totals_at(values, "fleet_actual_namenodes")
-        gap = max(gap, desired - actual)
-    return gap
+    gaps = Signal(
+        "fleet_desired_namenodes", mode="gap",
+        divisor="fleet_actual_namenodes",
+    ).values(timeseries.window(t0_ms, t1_ms))
+    return max([0.0] + [gap for gap in gaps if gap is not None])
 
 
 def _ack_latency_lift(timeseries: Any, t0_ms: float, t1_ms: float) -> float:
     """Window mean INV/ACK latency minus the whole-run mean (ms)."""
-    def mean(samples) -> Optional[float]:
-        if len(samples) < 2:
+    def mean(series: Any) -> Optional[float]:
+        if len(series) < 2:
             return None
-        count = (_family_totals_at(samples[-1][1], "coord_ack_latency_ms_count")
-                 - _family_totals_at(samples[0][1], "coord_ack_latency_ms_count"))
-        total = (_family_totals_at(samples[-1][1], "coord_ack_latency_ms_sum")
-                 - _family_totals_at(samples[0][1], "coord_ack_latency_ms_sum"))
-        if count <= 0:
+        count = _family_total(series, "coord_ack_latency_ms_count")
+        total = _family_total(series, "coord_ack_latency_ms_sum")
+        if count[-1] - count[0] <= 0:
             return None
-        return total / count
+        return (total[-1] - total[0]) / (count[-1] - count[0])
 
-    window_mean = mean(timeseries.window(t0_ms, t1_ms).samples)
-    run_mean = mean(timeseries.samples)
+    window_mean = mean(timeseries.window(t0_ms, t1_ms))
+    run_mean = mean(timeseries)
     if window_mean is None or run_mean is None:
         return 0.0
     return max(0.0, window_mean - run_mean)
@@ -323,32 +322,19 @@ def _fairness_floor(
     timeseries: Any, t0_ms: float, t1_ms: float
 ) -> Optional[float]:
     """Jain index of per-tenant op throughput across the window."""
-    samples = timeseries.window(t0_ms, t1_ms).samples
-    if len(samples) < 2:
+    window = timeseries.window(t0_ms, t1_ms)
+    if len(window) < 2:
         return None
-
-    def per_tenant(values: Mapping[str, float]) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for key, value in values.items():
-            name, labels = parse_series_key(key)
-            if name == "tenant_ops_total" and "tenant" in labels:
-                tenant = labels["tenant"]
-                out[tenant] = out.get(tenant, 0.0) + value
-        return out
-
-    first = per_tenant(samples[0][1])
-    last = per_tenant(samples[-1][1])
-    tenants = sorted(set(first) | set(last))
-    if len(tenants) < 2:
+    by_tenant = window.totals("tenant_ops_total", by=("tenant",))
+    if len(by_tenant) < 2:
         return None
     shares = [
-        max(0.0, last.get(t, 0.0) - first.get(t, 0.0)) for t in tenants
+        max(0.0, points[-1][1] - points[0][1])
+        for _, points in sorted(by_tenant.items())
     ]
-    total = sum(shares)
-    if total <= 0:
+    if sum(shares) <= 0:
         return None
-    square_sum = sum(share * share for share in shares)
-    return (total * total) / (len(shares) * square_sum)
+    return jain_index(shares)
 
 
 # -- the ranker --------------------------------------------------------

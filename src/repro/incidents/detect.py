@@ -1,35 +1,30 @@
-"""The online alert engine: rule evaluation as sampling proceeds.
+"""The alert engine: rule evaluation over a finished telemetry series.
 
-An :class:`AlertEngine` hangs off the telemetry sampler's
-``on_sample`` hook (:meth:`repro.telemetry.Telemetry.attach_detector`)
-and evaluates its rule list against every new sample the moment it
-lands — detection happens *during* the run, on the simulation clock,
-exactly like a Prometheus/Alertmanager pair watching a live fleet.
+An :class:`AlertEngine` judges a run after it ends, like the
+critical-path profiler: :meth:`AlertEngine.replay` evaluates its rule
+list sample by sample over the run's
+:class:`~repro.telemetry.sampler.TimeSeries` (or one loaded back from
+a JSONL export), on the simulation clock the samples carry.  Each
+rule's :class:`~repro.incidents.rules.Signal` reduces the series with
+:meth:`~repro.incidents.rules.Signal.values`, the one evaluator the
+chaos verifier and the correlator share.
 
-The engine is strictly read-only over the simulation: it consumes no
-RNG, schedules no events, and touches nothing but its own state (and,
-when given a registry, the ``alerts_*`` mirror families) — so a run
-with detection attached produces a byte-identical event hash to one
-without.  Evaluation is incremental: each call processes only samples
-appended since the last, so the online hook and the offline
-:meth:`replay` path share one code path and one result.
+The engine reads only the series, so a run with detection on has the
+same event hash as one without, and ``repro incidents analyze`` on a
+run's export gives the run's own alert list.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.telemetry.registry import parse_series_key
-from repro.tenants.fairness import jain_index
 
 from repro.incidents.rules import (
     AnomalyRule,
     BurnRateRule,
     Rule,
-    Signal,
     ThresholdRule,
     default_rules,
 )
@@ -98,154 +93,21 @@ class Alert:
                 f"{self.started_ms:.0f}..{end} ms")
 
 
-class _FamilyTotals:
-    """Incremental per-sample sum of one metric family.
-
-    Series keys are classified once (parse results memoised) so the
-    per-sample cost is one dict lookup per series.
-    """
-
-    __slots__ = ("family", "labels", "_known", "total", "prev_total", "seen")
-
-    def __init__(self, family: str, labels: Optional[Mapping[str, str]] = None):
-        self.family = family
-        self.labels = dict(labels or {})
-        self._known: Dict[str, bool] = {}
-        self.total = 0.0
-        self.prev_total = 0.0
-        self.seen = False
-        """True once any series of this family has appeared."""
-
-    def update(self, values: Mapping[str, float]) -> None:
-        self.prev_total = self.total
-        total = 0.0
-        matched = False
-        for key, value in values.items():
-            include = self._known.get(key)
-            if include is None:
-                name, labels = parse_series_key(key)
-                include = name == self.family and all(
-                    labels.get(k) == v for k, v in self.labels.items()
-                )
-                self._known[key] = include
-            if include:
-                total += value
-                matched = True
-        self.total = total
-        self.seen = self.seen or matched
-
-    @property
-    def delta(self) -> float:
-        return max(0.0, self.total - self.prev_total)
-
-
-class _TenantTotals:
-    """Per-tenant incremental totals of one family (for Jain signals)."""
-
-    __slots__ = ("family", "_tenant_of", "totals", "prev")
-
-    def __init__(self, family: str):
-        self.family = family
-        self._tenant_of: Dict[str, Optional[str]] = {}
-        self.totals: Dict[str, float] = {}
-        self.prev: Dict[str, float] = {}
-
-    def update(self, values: Mapping[str, float]) -> None:
-        self.prev = dict(self.totals)
-        totals: Dict[str, float] = {}
-        for key, value in values.items():
-            tenant = self._tenant_of.get(key, "")
-            if tenant == "":
-                name, labels = parse_series_key(key)
-                tenant = labels.get("tenant") if name == self.family else None
-                self._tenant_of[key] = tenant
-            if tenant is not None:
-                totals[tenant] = totals.get(tenant, 0.0) + value
-        # Tenants stop being reported only if the registry resets;
-        # keep the stale cumulative value so deltas stay >= 0.
-        for tenant, value in self.totals.items():
-            totals.setdefault(tenant, value)
-        self.totals = totals
-
-    def deltas(self) -> Dict[str, float]:
-        return {
-            tenant: max(0.0, value - self.prev.get(tenant, 0.0))
-            for tenant, value in self.totals.items()
-        }
-
-
-class _SignalEval:
-    """Evaluates one :class:`Signal` against the tracked totals."""
-
-    def __init__(self, signal: Signal, engine: "AlertEngine") -> None:
-        self.signal = signal
-        mode = signal.mode
-        if mode == "jain":
-            self._tenants = engine._tenant_totals(signal.metric)
-            return
-        if mode == "mean":
-            self._num = engine._family(f"{signal.metric}_sum", signal.labels)
-            self._den = engine._family(f"{signal.metric}_count", signal.labels)
-        elif mode in ("ratio", "frac", "gap"):
-            self._num = engine._family(signal.metric, signal.labels)
-            self._den = engine._family(signal.divisor, signal.labels)
-        else:
-            self._num = engine._family(signal.metric, signal.labels)
-            self._den = None
-
-    def value(self, dt_ms: Optional[float]) -> Optional[float]:
-        """The signal at the current sample; None = no data (a gap)."""
-        mode = self.signal.mode
-        if mode == "jain":
-            deltas = self._tenants.deltas()
-            shares = [deltas[t] for t in sorted(deltas)]
-            if len(shares) < 2 or sum(shares) <= 0:
-                return None
-            return jain_index(shares)
-        num = self._num
-        if mode == "gauge":
-            return num.total if num.seen else None
-        if mode == "delta":
-            return num.delta if num.seen else None
-        if mode == "rate":
-            if not num.seen or dt_ms is None or dt_ms <= 0:
-                return None
-            return num.delta / (dt_ms / 1_000.0)
-        if mode == "mean":
-            count = self._den.delta
-            if count <= 0:
-                return None
-            return num.delta / count
-        if mode == "ratio":
-            total = num.delta + self._den.delta
-            if total <= 0:
-                return None
-            return num.delta / total
-        if mode == "frac":
-            if self._den.delta <= 0:
-                return None
-            return num.delta / self._den.delta
-        if mode == "gap":
-            if not (num.seen or self._den.seen):
-                return None
-            return num.total - self._den.total
-        raise AssertionError(f"unhandled signal mode {mode!r}")
-
-
 class _RuleRuntime:
     """Per-rule firing state machine (shared sustain/alert logic)."""
 
-    def __init__(self, rule: Rule, engine: "AlertEngine") -> None:
+    def __init__(self, rule: Rule, timeseries: Any, alerts: List[Alert]) -> None:
         self.rule = rule
-        self.engine = engine
+        self.alerts = alerts
+        """The engine's alert list; an alert joins it when it opens."""
         self.pending_since: Optional[float] = None
         self.alert: Optional[Alert] = None
         if isinstance(rule, BurnRateRule):
-            self._bad = _SignalEval(rule.bad, engine)
-            self._total = _SignalEval(rule.total, engine)
+            self._bad = rule.bad.values(timeseries)
+            self._total = rule.total.values(timeseries)
             self._window: deque = deque()
         else:
-            self._signal = _SignalEval(rule.signal, engine)
+            self._signal = rule.signal.values(timeseries)
         if isinstance(rule, AnomalyRule):
             self._mean = 0.0
             self._var = 0.0
@@ -253,18 +115,18 @@ class _RuleRuntime:
 
     # -- per-kind condition evaluation ---------------------------------
     def _condition(
-        self, t_ms: float, dt_ms: Optional[float]
+        self, index: int, t_ms: float
     ) -> Tuple[Optional[bool], float]:
         rule = self.rule
         if isinstance(rule, ThresholdRule):
-            value = self._signal.value(dt_ms)
+            value = self._signal[index]
             if value is None or not math.isfinite(value):
                 return None, 0.0
             met = value > rule.threshold if rule.op == ">" else value < rule.threshold
             return met, value
 
         if isinstance(rule, AnomalyRule):
-            value = self._signal.value(dt_ms)
+            value = self._signal[index]
             if value is None or not math.isfinite(value):
                 return None, 0.0
             if self._seen < rule.warmup:
@@ -293,8 +155,8 @@ class _RuleRuntime:
             return met, value
 
         # burn rate
-        bad = self._bad.value(dt_ms)
-        total = self._total.value(dt_ms)
+        bad = self._bad[index]
+        total = self._total[index]
         self._window.append((t_ms, bad or 0.0, total or 0.0))
         horizon = t_ms - rule.long_ms
         while self._window and self._window[0][0] <= horizon:
@@ -326,8 +188,8 @@ class _RuleRuntime:
         self._var = (1.0 - alpha) * (self._var + alpha * deviation * deviation)
 
     # -- lifecycle -----------------------------------------------------
-    def step(self, t_ms: float, dt_ms: Optional[float]) -> None:
-        met, value = self._condition(t_ms, dt_ms)
+    def step(self, index: int, t_ms: float) -> None:
+        met, value = self._condition(index, t_ms)
         if met is None:
             # Data gap: keep state; an open alert stays open rather
             # than flapping shut because nobody completed an op.
@@ -346,7 +208,7 @@ class _RuleRuntime:
                     value=value,
                     peak_value=value,
                 )
-                self.engine._opened(self.alert)
+                self.alerts.append(self.alert)
             elif self.alert is not None:
                 if abs(value) > abs(self.alert.peak_value):
                     self.alert.peak_value = value
@@ -354,119 +216,42 @@ class _RuleRuntime:
             self.pending_since = None
             if self.alert is not None:
                 self.alert.ended_ms = t_ms
-                self.engine._closed(self.alert)
                 self.alert = None
 
     def finish(self, end_ms: float) -> None:
         if self.alert is not None:
             self.alert.ended_ms = end_ms
             self.alert.resolved = False
-            self.engine._closed(self.alert)
             self.alert = None
 
 
 class AlertEngine:
-    """Evaluates a rule list over a TimeSeries, online or offline.
+    """Evaluates a rule list over a finished :class:`TimeSeries`.
 
-    Online: ``telemetry.attach_detector(AlertEngine(...))`` — the
-    sampler calls :meth:`observe` after every sample.  Offline:
-    :meth:`replay` over a finished (or loaded) series.  Either way,
-    call :meth:`finish` when the run ends to close still-firing
-    alerts; :attr:`alerts` then holds every firing window in
-    chronological order.
+    :meth:`replay` steps every rule through the series sample by
+    sample and closes the alerts still firing at its last sample;
+    :attr:`alerts` then holds every firing window in opening order.
     """
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        registry: Any = None,
-    ) -> None:
+    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
         self.rules: List[Rule] = list(rules) if rules is not None else default_rules()
         names = [rule.name for rule in self.rules]
         duplicates = sorted({n for n in names if names.count(n) > 1})
         if duplicates:
             raise ValueError(f"duplicate rule name(s): {duplicates}")
-        self.registry = registry
-        """Optional :class:`~repro.telemetry.registry.MetricsRegistry`
-        mirror: firing state lands in ``alerts_firing{rule=...}`` and
-        opens count into ``alerts_fired_total`` so alert activity shows
-        up in the normal exports."""
         self.alerts: List[Alert] = []
-        self._families: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], _FamilyTotals] = {}
-        self._tenants: Dict[str, _TenantTotals] = {}
-        self._cursor = 0
-        self._prev_t: Optional[float] = None
-        self.finished_at_ms: Optional[float] = None
-        self._runtimes = [_RuleRuntime(rule, self) for rule in self.rules]
-
-    # -- tracker registry (shared across signals) ----------------------
-    def _family(
-        self, family: str, labels: Optional[Mapping[str, str]] = None
-    ) -> _FamilyTotals:
-        key = (family, tuple(sorted((labels or {}).items())))
-        tracker = self._families.get(key)
-        if tracker is None:
-            tracker = _FamilyTotals(family, labels)
-            self._families[key] = tracker
-        return tracker
-
-    def _tenant_totals(self, family: str) -> _TenantTotals:
-        tracker = self._tenants.get(family)
-        if tracker is None:
-            tracker = _TenantTotals(family)
-            self._tenants[family] = tracker
-        return tracker
-
-    # -- alert bookkeeping ---------------------------------------------
-    def _opened(self, alert: Alert) -> None:
-        self.alerts.append(alert)
-        if self.registry is not None:
-            self.registry.set("alerts_firing", 1.0, rule=alert.rule)
-            self.registry.inc(
-                "alerts_fired_total",
-                rule=alert.rule, severity=alert.severity,
-            )
-
-    def _closed(self, alert: Alert) -> None:
-        if self.registry is not None:
-            self.registry.set("alerts_firing", 0.0, rule=alert.rule)
-
-    @property
-    def firing(self) -> List[Alert]:
-        return [alert for alert in self.alerts if alert.firing]
-
-    # -- evaluation ----------------------------------------------------
-    def observe(self, timeseries: Any) -> None:
-        """Process every sample appended since the last call."""
-        samples = timeseries.samples
-        while self._cursor < len(samples):
-            t_ms, values = samples[self._cursor]
-            self._step(t_ms, values)
-            self._cursor += 1
-
-    def _step(self, t_ms: float, values: Mapping[str, float]) -> None:
-        for tracker in self._families.values():
-            tracker.update(values)
-        for tracker in self._tenants.values():
-            tracker.update(values)
-        dt_ms = None if self._prev_t is None else t_ms - self._prev_t
-        if dt_ms is not None and dt_ms <= 0:
-            dt_ms = None
-        for runtime in self._runtimes:
-            runtime.step(t_ms, dt_ms)
-        self._prev_t = t_ms
-
-    def finish(self, end_ms: Optional[float] = None) -> List[Alert]:
-        """Close still-firing alerts; returns the full alert list."""
-        if end_ms is None:
-            end_ms = self._prev_t if self._prev_t is not None else 0.0
-        self.finished_at_ms = end_ms
-        for runtime in self._runtimes:
-            runtime.finish(end_ms)
-        return self.alerts
 
     def replay(self, timeseries: Any) -> List[Alert]:
-        """Offline evaluation of a finished series (one call)."""
-        self.observe(timeseries)
-        last = timeseries.samples[-1][0] if timeseries.samples else None
-        return self.finish(last)
+        """Evaluate every rule over ``timeseries``; returns the alerts."""
+        self.alerts = []
+        runtimes = [
+            _RuleRuntime(rule, timeseries, self.alerts) for rule in self.rules
+        ]
+        times = timeseries.times()
+        for index, t_ms in enumerate(times):
+            for runtime in runtimes:
+                runtime.step(index, t_ms)
+        end_ms = times[-1] if times else 0.0
+        for runtime in runtimes:
+            runtime.finish(end_ms)
+        return self.alerts

@@ -22,8 +22,9 @@ and carry no evaluation state — the per-run state lives in the
 :class:`~repro.incidents.detect.AlertEngine`.
 
 Everything here is pure arithmetic over sampled values: no simulated
-time, no randomness, so attaching detectors cannot change a run's
-event hash.
+time, no randomness, so detection cannot change a run's event hash.
+:meth:`Signal.values` is the one reducer of a signal over a series;
+the alert engine, the chaos verifier and the correlator all read it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+
+from repro.tenants.fairness import jain_index
 
 #: Signal reduction modes (see :meth:`Signal.validate`).
 SIGNAL_MODES = (
@@ -107,6 +110,98 @@ class Signal:
             divisor=str(data.get("divisor", "")),
             labels=dict(data.get("labels", {})),
         )
+
+    def values(self, timeseries: Any) -> List[Optional[float]]:
+        """This signal at every sample of ``timeseries``; None is a gap.
+
+        A family reads as absent until the first sample that holds one
+        of its series; deltas count the first interval from zero and
+        clamp a decrease to 0.0, and the first sample has no ``dt``.
+        """
+        mode = self.mode
+        if mode == "jain":
+            return _jain_values(timeseries, self.metric)
+        if mode == "mean":
+            num = _family(timeseries, f"{self.metric}_sum", self.labels)
+            den = _family(timeseries, f"{self.metric}_count", self.labels)
+        else:
+            num = _family(timeseries, self.metric, self.labels)
+            den = (
+                _family(timeseries, self.divisor, self.labels)
+                if mode in ("ratio", "frac", "gap") else num
+            )
+        times = timeseries.times()
+        out: List[Optional[float]] = []
+        for index, t_ms in enumerate(times):
+            n, d = num[index], den[index]
+            n_delta = _delta(num, index)
+            d_delta = _delta(den, index)
+            value: Optional[float] = None
+            if mode == "gauge":
+                value = n
+            elif mode == "delta":
+                value = None if n is None else n_delta
+            elif mode == "rate":
+                dt_ms = t_ms - times[index - 1] if index else 0.0
+                if n is not None and dt_ms > 0:
+                    value = n_delta / (dt_ms / 1_000.0)
+            elif mode == "mean":
+                if d_delta > 0:
+                    value = n_delta / d_delta
+            elif mode == "ratio":
+                if n_delta + d_delta > 0:
+                    value = n_delta / (n_delta + d_delta)
+            elif mode == "frac":
+                if d_delta > 0:
+                    value = n_delta / d_delta
+            elif n is not None or d is not None:  # gap
+                value = (n or 0.0) - (d or 0.0)
+            out.append(value)
+        return out
+
+
+def _family(
+    timeseries: Any, family: str, labels: Mapping[str, str]
+) -> List[Optional[float]]:
+    """Per-sample total of ``family``; None until its first series."""
+    sums = timeseries.sums(family, labels=labels).get(())
+    out: List[Optional[float]] = []
+    seen = False
+    for total in sums or [None] * len(timeseries):
+        seen = seen or total is not None
+        out.append((total or 0.0) if seen else None)
+    return out
+
+
+def _delta(totals: List[Optional[float]], index: int) -> float:
+    previous = totals[index - 1] if index else None
+    return max(0.0, (totals[index] or 0.0) - (previous or 0.0))
+
+
+def _jain_values(timeseries: Any, family: str) -> List[Optional[float]]:
+    """Jain index over per-tenant interval deltas of ``family``.
+
+    A tenant counts from its first series on; a sample holding none of
+    its series carries its last cumulative value forward.
+    """
+    by_tenant = sorted(timeseries.sums(family, by=("tenant",)).items())
+    out: List[Optional[float]] = []
+    last: Dict[str, float] = {}
+    for index in range(len(timeseries)):
+        shares = []
+        for (tenant,), sums in by_tenant:
+            total = sums[index]
+            if total is None:
+                total = last.get(tenant)
+                if total is None:
+                    continue
+            shares.append(max(0.0, total - last.get(tenant, 0.0)))
+            last[tenant] = total
+        out.append(
+            jain_index(shares) if len(shares) >= 2 and sum(shares) > 0
+            else None
+        )
+    return out
 
 
 def _validate_common(name: str, severity: str, for_ms: float) -> None:

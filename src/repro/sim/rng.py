@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 from math import log as _log
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 
 class BufferedDraws:
@@ -75,42 +75,6 @@ class BufferedDraws:
             i = 0
         self._i = i + 1
         return -_log(1.0 - self._buf[i]) / lambd
-
-    # Fixed-arity batch draws: one call serves several draws from the
-    # prefetched block, saving the per-call overhead that dominates
-    # sub-microsecond latency models.  Values are served in exactly
-    # the order the scalar methods would serve them; near a block
-    # boundary the scalar path takes over, so the raw-draw sequence
-    # from the underlying stream is unchanged.
-    def random3(self) -> "Tuple[float, float, float]":
-        i = self._i
-        if i + 3 <= self._block:
-            buf = self._buf
-            self._i = i + 3
-            return buf[i], buf[i + 1], buf[i + 2]
-        r = self.random
-        return r(), r(), r()
-
-    def uniform2(self, a: float, b: float) -> "Tuple[float, float]":
-        i = self._i
-        if i + 2 <= self._block:
-            buf = self._buf
-            self._i = i + 2
-            s = b - a
-            return a + s * buf[i], a + s * buf[i + 1]
-        u = self.uniform
-        return u(a, b), u(a, b)
-
-    def uniform4(self, a: float, b: float) -> "Tuple[float, float, float, float]":
-        i = self._i
-        if i + 4 <= self._block:
-            buf = self._buf
-            self._i = i + 4
-            s = b - a
-            return (a + s * buf[i], a + s * buf[i + 1],
-                    a + s * buf[i + 2], a + s * buf[i + 3])
-        u = self.uniform
-        return u(a, b), u(a, b), u(a, b), u(a, b)
 
 
 class RngStreams:

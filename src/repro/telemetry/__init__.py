@@ -100,17 +100,6 @@ class Telemetry:
     def dashboard(self, width: int = 56) -> str:
         return render_dashboard(self.timeseries, self.registry, width=width)
 
-    def attach_detector(self, detector: Any) -> Any:
-        """Hook an alert detector onto the sampler.
-
-        ``detector.observe(timeseries)`` runs after every sample; pass
-        the detector's registry mirror this bundle's registry so
-        firing-state gauges land in the exports.  Returns the detector
-        for chaining.
-        """
-        self.sampler.on_sample = detector.observe
-        return detector
-
 
 def install_telemetry(
     env: Any,

@@ -17,7 +17,7 @@ since the sample timeouts are themselves events).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.telemetry.registry import MetricsRegistry, parse_series_key
 
@@ -61,34 +61,55 @@ class TimeSeries:
                 out[key] = self.series(key)
         return out
 
-    def totals(
-        self, family: str, by: Tuple[str, ...] = ()
-    ) -> Dict[Tuple[str, ...], List[Tuple[float, float]]]:
+    def sums(
+        self,
+        family: str,
+        by: Tuple[str, ...] = (),
+        labels: Optional[Mapping[str, str]] = None,
+    ) -> Dict[Tuple[str, ...], List[Optional[float]]]:
         """Per-sample sums of the series in metric family ``family``.
 
         Series are grouped by the values of the ``by`` labels; the
-        result maps each group's value tuple to its (t, total) points,
-        so ``by=()`` yields at most the one group ``()``.  Series that
-        lack one of the ``by`` labels are left out, and a sample
-        missing a series counts it as 0.0.  Each group sums its series
-        in sorted-key order, so the floats are the same on every run.
+        result maps each group's value tuple to one sum per sample, so
+        ``by=()`` yields at most the one group ``()``.  Series that
+        lack one of the ``by`` labels, or differ from one of the
+        ``labels`` values, are left out.  A sample holding none of a
+        group's series reads None.  Each group sums its series in
+        sorted-key order, so the floats are the same on every run.
         """
+        where = labels or {}
         groups: Dict[Tuple[str, ...], List[str]] = {}
         for key in self.keys():
-            name, labels = parse_series_key(key)
-            if name == family and all(label in labels for label in by):
-                group = tuple(labels[label] for label in by)
+            name, key_labels = parse_series_key(key)
+            if (name == family
+                    and all(label in key_labels for label in by)
+                    and all(key_labels.get(k) == v for k, v in where.items())):
+                group = tuple(key_labels[label] for label in by)
                 groups.setdefault(group, []).append(key)
-        out: Dict[Tuple[str, ...], List[Tuple[float, float]]] = {}
+        out: Dict[Tuple[str, ...], List[Optional[float]]] = {}
         for group, keys in groups.items():
-            points = []
-            for t_ms, values in self.samples:
-                total = 0.0
+            points: List[Optional[float]] = []
+            for _, values in self.samples:
+                total = None
                 for key in keys:
-                    total += values.get(key, 0.0)
-                points.append((t_ms, total))
+                    if key in values:
+                        total = (total or 0.0) + values[key]
+                points.append(total)
             out[group] = points
         return out
+
+    def totals(
+        self, family: str, by: Tuple[str, ...] = ()
+    ) -> Dict[Tuple[str, ...], List[Tuple[float, float]]]:
+        """:meth:`sums` as (t, total) points, a missing series as 0.0."""
+        times = self.times()
+        return {
+            group: [
+                (t_ms, 0.0 if total is None else total)
+                for t_ms, total in zip(times, points)
+            ]
+            for group, points in self.sums(family, by).items()
+        }
 
     def deltas(self, key: str) -> List[Tuple[float, float]]:
         """Per-interval increases of a cumulative series (for rates)."""
@@ -147,12 +168,6 @@ class Sampler:
         self.registry = registry
         self.interval_ms = interval_ms
         self.timeseries = TimeSeries()
-        self.on_sample = None
-        """Optional callback ``fn(timeseries)`` invoked after each new
-        sample lands (the alert detectors' attachment point).  Mirrors
-        the stack-wide single ``is None`` check pattern: detection off
-        costs one attribute read per sample, and a pure-read callback
-        (no events, no RNG) cannot perturb the simulation."""
         self._stopped = False
         self._proc = None
 
@@ -187,8 +202,6 @@ class Sampler:
         if not force and samples and samples[-1][0] == now:
             return
         self.timeseries.append(now, self.registry.collect())
-        if self.on_sample is not None:
-            self.on_sample(self.timeseries)
 
     def _run(self):
         while not self._stopped:

@@ -2,7 +2,7 @@
 
 Every TCP read races a straggler watchdog (``call | timer``).  When the
 call wins, the client cancels the losing timer, so it leaves the
-calendar queue at once: the live ``Timeout`` count after a closed read
+event queue at once: the live ``Timeout`` count after a closed read
 loop has to be the same whether each client ran a few ops or many.
 The finished op must not outlive its race either: the live ``AnyOf``
 and ``Process`` counts must not grow with ops per client.

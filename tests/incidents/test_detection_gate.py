@@ -1,10 +1,11 @@
-"""End-to-end detection: real chaos runs with the detector attached.
+"""End-to-end detection: real chaos runs with detection on.
 
 These are the test-suite mirror of the BENCH_chaos.json gate: a
 fault-injecting scenario must produce an incident whose top-ranked
 suspect is the injected fault within the detection SLO, the no-fault
-control must stay silent, and attaching the detector must not perturb
-the simulation (byte-identical event hash).
+control must stay silent, detection must not perturb the simulation
+(byte-identical event hash), and the run's JSONL export must replay
+to the run's own alerts.
 """
 
 import json
@@ -14,6 +15,8 @@ from dataclasses import replace
 import pytest
 
 from repro.chaos import FAMILIES, get_scenario, run_scenario
+from repro.incidents import AlertEngine, default_rules
+from repro.telemetry import read_jsonl, write_jsonl
 
 pytestmark = [pytest.mark.incident, pytest.mark.chaos, pytest.mark.slow]
 
@@ -60,8 +63,8 @@ def test_control_run_detects_nothing():
 
 
 def test_detector_attachment_keeps_event_hash_byte_identical():
-    """The single `is None` contract: a --detect run must replay the
-    exact same simulation as a detector-off run."""
+    """Detection reads only the finished run: a --detect run must replay
+    the exact same simulation as a detection-off run."""
     scenario = get_scenario("ack-loss")
     plain = run_scenario(scenario, replace(DETECT, detect=False))
     detected = run_scenario(scenario, DETECT)
@@ -70,6 +73,28 @@ def test_detector_attachment_keeps_event_hash_byte_identical():
     assert plain.ops_ok == detected.ops_ok
     assert plain.incidents is None
     assert detected.incidents is not None
+
+
+def test_jsonl_export_replays_to_the_runs_alerts(tmp_path):
+    """``repro incidents analyze`` on a run's export and the run itself
+    share one path: the JSONL round-trip loses nothing detection reads."""
+    config = replace(
+        DETECT, clients=12, drain_ms=5_000.0,
+        slo=replace(DETECT.slo, window_ms=4_000.0),
+    )
+    result = run_scenario(get_scenario("ack-loss"), config)
+    path = str(tmp_path / "telemetry.jsonl")
+    write_jsonl(result.telemetry.timeseries, path)
+    replayed = AlertEngine(default_rules()).replay(read_jsonl(path))
+    # Incidents fold alerts swept in (start, rule) order.
+    replayed.sort(key=lambda alert: (alert.started_ms, alert.rule))
+    run_alerts = [
+        alert for incident in result.incidents.incidents
+        for alert in incident.alerts
+    ]
+    assert run_alerts, "ack-loss fired no alerts"
+    assert [a.as_dict() for a in replayed] == \
+        [a.as_dict() for a in run_alerts]
 
 
 def test_baseline_file_is_well_formed():

@@ -9,7 +9,7 @@ from repro.incidents import (
     Signal,
     ThresholdRule,
 )
-from repro.telemetry import MetricsRegistry, TimeSeries
+from repro.telemetry import TimeSeries
 
 pytestmark = pytest.mark.incident
 
@@ -147,45 +147,14 @@ def test_burn_rate_stops_paging_when_short_window_drains():
 
 def test_finish_closes_still_firing_alert_unresolved():
     engine = AlertEngine([_gauge_rule()])
-    engine.observe(_series([(0.0, {"depth": 10.0})]))
-    assert engine.firing
-    alerts = engine.finish(500.0)
+    alerts = engine.replay(_series([
+        (0.0, {"depth": 10.0}),
+        (500.0, {"depth": 10.0}),
+    ]))
     assert len(alerts) == 1
     assert alerts[0].ended_ms == 500.0
     assert not alerts[0].resolved
-    assert not engine.firing
-
-
-def test_observe_is_incremental_and_matches_replay():
-    ts = _series([
-        (0.0, {"depth": 1.0}),
-        (100.0, {"depth": 10.0}),
-        (200.0, {"depth": 1.0}),
-    ])
-    online = AlertEngine([_gauge_rule()])
-    # Feed the same (growing) series one sample at a time, re-calling
-    # observe with the full prefix — the cursor must not double-count.
-    grow = TimeSeries()
-    for t, values in ts.samples:
-        grow.append(t, values)
-        online.observe(grow)
-    online.finish(200.0)
-    offline = AlertEngine([_gauge_rule()])
-    offline.replay(ts)
-    assert [a.as_dict() for a in online.alerts] == \
-        [a.as_dict() for a in offline.alerts]
-
-
-def test_registry_mirror_tracks_firing_state():
-    registry = MetricsRegistry()
-    engine = AlertEngine([_gauge_rule()], registry=registry)
-    engine.observe(_series([(0.0, {"depth": 10.0})]))
-    collected = registry.collect()
-    assert collected['alerts_firing{rule="depth-high"}'] == 1.0
-    assert collected[
-        'alerts_fired_total{rule="depth-high",severity="page"}'] == 1.0
-    engine.finish(100.0)
-    assert registry.collect()['alerts_firing{rule="depth-high"}'] == 0.0
+    assert not alerts[0].firing
 
 
 def test_duplicate_rule_names_rejected():

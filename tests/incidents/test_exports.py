@@ -1,24 +1,23 @@
-"""Exporter round-trips for alert-rule names with hostile characters.
+"""Incident-report round-trips for alert-rule names with hostile characters.
 
-Rule names land in ``alerts_firing{rule="..."}`` series keys and then
-in every exporter; the corpus below mirrors the separator/quoting
-cases of tests/telemetry/test_series_keys.py so a rule named after an
-expression (``errors=high,window=1s``) survives Prometheus text
-escaping and the JSONL round-trip unmangled.
+Rule names land in every alert and incident of the report that
+``repro chaos run --detect --out`` and ``repro incidents analyze
+--json`` write; the corpus below mirrors the separator/quoting cases
+of tests/telemetry/test_series_keys.py so a rule named after an
+expression (``errors=high,window=1s``) survives the JSON round-trip
+and the markdown timeline unmangled.
 """
 
 import pytest
 
-from repro.incidents import AlertEngine, Signal, ThresholdRule
-from repro.telemetry import (
-    MetricsRegistry,
-    TimeSeries,
-    parse_prometheus_text,
-    read_jsonl,
-    write_jsonl,
-    write_prometheus,
+from repro.incidents import (
+    AlertEngine,
+    Signal,
+    ThresholdRule,
+    build_report,
+    load_report,
 )
-from repro.telemetry.registry import parse_series_key
+from repro.telemetry import TimeSeries
 
 pytestmark = pytest.mark.incident
 
@@ -32,58 +31,30 @@ HOSTILE_NAMES = [
 ]
 
 
-def _fire(name):
-    """An engine whose one rule (named ``name``) opens immediately."""
-    registry = MetricsRegistry()
-    engine = AlertEngine(
-        [ThresholdRule(name=name, signal=Signal("depth", mode="gauge"),
-                       threshold=0.5, op=">")],
-        registry=registry,
-    )
+def _report(name):
+    """The report of one rule (named ``name``) firing from t=0 to 100."""
+    engine = AlertEngine([
+        ThresholdRule(name=name, signal=Signal("depth", mode="gauge"),
+                      threshold=0.5, op=">", severity="warn"),
+    ])
     ts = TimeSeries()
     ts.append(0.0, {"depth": 2.0})
-    engine.observe(ts)
-    return registry
+    ts.append(100.0, {"depth": 0.0})
+    return build_report(engine.replay(ts), scenario="hostile", end_ms=100.0)
 
 
 @pytest.mark.parametrize("name", HOSTILE_NAMES)
-def test_alert_rule_name_survives_prometheus_roundtrip(tmp_path, name):
-    registry = _fire(name)
-    path = tmp_path / "alerts.prom"
-    write_prometheus(registry, str(path))
-    samples = parse_prometheus_text(path.read_text())
-    firing = {
-        key: value for key, value in samples.items()
-        if parse_series_key(key)[0] == "alerts_firing"
-    }
-    assert len(firing) == 1
-    key, value = next(iter(firing.items()))
-    assert value == 1.0
-    assert parse_series_key(key)[1] == {"rule": name}
+def test_rule_name_survives_incident_json_roundtrip(tmp_path, name):
+    report = _report(name)
+    loaded = load_report(report.save(str(tmp_path / "incidents.json")))
+    assert loaded.as_dict() == report.as_dict()
+    (incident,) = loaded.incidents
+    assert incident.rules == [name]
+    (alert,) = incident.alerts
+    assert (alert.rule, alert.severity) == (name, "warn")
+    assert (alert.started_ms, alert.ended_ms) == (0.0, 100.0)
 
 
 @pytest.mark.parametrize("name", HOSTILE_NAMES)
-def test_alert_series_survive_jsonl_roundtrip(tmp_path, name):
-    registry = _fire(name)
-    ts = TimeSeries()
-    ts.append(0.0, registry.collect())
-    path = str(tmp_path / "telemetry.jsonl")
-    write_jsonl(ts, path)
-    loaded = read_jsonl(path)
-    firing = loaded.series_matching("alerts_firing")
-    assert len(firing) == 1
-    key = next(iter(firing))
-    assert parse_series_key(key)[1] == {"rule": name}
-    assert firing[key] == [(0.0, 1.0)]
-
-
-def test_fired_counter_carries_rule_and_severity_labels():
-    registry = _fire("errors=high,window=1s")
-    collected = registry.collect()
-    fired = [
-        key for key in collected
-        if parse_series_key(key)[0] == "alerts_fired_total"
-    ]
-    assert len(fired) == 1
-    labels = parse_series_key(fired[0])[1]
-    assert labels == {"rule": "errors=high,window=1s", "severity": "page"}
+def test_rule_name_survives_markdown_timeline(name):
+    assert name in _report(name).render_markdown()

@@ -1,4 +1,5 @@
-"""The rule DSL: validation, JSON round-trips, the default catalog."""
+"""The rule DSL: validation, JSON round-trips, the default catalog,
+and signal evaluation over a series."""
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.incidents import (
     rules_to_json,
     save_rules,
 )
+from repro.telemetry import TimeSeries
 
 pytestmark = pytest.mark.incident
 
@@ -120,3 +122,46 @@ def test_default_rules_include_burn_and_liveness_rules():
     names = {rule.name for rule in default_rules()}
     assert "error-burn-fast" in names
     assert "instance-terminations" in names
+
+
+def _series(points):
+    ts = TimeSeries()
+    for t, values in points:
+        ts.append(t, values)
+    return ts
+
+
+def test_signal_values_read_a_gap_until_the_family_appears():
+    ts = _series([
+        (0.0, {"other": 1.0}),
+        (100.0, {"ops": 4.0}),
+        (300.0, {"ops": 10.0}),
+    ])
+    assert Signal("ops", mode="gauge").values(ts) == [None, 4.0, 10.0]
+    assert Signal("ops", mode="delta").values(ts) == [None, 4.0, 6.0]
+    # The first sample has no dt; later ones divide by their interval.
+    assert Signal("ops", mode="rate").values(ts) == [None, 40.0, 30.0]
+    assert Signal("ops", mode="gap", divisor="other").values(ts) == \
+        [-1.0, 4.0, 10.0]
+
+
+def test_signal_values_two_family_modes_need_interval_data():
+    ts = _series([
+        (0.0, {"hits": 0.0, "misses": 0.0}),
+        (100.0, {"hits": 3.0, "misses": 1.0}),
+        (200.0, {"hits": 3.0, "misses": 1.0}),
+    ])
+    assert Signal("hits", mode="ratio", divisor="misses").values(ts) == \
+        [None, 0.75, None]
+    assert Signal("hits", mode="frac", divisor="misses").values(ts) == \
+        [None, 3.0, None]
+
+
+def test_signal_values_jain_counts_tenants_from_their_first_series():
+    a, b = 'tops{tenant="a"}', 'tops{tenant="b"}'
+    ts = _series([
+        (0.0, {a: 4.0}),             # one tenant: no index yet
+        (100.0, {a: 8.0, b: 4.0}),   # even shares
+        (200.0, {b: 8.0}),           # a's value carries forward
+    ])
+    assert Signal("tops", mode="jain").values(ts) == [None, 1.0, 0.5]

@@ -172,6 +172,18 @@ def test_totals_sum_in_sorted_key_order():
     assert total != (1e16 + 1.0) + 1.0
 
 
+def test_sums_filter_on_labels_and_read_none_where_a_group_is_absent():
+    ts = _ts([
+        (0.0, {'ops{op="stat"}': 1.0}),
+        (1.0, {'ops{op="read"}': 2.0, 'ops{op="stat"}': 3.0}),
+        (2.0, {}),
+    ])
+    assert ts.sums("ops", labels={"op": "read"}) == {(): [None, 2.0, None]}
+    assert ts.sums("ops") == {(): [1.0, 5.0, None]}
+    # totals is the same query with absent series read as 0.0.
+    assert ts.totals("ops") == {(): [(0.0, 1.0), (1.0, 5.0), (2.0, 0.0)]}
+
+
 def test_interval_deltas_count_from_zero_and_clamp_resets():
     points = [(0.0, 3.0), (1.0, 10.0), (2.0, 4.0), (3.0, 6.0)]
     assert interval_deltas(points) == [
