@@ -33,18 +33,20 @@ from repro.namespace.paths import is_descendant, normalize, parent_of, split
 from repro.sim import Environment, Resource, RngStreams
 
 
+VCPUS_PER_MDS = 16
+#: Ceph's MDS is effectively a single-threaded dispatcher.
+DISPATCH_THREADS = 1
+CPU_MS_READ = 0.10
+CPU_MS_WRITE = 0.18
+JOURNAL_WORKERS = 8
+JOURNAL_SERVICE_MS = 0.20
+TCP_ONEWAY_MS = 0.22
+
+
 @dataclass(frozen=True)
 class CephFSConfig:
     num_mds: int = 8
-    vcpus_per_mds: int = 16
-    dispatch_threads: int = 1
-    """Ceph's MDS is effectively a single-threaded dispatcher."""
     dispatch_ms: float = 0.04
-    cpu_ms_read: float = 0.10
-    cpu_ms_write: float = 0.18
-    journal_workers: int = 8
-    journal_service_ms: float = 0.20
-    tcp_oneway_ms: float = 0.22
     seed: int = 0
 
 
@@ -54,8 +56,8 @@ class _CephMDS:
     def __init__(self, env: Environment, config: CephFSConfig) -> None:
         self.env = env
         self.id = f"ceph-mds{env.next_id('ceph-mds')}"
-        self.dispatch = Resource(env, capacity=config.dispatch_threads)
-        self.cpu = Resource(env, capacity=max(1, config.vcpus_per_mds))
+        self.dispatch = Resource(env, capacity=DISPATCH_THREADS)
+        self.cpu = Resource(env, capacity=VCPUS_PER_MDS)
         self.config = config
         self.requests_served = 0
 
@@ -79,7 +81,7 @@ class CephFSCluster:
         self.mds: List[_CephMDS] = [
             _CephMDS(env, self.config) for _ in range(self.config.num_mds)
         ]
-        self.journal = Resource(env, capacity=self.config.journal_workers)
+        self.journal = Resource(env, capacity=JOURNAL_WORKERS)
         self.metrics = MetricsRecorder()
         self._inodes: Dict[str, INode] = {}
         self._children: Dict[str, Set[str]] = {}
@@ -127,7 +129,7 @@ class CephFSCluster:
         return CephFSClient(self)
 
     def total_vcpus(self) -> float:
-        return self.config.num_mds * self.config.vcpus_per_mds
+        return self.config.num_mds * VCPUS_PER_MDS
 
     def cost_usd(self, duration_ms: float) -> float:
         return vm_cost(self.total_vcpus(), duration_ms)
@@ -136,7 +138,7 @@ class CephFSCluster:
     def _journal_write(self) -> Generator:
         with self.journal.request() as slot:
             yield slot
-            yield self.env.timeout(self.config.journal_service_ms)
+            yield self.env.timeout(JOURNAL_SERVICE_MS)
 
     def apply(self, request: MetadataRequest) -> Generator:
         op = request.op
@@ -251,15 +253,14 @@ class CephFSClient:
         recursive: bool = False,
     ) -> Generator:
         env = self.cluster.env
-        config = self.cluster.config
         start = env.now
         request = MetadataRequest(
             op=op, path=path, dst_path=dst_path, recursive=recursive,
             request_id=env.next_id("request"), client_id=self.id,
         )
         mds = self.cluster.mds_for(path)
-        yield env.timeout(config.tcp_oneway_ms)
-        cpu = config.cpu_ms_write if op.is_write else config.cpu_ms_read
+        yield env.timeout(TCP_ONEWAY_MS)
+        cpu = CPU_MS_WRITE if op.is_write else CPU_MS_READ
         yield from mds.admit(cpu)
         try:
             value = yield from self.cluster.apply(request)
@@ -272,7 +273,7 @@ class CephFSClient:
                 request_id=request.request_id, ok=False,
                 error=f"{type(exc).__name__}: {exc}", served_by=mds.id,
             )
-        yield env.timeout(config.tcp_oneway_ms)
+        yield env.timeout(TCP_ONEWAY_MS)
         self.cluster.metrics.record(
             op=op.value, start_ms=start, end_ms=env.now, ok=response.ok,
         )

@@ -32,6 +32,11 @@ from repro.namespace.paths import is_descendant, normalize, parent_of, split
 from repro.rpc import LatencyConfig, LatencyModel
 from repro.sim import AllOf, Environment, RngStreams
 
+TXN_RETRIES = 8
+SUBTREE_BATCH_SIZE = 512
+#: Executor pool of the NameNode that orchestrates a subtree op.
+SUBTREE_EXECUTOR_THREADS = 4
+
 
 @dataclass(frozen=True)
 class HopsFSConfig:
@@ -47,9 +52,6 @@ class HopsFSConfig:
     1.02 ms vs 3.35 ms) and why the cost-normalized H+C cluster fails
     the load bursts."""
     cache_capacity: int = 1_000_000
-    subtree_batch_size: int = 512
-    subtree_executor_threads: int = 4
-    txn_retries: int = 8
     seed: int = 0
     ndb: NdbConfig = field(default_factory=NdbConfig)
     latency: LatencyConfig = field(default_factory=LatencyConfig)
@@ -99,13 +101,13 @@ class HopsFSNameNode(MetadataServer):
                 return ops.ls(txn, path, known)
 
             resolved, names = yield from self.cluster.store.run_transaction(
-                body, retries=self.cluster.config.txn_retries
+                body, retries=TXN_RETRIES
             )
             self._after_read(resolved)
             return names, False
         resolved = yield from self.cluster.store.run_transaction(
             lambda txn: ops.resolve(txn, path, known),
-            retries=self.cluster.config.txn_retries,
+            retries=TXN_RETRIES,
         )
         self._after_read(resolved)
         return resolved[path], False
@@ -155,7 +157,7 @@ class HopsFSNameNode(MetadataServer):
             except TransactionAborted:
                 txn.abort()
                 attempt += 1
-                if attempt > self.cluster.config.txn_retries:
+                if attempt > TXN_RETRIES:
                     raise FsError(f"{request.op.value} kept aborting")
                 yield env.timeout(2.0 * (2 ** min(attempt, 6)))
             except BaseException:
@@ -229,8 +231,8 @@ class HopsFSNameNode(MetadataServer):
         """
         if not actions:
             return
-        size = self.cluster.config.subtree_batch_size
-        window = self.cluster.config.subtree_executor_threads
+        size = SUBTREE_BATCH_SIZE
+        window = SUBTREE_EXECUTOR_THREADS
         batches = [actions[i : i + size] for i in range(0, len(actions), size)]
         for start in range(0, len(batches), window):
             jobs = [
@@ -306,7 +308,7 @@ class HopsFSCachedNameNode(HopsFSNameNode):
             self.cache.stats.record_lookup(hit=False)
             resolved, names = yield from self.cluster.store.run_transaction(
                 lambda txn: self.cluster.ops.ls(txn, path, known),
-                retries=self.cluster.config.txn_retries,
+                retries=TXN_RETRIES,
             )
             self._after_read(resolved)
             if resolved[path].is_dir:
@@ -320,7 +322,7 @@ class HopsFSCachedNameNode(HopsFSNameNode):
         self.cache.stats.record_lookup(hit=False)
         resolved = yield from self.cluster.store.run_transaction(
             lambda txn: self.cluster.ops.resolve(txn, path, known),
-            retries=self.cluster.config.txn_retries,
+            retries=TXN_RETRIES,
         )
         self._after_read(resolved)
         return resolved[path], False

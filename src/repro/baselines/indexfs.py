@@ -21,7 +21,7 @@ from repro.baselines.common import MetadataServer
 from repro.coordination import make_coordinator
 from repro.core.errors import AlreadyExistsError, NotFoundError
 from repro.faas import FaaSConfig, FaaSPlatform
-from repro.metastore import SSTableConfig, SSTableStore
+from repro.metastore import SSTableStore
 from repro.metrics import MetricsRecorder
 from repro.namespace.paths import normalize, parent_of, split
 from repro.rpc import ClientVM, LatencyConfig, LatencyModel
@@ -34,20 +34,24 @@ def _meta_key(path: str) -> Tuple[str, str, str]:
     return ("meta", directory, name)
 
 
+#: IndexFS servers co-located with the BeeGFS client VMs.
+NUM_SERVERS = 4
+VCPUS_PER_SERVER = 8
+TCP_ONEWAY_MS = 0.30
+
+#: λIndexFS: one LevelDB instance per BeeGFS client VM (§5.7).
+NUM_LEVELDB_PARTITIONS = 4
+
+
 @dataclass(frozen=True)
 class IndexFSConfig:
-    num_servers: int = 4
-    """IndexFS servers co-located with the BeeGFS client VMs."""
-    vcpus_per_server: int = 8
     rpc_handlers: int = 64
     cpu_ms_per_op: float = 1.20
     """Vanilla IndexFS couples in-memory metadata handling with
     LevelDB/SSTable management and GIGA+ splitting on the server;
     the λFS port moves that logic into lean serverless functions
     (§4), which is why its per-op CPU is lower."""
-    tcp_oneway_ms: float = 0.30
     seed: int = 0
-    sstable: SSTableConfig = field(default_factory=SSTableConfig)
 
 
 class _IndexFSServer(MetadataServer):
@@ -55,9 +59,9 @@ class _IndexFSServer(MetadataServer):
 
     def __init__(self, env: Environment, config: IndexFSConfig) -> None:
         super().__init__(
-            env, config.vcpus_per_server, config.rpc_handlers, config.cpu_ms_per_op
+            env, VCPUS_PER_SERVER, config.rpc_handlers, config.cpu_ms_per_op
         )
-        self.db = SSTableStore(env, config.sstable)
+        self.db = SSTableStore(env)
 
 
 class IndexFSCluster:
@@ -68,7 +72,7 @@ class IndexFSCluster:
         self.config = config or IndexFSConfig()
         self.rngs = RngStreams(self.config.seed)
         self.servers: List[_IndexFSServer] = [
-            _IndexFSServer(env, self.config) for _ in range(self.config.num_servers)
+            _IndexFSServer(env, self.config) for _ in range(NUM_SERVERS)
         ]
         self.metrics = MetricsRecorder()
 
@@ -98,9 +102,9 @@ class IndexFSClient:
     def _call(self, path: str, body) -> Generator:
         env = self.cluster.env
         server = self.cluster.server_for(path)
-        yield env.timeout(self.cluster.config.tcp_oneway_ms)
+        yield env.timeout(TCP_ONEWAY_MS)
         result = yield from server.serve(lambda: body(server))
-        yield env.timeout(self.cluster.config.tcp_oneway_ms)
+        yield env.timeout(TCP_ONEWAY_MS)
         return result
 
     def mknod(self, path: str) -> Generator:
@@ -151,8 +155,6 @@ class IndexFSClient:
 @dataclass(frozen=True)
 class LambdaIndexFSConfig:
     num_deployments: int = 8
-    num_leveldb_partitions: int = 4
-    """One LevelDB instance per BeeGFS client VM (§5.7)."""
     cpu_ms_per_op: float = 0.25
     replacement_probability: float = 0.01
     seed: int = 0
@@ -161,7 +163,6 @@ class LambdaIndexFSConfig:
         vcpus_per_instance=4.0,
         concurrency_level=2,
     ))
-    sstable: SSTableConfig = field(default_factory=SSTableConfig)
     latency: LatencyConfig = field(default_factory=LatencyConfig)
 
 
@@ -234,8 +235,7 @@ class LambdaIndexFS:
         self.coordinator = make_coordinator(env)
         self.platform = FaaSPlatform(env, self.config.faas, rng=self.rngs.stream("faas"))
         self.dbs: List[SSTableStore] = [
-            SSTableStore(env, self.config.sstable)
-            for _ in range(self.config.num_leveldb_partitions)
+            SSTableStore(env) for _ in range(NUM_LEVELDB_PARTITIONS)
         ]
         self.metrics = MetricsRecorder()
         self._deployments = [

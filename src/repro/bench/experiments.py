@@ -8,7 +8,7 @@ targets are reduced so a full suite completes in minutes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import IndexFSCluster, IndexFSConfig, LambdaIndexFS, LambdaIndexFSConfig
@@ -24,7 +24,6 @@ from repro.bench.harness import (
 )
 from repro.core import OpType
 from repro.core.subtree import SubtreeConfig
-from repro.chaos.faults import NameNodeKiller
 from repro.metastore import NdbConfig
 from repro.metrics import VM_VCPU_SECOND_USD, latency_cdf, percentile
 from repro.namespace.treegen import TreeSpec, flat_directory, generate_tree
@@ -112,6 +111,8 @@ def _spotify_driver(
 
     killer = None
     if kill_interval_ms is not None and hasattr(handle.system, "platform"):
+        from repro.chaos.faults import NameNodeKiller
+
         killer = NameNodeKiller(env, handle.system.platform, kill_interval_ms)
         killer.start()
 
@@ -572,6 +573,8 @@ def appb_straggler_ablation(
 ) -> Dict[str, dict]:
     """Appendix B: tail latency with straggler mitigation on/off while
     NameNodes are being killed under the workload."""
+    from repro.chaos.faults import NameNodeKiller
+
     tree = generate_tree(DEFAULT_TREE)
     out = {}
     for enabled in (True, False):

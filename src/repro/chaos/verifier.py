@@ -12,7 +12,7 @@ A chaos run passes three gates:
    ``window_ms`` after the last fault clears, per-interval mean op
    latency returns to within ``latency_factor`` × the pre-fault
    baseline, and the cache hit-rate recovers to at least
-   ``hit_rate_band`` × its baseline.
+   ``HIT_RATE_BAND`` × its baseline.
 
 The verifier is read-only: it consumes the tracer and the sampled
 :class:`~repro.telemetry.sampler.TimeSeries` after the run.  Each gate
@@ -26,42 +26,49 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
+from repro.incidents.rules import Signal
+
+
+#: Gate 3: recovered hit-rate ≥ band × baseline hit-rate.
+HIT_RATE_BAND = 0.5
+
+#: Pre-fault intervals (with ops) needed to form a baseline.
+MIN_BASELINE_SAMPLES = 2
+
+#: Gate 5 (fairness): within the window, the per-interval Jain index
+#: over tenant throughput must return to at least this.
+JAIN_FLOOR = 0.8
+
+#: Gate 5: victim tenants' per-interval p99 must return to within this
+#: factor of its pre-fault baseline.
+VICTIM_P99_FACTOR = 5.0
+
+#: Floor on the victim-p99 recovery bound — interval quantiles are
+#: bucket upper bounds, so a sub-ms baseline would otherwise make the
+#: bound finer than the histogram can resolve.
+VICTIM_P99_MIN_BOUND_MS = 10.0
+
+#: Gate 7 (resilience): mean goodput over the second half of the
+#: recovery window must be at least this fraction of the pre-fault
+#: baseline — the metastable-collapse detector (a system stuck in the
+#: bad equilibrium stays near zero long after the fault clears).
+GOODPUT_FLOOR = 0.8
+
 
 @dataclass(frozen=True)
 class RecoverySLO:
     """Bands the post-fault system must return to."""
 
     window_ms: float = 10_000.0
-    """How long after the last fault clears recovery must happen."""
+    """How long after the last fault clears recovery must happen (the
+    replication factor too, gate 4)."""
     latency_factor: float = 3.0
     """Recovered per-interval mean latency ≤ factor × baseline."""
-    hit_rate_band: float = 0.5
-    """Recovered hit-rate ≥ band × baseline hit-rate."""
-    min_baseline_samples: int = 2
-    """Pre-fault intervals (with ops) needed to form a baseline."""
-    replication_window_ms: Optional[float] = None
-    """How long after the last fault clears replication factor must be
-    restored (gate 4; defaults to ``window_ms`` when None)."""
-    jain_floor: float = 0.8
-    """Gate 5 (fairness): within the window, the per-interval Jain
-    index over tenant throughput must return to at least this."""
-    victim_p99_factor: float = 5.0
-    """Gate 5: victim tenants' per-interval p99 must return to within
-    this factor of its pre-fault baseline."""
-    victim_p99_min_bound_ms: float = 10.0
-    """Floor on the victim-p99 recovery bound — interval quantiles are
-    bucket upper bounds, so a sub-ms baseline would otherwise make the
-    bound finer than the histogram can resolve."""
     detection_window_ms: float = 4_000.0
     """Gate 6 (detection): an incident blaming the injected fault must
     open within this long of the first fault activating (MTTD bound).
     Generous relative to the sampling interval + rule sustain windows,
     tight relative to the fault windows themselves."""
-    goodput_floor: float = 0.8
-    """Gate 7 (resilience): mean goodput over the second half of the
-    recovery window must be at least this fraction of the pre-fault
-    baseline — the metastable-collapse detector (a system stuck in the
-    bad equilibrium stays near zero long after the fault clears)."""
 
 
 @dataclass
@@ -212,7 +219,7 @@ class ChaosVerifier:
         * **standing deficit** — blocks still below target RF when the
           run ends (the dead-repair-daemon case);
         * **late repairs** — every repair must complete by
-          ``clear + replication_window_ms`` (``window_ms`` when unset).
+          ``clear + window_ms``.
         """
         if self.fleet is None:
             report._skip("replication (no DataNode fleet)")
@@ -236,9 +243,7 @@ class ChaosVerifier:
         _first, clear = self._fault_window()
         repairs = scanner.records
         if clear is not None and repairs is not None and repairs:
-            window = self.slo.replication_window_ms
-            if window is None:
-                window = self.slo.window_ms
+            window = self.slo.window_ms
             deadline = clear + window
             late = [r for r in repairs if r.restored_ms > deadline]
             last_restore = max(r.restored_ms for r in repairs)
@@ -275,11 +280,6 @@ class ChaosVerifier:
         self, metric: str, mode: str, divisor: str = ""
     ) -> List[Optional[float]]:
         """Per-sample values of an alert-rule signal over the series."""
-        # Imported here: every bench run loads the chaos package (for
-        # NameNodeKiller), and one that never verifies should not load
-        # the incidents layer too.
-        from repro.incidents.rules import Signal
-
         return Signal(metric, mode=mode, divisor=divisor).values(
             self.timeseries
         )
@@ -316,7 +316,7 @@ class ChaosVerifier:
             v for t, v in intervals
             if t < first_fault and (epoch is None or t > epoch)
         ]
-        if len(window) < self.slo.min_baseline_samples:
+        if len(window) < MIN_BASELINE_SAMPLES:
             return None
         return sum(window) / len(window)
 
@@ -366,7 +366,7 @@ class ChaosVerifier:
             report._skip("hit-rate SLO (no pre-fault cache baseline)")
             return
         report.baseline_hit_rate = baseline
-        floor = self.slo.hit_rate_band * baseline
+        floor = HIT_RATE_BAND * baseline
         deadline = clear + self.slo.window_ms
         for t_ms, value in intervals:
             if t_ms <= clear or t_ms > deadline:
@@ -375,7 +375,7 @@ class ChaosVerifier:
                 report.recovered_hit_rate = value
                 report._ok(
                     f"hit-rate SLO: {value:.2f} >= "
-                    f"{self.slo.hit_rate_band:g}x baseline ({baseline:.2f}) "
+                    f"{HIT_RATE_BAND:g}x baseline ({baseline:.2f}) "
                     f"after {t_ms - clear:.0f} ms"
                 )
                 return
@@ -386,7 +386,7 @@ class ChaosVerifier:
         report.recovered_hit_rate = post[-1]
         report._fail(
             f"hit-rate SLO: still {post[-1]:.2f} "
-            f"(< {self.slo.hit_rate_band:g}x baseline {baseline:.2f}) "
+            f"(< {HIT_RATE_BAND:g}x baseline {baseline:.2f}) "
             f"{self.slo.window_ms:.0f} ms after faults cleared"
         )
 
@@ -411,8 +411,8 @@ class ChaosVerifier:
         Only engages when the scenario floods a tenant; judged from
         the per-tenant telemetry (:mod:`repro.tenants.fairness`): the
         per-interval Jain index over tenant throughput must return to
-        ≥ ``jain_floor`` **and** the victim tenants' per-interval p99
-        (merged bucket deltas) to ≤ ``victim_p99_factor`` × its
+        ≥ ``JAIN_FLOOR`` **and** the victim tenants' per-interval p99
+        (merged bucket deltas) to ≤ ``VICTIM_P99_FACTOR`` × its
         pre-fault baseline, in the same interval, within ``window_ms``
         of the last fault clearing.  The isolation-disabled flood
         latches past its window, so this gate is exactly what the
@@ -453,14 +453,14 @@ class ChaosVerifier:
             if t < first_fault and (epoch is None or t > epoch)
             and value != float("inf")
         ]
-        if len(baseline_window) < self.slo.min_baseline_samples:
+        if len(baseline_window) < MIN_BASELINE_SAMPLES:
             report._skip("fairness (not enough pre-fault samples)")
             return
         baseline = sum(baseline_window) / len(baseline_window)
         report.baseline_victim_p99_ms = baseline
         bound = max(
-            self.slo.victim_p99_factor * baseline,
-            self.slo.victim_p99_min_bound_ms,
+            VICTIM_P99_FACTOR * baseline,
+            VICTIM_P99_MIN_BOUND_MS,
         )
         deadline = clear + self.slo.window_ms
         jain_at = dict(jain)
@@ -471,13 +471,13 @@ class ChaosVerifier:
                 continue
             jain_value = jain_at[t_ms]
             p99_value = p99_at[t_ms]
-            if jain_value >= self.slo.jain_floor and p99_value <= bound:
+            if jain_value >= JAIN_FLOOR and p99_value <= bound:
                 report.jain_recovered = jain_value
                 report.recovered_victim_p99_ms = p99_value
                 report.fairness_recovery_ms = max(0.0, t_ms - clear)
                 report._ok(
                     f"fairness: Jain {jain_value:.3f} >= "
-                    f"{self.slo.jain_floor:g} and victim p99 "
+                    f"{JAIN_FLOOR:g} and victim p99 "
                     f"{p99_value:.1f} ms <= {bound:.1f} ms "
                     f"after {t_ms - clear:.0f} ms"
                 )
@@ -496,7 +496,7 @@ class ChaosVerifier:
         report.recovered_victim_p99_ms = last_p99
         report._fail(
             f"fairness: still Jain {last_jain:.3f} "
-            f"(floor {self.slo.jain_floor:g}) / victim p99 "
+            f"(floor {JAIN_FLOOR:g}) / victim p99 "
             f"{last_p99:.1f} ms (bound {bound:.1f} ms) "
             f"{self.slo.window_ms:.0f} ms after faults cleared"
         )
@@ -635,7 +635,7 @@ class ChaosVerifier:
 
         * **goodput recovery** — mean per-interval goodput
           (successful ops) over the *second half* of the recovery
-          window is ≥ ``goodput_floor`` × the pre-fault baseline.
+          window is ≥ ``GOODPUT_FLOOR`` × the pre-fault baseline.
           Judging the late window (not first-recovered-interval)
           is deliberate: a metastable collapse shows exactly as
           goodput pinned near zero long after the fault cleared, and
@@ -689,17 +689,17 @@ class ChaosVerifier:
             return
         recovered = sum(late) / len(late)
         report.recovered_goodput = recovered
-        floor = self.slo.goodput_floor * baseline
+        floor = GOODPUT_FLOOR * baseline
         if recovered < floor:
             report._fail(
                 f"resilience: goodput still {recovered:.1f} ops/interval "
-                f"(< {self.slo.goodput_floor:g}x baseline {baseline:.1f}) "
+                f"(< {GOODPUT_FLOOR:g}x baseline {baseline:.1f}) "
                 "in the late recovery window — metastable collapse"
             )
             return
         report._ok(
             f"resilience: goodput {recovered:.1f} >= "
-            f"{self.slo.goodput_floor:g}x baseline ({baseline:.1f}), "
+            f"{GOODPUT_FLOOR:g}x baseline ({baseline:.1f}), "
             f"0 deadline violations, "
             f"{report.breaker_transitions} breaker transition(s) legal"
         )

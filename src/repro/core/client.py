@@ -19,7 +19,7 @@ from the paper live here:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Generator, Optional
 
 from repro.core.messages import MetadataRequest, OpType
@@ -37,39 +37,33 @@ class RequestTimeout(Exception):
     """An RPC did not complete within its budget."""
 
 
+#: Backoff between attempts; its ``max_attempts`` is the single source
+#: of truth for the client's attempt limit.
+RETRY = RetryPolicy()
+
+#: Final attempts that run without the straggler watchdog: when the
+#: whole system is saturated, resubmitting forever never finishes, so
+#: the tail of the attempt budget waits requests out.
+STRAGGLER_RESERVE = 2
+
+HTTP_TIMEOUT_MS = 30_000.0
+
+
 @dataclass(frozen=True)
 class ClientConfig:
     replacement_probability: float = 0.01
     """HTTP-TCP replacement probability (§3.4; best ≤ 1 %)."""
-    http_timeout_ms: float = 30_000.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     straggler_enabled: bool = True
     straggler_threshold: float = 10.0
     """Resubmit when latency ≥ threshold × moving average (App. B)."""
     straggler_floor_ms: float = 50.0
     """Never flag requests faster than this as stragglers."""
-    straggler_reserve: int = 2
-    """Final attempts that run without the straggler watchdog: when
-    the whole system is saturated, resubmitting forever never
-    finishes, so the tail of the attempt budget waits requests out."""
     latency_window: int = 64
     antithrash_enabled: bool = True
     antithrash_threshold: float = 2.5
     """Enter anti-thrashing mode past this multiple of the moving
     average (App. C: T between 2–3 performs best)."""
     antithrash_cooldown_ms: float = 5_000.0
-
-    @property
-    def max_attempts(self) -> int:
-        """Attempt limit, derived from :class:`RetryPolicy` — the
-        single source of truth (there used to be a second, conflicting
-        constant here)."""
-        return self.retry.max_attempts
-
-    @property
-    def straggler_attempt_cutoff(self) -> int:
-        """Attempts below this run with the straggler watchdog."""
-        return self.retry.max_attempts - self.straggler_reserve
 
 
 class LambdaFSClient:
@@ -246,13 +240,13 @@ class LambdaFSClient:
                 breaker = res.breaker("client", deployment)
                 if not breaker.allow(env.now):
                     res.breaker_rejected("client")
-                    if attempt >= self.config.max_attempts:
+                    if attempt >= RETRY.max_attempts:
                         raise RequestTimeout(
                             f"breaker open for {deployment}"
                         )
                     wait = breaker.retry_after_ms(env.now)
                     if wait <= 0.0:
-                        wait = self.config.retry.full_jitter_delay(
+                        wait = RETRY.full_jitter_delay(
                             attempt, self._rng
                         )
                     deadline = request.deadline_ms
@@ -297,7 +291,7 @@ class LambdaFSClient:
                         tracer.end(rpc_span, ok=False, error="Shed")
                         resubmit_of = rpc_span.span_id
                     retry = (
-                        attempt < self.config.max_attempts
+                        attempt < RETRY.max_attempts
                         and not res.expired(request)
                     )
                     if retry and not res.budget(self.id).try_spend():
@@ -332,7 +326,7 @@ class LambdaFSClient:
                         attempt=attempt, error=type(exc).__name__,
                         resubmit_of=resubmit_of,
                     )
-                if attempt >= self.config.max_attempts:
+                if attempt >= RETRY.max_attempts:
                     raise
                 if res_on:
                     if res.expired(request):
@@ -359,7 +353,7 @@ class LambdaFSClient:
         the sleep never extends past the op's remaining budget.
         """
         env = self.fs.env
-        backoff = self.config.retry.full_jitter_delay(attempt, self._rng)
+        backoff = RETRY.full_jitter_delay(attempt, self._rng)
         res = self._res
         if res is not None and res.active and request.deadline_ms is not None:
             backoff = min(backoff, max(0.0, request.deadline_ms - env.now))
@@ -371,7 +365,7 @@ class LambdaFSClient:
             backoff_span = tracer.begin(
                 "client.backoff", self.id, parent=op_span,
                 attempt=attempt, backoff_ms=backoff,
-                **self.config.retry.as_attrs(),
+                **RETRY.as_attrs(),
             )
         yield env.timeout(backoff)
         if tracer is not None:
@@ -389,7 +383,7 @@ class LambdaFSClient:
         call = env.process(connection.call(request))
         watchdog = (
             self.config.straggler_enabled
-            and request.attempt < self.config.straggler_attempt_cutoff
+            and request.attempt < RETRY.max_attempts - STRAGGLER_RESERVE
         )
         if not watchdog:
             response = yield call
@@ -429,7 +423,7 @@ class LambdaFSClient:
                         parent=request.trace_parent, deployment=deployment,
                     )
                 raise RequestTimeout(f"gateway shed invoke of {deployment}")
-        timeout_ms = self.config.http_timeout_ms
+        timeout_ms = HTTP_TIMEOUT_MS
         res = self._res
         if res is not None and res.active and request.deadline_ms is not None:
             # Budget-sized attempt timeout instead of the fixed 30 s:

@@ -46,7 +46,6 @@ class LambdaFSConfig:
 
     num_deployments: int = 16
     coordinator_kind: str = "zookeeper"
-    clients_per_tcp_server: int = 128
     seed: int = 0
     faas: FaaSConfig = field(default_factory=FaaSConfig)
     ndb: NdbConfig = field(default_factory=NdbConfig)
@@ -201,9 +200,7 @@ class LambdaFS:
 
     # -- clients -----------------------------------------------------------
     def new_vm(self) -> ClientVM:
-        return ClientVM(
-            self.env, self.latency, self.config.clients_per_tcp_server
-        )
+        return ClientVM(self.env, self.latency)
 
     def new_client(self, vm: Optional[ClientVM] = None) -> LambdaFSClient:
         return LambdaFSClient(self, vm if vm is not None else self.new_vm())

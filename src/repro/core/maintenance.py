@@ -17,12 +17,13 @@ from repro.metastore.errors import TransactionAborted
 from repro.metastore.ndb import NdbStore
 from repro.sim import Environment
 
+BLOCKS_PER_REPORT = 64
+
 
 @dataclass(frozen=True)
 class DataNodeConfig:
     count: int = 4
     report_interval_ms: float = 3_000.0
-    blocks_per_report: int = 64
 
 
 @dataclass
@@ -69,7 +70,7 @@ class DataNodeService:
             report = BlockReport(
                 datanode_id=datanode_id,
                 published_at_ms=self.env.now,
-                block_count=self.config.blocks_per_report,
+                block_count=BLOCKS_PER_REPORT,
             )
             if (yield from publish_report(self.store, report)):
                 self.reports_published += 1

@@ -34,6 +34,26 @@ _WRITE_BACKOFF = RetryPolicy(base_ms=4.0, factor=2.0, max_ms=128.0)
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.fs import LambdaFS
 
+#: Extra CPU on the cache-miss path (building queries, caching).
+CPU_MS_STORE_FETCH = 0.12
+
+#: Extra CPU for write orchestration (locking, coherence).
+CPU_MS_WRITE = 0.45
+
+#: How long a NameNode reuses its view of the published DataNode
+#: reports before reading them again.
+DATANODE_REFRESH_MS = 5_000.0
+
+TXN_RETRIES = 8
+
+#: Under shed pressure a read may serve an invalidated cache entry no
+#: older than this (the coherence checker verifies the bound).
+STALE_READ_BOUND_MS = 1_000.0
+
+#: Invalidated-entry snapshots retained per NameNode for bounded-
+#: staleness serving.
+STALE_KEEP = 512
+
 
 @dataclass(frozen=True)
 class NameNodeConfig:
@@ -42,17 +62,11 @@ class NameNodeConfig:
     cache_capacity: int = 1_000_000
     cpu_ms_per_op: float = 0.30
     """CPU to deserialize, dispatch, and serialize one RPC."""
-    cpu_ms_store_fetch: float = 0.12
-    """Extra CPU on the cache-miss path (building queries, caching)."""
-    cpu_ms_write: float = 0.45
-    """Extra CPU for write orchestration (locking, coherence)."""
-    datanode_refresh_ms: float = 5_000.0
     datanode_stale_after_ms: float | None = None
     """Drop DataNodes whose last published report is older than this
     from the placement view (a dead node stops publishing, so its row
     goes stale).  None keeps every published row, the legacy
     behaviour."""
-    txn_retries: int = 8
 
 
 class LambdaNameNode:
@@ -265,7 +279,7 @@ class LambdaNameNode:
         entry = self._stale_inodes.get(path)
         if entry is None:
             return None
-        if self.fs.env.now - entry[0] > self._res.config.stale_read_bound_ms:
+        if self.fs.env.now - entry[0] > STALE_READ_BOUND_MS:
             del self._stale_inodes[path]
             return None
         return entry
@@ -291,7 +305,7 @@ class LambdaNameNode:
             env.tracer.point(
                 "nn.cache_hit", self.member_id, parent=span, path=path,
                 bounded_stale=True, staleness_ms=staleness,
-                stale_bound_ms=res.config.stale_read_bound_ms,
+                stale_bound_ms=STALE_READ_BOUND_MS,
             )
         res.note_stale_read(staleness)
         self._stale_ms = staleness
@@ -309,7 +323,7 @@ class LambdaNameNode:
             return
         stale = self._stale_inodes
         stale[path] = (self.fs.env.now, inode)
-        while len(stale) > res.config.stale_keep:
+        while len(stale) > STALE_KEEP:
             del stale[next(iter(stale))]
 
     # -- reads ---------------------------------------------------------------
@@ -355,10 +369,10 @@ class LambdaNameNode:
         if tracer is not None:
             tracer.point("nn.cache_miss", self.member_id, parent=span,
                          path=path)
-        yield from self.instance.compute(self.config.cpu_ms_store_fetch)
+        yield from self.instance.compute(CPU_MS_STORE_FETCH)
         resolved = yield from self.fs.store.run_transaction(
             lambda txn: self.fs.ops.resolve(txn, path, known),
-            retries=self.config.txn_retries,
+            retries=TXN_RETRIES,
             label="resolve", trace_parent=span,
             deadline_ms=request.deadline_ms if res_on else None,
         )
@@ -386,13 +400,13 @@ class LambdaNameNode:
         if tracer is not None:
             tracer.point("nn.cache_miss", self.member_id, parent=span,
                          path=path, listing=True)
-        yield from self.instance.compute(self.config.cpu_ms_store_fetch)
+        yield from self.instance.compute(CPU_MS_STORE_FETCH)
 
         def body(txn):
             return self.fs.ops.ls(txn, path, known)
 
         resolved, names = yield from self.fs.store.run_transaction(
-            body, retries=self.config.txn_retries,
+            body, retries=TXN_RETRIES,
             label="ls", trace_parent=span,
         )
         self._cache_resolved(resolved, span)
@@ -436,7 +450,7 @@ class LambdaNameNode:
     def _maybe_refresh_datanodes(self) -> Generator:
         """Lazy DataNode discovery from the persistent store."""
         env = self.fs.env
-        if env.now - self._datanode_view_at < self.config.datanode_refresh_ms:
+        if env.now - self._datanode_view_at < DATANODE_REFRESH_MS:
             return
         self._datanode_view_at = env.now
 
@@ -465,7 +479,7 @@ class LambdaNameNode:
 
     # -- writes ---------------------------------------------------------------
     def _handle_write(self, request: MetadataRequest, span=None) -> Generator:
-        yield from self.instance.compute(self.config.cpu_ms_write)
+        yield from self.instance.compute(CPU_MS_WRITE)
         if request.op.is_subtree_capable and (
             yield from self._needs_subtree(request, span)
         ):
@@ -583,7 +597,7 @@ class LambdaNameNode:
             except TransactionAborted:
                 txn.abort()
                 attempt += 1
-                if attempt > self.config.txn_retries:
+                if attempt > TXN_RETRIES:
                     raise FsError(f"{request.op.value} on {request.path!r} kept aborting")
                 tracer = env.tracer
                 retry_span = None

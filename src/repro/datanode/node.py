@@ -21,6 +21,13 @@ from typing import TYPE_CHECKING, Generator, Set
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datanode.fleet import DataNodeFleet
 
+HEARTBEAT_INTERVAL_MS = 500.0
+
+#: Disk service time per chunk write (a read takes half), plus a
+#: seeded jitter draw of up to ``DISK_JITTER_MS`` on writes.
+DISK_MS_PER_CHUNK = 2.5
+DISK_JITTER_MS = 0.5
+
 
 @dataclass(frozen=True)
 class DataNodeFleetConfig:
@@ -30,20 +37,9 @@ class DataNodeFleetConfig:
     racks: int = 3
     """Nodes are assigned round-robin to ``rack0..rack{racks-1}``."""
     replication: int = 3
-    heartbeat_interval_ms: float = 500.0
-    miss_threshold: int = 3
-    """Heartbeats missed before the tracker declares a node dead
-    (liveness cutoff = ``miss_threshold × heartbeat_interval_ms``)."""
-    scan_interval_ms: float = 500.0
-    """Tracker liveness scan and re-replication scan cadence."""
     publish_interval_ms: float = 3_000.0
     """Block-report publishing cadence into the metadata store (the
     serverless heartbeat substitute of §1/Fig. 2; 0 disables)."""
-    net_ms_per_hop: float = 0.8
-    net_jitter_ms: float = 0.2
-    disk_ms_per_chunk: float = 2.5
-    disk_jitter_ms: float = 0.5
-    ack_ms_per_hop: float = 0.2
     repair_enabled: bool = True
     """Background re-replication on by default; the chaos
     ``datanode_kill`` fault's ``disable_repair`` param switches it off
@@ -98,14 +94,11 @@ class DataNode:
     def write_chunk(self, block_id: int) -> Generator:
         """Persist one chunk; returns False if the node died mid-write.
 
-        Disk service time is the configured per-chunk cost plus a
+        Disk service time is the per-chunk cost plus a
         jitter draw from the fleet's seeded stream, multiplied by any
         active ``disk_slow`` chaos factor.
         """
-        config = self.fleet.config
-        service = config.disk_ms_per_chunk
-        if config.disk_jitter_ms > 0.0:
-            service += self.fleet.rng.uniform(0.0, config.disk_jitter_ms)
+        service = DISK_MS_PER_CHUNK + self.fleet.rng.uniform(0.0, DISK_JITTER_MS)
         chaos = self.env.chaos
         if chaos is not None:
             service *= chaos.datanode_disk_factor(self.id, self.rack)
@@ -118,8 +111,7 @@ class DataNode:
 
     def read_chunk(self, block_id: int) -> Generator:
         """Read one chunk off disk (re-replication source side)."""
-        config = self.fleet.config
-        service = config.disk_ms_per_chunk / 2.0
+        service = DISK_MS_PER_CHUNK / 2.0
         chaos = self.env.chaos
         if chaos is not None:
             service *= chaos.datanode_disk_factor(self.id, self.rack)
@@ -129,7 +121,7 @@ class DataNode:
     # -- heartbeats ----------------------------------------------------
     def heartbeat_loop(self) -> Generator:
         """Tick forever; record a beat at the tracker only while alive."""
-        interval = self.fleet.config.heartbeat_interval_ms
+        interval = HEARTBEAT_INTERVAL_MS
         metrics = self.env.metrics
         while True:
             yield self.env.timeout(interval)

@@ -21,6 +21,12 @@ from typing import TYPE_CHECKING, Any, Generator, List, Sequence
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datanode.fleet import DataNodeFleet
 
+#: One network hop (client→DN1, DN→DN), plus a seeded jitter draw of
+#: up to ``NET_JITTER_MS``; an ack hop back up the chain is cheaper.
+NET_MS_PER_HOP = 0.8
+NET_JITTER_MS = 0.2
+ACK_MS_PER_HOP = 0.2
+
 
 def write_pipeline(
     fleet: "DataNodeFleet",
@@ -35,7 +41,6 @@ def write_pipeline(
     (a prefix of ``targets``; empty if DN1 was already dead).
     """
     env = fleet.env
-    config = fleet.config
     tracer = env.tracer
     metrics = env.metrics
     root = None
@@ -46,9 +51,7 @@ def write_pipeline(
     stored: List[str] = []
     for position, node_id in enumerate(targets):
         # Forward network hop (client→DN1, then DN→DN).
-        hop_ms = config.net_ms_per_hop
-        if config.net_jitter_ms > 0.0:
-            hop_ms += fleet.rng.uniform(0.0, config.net_jitter_ms)
+        hop_ms = NET_MS_PER_HOP + fleet.rng.uniform(0.0, NET_JITTER_MS)
         xfer = None
         if tracer is not None:
             xfer = tracer.begin(
@@ -78,7 +81,7 @@ def write_pipeline(
         stored.append(node_id)
     # Ack chain back up through the surviving prefix.
     for node_id in reversed(stored):
-        yield env.timeout(config.ack_ms_per_hop)
+        yield env.timeout(ACK_MS_PER_HOP)
         if tracer is not None:
             tracer.point("dn.ack", node_id, parent=root, block=block_id)
     if stored:

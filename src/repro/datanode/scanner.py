@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Set
 
 from repro.core.blocks import rendezvous_rank
+from repro.datanode.pipeline import NET_MS_PER_HOP
+from repro.datanode.tracker import SCAN_INTERVAL_MS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datanode.fleet import DataNodeFleet
@@ -77,9 +79,8 @@ class ReplicationScanner:
 
     # -- the scan ------------------------------------------------------
     def scan_loop(self) -> Generator:
-        interval = self.fleet.config.scan_interval_ms
         while True:
-            yield self.env.timeout(interval)
+            yield self.env.timeout(SCAN_INTERVAL_MS)
             yield from self.scan_once()
 
     def scan_once(self) -> Generator:
@@ -128,7 +129,7 @@ class ReplicationScanner:
         dst_node = fleet.node(target)
         ok = yield from src_node.read_chunk(block_id)
         if ok:
-            yield env.timeout(fleet.config.net_ms_per_hop)
+            yield env.timeout(NET_MS_PER_HOP)
             ok = yield from dst_node.write_chunk(block_id)
         if ok:
             fleet.register_replicas(block_id, [target])

@@ -3,7 +3,7 @@
 The tracker is the NameNode-side view of which DataNodes are alive:
 each node's heartbeat loop calls :meth:`HeartbeatTracker.record`;
 a periodic scan declares any node that has missed
-``miss_threshold`` consecutive beats dead and excludes it from
+``MISS_THRESHOLD`` consecutive beats dead and excludes it from
 placement until a fresh beat arrives.  State transitions are logged
 as ``dn.dead`` / ``dn.alive`` tracer points and counted in
 telemetry, so a chaos run's liveness timeline is reconstructable
@@ -19,8 +19,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator, List, Set
 
+from repro.datanode.node import HEARTBEAT_INTERVAL_MS
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datanode.fleet import DataNodeFleet
+
+#: Heartbeats missed before the tracker declares a node dead
+#: (liveness cutoff = ``MISS_THRESHOLD × HEARTBEAT_INTERVAL_MS``).
+MISS_THRESHOLD = 3
+
+#: Tracker liveness scan and re-replication scan cadence.
+SCAN_INTERVAL_MS = 500.0
 
 
 class HeartbeatTracker:
@@ -29,8 +38,7 @@ class HeartbeatTracker:
     def __init__(self, fleet: "DataNodeFleet") -> None:
         self.fleet = fleet
         self.env = fleet.env
-        config = fleet.config
-        self.cutoff_ms = config.miss_threshold * config.heartbeat_interval_ms
+        self.cutoff_ms = MISS_THRESHOLD * HEARTBEAT_INTERVAL_MS
         #: Last beat per node; nodes start implicitly alive at t=0.
         self.last_beat_ms: Dict[str, float] = {dn.id: 0.0 for dn in fleet.nodes}
         self._dead: Set[str] = set()
@@ -85,9 +93,8 @@ class HeartbeatTracker:
 
     def scan_loop(self) -> Generator:
         """Periodic liveness scan (one fleet-wide process)."""
-        interval = self.fleet.config.scan_interval_ms
         while True:
-            yield self.env.timeout(interval)
+            yield self.env.timeout(SCAN_INTERVAL_MS)
             newly_dead = self.scan_once()
             if newly_dead and self.fleet.scanner is not None:
                 self.fleet.scanner.note_membership_change()

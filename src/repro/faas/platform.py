@@ -7,6 +7,16 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.sim import Environment, Event, Resource
 
+#: Never evict a container idle for less than this: momentarily idle
+#: instances under steady load are not reclamation victims (otherwise
+#: multi-deployment load on a full cluster churns containers — the
+#: thrashing of Appendix C).
+EVICTION_MIN_IDLE_MS = 500.0
+
+#: Minimum spacing between forced (busy-victim) evictions: the platform
+#: cannot churn containers faster than they boot.
+FORCED_EVICTION_COOLDOWN_MS = 500.0
+
 
 class InstanceTerminated(Exception):
     """The serving instance was reclaimed/killed mid-request."""
@@ -25,16 +35,7 @@ class FaaSConfig:
     app_init_ms: float = 120.0
     idle_reclaim_ms: float = 20_000.0
     reclaim_sweep_ms: float = 1_000.0
-    eviction_ms: float = 300.0
     allow_eviction: bool = True
-    eviction_min_idle_ms: float = 500.0
-    """Never evict a container idle for less than this: momentarily
-    idle instances under steady load are not reclamation victims
-    (otherwise multi-deployment load on a full cluster churns
-    containers — the thrashing of Appendix C)."""
-    forced_eviction_cooldown_ms: float = 500.0
-    """Minimum spacing between forced (busy-victim) evictions: the
-    platform cannot churn containers faster than they boot."""
     max_instances_per_deployment: Optional[int] = None
     """Cap used by the Figure 14 "limited auto-scaling" ablation."""
 
@@ -497,7 +498,7 @@ class FaaSPlatform:
             for instance in deployment.instances
             if instance.active_requests == 0
             and instance.http_in_flight == 0
-            and instance.idle_ms >= self.config.eviction_min_idle_ms
+            and instance.idle_ms >= EVICTION_MIN_IDLE_MS
         ]
         if not victims:
             return False
@@ -510,7 +511,7 @@ class FaaSPlatform:
         """Evict the least-recently-active instance, busy or not."""
         if (
             self.env.now - self._last_forced_eviction
-            < self.config.forced_eviction_cooldown_ms
+            < FORCED_EVICTION_COOLDOWN_MS
         ):
             return False
         victims = [

@@ -24,6 +24,11 @@ from repro.metastore.locks import LockManager, LockMode
 from repro.rpc.retry import RetryPolicy
 from repro.sim import Environment, Resource
 
+#: A shard access slower than this counts as a failure signal on the
+#: NameNode→shard breaker edge (outages and brownouts both manifest as
+#: latency, not exceptions).
+SHARD_LATENCY_THRESHOLD_MS = 50.0
+
 
 @dataclass(frozen=True)
 class NdbConfig:
@@ -245,7 +250,7 @@ class NdbStore:
             # up as latency, so a slow completion is a failure signal to
             # the breaker even though the access ultimately succeeded.
             elapsed = self.env.now - started
-            if elapsed > res.config.shard_latency_threshold_ms:
+            if elapsed > SHARD_LATENCY_THRESHOLD_MS:
                 breaker.record_failure(self.env.now)
             else:
                 breaker.record_success(self.env.now)

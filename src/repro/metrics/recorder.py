@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,12 +125,6 @@ class MetricsRecorder:
             return 0.0
         hits = sum(1 for record in self.records if record.cache_hit)
         return hits / len(self.records)
-
-    def ops_breakdown(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.op] = counts.get(record.op, 0) + 1
-        return counts
 
 
 def percentile(values: Sequence[float], q: float) -> float:

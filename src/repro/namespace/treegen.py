@@ -8,7 +8,6 @@ the file/directory path lists so workloads can sample targets.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import List
 
@@ -35,9 +34,6 @@ class GeneratedTree:
     directories: List[str] = field(default_factory=list)
     files: List[str] = field(default_factory=list)
 
-    def sample_files(self, rng: random.Random, count: int) -> List[str]:
-        """``count`` file paths sampled uniformly with replacement."""
-        return [rng.choice(self.files) for _ in range(count)]
 
 def generate_tree(spec: TreeSpec) -> GeneratedTree:
     """Generate directory and file paths for ``spec`` (no I/O).

@@ -167,23 +167,6 @@ class Profile:
             )
         return out
 
-    def stage_cdf(
-        self, stage: str, op: Optional[str] = None, points: int = 50
-    ) -> List[Tuple[float, float]]:
-        """(stage ms, cumulative fraction) pairs for CDF plotting."""
-        values = sorted(self.latencies(op=op, stage=stage))
-        if not values:
-            return []
-        count = len(values)
-        step = max(1, count // points)
-        cdf = [
-            (values[index], (index + 1) / count)
-            for index in range(0, count, step)
-        ]
-        if cdf[-1][0] != values[-1]:
-            cdf.append((values[-1], 1.0))
-        return cdf
-
     def percentiles(
         self, qs: Iterable[float] = (50.0, 99.0), op: Optional[str] = None
     ) -> Dict[float, float]:

@@ -20,7 +20,7 @@ past their stamped deadlines and gate 7 catches every one.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.core.messages import MetadataRequest, MetadataResponse
 from repro.resilience.primitives import (
@@ -33,6 +33,16 @@ from repro.resilience.primitives import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
+
+#: Per-client retry token bucket: capacity (each retry spends one
+#: token) and tokens returned per successful op (never above capacity).
+RETRY_BUDGET_TOKENS = 8.0
+RETRY_BUDGET_REFILL = 0.2
+
+#: CoDel target: observed CPU-queue delay the shedder tolerates, and
+#: how long delay must stay above it before shedding starts.
+SHED_TARGET_DELAY_MS = 20.0
+SHED_INTERVAL_MS = 100.0
 
 
 class ResilienceManager:
@@ -134,20 +144,14 @@ class ResilienceManager:
     def shedder(self, member_id: str) -> LoadShedder:
         shedder = self._shedders.get(member_id)
         if shedder is None:
-            shedder = LoadShedder(
-                self.config.shed_target_delay_ms,
-                self.config.shed_interval_ms,
-            )
+            shedder = LoadShedder(SHED_TARGET_DELAY_MS, SHED_INTERVAL_MS)
             self._shedders[member_id] = shedder
         return shedder
 
     def budget(self, client_id: str) -> RetryBudget:
         budget = self._budgets.get(client_id)
         if budget is None:
-            budget = RetryBudget(
-                self.config.retry_budget_tokens,
-                self.config.retry_budget_refill,
-            )
+            budget = RetryBudget(RETRY_BUDGET_TOKENS, RETRY_BUDGET_REFILL)
             self._budgets[client_id] = budget
         return budget
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -51,26 +51,6 @@ class ResilienceConfig:
     breaker_open_jitter: float = 0.5
     """Reopen dwell is ``open_ms * (1 + jitter * U[0,1))`` — seeded,
     so breakers opened by the same burst do not re-probe together."""
-    breaker_half_open_probes: int = 1
-    """Concurrent trial requests admitted while half-open."""
-    shard_latency_threshold_ms: float = 50.0
-    """A metastore access slower than this counts as a failure signal
-    on the NameNode→shard breaker edge (outages and brownouts both
-    manifest as latency, not exceptions)."""
-    retry_budget_tokens: float = 8.0
-    """Token-bucket capacity; each retry spends one token."""
-    retry_budget_refill: float = 0.2
-    """Tokens returned per successful op (never above capacity)."""
-    shed_target_delay_ms: float = 20.0
-    """CoDel target: observed CPU-queue delay the shedder tolerates."""
-    shed_interval_ms: float = 100.0
-    """Delay must stay above target this long before shedding starts."""
-    stale_read_bound_ms: float = 1_000.0
-    """Under shed pressure a read may serve an invalidated cache entry
-    no older than this (the coherence checker verifies the bound)."""
-    stale_keep: int = 512
-    """Invalidated-entry snapshots retained per NameNode for bounded-
-    staleness serving."""
 
 
 # -- deadline budget math ---------------------------------------------------
@@ -112,6 +92,9 @@ def attempt_timeout_ms(
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
+
+#: Concurrent trial requests admitted while half-open.
+BREAKER_HALF_OPEN_PROBES = 1
 
 #: Legal state-machine edges; the chaos verifier's gate 7 checks every
 #: logged transition against this set.
@@ -191,8 +174,8 @@ class CircuitBreaker:
                 self.rejections += 1
                 return False
             self._transition(now, HALF_OPEN, "open dwell elapsed")
-        # half-open: admit up to the configured number of probes.
-        if self.probes_in_flight < self.config.breaker_half_open_probes:
+        # half-open: admit up to BREAKER_HALF_OPEN_PROBES probes.
+        if self.probes_in_flight < BREAKER_HALF_OPEN_PROBES:
             self.probes_in_flight += 1
             return True
         self.rejections += 1

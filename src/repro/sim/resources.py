@@ -86,13 +86,6 @@ class Resource:
             return
         self._trigger()
 
-    def resize(self, capacity: int) -> None:
-        """Change the capacity (used for elastic scaling)."""
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._capacity = capacity
-        self._trigger()
-
     def _trigger(self) -> None:
         while self._queue and len(self._users) < self._capacity:
             request = self._queue.popleft()

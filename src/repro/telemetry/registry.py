@@ -145,9 +145,6 @@ class Gauge:
         key = label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
     def set_fn(self, fn: Callable[[], float], **labels: Any) -> None:
         """Back this child with ``fn``, evaluated at collection time."""
         self._callbacks[label_key(labels)] = fn

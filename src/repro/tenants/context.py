@@ -21,7 +21,7 @@ without it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Generator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Mapping, Sequence, Tuple
 
 from repro.namespace.treegen import (
     GeneratedTree,
@@ -65,10 +65,9 @@ class TenantSpec:
     directory of ``dataset_files`` instead)."""
     dataset_files: int = 256
     """Flat-directory dataset size for ``mltrain`` tenants."""
-    p99_slo_ms: float = 50.0
-    """This tenant's latency SLO target (burn-rate gauge input)."""
     error_budget: float = 0.05
-    """Allowed fraction of ops over ``p99_slo_ms`` (burn rate 1.0 =
+    """Allowed fraction of ops over the latency SLO target
+    (:data:`repro.tenants.fairness.P99_SLO_MS`; burn rate 1.0 =
     exactly consuming the budget)."""
 
     def __post_init__(self) -> None:

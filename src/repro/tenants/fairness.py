@@ -18,6 +18,9 @@ from repro.tenants.telemetry import INF_LABEL
 from repro.telemetry.registry import bucket_quantile
 from repro.telemetry.sampler import interval_deltas
 
+#: Every tenant's latency SLO target (burn-rate input).
+P99_SLO_MS = 50.0
+
 
 def jain_index(values: Sequence[float]) -> float:
     """Jain's fairness index: ``(Σx)² / (n·Σx²)``, in ``(0, 1]``.
@@ -270,10 +273,10 @@ def summarize(
 ) -> FairnessReport:
     """Build the :class:`FairnessReport` for one sampled run.
 
-    ``specs`` (``TenantSpec``-like, needing ``name`` / ``p99_slo_ms``
-    / ``error_budget``) supply per-tenant SLO targets and fair-share
-    weights; without them, defaults apply (50 ms SLO, 5% budget,
-    equal weights).
+    ``specs`` (``TenantSpec``-like, needing ``name`` /
+    ``error_budget``) supply per-tenant error budgets and fair-share
+    weights; without them, defaults apply (5% budget, equal weights).
+    Every tenant's latency target is :data:`P99_SLO_MS`.
     """
     by_name = {spec.name: spec for spec in (specs or [])}
     if weights is None and specs:
@@ -297,7 +300,6 @@ def summarize(
     totals: List[float] = []
     for name in names:
         spec = by_name.get(name)
-        slo_ms = getattr(spec, "p99_slo_ms", 50.0)
         budget = getattr(spec, "error_budget", 0.05)
         bounds, rows = bucket_delta_rows(timeseries, [name])
         merged = [0.0] * len(bounds)
@@ -320,7 +322,7 @@ def summarize(
                 hits / (hits + misses) if hits + misses > 0 else None
             ),
             burn_rate=(
-                slo_violation_fraction(bounds, merged, slo_ms)
+                slo_violation_fraction(bounds, merged, P99_SLO_MS)
                 / max(budget, 1e-9)
             ),
         )

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import count
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 class Span:
@@ -254,18 +254,6 @@ class Tracer:
                 f"@{span.start_ms:.2f} {duration} {attrs}".rstrip()
             )
         return "\n".join(lines)
-
-    def timing_by_kind(self) -> Dict[str, Tuple[int, float]]:
-        """Flame-style aggregate: kind -> (count, total duration ms).
-
-        Combine with :func:`repro.bench.report.tabulate` or the
-        :mod:`repro.metrics` percentile helpers for reporting.
-        """
-        totals: Dict[str, Tuple[int, float]] = {}
-        for span in self.spans.values():
-            n, total = totals.get(span.kind, (0, 0.0))
-            totals[span.kind] = (n + 1, total + span.duration_ms)
-        return totals
 
     def durations(self, kind: str) -> List[float]:
         """All closed-span durations for one kind (feeds percentile())."""

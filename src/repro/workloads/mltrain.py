@@ -21,7 +21,7 @@ training step boundary.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, List, Sequence
 
 from repro.namespace.treegen import GeneratedTree, flat_directory
@@ -35,7 +35,6 @@ class MLTrainConfig:
     """Small files in the flat dataset directory."""
     checkpoint_files: int = 32
     """Files created in the flat checkpoint directory per epoch."""
-    shuffle: bool = True
     stat_before_read: bool = True
     """Touch each file with a ``stat`` before reading (open + read)."""
     root: str = "/mltrain"
@@ -84,8 +83,7 @@ class MLTrainWorkload:
         rng = random.Random(f"{self.config.seed}:mltrain:shuffle")
         for epoch in range(self.config.epochs):
             order = list(self.dataset.files)
-            if self.config.shuffle:
-                rng.shuffle(order)
+            rng.shuffle(order)
             shards: List[List[str]] = [[] for _ in clients]
             for index, path in enumerate(order):
                 shards[index % len(clients)].append(path)

@@ -13,7 +13,7 @@ their second roll over to the next, so an overloaded system visibly
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Sequence
 
 from repro.core.messages import OpType
@@ -31,6 +31,12 @@ SPOTIFY_MIX: Dict[OpType, float] = {
 }
 """Relative operation frequencies from Table 2."""
 
+PARETO_ALPHA = 2.0
+"""Shape of the Pareto load draw."""
+
+SPIKE_CAP = 7.0
+"""Spikes reach at most this multiple of the base throughput."""
+
 
 @dataclass(frozen=True)
 class SpotifyConfig:
@@ -38,10 +44,7 @@ class SpotifyConfig:
     """The Pareto scale parameter x_t (cluster-wide ops/sec)."""
     duration_ms: float = 300_000.0
     interval_ms: float = 15_000.0
-    pareto_alpha: float = 2.0
-    spike_cap: float = 7.0
     seed: int = 0
-    mix: Dict[OpType, float] = field(default_factory=lambda: dict(SPOTIFY_MIX))
 
 
 class SpotifyWorkload:
@@ -65,10 +68,10 @@ class SpotifyWorkload:
     def _draw_schedule(self) -> List[float]:
         """Cluster-wide ops/sec target for each 15 s interval."""
         intervals = max(1, int(self.config.duration_ms // self.config.interval_ms))
-        cap = self.config.spike_cap * self.config.base_throughput
+        cap = SPIKE_CAP * self.config.base_throughput
         schedule = []
         for _ in range(intervals):
-            draw = self._rng.paretovariate(self.config.pareto_alpha)
+            draw = self._rng.paretovariate(PARETO_ALPHA)
             schedule.append(min(self.config.base_throughput * draw, cap))
         return schedule
 
@@ -148,8 +151,8 @@ class SpotifyWorkload:
         return response.ok
 
     def _draw_op(self, rng: random.Random) -> OpType:
-        draw = rng.random() * sum(self.config.mix.values())
-        for op, weight in self.config.mix.items():
+        draw = rng.random() * sum(SPOTIFY_MIX.values())
+        for op, weight in SPOTIFY_MIX.items():
             draw -= weight
             if draw <= 0:
                 return op

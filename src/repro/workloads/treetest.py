@@ -19,6 +19,9 @@ from typing import Generator, List, Sequence
 
 from repro.sim import AllOf, Environment
 
+#: Parent of every client's ``d<index>`` directory.
+DIRECTORY_ROOT = "/tree"
+
 
 @dataclass(frozen=True)
 class TreeTestConfig:
@@ -26,7 +29,6 @@ class TreeTestConfig:
     reads_per_client: int = 10_000
     fixed_total_writes: int = 1_000_000
     fixed_total_reads: int = 1_000_000
-    directory_root: str = "/tree"
     seed: int = 0
     warmup_ops: int = 8
     """Untimed per-client operations before the measured phases (the
@@ -72,7 +74,7 @@ class TreeTest:
         self.config = config
 
     def _paths_for(self, client_index: int, count: int) -> List[str]:
-        root = self.config.directory_root
+        root = DIRECTORY_ROOT
         return [f"{root}/d{client_index}/f{i}" for i in range(count)]
 
     def run(self, clients: Sequence, fixed_size: bool = False) -> Generator:
@@ -120,7 +122,7 @@ class TreeTest:
         )
 
     def _warmup(self, client, index: int) -> Generator:
-        root = self.config.directory_root
+        root = DIRECTORY_ROOT
         for serial in range(self.config.warmup_ops):
             path = f"{root}/d{index}/w{serial}"
             yield from client.mknod(path)

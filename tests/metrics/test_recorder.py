@@ -46,7 +46,6 @@ def test_cache_hit_ratio_and_breakdown():
     recorder.record("read file", 0, 1, cache_hit=False)
     recorder.record("ls file/dir", 0, 1, cache_hit=True)
     assert recorder.cache_hit_ratio() == pytest.approx(2 / 3)
-    assert recorder.ops_breakdown() == {"read file": 2, "ls file/dir": 1}
 
 
 def test_read_only_latency_filter():

@@ -1,7 +1,5 @@
 """Unit tests for tree generation."""
 
-import random
-
 from repro.namespace.treegen import TreeSpec, flat_directory, generate_tree
 
 
@@ -21,14 +19,6 @@ def test_generate_tree_deterministic():
 def test_all_files_under_root():
     tree = generate_tree(TreeSpec(root="/data"))
     assert all(path.startswith("/data/") for path in tree.files)
-
-
-def test_sampling():
-    tree = generate_tree(TreeSpec(depth=1, dirs_per_dir=2, files_per_dir=2))
-    rng = random.Random(1)
-    sample = tree.sample_files(rng, 10)
-    assert len(sample) == 10
-    assert set(sample) <= set(tree.files)
 
 
 def test_flat_directory():

@@ -14,6 +14,7 @@ from repro.coordination.coordinator import Invalidation
 from repro.core import LambdaFS, LambdaFSConfig, OpType
 from repro.core.client import ClientConfig
 from repro.core.messages import MetadataRequest
+from repro.core.namenode import STALE_READ_BOUND_MS
 from repro.faas import FaaSConfig
 from repro.metastore import NdbConfig
 from repro.metastore.errors import TransactionAborted
@@ -187,7 +188,7 @@ def test_bounded_stale_read_verified_by_coherence_checker():
 
     response = drive(env, degraded(env))
     assert response.ok and response.stale
-    bound = fs.config.resilience.stale_read_bound_ms
+    bound = STALE_READ_BOUND_MS
     assert 0.0 < response.staleness_ms <= bound
     assert fs.resilience.stale_reads == 1
     # The checker *verified* the bound (it saw the bounded_stale hit);
@@ -220,7 +221,7 @@ def test_stale_snapshot_beyond_bound_is_not_served():
     def late_read(env):
         # Sleep past the staleness bound: the snapshot is now useless
         # and the read must take the normal store path instead.
-        yield env.timeout(fs.config.resilience.stale_read_bound_ms + 1.0)
+        yield env.timeout(STALE_READ_BOUND_MS + 1.0)
         return (yield from instance.serve(
             MetadataRequest(op=OpType.STAT, path="/d/f",
                             request_id=env.next_id("request"),

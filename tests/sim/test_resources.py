@@ -48,35 +48,10 @@ def test_resource_release_on_exception():
     assert grants == [5]
 
 
-def test_resource_resize_up_admits_waiters():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    grants = []
-
-    def user(env, name):
-        with res.request() as req:
-            yield req
-            grants.append((name, env.now))
-            yield env.timeout(100)
-
-    def grower(env):
-        yield env.timeout(10)
-        res.resize(3)
-
-    for name in "abc":
-        env.process(user(env, name))
-    env.process(grower(env))
-    env.run()
-    assert grants == [("a", 0), ("b", 10), ("c", 10)]
-
-
 def test_resource_rejects_bad_capacity():
     env = Environment()
     with pytest.raises(ValueError):
         Resource(env, capacity=0)
-    res = Resource(env, capacity=1)
-    with pytest.raises(ValueError):
-        res.resize(-1)
 
 
 def test_resource_cancel_pending_request():

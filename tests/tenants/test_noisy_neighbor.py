@@ -13,6 +13,7 @@ from repro.chaos import (
     run_scenario,
     scenario_needs_tenants,
 )
+from repro.chaos.verifier import JAIN_FLOOR
 from repro.namespace.treegen import TreeSpec
 from repro.tenants import TenantSpec
 
@@ -68,7 +69,7 @@ def test_governed_flood_recovers():
     report = result.report
     assert any("fairness" in check for check in report.checks)
     assert report.jain_recovered is not None
-    assert report.jain_recovered >= CONFIG.slo.jain_floor
+    assert report.jain_recovered >= JAIN_FLOOR
     assert report.fairness_recovery_ms is not None
     # The engine-wired governor actually throttled the flood.
     assert result.engine.governor is not None
@@ -90,7 +91,7 @@ def test_runaway_flood_is_caught():
                + result.tenant_counts["vic-b"].issued)
     assert hog > victims
     assert result.report.jain_min is not None
-    assert result.report.jain_min < CONFIG.slo.jain_floor
+    assert result.report.jain_min < JAIN_FLOOR
 
 
 def test_same_seed_same_hashes_in_tenant_mode():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Environment
-from repro.trace import Span, Tracer, parent_id_of
+from repro.trace import Tracer, parent_id_of
 
 
 def test_install_and_detach():
@@ -79,8 +79,6 @@ def test_durations_and_timing_by_kind():
     env.run(until=done)
     tracer.end(span)
     tracer.point("txn.end", "t1")
-    counts = tracer.timing_by_kind()
-    assert counts["txn"] == (1, pytest.approx(5.0))
     assert tracer.durations("txn") == [pytest.approx(5.0)]
     # Open spans are excluded from durations().
     tracer.begin("txn", "t2")
