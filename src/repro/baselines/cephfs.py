@@ -26,7 +26,12 @@ from repro.core.errors import (
     NotDirEmptyError,
     NotFoundError,
 )
-from repro.core.messages import MetadataRequest, MetadataResponse, OpType
+from repro.core.messages import (
+    ClientOps,
+    MetadataRequest,
+    MetadataResponse,
+    OpType,
+)
 from repro.metrics import MetricsRecorder, vm_cost
 from repro.namespace.inode import INode, ROOT_INODE_ID
 from repro.namespace.paths import is_descendant, normalize, parent_of, split
@@ -238,7 +243,7 @@ class CephFSCluster:
         return moved
 
 
-class CephFSClient:
+class CephFSClient(ClientOps):
     """A CephFS client issuing ops to the MDS cluster."""
 
     def __init__(self, cluster: CephFSCluster) -> None:
@@ -278,24 +283,3 @@ class CephFSClient:
             op=op.value, start_ms=start, end_ms=env.now, ok=response.ok,
         )
         return response
-
-    def create_file(self, path):
-        return (yield from self.execute(OpType.CREATE_FILE, path))
-
-    def mkdirs(self, path):
-        return (yield from self.execute(OpType.MKDIRS, path))
-
-    def read_file(self, path):
-        return (yield from self.execute(OpType.READ_FILE, path))
-
-    def stat(self, path):
-        return (yield from self.execute(OpType.STAT, path))
-
-    def ls(self, path):
-        return (yield from self.execute(OpType.LS, path))
-
-    def delete(self, path, recursive=False):
-        return (yield from self.execute(OpType.DELETE, path, recursive=recursive))
-
-    def mv(self, src, dst):
-        return (yield from self.execute(OpType.MV, src, dst_path=dst))

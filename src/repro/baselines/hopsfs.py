@@ -21,14 +21,19 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro._util import stable_hash
 from repro.baselines.common import MetadataServer
 from repro.core.errors import FsError
-from repro.core.messages import MetadataRequest, MetadataResponse, OpType
-from repro.core.operations import NamespaceOps
+from repro.core.messages import (
+    MetadataRequest,
+    MetadataResponse,
+    OpType,
+    PayloadClientOps,
+)
+from repro.core.operations import NamespaceOps, WriteResult
 from repro.metastore import NdbConfig, NdbStore
 from repro.metastore.errors import TransactionAborted
 from repro.metrics import MetricsRecorder, vm_cost
 from repro.namespace.cache import MetadataCache
-from repro.namespace.inode import INode, dirent_key, inode_key
-from repro.namespace.paths import is_descendant, normalize, parent_of, split
+from repro.namespace.inode import INode
+from repro.namespace.paths import is_descendant, normalize, parent_of
 from repro.rpc import LatencyConfig, LatencyModel
 from repro.sim import AllOf, Environment, RngStreams
 
@@ -123,37 +128,16 @@ class HopsFSNameNode(MetadataServer):
 
         ops = self.cluster.ops
         env = self.env
+        path = normalize(request.path)
         attempt = 0
         while True:
             txn = self.cluster.store.begin(label=request.op.value)
             try:
-                path = normalize(request.path)
-                known = self._known(path)
-                if request.op is OpType.CREATE_FILE:
-                    inode, resolved = yield from ops.create_file(txn, path, known)
-                    new_entries, removed, value = {path: inode}, [], inode
-                elif request.op is OpType.MKDIRS:
-                    target, resolved, created = yield from ops.mkdirs(txn, path, known)
-                    new_entries = {p: i for p, i in resolved.items() if i in created}
-                    removed, value = [], target
-                elif request.op is OpType.DELETE:
-                    target, resolved = yield from ops.delete_single(txn, path, known)
-                    new_entries, removed, value = {}, [path], True
-                elif request.op is OpType.MV:
-                    dst = normalize(request.dst_path)
-                    moved, resolved = yield from ops.mv_single(txn, path, dst, known)
-                    new_entries, removed, value = {dst: moved}, [path], moved
-                elif request.op is OpType.SET_PERMISSION:
-                    updated, resolved = yield from ops.set_permission(
-                        txn, path, request.payload, known
-                    )
-                    new_entries, removed, value = {path: updated}, [], updated
-                else:  # pragma: no cover
-                    raise FsError(f"unhandled write op {request.op}")
-                yield from self._before_commit(request, new_entries, removed)
+                result = yield from ops.write(txn, request, self._known(path))
+                yield from self._before_commit(request, result)
                 yield from txn.commit()
-                self._after_write(resolved, new_entries, removed)
-                return value
+                self._after_write(result)
+                return result.value
             except TransactionAborted:
                 txn.abort()
                 attempt += 1
@@ -164,22 +148,23 @@ class HopsFSNameNode(MetadataServer):
                 txn.abort()  # release locks on application errors
                 raise
 
-    def _before_commit(self, request, new_entries, removed) -> Generator:
+    def _before_commit(self, request, result: WriteResult) -> Generator:
         """Hook for the cached variant (peer invalidation)."""
         return
         yield  # pragma: no cover
 
-    def _after_write(self, resolved, new_entries, removed) -> None:
+    def _after_write(self, result: WriteResult) -> None:
         """Hook for the cached variant."""
 
     def _is_directory(self, path: str) -> Generator:
+        path = normalize(path)
         try:
             resolved = yield from self.cluster.store.run_transaction(
-                lambda txn: self.cluster.ops.resolve(txn, normalize(path))
+                lambda txn: self.cluster.ops.resolve(txn, path)
             )
         except FsError:
             return False
-        return resolved[normalize(path)].is_dir
+        return resolved[path].is_dir
 
     # -- subtree protocol (vanilla HopsFS, Appendix D baseline) ----------------
     def _subtree_op(self, request: MetadataRequest) -> Generator:
@@ -187,38 +172,24 @@ class HopsFSNameNode(MetadataServer):
         store = self.cluster.store
         ops = self.cluster.ops
         root_path = normalize(request.path)
-
-        def take_flag(txn):
-            resolved = yield from ops.resolve(txn, root_path)
-            root = resolved[root_path]
-            if not root.is_dir:
-                raise FsError(f"{root_path!r} is not a directory")
-            flag = yield from txn.read(("st_lock", root.id))
-            if flag:
-                raise TransactionAborted("subtree op already active")
-            yield from txn.write(("st_lock", root.id), True)
-            return root
-
-        root = yield from store.run_transaction(take_flag)
+        root = yield from store.run_transaction(
+            lambda txn: ops.take_subtree_flag(txn, root_path)
+        )
         try:
             collected = yield from store.run_transaction(
                 lambda txn: ops.collect_subtree(txn, root_path)
             )
-            descendants = [(p, i) for p, i in collected if p != root_path]
-            if request.op is OpType.DELETE:
-                actions = [
-                    ("delete_inode", inode.id, inode.parent_id, split(path)[1])
-                    for path, inode in descendants
-                ]
-            else:
-                actions = [("touch_inode", inode.id) for _path, inode in descendants]
-            yield from self._run_batches(actions)
-            value = yield from self._apply_subtree_root(request, root_path, root)
+            yield from self._run_batches(
+                ops.subtree_actions(request.op, root_path, collected)
+            )
+            value = yield from store.run_transaction(
+                lambda txn: ops.apply_subtree_root(txn, request, root_path, root)
+            )
             self._after_subtree(root_path)
             return value
         finally:
             yield from store.run_transaction(
-                lambda txn: txn.delete(("st_lock", root.id))
+                lambda txn: ops.release_subtree_flag(txn, root)
             )
 
     def _run_batches(self, actions: List[Tuple]) -> Generator:
@@ -243,37 +214,11 @@ class HopsFSNameNode(MetadataServer):
 
     def _exec_batch(self, actions: List[Tuple]) -> Generator:
         yield from self.compute(0.2 + 0.05 * len(actions))
-
-        def body(txn):
-            for action in actions:
-                if action[0] == "delete_inode":
-                    _, target_id, parent_id, name = action
-                    yield from txn.delete(dirent_key(parent_id, name))
-                    yield from txn.delete(inode_key(target_id))
-                else:
-                    _, target_id = action
-                    inode = txn._visible(inode_key(target_id))
-                    if inode is not None:
-                        yield from txn.write(inode_key(target_id), inode)
-            return len(actions)
-
-        return (yield from self.cluster.store.run_transaction(body))
-
-    def _apply_subtree_root(self, request, root_path: str, root: INode) -> Generator:
-        def body(txn):
-            if request.op is OpType.DELETE:
-                parent_path, name = split(root_path)
-                resolved = yield from self.cluster.ops.resolve(txn, parent_path)
-                parent = resolved[parent_path]
-                yield from txn.delete(dirent_key(parent.id, name))
-                yield from txn.delete(inode_key(root.id))
-                return True
-            moved, _ = yield from self.cluster.ops.mv_single(
-                txn, root_path, normalize(request.dst_path)
+        return (
+            yield from self.cluster.store.run_transaction(
+                lambda txn: self.cluster.ops.apply_batch(txn, actions)
             )
-            return moved
-
-        return (yield from self.cluster.store.run_transaction(body))
+        )
 
     def _after_subtree(self, root_path: str) -> None:
         """Hook for the cached variant."""
@@ -293,21 +238,19 @@ class HopsFSCachedNameNode(HopsFSNameNode):
 
     # -- cached read fast path --------------------------------------------------
     def _execute_read(self, request: MetadataRequest) -> Generator:
-        from repro.core.namenode import LambdaNameNode
-
+        ops = self.cluster.ops
         path = normalize(request.path)
         known = self.cache.get_path_prefix(path)
-        full = LambdaNameNode._full_chain(path, known)
+        full = ops.full_chain(path, known)
         if request.op is OpType.LS:
             listing = self._listing_cache.get(path)
             if listing is not None and full:
                 self.cache.stats.record_lookup(hit=True)
-                self.cluster.ops.check_traversal(path, known)
-                self.cluster.ops.check_readable(path, known[path])
+                ops.check_read(path, known)
                 return list(listing), True
             self.cache.stats.record_lookup(hit=False)
             resolved, names = yield from self.cluster.store.run_transaction(
-                lambda txn: self.cluster.ops.ls(txn, path, known),
+                lambda txn: ops.ls(txn, path, known),
                 retries=TXN_RETRIES,
             )
             self._after_read(resolved)
@@ -316,12 +259,10 @@ class HopsFSCachedNameNode(HopsFSNameNode):
             return names, False
         if full:
             self.cache.stats.record_lookup(hit=True)
-            self.cluster.ops.check_traversal(path, known)
-            self.cluster.ops.check_readable(path, known[path])
-            return known[path], True
+            return ops.check_read(path, known), True
         self.cache.stats.record_lookup(hit=False)
         resolved = yield from self.cluster.store.run_transaction(
-            lambda txn: self.cluster.ops.resolve(txn, path, known),
+            lambda txn: ops.resolve(txn, path, known),
             retries=TXN_RETRIES,
         )
         self._after_read(resolved)
@@ -332,25 +273,23 @@ class HopsFSCachedNameNode(HopsFSNameNode):
             self.cache.put(path, inode)
 
     # -- invalidation among the fixed fleet ---------------------------------------
-    def _before_commit(self, request, new_entries, removed) -> Generator:
-        affected = set(new_entries) | set(removed)
+    def _before_commit(self, request, result: WriteResult) -> Generator:
+        affected = set(result.new_entries) | set(result.removed)
         affected.add(parent_of(normalize(request.path)))
         if request.dst_path:
             affected.add(parent_of(normalize(request.dst_path)))
-        broadcast = request.op is OpType.SET_PERMISSION and any(
-            inode.is_dir for inode in new_entries.values()
-        )
-        yield from self.cluster.invalidate_peers(self, affected, broadcast)
+        yield from self.cluster.invalidate_peers(self, affected, result.broadcast)
 
-    def _after_write(self, resolved, new_entries, removed) -> None:
+    def _after_write(self, result: WriteResult) -> None:
+        removed = result.removed
         for path in removed:
             self.cache.invalidate(path)
             self._listing_cache.pop(path, None)
             self._drop_parent_listing(path)
-        for path, inode in resolved.items():
+        for path, inode in result.resolved.items():
             if path not in removed:
                 self.cache.put(path, inode)
-        for path in new_entries:
+        for path in result.new_entries:
             self._drop_parent_listing(path)
 
     def _after_subtree(self, root_path: str) -> None:
@@ -469,7 +408,7 @@ class HopsFSCachedCluster(HopsFSCluster):
         return self.owner_of(path)
 
 
-class HopsFSClient:
+class HopsFSClient(PayloadClientOps):
     """A HopsFS client: TCP RPCs against the fixed NameNode fleet."""
 
     def __init__(self, cluster: HopsFSCluster) -> None:
@@ -501,28 +440,3 @@ class HopsFSClient:
             ok=response.ok, via="tcp", cache_hit=response.cache_hit,
         )
         return response
-
-    # Convenience wrappers mirroring the λFS client API.
-    def create_file(self, path):
-        return (yield from self.execute(OpType.CREATE_FILE, path))
-
-    def mkdirs(self, path):
-        return (yield from self.execute(OpType.MKDIRS, path))
-
-    def read_file(self, path):
-        return (yield from self.execute(OpType.READ_FILE, path))
-
-    def stat(self, path):
-        return (yield from self.execute(OpType.STAT, path))
-
-    def ls(self, path):
-        return (yield from self.execute(OpType.LS, path))
-
-    def delete(self, path, recursive=False):
-        return (yield from self.execute(OpType.DELETE, path, recursive=recursive))
-
-    def mv(self, src, dst):
-        return (yield from self.execute(OpType.MV, src, dst_path=dst))
-
-    def set_permission(self, path, mode):
-        return (yield from self.execute(OpType.SET_PERMISSION, path, payload=mode))

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Generator, Optional
 
-from repro.core.messages import MetadataRequest, OpType
+from repro.core.messages import MetadataRequest, OpType, PayloadClientOps
 from repro.faas.platform import InstanceTerminated
 from repro.resilience.primitives import attempt_timeout_ms
 from repro.rpc.connections import ConnectionDropped
@@ -66,7 +66,7 @@ class ClientConfig:
     antithrash_cooldown_ms: float = 5_000.0
 
 
-class LambdaFSClient:
+class LambdaFSClient(PayloadClientOps):
     """One DFS client process endpoint."""
 
     def __init__(self, fs: "LambdaFS", vm: "ClientVM") -> None:
@@ -90,31 +90,7 @@ class LambdaFSClient:
         self.stats_retries = 0
         self.stats_antithrash_entries = 0
 
-    # -- public API ------------------------------------------------------
-    def create_file(self, path: str) -> Generator:
-        return (yield from self.execute(OpType.CREATE_FILE, path))
-
-    def mkdirs(self, path: str) -> Generator:
-        return (yield from self.execute(OpType.MKDIRS, path))
-
-    def read_file(self, path: str) -> Generator:
-        return (yield from self.execute(OpType.READ_FILE, path))
-
-    def stat(self, path: str) -> Generator:
-        return (yield from self.execute(OpType.STAT, path))
-
-    def ls(self, path: str) -> Generator:
-        return (yield from self.execute(OpType.LS, path))
-
-    def delete(self, path: str, recursive: bool = False) -> Generator:
-        return (yield from self.execute(OpType.DELETE, path, recursive=recursive))
-
-    def mv(self, src: str, dst: str) -> Generator:
-        return (yield from self.execute(OpType.MV, src, dst_path=dst))
-
-    def set_permission(self, path: str, mode: int) -> Generator:
-        return (yield from self.execute(OpType.SET_PERMISSION, path, payload=mode))
-
+    # -- public API (the op methods come from PayloadClientOps) ---------
     def write_block(self, path: str) -> Generator:
         """HDFS-style data write: resolve metadata, then pipeline chunks.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, Generator, Optional, Tuple
 
 
 class OpType(enum.Enum):
@@ -91,3 +91,37 @@ class MetadataResponse:
     """Served from an invalidated cache entry under shed pressure
     (bounded staleness; see ``staleness_ms``)."""
     staleness_ms: Optional[float] = None
+
+
+class ClientOps:
+    """One method per namespace op, over a client's
+    ``execute(op, path, dst_path=None, recursive=False)``."""
+
+    def create_file(self, path: str) -> Generator:
+        return (yield from self.execute(OpType.CREATE_FILE, path))
+
+    def mkdirs(self, path: str) -> Generator:
+        return (yield from self.execute(OpType.MKDIRS, path))
+
+    def read_file(self, path: str) -> Generator:
+        return (yield from self.execute(OpType.READ_FILE, path))
+
+    def stat(self, path: str) -> Generator:
+        return (yield from self.execute(OpType.STAT, path))
+
+    def ls(self, path: str) -> Generator:
+        return (yield from self.execute(OpType.LS, path))
+
+    def delete(self, path: str, recursive: bool = False) -> Generator:
+        return (yield from self.execute(OpType.DELETE, path, recursive=recursive))
+
+    def mv(self, src: str, dst: str) -> Generator:
+        return (yield from self.execute(OpType.MV, src, dst_path=dst))
+
+
+class PayloadClientOps(ClientOps):
+    """:class:`ClientOps` plus the op that needs ``execute``'s
+    ``payload`` argument."""
+
+    def set_permission(self, path: str, mode: int) -> Generator:
+        return (yield from self.execute(OpType.SET_PERMISSION, path, payload=mode))

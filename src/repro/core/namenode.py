@@ -21,8 +21,8 @@ from repro.core.errors import FsError
 from repro.core.messages import MetadataRequest, MetadataResponse, OpType
 from repro.metastore.errors import TransactionAborted
 from repro.namespace.cache import MetadataCache
-from repro.namespace.inode import INode, dirent_key, inode_key
-from repro.namespace.paths import components, is_descendant, normalize, parent_of
+from repro.namespace.inode import INode
+from repro.namespace.paths import is_descendant, normalize, parent_of
 from repro.rpc.retry import RetryPolicy
 from repro.sim import Event
 
@@ -327,34 +327,19 @@ class LambdaNameNode:
             del stale[next(iter(stale))]
 
     # -- reads ---------------------------------------------------------------
-    @staticmethod
-    def _full_chain(path: str, known) -> bool:
-        """True when every component of ``path`` (and the root) is
-        cached — required for a safe cache hit, since permission
-        enforcement must see every ancestor."""
-        if "/" not in known or path not in known:
-            return False
-        current = ""
-        for part in components(path):
-            current = f"{current}/{part}"
-            if current not in known:
-                return False
-        return True
-
     def _handle_read(self, request: MetadataRequest, span=None) -> Generator:
         tracer = self.fs.env.tracer
         path = normalize(request.path)
         known = self.cache.get_path_prefix(path)
         if request.op is OpType.LS:
             return (yield from self._handle_ls(path, known, span))
-        if self._full_chain(path, known):
+        ops = self.fs.ops
+        if ops.full_chain(path, known):
             self.cache.stats.record_lookup(hit=True)
             if tracer is not None:
                 tracer.point("nn.cache_hit", self.member_id, parent=span,
                              path=path)
-            inode = known[path]
-            self.fs.ops.check_traversal(path, known)
-            self.fs.ops.check_readable(path, inode)
+            inode = ops.check_read(path, known)
             if request.op is OpType.READ_FILE:
                 yield from self._maybe_refresh_datanodes()
                 return self._file_view(inode), True
@@ -371,15 +356,13 @@ class LambdaNameNode:
                          path=path)
         yield from self.instance.compute(CPU_MS_STORE_FETCH)
         resolved = yield from self.fs.store.run_transaction(
-            lambda txn: self.fs.ops.resolve(txn, path, known),
+            lambda txn: ops.resolve(txn, path, known),
             retries=TXN_RETRIES,
             label="resolve", trace_parent=span,
             deadline_ms=request.deadline_ms if res_on else None,
         )
         self._cache_resolved(resolved, span)
-        inode = resolved[path]
-        self.fs.ops.check_traversal(path, resolved)
-        self.fs.ops.check_readable(path, inode)
+        inode = ops.check_read(path, resolved)
         if request.op is OpType.READ_FILE:
             yield from self._maybe_refresh_datanodes()
             return self._file_view(inode), False
@@ -388,13 +371,13 @@ class LambdaNameNode:
     def _handle_ls(self, path: str, known: Dict[str, INode], span=None) -> Generator:
         tracer = self.fs.env.tracer
         listing = self._listing_cache.get(path)
-        if listing is not None and self._full_chain(path, known):
+        ops = self.fs.ops
+        if listing is not None and ops.full_chain(path, known):
             self.cache.stats.record_lookup(hit=True)
             if tracer is not None:
                 tracer.point("nn.cache_hit", self.member_id, parent=span,
                              path=path, listing=True)
-            self.fs.ops.check_traversal(path, known)
-            self.fs.ops.check_readable(path, known[path])
+            ops.check_read(path, known)
             return list(listing), True
         self.cache.stats.record_lookup(hit=False)
         if tracer is not None:
@@ -402,11 +385,8 @@ class LambdaNameNode:
                          path=path, listing=True)
         yield from self.instance.compute(CPU_MS_STORE_FETCH)
 
-        def body(txn):
-            return self.fs.ops.ls(txn, path, known)
-
         resolved, names = yield from self.fs.store.run_transaction(
-            body, retries=TXN_RETRIES,
+            lambda txn: ops.ls(txn, path, known), retries=TXN_RETRIES,
             label="ls", trace_parent=span,
         )
         self._cache_resolved(resolved, span)
@@ -488,6 +468,7 @@ class LambdaNameNode:
 
         env = self.fs.env
         ops = self.fs.ops
+        path = normalize(request.path)
         res = self._res
         res_on = res is not None and res.active
         attempt = 0
@@ -506,62 +487,14 @@ class LambdaNameNode:
                 deadline_ms=request.deadline_ms if res_on else None,
             )
             try:
-                path = normalize(request.path)
-                known = self.cache.get_path_prefix(path)
-                broadcast = False
-                if request.op is OpType.CREATE_FILE:
-                    inode, resolved = yield from ops.create_file(txn, path, known)
-                    affected = [path, parent_of(path)]
-                    new_entries = {path: inode}
-                    removed: List[str] = []
-                    value: object = inode
-                elif request.op is OpType.MKDIRS:
-                    target, resolved, created = yield from ops.mkdirs(txn, path, known)
-                    affected = [path]
-                    if created:
-                        top = min(
-                            (p for p, i in resolved.items() if i in created),
-                            key=len, default=path,
-                        )
-                        affected.append(parent_of(top))
-                    new_entries = {
-                        p: i for p, i in resolved.items() if i in created
-                    }
-                    removed = []
-                    value = target
-                elif request.op is OpType.DELETE:
-                    target, resolved = yield from ops.delete_single(txn, path, known)
-                    affected = [path, parent_of(path)]
-                    new_entries = {}
-                    removed = [path]
-                    value = True
-                elif request.op is OpType.MV:
-                    dst = normalize(request.dst_path)
-                    moved, resolved = yield from ops.mv_single(txn, path, dst, known)
-                    affected = [path, dst, parent_of(path), parent_of(dst)]
-                    new_entries = {dst: moved}
-                    removed = [path]
-                    value = moved
-                elif request.op is OpType.SET_PERMISSION:
-                    updated, resolved = yield from ops.set_permission(
-                        txn, path, request.payload, known
-                    )
-                    affected = [path]
-                    # Directory INodes are cached as *ancestors* by
-                    # every deployment resolving paths beneath them,
-                    # so a directory-metadata change must reach all
-                    # deployments, not just the path's owner.
-                    broadcast = updated.is_dir
-                    new_entries = {path: updated}
-                    removed = []
-                    value = updated
-                else:  # pragma: no cover - dispatch guard
-                    raise FsError(f"unhandled write op {request.op}")
-
+                result = yield from ops.write(
+                    txn, request, self.cache.get_path_prefix(path)
+                )
                 # Algorithm 1: INVs go out (and all ACKs return) while
                 # the rows are exclusively locked, *before* persisting.
                 yield from self.run_coherence(
-                    affected, broadcast=broadcast, trace_parent=span,
+                    result.affected, broadcast=result.broadcast,
+                    trace_parent=span,
                 )
                 if (
                     res is not None
@@ -590,7 +523,7 @@ class LambdaNameNode:
                 if tracer is not None:
                     tracer.point(
                         "nn.commit", self.member_id, parent=span,
-                        paths=tuple(affected), op=request.op.value,
+                        paths=tuple(result.affected), op=request.op.value,
                     )
                 yield from txn.commit()
                 break
@@ -618,8 +551,8 @@ class LambdaNameNode:
                 txn.abort()  # release locks on application errors
                 raise
 
-        self._apply_local(new_entries, removed, resolved)
-        return value, False
+        self._apply_local(result.new_entries, result.removed, result.resolved)
+        return result.value, False
 
     def _needs_subtree(self, request: MetadataRequest, span=None) -> Generator:
         """True when MV/DELETE targets a directory (subtree protocol)."""
@@ -724,23 +657,10 @@ class LambdaNameNode:
         actions = request.payload or []
         yield from self.instance.compute(0.2 + 0.05 * len(actions))
 
-        def body(txn):
-            for action in actions:
-                kind = action[0]
-                if kind == "delete_inode":
-                    _, target_id, parent_id, name = action
-                    yield from txn.delete(dirent_key(parent_id, name))
-                    yield from txn.delete(inode_key(target_id))
-                elif kind == "touch_inode":
-                    _, target_id = action
-                    inode = txn._visible(inode_key(target_id))
-                    if inode is not None:
-                        yield from txn.write(inode_key(target_id), inode)
-            return len(actions)
-
         return (
             yield from self.fs.store.run_transaction(
-                body, label="exec batch", trace_parent=span
+                lambda txn: self.fs.ops.apply_batch(txn, actions),
+                label="exec batch", trace_parent=span,
             )
         )
 

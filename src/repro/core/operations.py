@@ -7,6 +7,12 @@ simulation process; they charge the store for row accesses and take
 row locks, so contention effects (hot directories, writer
 serialization) are emergent rather than scripted.
 
+λFS and HopsFS run the same transaction bodies: :meth:`NamespaceOps.write`
+for every single-INode write, and the subtree-protocol phases
+(Appendix D) from the flag take to the root apply.  What stays with
+each NameNode is how it retries, keeps caches coherent, spreads
+subtree batches and traces.
+
 Path resolution mirrors HopsFS: the INode hint cache makes the
 primary keys along a path known in advance, so resolution costs one
 *batched* primary-key read instead of one round trip per component
@@ -17,15 +23,18 @@ locked authoritative rows and retried.
 from __future__ import annotations
 
 from itertools import count
-from typing import Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Dict, Generator, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.errors import (
     AccessDeniedError,
     AlreadyExistsError,
+    FsError,
     NotADirectoryError,
     NotDirEmptyError,
     NotFoundError,
 )
+from repro.core.messages import MetadataRequest, OpType
+from repro.metastore.errors import TransactionAborted
 from repro.metastore.ndb import NdbStore, Transaction
 from repro.namespace.inode import (
     INode,
@@ -57,6 +66,25 @@ class IdAllocator:
 
     def next_id(self) -> int:
         return next(self._ids)
+
+
+class WriteResult(NamedTuple):
+    """What one write did, for the NameNode that commits it."""
+
+    value: object
+    """The op's reply value."""
+    resolved: Dict[str, INode]
+    """Every INode the op read or wrote, by path."""
+    new_entries: Dict[str, INode]
+    """Paths the op created or changed."""
+    removed: List[str]
+    """Paths the op removed."""
+    affected: List[str]
+    """Paths whose cached copies go stale: the op's targets and the
+    directories whose listings change."""
+    broadcast: bool
+    """A directory's own metadata changed: every cache holding it as
+    an ancestor is stale, not only the path's owner."""
 
 
 class NamespaceOps:
@@ -332,6 +360,29 @@ class NamespaceOps:
         resolved[path] = updated
         return updated, resolved
 
+    @classmethod
+    def check_read(cls, path: str, resolved: Dict[str, INode]) -> INode:
+        """The INode at ``path`` once its ancestors are traversable and
+        it is readable."""
+        inode = resolved[path]
+        cls.check_traversal(path, resolved)
+        cls.check_readable(path, inode)
+        return inode
+
+    @staticmethod
+    def full_chain(path: str, known: Dict[str, INode]) -> bool:
+        """True when every component of ``path`` (and the root) is
+        cached — required for a safe cache hit, since permission
+        enforcement must see every ancestor."""
+        if "/" not in known or path not in known:
+            return False
+        current = ""
+        for part in components(path):
+            current = f"{current}/{part}"
+            if current not in known:
+                return False
+        return True
+
     @staticmethod
     def _validate_chain(path: str, resolved: Dict[str, INode]) -> None:
         current = "/"
@@ -492,7 +543,76 @@ class NamespaceOps:
         resolved.update(dst_resolved)
         return moved, resolved
 
-    # -- subtree support -------------------------------------------------
+    def write(
+        self, txn: Transaction, request: MetadataRequest, known=None
+    ) -> Generator:
+        """Run one single-INode write op in ``txn``; returns a
+        :class:`WriteResult`.  The caller commits (or retries) it."""
+        path = normalize(request.path)
+        op = request.op
+        broadcast = False
+        if op is OpType.CREATE_FILE:
+            inode, resolved = yield from self.create_file(txn, path, known)
+            affected = [path, parent_of(path)]
+            new_entries = {path: inode}
+            removed: List[str] = []
+            value: object = inode
+        elif op is OpType.MKDIRS:
+            target, resolved, created = yield from self.mkdirs(txn, path, known)
+            new_entries = {p: i for p, i in resolved.items() if i in created}
+            affected = [path]
+            if new_entries:
+                # The topmost new directory's parent lists a new child.
+                affected.append(parent_of(min(new_entries, key=len)))
+            removed = []
+            value = target
+        elif op is OpType.DELETE:
+            target, resolved = yield from self.delete_single(txn, path, known)
+            affected = [path, parent_of(path)]
+            new_entries = {}
+            removed = [path]
+            value = True
+        elif op is OpType.MV:
+            dst = normalize(request.dst_path)
+            moved, resolved = yield from self.mv_single(txn, path, dst, known)
+            affected = [path, dst, parent_of(path), parent_of(dst)]
+            new_entries = {dst: moved}
+            removed = [path]
+            value = moved
+        elif op is OpType.SET_PERMISSION:
+            updated, resolved = yield from self.set_permission(
+                txn, path, request.payload, known
+            )
+            affected = [path]
+            # Directory INodes are cached as *ancestors* by every
+            # cache resolving paths beneath them.
+            broadcast = updated.is_dir
+            new_entries = {path: updated}
+            removed = []
+            value = updated
+        else:  # pragma: no cover - dispatch guard
+            raise FsError(f"unhandled write op {op}")
+        return WriteResult(value, resolved, new_entries, removed, affected,
+                           broadcast)
+
+    # -- subtree support (Appendix D) ----------------------------------------
+    def take_subtree_flag(self, txn: Transaction, root_path: str) -> Generator:
+        """Phase 1: resolve the root directory and set its subtree-lock
+        flag (subtree isolation); returns the root INode."""
+        resolved = yield from self.resolve(txn, root_path)
+        root = resolved[root_path]
+        if not root.is_dir:
+            raise FsError(f"{root_path!r} is not a directory")
+        flag = yield from txn.read(("st_lock", root.id))
+        if flag:
+            raise TransactionAborted(f"subtree op already active on {root_path!r}")
+        yield from txn.write(("st_lock", root.id), True)
+        return root
+
+    @staticmethod
+    def release_subtree_flag(txn: Transaction, root: INode) -> Generator:
+        yield from txn.delete(("st_lock", root.id))
+
     def collect_subtree(self, txn: Transaction, root_path: str, known=None) -> Generator:
         """Quiesce and enumerate a subtree (Appendix D, phases 1–2).
 
@@ -531,3 +651,49 @@ class NamespaceOps:
                         next_frontier.append((child_path, child))
             frontier = next_frontier
         return collected
+
+    @staticmethod
+    def subtree_actions(
+        op: OpType, root_path: str, collected: List[Tuple[str, INode]]
+    ) -> List[Tuple]:
+        """Phase 3's sub-operations over a quiesced subtree: one per
+        descendant of the root, which the root apply handles itself."""
+        descendants = [(p, i) for p, i in collected if p != root_path]
+        if op is OpType.DELETE:
+            return [
+                ("delete_inode", inode.id, inode.parent_id, split(path)[1])
+                for path, inode in descendants
+            ]
+        return [("touch_inode", inode.id) for _path, inode in descendants]
+
+    @staticmethod
+    def apply_batch(txn: Transaction, actions: List[Tuple]) -> Generator:
+        """Run one batch of sub-operations; returns how many ran."""
+        for action in actions:
+            if action[0] == "delete_inode":
+                _, target_id, parent_id, name = action
+                yield from txn.delete(dirent_key(parent_id, name))
+                yield from txn.delete(inode_key(target_id))
+            else:
+                _, target_id = action
+                inode = txn._visible(inode_key(target_id))
+                if inode is not None:
+                    yield from txn.write(inode_key(target_id), inode)
+        return len(actions)
+
+    def apply_subtree_root(
+        self, txn: Transaction, request: MetadataRequest, root_path: str,
+        root: INode,
+    ) -> Generator:
+        """Final phase: delete or move the subtree's root itself."""
+        if request.op is OpType.DELETE:
+            parent_path, name = split(root_path)
+            resolved = yield from self.resolve(txn, parent_path)
+            parent = resolved[parent_path]
+            yield from txn.delete(dirent_key(parent.id, name))
+            yield from txn.delete(inode_key(root.id))
+            return True
+        moved, _resolved = yield from self.mv_single(
+            txn, root_path, normalize(request.dst_path)
+        )
+        return moved

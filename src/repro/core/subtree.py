@@ -1,6 +1,8 @@
 """Subtree operations: the augmented HopsFS protocol (Appendix D).
 
-Three phases, with λFS' two additions:
+Three phases, with λFS' two additions (the phases' transaction
+bodies live in :class:`repro.core.operations.NamespaceOps`, which the
+HopsFS baseline runs too):
 
 1. take the subtree lock flag on the root (subtree isolation),
 2. quiesce — walk the subtree in a predefined total order taking and
@@ -21,9 +23,7 @@ from typing import TYPE_CHECKING, Generator, List, Tuple
 
 from repro.core.errors import FsError
 from repro.core.messages import MetadataRequest, OpType
-from repro.metastore.errors import TransactionAborted
-from repro.namespace.inode import INode, dirent_key, inode_key
-from repro.namespace.paths import normalize, parent_of, split
+from repro.namespace.paths import normalize, parent_of
 from repro.sim import AllOf
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,23 +53,24 @@ class SubtreeProtocol:
         request: MetadataRequest,
         span=None,
     ) -> Generator:
+        ops = self.fs.ops
+        store = self.fs.store
         root_path = normalize(request.path)
-        root = yield from self._acquire_subtree_flag(root_path, span)
+        root = yield from store.run_transaction(
+            lambda txn: ops.take_subtree_flag(txn, root_path),
+            label="subtree flag", trace_parent=span,
+        )
         try:
-            collected = yield from self._quiesce(root_path, span)
+            collected = yield from store.run_transaction(
+                lambda txn: ops.collect_subtree(txn, root_path),
+                label="subtree quiesce", trace_parent=span,
+            )
             deployments = sorted({
                 self.fs.partitioner.deployment_for(path) for path, _ in collected
             } | {self.fs.partitioner.deployment_for(parent_of(root_path))})
             # λFS: one prefix INV per deployment, not one per INode.
             yield from leader.run_subtree_coherence(root_path, deployments, span)
-            descendants = [(p, i) for p, i in collected if p != root_path]
-            if request.op is OpType.DELETE:
-                actions = [
-                    ("delete_inode", inode.id, inode.parent_id, split(path)[1])
-                    for path, inode in descendants
-                ]
-            else:
-                actions = [("touch_inode", inode.id) for path, inode in descendants]
+            actions = ops.subtree_actions(request.op, root_path, collected)
             yield from self._run_batches(leader, actions, span)
             tracer = self.fs.env.tracer
             if tracer is not None:
@@ -78,43 +79,19 @@ class SubtreeProtocol:
                     paths=(root_path, parent_of(root_path)),
                     op=request.op.value, subtree=True,
                 )
-            value = yield from self._apply_root(request, root_path, root, span)
-            return value
+            return (
+                yield from store.run_transaction(
+                    lambda txn: ops.apply_subtree_root(
+                        txn, request, root_path, root
+                    ),
+                    label="subtree apply", trace_parent=span,
+                )
+            )
         finally:
-            yield from self._release_subtree_flag(root, span)
-
-    # -- phases ------------------------------------------------------------
-    def _acquire_subtree_flag(self, root_path: str, span=None) -> Generator:
-        """Phase 1: resolve the root and set its subtree-lock flag."""
-
-        def body(txn):
-            resolved = yield from self.fs.ops.resolve(txn, root_path)
-            root = resolved[root_path]
-            if not root.is_dir:
-                raise FsError(f"{root_path!r} is not a directory")
-            flag = yield from txn.read(("st_lock", root.id))
-            if flag:
-                raise TransactionAborted(f"subtree op already active on {root_path!r}")
-            yield from txn.write(("st_lock", root.id), True)
-            return root
-
-        return (
-            yield from self.fs.store.run_transaction(
-                body, label="subtree flag", trace_parent=span
+            yield from store.run_transaction(
+                lambda txn: ops.release_subtree_flag(txn, root),
+                label="subtree unflag", trace_parent=span,
             )
-        )
-
-    def _quiesce(self, root_path: str, span=None) -> Generator:
-        """Phase 2: lock-walk the whole subtree, then release."""
-
-        def body(txn):
-            return self.fs.ops.collect_subtree(txn, root_path)
-
-        return (
-            yield from self.fs.store.run_transaction(
-                body, label="subtree quiesce", trace_parent=span
-            )
-        )
 
     def _run_batches(
         self, leader: "LambdaNameNode", actions: List[Tuple], span=None
@@ -174,35 +151,3 @@ class SubtreeProtocol:
         if not response.ok:
             raise FsError(f"offloaded batch failed: {response.error}")
         return response.value
-
-    def _apply_root(
-        self, request: MetadataRequest, root_path: str, root: INode, span=None
-    ) -> Generator:
-        """Final phase: apply the root-level change."""
-
-        def body(txn):
-            if request.op is OpType.DELETE:
-                parent_path, name = split(root_path)
-                resolved = yield from self.fs.ops.resolve(txn, parent_path)
-                parent = resolved[parent_path]
-                yield from txn.delete(dirent_key(parent.id, name))
-                yield from txn.delete(inode_key(root.id))
-                return True
-            moved, _resolved = yield from self.fs.ops.mv_single(
-                txn, root_path, normalize(request.dst_path)
-            )
-            return moved
-
-        return (
-            yield from self.fs.store.run_transaction(
-                body, label="subtree apply", trace_parent=span
-            )
-        )
-
-    def _release_subtree_flag(self, root: INode, span=None) -> Generator:
-        def body(txn):
-            yield from txn.delete(("st_lock", root.id))
-
-        yield from self.fs.store.run_transaction(
-            body, label="subtree unflag", trace_parent=span
-        )

@@ -17,26 +17,20 @@
 * :mod:`repro.workloads.multitenant` — N tenants with distinct op
   mixes, think times, and burst shapes sharing one λFS (the driver
   behind ``repro tenants`` and the noisy-neighbor chaos scenarios).
+
+The last two are imported from their submodules, not re-exported
+here: the multi-tenant driver pulls in :mod:`repro.tenants`, which no
+single-tenant run needs.
 """
 
 from repro.workloads.micro import MicroBenchmark, MicroResult
-from repro.workloads.mltrain import MLTrainConfig, MLTrainResult, MLTrainWorkload
-from repro.workloads.multitenant import (
-    WORKLOAD_MIXES,
-    MultiTenantWorkload,
-    TenantCounts,
-)
 from repro.workloads.replay import TraceRecord, TraceReplayer, load_trace, parse_trace
 from repro.workloads.spotify import SPOTIFY_MIX, SpotifyConfig, SpotifyWorkload
 from repro.workloads.treetest import TreeTest, TreeTestConfig
 
 __all__ = [
-    "MLTrainConfig",
-    "MLTrainResult",
-    "MLTrainWorkload",
     "MicroBenchmark",
     "MicroResult",
-    "MultiTenantWorkload",
     "SPOTIFY_MIX",
     "SpotifyConfig",
     "SpotifyWorkload",

@@ -1,10 +1,12 @@
-"""Importing the bench drivers does not load the chaos or incident layers.
+"""Importing the bench drivers does not load the chaos, incident or
+tenant layers.
 
 Every perfbench pass imports ``repro.bench``; a module-level import of
 a chaos helper there would load the chaos package (and the incident
-engine behind its verifier) into every timed process.  A fresh
-interpreter keeps this honest: ``sys.modules`` of the test process
-already holds everything earlier tests imported.
+engine behind its verifier) into every timed process, and a
+re-export of the multi-tenant workload would load the tenant package.
+A fresh interpreter keeps this honest: ``sys.modules`` of the test
+process already holds everything earlier tests imported.
 """
 
 import os
@@ -32,6 +34,8 @@ def test_bench_experiments_import_loads_no_chaos_or_incidents():
     assert "repro.bench.experiments" in loaded
     heavy = [
         name for name in loaded
-        if name.split(".")[:2] in (["repro", "chaos"], ["repro", "incidents"])
+        if name.split(".")[:2] in (
+            ["repro", "chaos"], ["repro", "incidents"], ["repro", "tenants"]
+        )
     ]
     assert heavy == []

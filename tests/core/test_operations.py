@@ -8,7 +8,9 @@ from repro.core.errors import (
     NotDirEmptyError,
     NotFoundError,
 )
+from repro.core.messages import MetadataRequest, OpType
 from repro.core.operations import IdAllocator, NamespaceOps
+from repro.metastore.errors import TransactionAborted
 from repro.metastore import NdbConfig, NdbStore
 from repro.namespace.inode import ROOT_INODE_ID, dirent_key, inode_key
 from repro.sim import Environment
@@ -212,6 +214,64 @@ def test_collect_subtree_on_file(setup):
     ops.install_paths([], ["/solo"])
     collected = run_txn(env, store, lambda txn: ops.collect_subtree(txn, "/solo"))
     assert [path for path, _ in collected] == ["/solo"]
+
+
+def write(env, store, ops, op, path, **fields):
+    request = MetadataRequest(op=op, path=path, request_id=0, **fields)
+    return run_txn(env, store, lambda txn: ops.write(txn, request))
+
+
+def test_write_reports_what_each_op_touched(setup):
+    env, store, ops = setup
+    made = write(env, store, ops, OpType.MKDIRS, "/a/b/c")
+    assert made.value.name == "c" and made.removed == []
+    assert sorted(made.new_entries) == ["/a", "/a/b", "/a/b/c"]
+    # The parent of the topmost new directory lists a new child.
+    assert made.affected == ["/a/b/c", "/"]
+    created = write(env, store, ops, OpType.CREATE_FILE, "/a/f")
+    assert created.affected == ["/a/f", "/a"] and not created.broadcast
+    moved = write(env, store, ops, OpType.MV, "/a/f", dst_path="/a/b/g")
+    assert moved.new_entries == {"/a/b/g": moved.value}
+    assert moved.removed == ["/a/f"]
+    assert moved.affected == ["/a/f", "/a/b/g", "/a", "/a/b"]
+    deleted = write(env, store, ops, OpType.DELETE, "/a/b/g")
+    assert deleted.value is True and deleted.new_entries == {}
+    # Only a directory's own metadata change reaches every cache.
+    chmod_dir = write(env, store, ops, OpType.SET_PERMISSION, "/a", payload=0o700)
+    assert chmod_dir.broadcast and chmod_dir.value.permission == 0o700
+    write(env, store, ops, OpType.CREATE_FILE, "/a/h")
+    chmod_file = write(env, store, ops, OpType.SET_PERMISSION, "/a/h",
+                       payload=0o600)
+    assert not chmod_file.broadcast
+
+
+def test_subtree_phases_delete_a_directory(setup):
+    env, store, ops = setup
+    ops.install_paths(["/t/sub"], ["/t/f1", "/t/sub/f2"])
+    root = run_txn(env, store, lambda txn: ops.take_subtree_flag(txn, "/t"))
+    assert store.peek(("st_lock", root.id)) is True
+    # A second subtree op on the same root is refused while flagged.
+    with pytest.raises(TransactionAborted):
+        run_txn(env, store, lambda txn: ops.take_subtree_flag(txn, "/t"))
+    collected = run_txn(env, store, lambda txn: ops.collect_subtree(txn, "/t"))
+    actions = ops.subtree_actions(OpType.DELETE, "/t", collected)
+    assert sorted(action[-1] for action in actions) == ["f1", "f2", "sub"]
+    assert run_txn(env, store, lambda txn: ops.apply_batch(txn, actions)) == 3
+    request = MetadataRequest(op=OpType.DELETE, path="/t", recursive=True,
+                              request_id=0)
+    assert run_txn(env, store, lambda txn: ops.apply_subtree_root(
+        txn, request, "/t", root)) is True
+    run_txn(env, store, lambda txn: ops.release_subtree_flag(txn, root))
+    assert store.peek(("st_lock", root.id)) is None
+    assert store.peek(dirent_key(ROOT_INODE_ID, "t")) is None
+    assert store.peek(inode_key(root.id)) is None
+
+
+def test_full_chain_needs_every_ancestor():
+    inode = object()
+    assert NamespaceOps.full_chain("/a/b", {"/": inode, "/a": inode, "/a/b": inode})
+    assert not NamespaceOps.full_chain("/a/b", {"/": inode, "/a/b": inode})
+    assert not NamespaceOps.full_chain("/a/b", {"/a": inode, "/a/b": inode})
 
 
 def test_install_paths_bulk(setup):

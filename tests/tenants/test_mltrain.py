@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.messages import OpType
 from repro.sim import Environment
-from repro.workloads import MLTrainConfig, MLTrainWorkload
+from repro.workloads.mltrain import MLTrainConfig, MLTrainWorkload
 
 pytestmark = pytest.mark.tenant
 

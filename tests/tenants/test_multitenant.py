@@ -13,7 +13,7 @@ from repro.chaos import ChaosRunConfig, RecoverySLO, get_scenario, run_scenario
 from repro.namespace.treegen import TreeSpec
 from repro.sim import Environment
 from repro.tenants import TenantGovernor, TenantSpec, summarize
-from repro.workloads import WORKLOAD_MIXES, MultiTenantWorkload
+from repro.workloads.multitenant import WORKLOAD_MIXES, MultiTenantWorkload
 
 pytestmark = [pytest.mark.tenant, pytest.mark.slow]
 

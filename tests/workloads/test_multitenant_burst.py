@@ -16,7 +16,7 @@ import pytest
 from repro.namespace.treegen import TreeSpec
 from repro.sim import Environment
 from repro.tenants import TenantSpec
-from repro.workloads import MultiTenantWorkload
+from repro.workloads.multitenant import MultiTenantWorkload
 
 pytestmark = pytest.mark.tenant
 
