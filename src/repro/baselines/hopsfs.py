@@ -115,7 +115,7 @@ class HopsFSNameNode(MetadataServer):
             retries=TXN_RETRIES,
         )
         self._after_read(resolved)
-        return resolved[path], False
+        return ops.check_read(path, resolved), False
 
     def _after_read(self, resolved: Dict[str, INode]) -> None:
         """Hook for the cached variant."""
@@ -266,7 +266,7 @@ class HopsFSCachedNameNode(HopsFSNameNode):
             retries=TXN_RETRIES,
         )
         self._after_read(resolved)
-        return resolved[path], False
+        return ops.check_read(path, resolved), False
 
     def _after_read(self, resolved: Dict[str, INode]) -> None:
         for path, inode in resolved.items():

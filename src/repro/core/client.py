@@ -18,9 +18,9 @@ from the paper live here:
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.core.messages import MetadataRequest, OpType, PayloadClientOps
 from repro.faas.platform import InstanceTerminated
@@ -82,7 +82,9 @@ class LambdaFSClient(PayloadClientOps):
         self._rng = fs.rngs.stream(f"client:{self.id}")
         #: Resilience control plane, or None (byte-identical hot path).
         self._res = fs.resilience
-        self._latencies: Deque[float] = deque(maxlen=self.config.latency_window)
+        #: The last ``latency_window`` op latencies, oldest first, as
+        #: unboxed doubles.
+        self._latencies = array("d")
         self._antithrash_until = -float("inf")
         self.stats_stragglers = 0
         self.stats_http_rpcs = 0
@@ -428,7 +430,10 @@ class LambdaFSClient(PayloadClientOps):
 
     def _observe(self, latency_ms: float) -> None:
         average = self._moving_average()
-        self._latencies.append(latency_ms)
+        window = self._latencies
+        window.append(latency_ms)
+        if len(window) > self.config.latency_window:
+            del window[0]
         if (
             self.config.antithrash_enabled
             and average > 0

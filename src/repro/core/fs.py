@@ -21,7 +21,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.coordination import make_coordinator
 from repro.core.autoscaling import desired_scale
@@ -94,6 +94,15 @@ class LambdaFS:
         self.datanode_fleet = None
         self.metrics = MetricsRecorder()
         self.metrics.attach_cache_stats(self.aggregate_cache_stats)
+        #: inode id -> the READ_FILE view of that file, one for the whole
+        #: fleet (see :meth:`LambdaNameNode._file_view`).  It holds at
+        #: most one view per live file: deletes and subtree INVs drop
+        #: views, and a view over an old DataNode view is replaced by
+        #: the next read.
+        self.file_views: Dict[int, dict] = {}
+        #: (DataNodes, their racks) -> the one list and rack map every
+        #: NameNode with that DataNode view holds.
+        self._datanode_views: Dict[tuple, Tuple[List[str], Optional[Dict[str, str]]]] = {}
         for name in self.partitioner.deployment_names():
             self.platform.register_deployment(
                 name, lambda instance: LambdaNameNode(instance, self)
@@ -172,6 +181,19 @@ class LambdaFS:
         )
 
     # -- lifecycle ---------------------------------------------------------
+    def intern_datanode_view(
+        self, view: List[str], racks: Optional[Dict[str, str]]
+    ) -> Tuple[List[str], Optional[Dict[str, str]]]:
+        """The fleet's one copy of a DataNode view (sorted DataNode ids)
+        and its rack map, so NameNodes that see the same DataNodes hold
+        the same list and a shared READ_FILE view is checked by
+        identity."""
+        key = (tuple(view), None if racks is None else tuple(racks[dn] for dn in view))
+        interned = self._datanode_views.get(key)
+        if interned is None:
+            interned = self._datanode_views[key] = (view, racks)
+        return interned
+
     def format(self) -> None:
         """Install the root directory in the persistent store."""
         self.ops.format()

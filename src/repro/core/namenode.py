@@ -21,7 +21,7 @@ from repro.core.errors import FsError
 from repro.core.messages import MetadataRequest, MetadataResponse, OpType
 from repro.metastore.errors import TransactionAborted
 from repro.namespace.cache import MetadataCache
-from repro.namespace.inode import INode
+from repro.namespace.inode import INode, inode_key
 from repro.namespace.paths import is_descendant, normalize, parent_of
 from repro.rpc.retry import RetryPolicy
 from repro.sim import Event
@@ -86,12 +86,10 @@ class LambdaNameNode:
         # (identifying it) whose Event is made only once a duplicate
         # arrives to wait on it.
         self._inflight: Dict[int, List[Optional[Event]]] = {}
-        self._datanode_view: List[str] = []
-        self._datanode_racks: Optional[Dict[str, str]] = None
+        # Interned by the file system, so NameNodes with equal views
+        # hold one list (see _file_view).
+        self._datanode_view, self._datanode_racks = fs.intern_datanode_view([], None)
         self._datanode_view_at = -float("inf")
-        # inode id -> the READ_FILE view of that INode over the current
-        # DataNode view (see _file_view); cleared when the view changes.
-        self._file_views: Dict[int, dict] = {}
         self._backoff_rng = fs.rngs.stream("nn-retry")
         # Resilience control plane (None keeps every path identical).
         res = fs.resilience
@@ -400,31 +398,39 @@ class LambdaNameNode:
         Placement is computed from the published DataNode reports via
         rendezvous hashing (rack-aware when every report has a rack),
         so every instance agrees without holding DataNode state (see
-        :mod:`repro.core.blocks`).  The view is memoised per inode id
-        for the current DataNode view and shared by every response
-        that returns it, so callers must treat it as read-only."""
-        views = self._file_views
-        view = views.get(inode.id)
-        if view is not None and view["inode"] is inode:
-            return view
-        if len(views) > len(self.cache):
-            views.clear()  # entries of LRU-evicted INodes
+        :mod:`repro.core.blocks`).  The view is memoised once for the
+        whole fleet, in ``fs.file_views`` by inode id, and shared by
+        every response that returns it, so callers must treat it as
+        read-only.  A NameNode serves a memoised view only if it holds
+        the very INode this NameNode resolved and this NameNode's own
+        (interned) DataNode view; otherwise it builds its own, and
+        memoises it only if the INode is the file's committed row, so
+        a read racing the file's delete or update leaves no view
+        behind."""
+        views = self.fs.file_views
         nodes = self._datanode_view
-        views[inode.id] = view = {
+        view = views.get(inode.id)
+        if view is not None and view["inode"] is inode and view["locations"] is nodes:
+            return view
+        view = {
             "inode": inode,
             "locations": nodes,
             "blocks": self.fs.ops.blocks.locations(
                 inode.block_ids, nodes, self._datanode_racks
             ),
         }
+        if self.fs.store.peek(inode_key(inode.id)) is inode:
+            views[inode.id] = view
         return view
 
-    def _forget(self, path: str) -> None:
-        """Drop ``path``'s cache entry and its memoised READ_FILE view."""
-        if self._file_views:
+    def _forget(self, path: str, inode: Optional[INode] = None) -> None:
+        """Drop ``path``'s cache entry and the fleet's READ_FILE view of
+        it (of ``inode``, when the caller knows it, else of the cached
+        INode)."""
+        if inode is None:
             inode = self.cache.peek(path)
-            if inode is not None:
-                self._file_views.pop(inode.id, None)
+        if inode is not None:
+            self.fs.file_views.pop(inode.id, None)
         self.cache.invalidate(path)
 
     def _maybe_refresh_datanodes(self) -> Generator:
@@ -450,12 +456,15 @@ class LambdaNameNode:
             ):
                 continue
             labels[key[-1]] = getattr(report, "rack", None)
-        view = sorted(labels)
-        racks = labels if labels and None not in labels.values() else None
-        if view != self._datanode_view or racks != self._datanode_racks:
-            self._datanode_view = view
-            self._datanode_racks = racks
-            self._file_views.clear()
+        view, racks = self.fs.intern_datanode_view(
+            sorted(labels),
+            labels if labels and None not in labels.values() else None,
+        )
+        # The fleet's memoised READ_FILE views stay: one built over
+        # another DataNode view is never served here (see _file_view),
+        # and the next read replaces it.
+        self._datanode_view = view
+        self._datanode_racks = racks
 
     # -- writes ---------------------------------------------------------------
     def _handle_write(self, request: MetadataRequest, span=None) -> Generator:
@@ -627,7 +636,7 @@ class LambdaNameNode:
         tracer = self.fs.env.tracer
         gone = set(removed)
         for path in removed:
-            self._forget(path)
+            self._forget(path, resolved.get(path))
             if self._stale_inodes:
                 # The leader deleted it: a stale snapshot must not
                 # resurrect the entry under shed pressure.
@@ -693,7 +702,7 @@ class LambdaNameNode:
                 path=prefix, prefix=prefix,
             )
         self.cache.invalidate_prefix(prefix)
-        self._file_views.clear()
+        self.fs.file_views.clear()
         for cached_path in list(self._listing_cache):
             if is_descendant(cached_path, prefix):
                 del self._listing_cache[cached_path]

@@ -113,7 +113,9 @@ class NdbStore:
 
     # -- direct (non-transactional) access ------------------------------
     def peek(self, key: Any) -> Any:
-        """Committed value without cost or locks (tests/bootstrap only)."""
+        """Committed value without cost or locks, off the sim clock
+        (tests, bootstrap, and checks that must not touch the
+        simulation, such as which READ_FILE view to memoise)."""
         return self._data.get(key)
 
     def load_bulk(self, items: Dict[Any, Any]) -> None:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+from array import array
 from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,11 +26,52 @@ class OpRecord:
         return self.end_ms - self.start_ms
 
 
+class OpRecords(SequenceABC):
+    """A read-only window of a recorder's ops, in completion order.
+
+    Holds only a ``range`` of row numbers into the recorder's columns,
+    so slicing (``records[before:]``, slices of slices) copies
+    nothing; indexing and iteration build each :class:`OpRecord` on
+    demand.  The window is fixed when it is made: ops recorded later
+    are not in it, as with a list slice.
+    """
+
+    __slots__ = ("_recorder", "_rows")
+
+    def __init__(self, recorder: "MetricsRecorder", rows: range) -> None:
+        self._recorder = recorder
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return OpRecords(self._recorder, self._rows[index])
+        return self._recorder._row(self._rows[index])
+
+    def __iter__(self) -> Iterator[OpRecord]:
+        row = self._recorder._row
+        for index in self._rows:
+            yield row(index)
+
+
 class MetricsRecorder:
-    """Collects :class:`OpRecord` objects and derives statistics."""
+    """Collects completed ops and derives statistics.
+
+    Ops are kept as packed columns, not objects: the sim-clock start and
+    end as doubles, and a small-int code naming the op's interned
+    ``(op, ok, via, cache_hit)`` key, about 18 bytes per op.
+    :attr:`records` presents them as a sequence of :class:`OpRecord`.
+    """
 
     def __init__(self) -> None:
-        self.records: List[OpRecord] = []
+        self._starts = array("d")
+        self._ends = array("d")
+        self._codes = array("H")
+        #: code -> (op, ok, via, cache_hit), and its inverse.
+        self._keys: List[Tuple[str, bool, str, bool]] = []
+        self._code_of: Dict[Tuple[str, bool, str, bool], int] = {}
         self._cache_stats_provider = None
 
     def attach_cache_stats(self, provider) -> None:
@@ -46,10 +89,26 @@ class MetricsRecorder:
         via: str = "tcp",
         cache_hit: bool = False,
     ) -> None:
-        self.records.append(OpRecord(op, start_ms, end_ms, ok, via, cache_hit))
+        key = (op, ok, via, cache_hit)
+        code = self._code_of.get(key)
+        if code is None:
+            code = self._code_of[key] = len(self._keys)
+            self._keys.append(key)
+        self._starts.append(start_ms)
+        self._ends.append(end_ms)
+        self._codes.append(code)
+
+    @property
+    def records(self) -> OpRecords:
+        """Every op recorded so far, as a sequence of :class:`OpRecord`."""
+        return OpRecords(self, range(len(self._ends)))
+
+    def _row(self, index: int) -> OpRecord:
+        op, ok, via, cache_hit = self._keys[self._codes[index]]
+        return OpRecord(op, self._starts[index], self._ends[index], ok, via, cache_hit)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._ends)
 
     def outcome_digest(self) -> str:
         """Hex blake2b over every record, in completion order.
@@ -63,17 +122,21 @@ class MetricsRecorder:
         """
         digest = hashlib.blake2b(digest_size=16)
         update = digest.update
-        for r in self.records:
-            update(f"{r.op}|{r.start_ms!r}|{r.end_ms!r}|{r.ok:d}|"
-                   f"{r.via}|{r.cache_hit:d}\n".encode())
+        keys = [
+            (op, f"|{ok:d}|{via}|{cache_hit:d}\n")
+            for op, ok, via, cache_hit in self._keys
+        ]
+        for start, end, code in zip(self._starts, self._ends, self._codes):
+            op, tail = keys[code]
+            update(f"{op}|{start!r}|{end!r}{tail}".encode())
         return digest.hexdigest()
 
     # -- throughput ----------------------------------------------------
     def throughput_timeline(self, bin_ms: float = 1_000.0) -> List[Tuple[float, float]]:
         """(bin start ms, ops/sec) pairs over the recorded span."""
-        if not self.records:
+        if not self._ends:
             return []
-        ends = sorted(record.end_ms for record in self.records)
+        ends = sorted(self._ends)
         start = 0.0
         stop = ends[-1]
         timeline: List[Tuple[float, float]] = []
@@ -87,13 +150,13 @@ class MetricsRecorder:
 
     def average_throughput(self, duration_ms: Optional[float] = None) -> float:
         """Mean ops/sec over ``duration_ms`` (or the recorded span)."""
-        if not self.records:
+        if not self._ends:
             return 0.0
         if duration_ms is None:
-            duration_ms = max(record.end_ms for record in self.records)
+            duration_ms = max(self._ends)
         if duration_ms <= 0:
             return 0.0
-        return len(self.records) * 1_000.0 / duration_ms
+        return len(self._ends) * 1_000.0 / duration_ms
 
     def peak_throughput(self, bin_ms: float = 1_000.0) -> float:
         timeline = self.throughput_timeline(bin_ms)
@@ -102,11 +165,14 @@ class MetricsRecorder:
     # -- latency ----------------------------------------------------------
     def latencies(self, op: Optional[str] = None, read_only: bool = False) -> List[float]:
         read_ops = {"read file", "stat file/dir", "ls file/dir"}
+        wanted = [
+            (op is None or key[0] == op) and (not read_only or key[0] in read_ops)
+            for key in self._keys
+        ]
         return [
-            record.latency_ms
-            for record in self.records
-            if (op is None or record.op == op)
-            and (not read_only or record.op in read_ops)
+            end - start
+            for start, end, code in zip(self._starts, self._ends, self._codes)
+            if wanted[code]
         ]
 
     def average_latency(self, op: Optional[str] = None) -> float:
@@ -121,10 +187,11 @@ class MetricsRecorder:
             stats = self._cache_stats_provider()
             if stats.lookups:
                 return stats.hit_ratio
-        if not self.records:
+        if not self._ends:
             return 0.0
-        hits = sum(1 for record in self.records if record.cache_hit)
-        return hits / len(self.records)
+        hit = [key[3] for key in self._keys]
+        hits = sum(1 for code in self._codes if hit[code])
+        return hits / len(self._ends)
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -193,3 +193,45 @@ def test_cached_subtree_prefix_invalidation(cached_cluster):
 
     r2 = drive(env, scenario(env))
     assert not r2.ok
+
+
+def _lambdafs(env):
+    from repro.core import LambdaFS, LambdaFSConfig
+    from repro.faas import FaaSConfig
+
+    fs = LambdaFS(env, LambdaFSConfig(
+        num_deployments=2,
+        faas=FaaSConfig(
+            cluster_vcpus=32.0, vcpus_per_instance=4.0,
+            cold_start_min_ms=20.0, cold_start_max_ms=30.0, app_init_ms=5.0,
+        ),
+    ))
+    fs.format()
+    fs.start()
+    return fs
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda env: HopsFSCluster(env, small_config()), id="hopsfs"),
+    pytest.param(lambda env: HopsFSCachedCluster(env, small_config()), id="hopsfs-cache"),
+    pytest.param(_lambdafs, id="lambdafs"),
+])
+def test_stat_under_an_untraversable_directory_is_denied(build):
+    # A read that misses the cache resolves the path from the store and
+    # must enforce permissions as a cache hit does.
+    env = Environment()
+    system = build(env)
+    if isinstance(system, HopsFSCluster):
+        system.format()
+    client = system.new_client()
+
+    def scenario(env):
+        assert (yield from client.mkdirs("/d")).ok
+        assert (yield from client.create_file("/d/f")).ok
+        assert (yield from client.set_permission("/d", 0o600)).ok
+        return (yield from client.stat("/d/f"))
+
+    response = drive(env, scenario(env))
+    assert not response.ok
+    assert response.error.startswith("AccessDeniedError"), response.error
+    assert not response.cache_hit

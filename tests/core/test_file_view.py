@@ -1,16 +1,17 @@
 """The memoised READ_FILE view.
 
-A NameNode keeps one view per inode id for its current DataNode view
-and hands the same dict to every read of that file.  These tests pin
-that the memo is invisible: each returned view equals what fresh
-placement over the NameNode's live DataNode set gives, it follows INode
-replacement and membership changes, and it stays sized by the files
-that still exist.
+The file system keeps one view per inode id for the whole NameNode
+fleet, and every NameNode holding the same INode and DataNode view
+hands out that same dict.  These tests pin that the memo is invisible:
+each returned view equals what fresh placement over the serving
+NameNode's live DataNode set gives, it follows INode replacement and
+membership changes, and it stays sized by the files that still exist.
 """
 
 from repro.core import LambdaFS, LambdaFSConfig
 from repro.core.blocks import BlockManager
 from repro.core.client import ClientConfig
+from repro.core.messages import MetadataRequest, OpType
 from repro.core.maintenance import BlockReport, DataNodeConfig
 from repro.core.namenode import NameNodeConfig
 from repro.datanode import DataNodeFleet, DataNodeFleetConfig
@@ -20,9 +21,9 @@ from repro.sim import Environment
 STALE_AFTER_MS = 6_000.0
 
 
-def make_fs(env, datanodes=4):
+def make_fs(env, datanodes=4, deployments=1):
     fs = LambdaFS(env, LambdaFSConfig(
-        num_deployments=1,
+        num_deployments=deployments,
         faas=FaaSConfig(
             cluster_vcpus=16.0, vcpus_per_instance=4.0,
             cold_start_min_ms=50.0, cold_start_max_ms=80.0,
@@ -158,9 +159,91 @@ def test_memo_is_sized_by_live_files():
         return kept
 
     kept = run(env, scenario())
-    views = [instance.app._file_views for instance in fs.all_instances()]
-    assert sum(len(memo) for memo in views) <= len(views)
-    assert kept.value["inode"].id in namenode_of(fs, kept)._file_views
+    # The one live file is the only one the fleet's memo may hold.
+    assert len(fs.file_views) <= 1
+    assert fs.file_views[kept.value["inode"].id] is kept.value
+
+
+def two_deployment_namenodes(env):
+    """A two-deployment fs with one warm NameNode in each."""
+    fs = make_fs(env, deployments=2)
+    run(env, fs.prewarm())
+    namenodes = [instance.app for instance in fs.all_instances()]
+    assert len({nn.deployment_name for nn in namenodes}) == 2
+    return fs, namenodes
+
+
+def wait(env, ms):
+    yield env.timeout(ms)
+
+
+def read_via(namenode, path):
+    """READ_FILE served by ``namenode``, whichever deployment owns it."""
+    env = namenode.fs.env
+    request = MetadataRequest(
+        OpType.READ_FILE, path, request_id=env.next_id("request"),
+        client_id="test",
+    )
+    response = run(env, namenode.handle(request, "tcp"))
+    assert response.ok, response.error
+    return response.value
+
+
+def test_namenodes_in_two_deployments_share_one_view():
+    env = Environment()
+    fs, (first, second) = two_deployment_namenodes(env)
+    client = fs.new_client()
+
+    def scenario():
+        yield from client.mkdirs("/d")
+        yield from client.create_file("/d/f")
+        yield env.timeout(4_000)  # every DataNode has published
+
+    run(env, scenario())
+    one = read_via(first, "/d/f")
+    two = read_via(second, "/d/f")
+    assert first._datanode_view is second._datanode_view
+    assert two is one
+    assert_fresh(second, two)
+
+
+def test_a_namenode_never_serves_another_datanode_view():
+    env = Environment()
+    fs, (first, second) = two_deployment_namenodes(env)
+    client = fs.new_client()
+
+    def publish_once(txn):
+        yield from txn.write(
+            ("datanode", "dn9"), BlockReport("dn9", env.now, block_count=1)
+        )
+
+    def scenario():
+        yield from client.mkdirs("/d")
+        yield from client.create_file("/d/f")
+        yield from fs.store.run_transaction(publish_once)
+        yield env.timeout(1_000)
+
+    run(env, scenario())
+    served = []
+
+    def read(namenode):
+        view = read_via(namenode, "/d/f")
+        assert view["locations"] is namenode._datanode_view
+        assert_fresh(namenode, view)
+        served.append((namenode, view))
+
+    read(first)  # refreshes with dn9
+    run(env, wait(env, 3_000))
+    read(second)  # refreshes with dn9 too: one shared view
+    assert served[1][1] is served[0][1]
+    # dn9 goes stale; only ``first`` is due a refresh on its next read.
+    run(env, wait(env, 2_500))
+    read(first)
+    assert "dn9" not in first._datanode_view
+    for namenode in (second, first, second, first):
+        read(namenode)
+    # Every read above ran with the two DataNode views apart.
+    assert "dn9" in second._datanode_view
 
 
 def _fleet_fs(env):

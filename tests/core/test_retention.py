@@ -12,18 +12,24 @@ A NameNode's reply rides the request it answers (its result cache,
 attempt or duplicate can deliver it again: the live
 ``MetadataResponse`` count must not grow with ops per client either.
 What a reply holds while it lives stays small: a READ_FILE view is
-shared per (NameNode, inode) rather than built per response, and the
-per-op records carry no instance ``__dict__``.
+shared by the whole fleet per inode rather than built per response,
+and the per-op records carry no instance ``__dict__``.  What a client
+holds for its whole loop stays small too: its latency window is an
+array of doubles, and its loop draws every target up front and keeps
+no RNG of its own.
 """
 
 import gc
 import pickle
+import random
+from collections import deque
 from dataclasses import replace
 
 import pytest
 
 from repro.bench.harness import build_lambdafs, drive
 from repro.core import OpType
+from repro.core.client import ClientConfig
 from repro.core.messages import MetadataRequest, MetadataResponse
 from repro.core.namenode import LambdaNameNode
 from repro.metrics.recorder import OpRecord
@@ -123,3 +129,47 @@ def test_per_op_records_are_slotted_and_picklable(record):
         # The replies a request carries are not part of its value.
         assert copy.replies == record.replies
         assert record == replace(record, replies=None)
+
+
+def test_latency_window_sums_like_the_deque_it_replaced():
+    # The window is an array of doubles that drops its oldest sample;
+    # the moving average must be bit-identical to the deque(maxlen)
+    # version, since it sets the straggler threshold and the
+    # anti-thrashing decision.
+    env = Environment()
+    tree = generate_tree(TreeSpec(depth=1, dirs_per_dir=1, files_per_dir=1))
+    client = build_lambdafs(env, tree, deployments=1, seed=3).make_clients(1)[0]
+    window = ClientConfig().latency_window
+    reference = deque(maxlen=window)
+    rng = random.Random(11)
+    for _ in range(200):
+        latency = rng.lognormvariate(0.0, 1.5)
+        client._observe(latency)
+        reference.append(latency)
+        assert client._moving_average() == sum(reference) / len(reference)
+    assert len(client._latencies) == window
+
+
+def test_client_loops_hold_no_rng_of_their_own():
+    # A loop's targets are drawn before its first op, so while the
+    # window runs only the clients' own streams and the system's are
+    # alive: CLIENTS + 5 here, and 2 x CLIENTS + 5 when each loop kept
+    # its RNG.
+    tree = generate_tree(TreeSpec(depth=2, dirs_per_dir=4, files_per_dir=8))
+    env = Environment()
+    handle = build_lambdafs(env, tree, deployments=2, seed=3)
+    clients = handle.make_clients(CLIENTS)
+    drive(env, handle.prewarm())
+    seen = []
+
+    def count_rngs(env):
+        yield env.timeout(1.0)
+        gc.collect()
+        seen.append(sum(1 for obj in gc.get_objects() if isinstance(obj, random.Random)))
+
+    bench = MicroBenchmark(env, tree, seed=3)
+    sampler = env.process(count_rngs(env))
+    result = drive(env, bench.run(clients, OpType.READ_FILE, 16))
+    assert result.errors == 0
+    assert not sampler.is_alive and seen
+    assert seen[0] <= CLIENTS + 16, seen

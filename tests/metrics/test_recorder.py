@@ -1,8 +1,13 @@
 """Unit tests for metrics recording and statistics."""
 
+import hashlib
+import pickle
+import random
+import tracemalloc
+
 import pytest
 
-from repro.metrics import MetricsRecorder, latency_cdf, percentile
+from repro.metrics import MetricsRecorder, OpRecord, latency_cdf, percentile
 
 
 def test_record_and_latency():
@@ -154,3 +159,94 @@ def test_percentile_rejects_bad_q_and_empty():
 def test_percentile_unsorted_input():
     values = [30.0, 10.0, 20.0]
     assert percentile(values, 50) == 20.0
+
+
+def _recorded(count, seed=5):
+    """A recorder and the list of OpRecords the same calls describe."""
+    rng = random.Random(seed)
+    recorder = MetricsRecorder()
+    reference = []
+    for _ in range(count):
+        start = rng.uniform(0.0, 1_000.0)
+        args = (
+            rng.choice(["read file", "create file", "stat file/dir"]),
+            start,
+            start + rng.expovariate(1.0),
+            rng.random() < 0.9,
+            rng.choice(["tcp", "http"]),
+            rng.random() < 0.5,
+        )
+        recorder.record(*args)
+        reference.append(OpRecord(*args))
+    return recorder, reference
+
+
+def _reference_digest(records):
+    digest = hashlib.blake2b(digest_size=16)
+    for r in records:
+        digest.update(f"{r.op}|{r.start_ms!r}|{r.end_ms!r}|{r.ok:d}|"
+                      f"{r.via}|{r.cache_hit:d}\n".encode())
+    return digest.hexdigest()
+
+
+def test_records_read_like_the_list_of_oprecords():
+    recorder, reference = _recorded(300)
+    records = recorder.records
+    assert len(records) == len(reference) == len(recorder)
+    assert list(records) == reference
+    for index in (0, 1, 150, 299, -1, -300):
+        assert records[index] == reference[index]
+    with pytest.raises(IndexError):
+        records[300]
+    for outer, inner in [
+        (slice(100, None), slice(None, 50)),
+        (slice(10, 290, 3), slice(-20, None, 2)),
+        (slice(None, None, -1), slice(5, 40)),
+        (slice(250, 100), slice(None)),
+    ]:
+        view, expected = records[outer][inner], reference[outer][inner]
+        assert len(view) == len(expected)
+        assert list(view) == expected
+        assert list(view) == list(view)  # a view iterates again
+    assert recorder.outcome_digest() == _reference_digest(reference)
+    assert recorder.latencies() == [r.latency_ms for r in reference]
+    assert recorder.latencies(read_only=True) == [
+        r.latency_ms for r in reference if r.op in ("read file", "stat file/dir")
+    ]
+    assert recorder.cache_hit_ratio() == \
+        sum(r.cache_hit for r in reference) / len(reference)
+
+
+def test_a_slice_is_fixed_when_taken():
+    recorder, reference = _recorded(20)
+    before = len(recorder)
+    tail = recorder.records[before:]
+    everything = recorder.records
+    recorder.record("read file", 5.0, 6.0)
+    assert len(tail) == 0 and len(everything) == before
+    assert list(recorder.records[before:]) == [OpRecord("read file", 5.0, 6.0)]
+
+
+def test_records_survive_a_pickle_round_trip():
+    recorder, reference = _recorded(50)
+    copy = pickle.loads(pickle.dumps(recorder))
+    assert list(copy.records) == reference
+    assert copy.outcome_digest() == recorder.outcome_digest()
+    assert list(pickle.loads(pickle.dumps(recorder.records[10:20]))) == reference[10:20]
+
+
+def test_records_are_packed():
+    # A slotted OpRecord per op, its list slot and the start float it
+    # boxes retain ~112 bytes here; the packed columns retain ~18.
+    count = 10_000
+    ends = [float(index) + 0.5 for index in range(count)]
+    recorder = MetricsRecorder()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(count):
+            recorder.record("read file", float(index), ends[index], True, "tcp", False)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / count < 32, retained / count
