@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Set
 
-from repro._util import stable_hash
 from repro.core.errors import (
     AlreadyExistsError,
     FsError,
@@ -32,6 +31,7 @@ from repro.core.messages import (
     MetadataResponse,
     OpType,
 )
+from repro.core.partitioning import NamespacePartitioner
 from repro.metrics import MetricsRecorder, vm_cost
 from repro.namespace.inode import INode, ROOT_INODE_ID
 from repro.namespace.paths import is_descendant, normalize, parent_of, split
@@ -86,6 +86,7 @@ class CephFSCluster:
         self.mds: List[_CephMDS] = [
             _CephMDS(env, self.config) for _ in range(self.config.num_mds)
         ]
+        self._partitioner = NamespacePartitioner(len(self.mds))
         self.journal = Resource(env, capacity=JOURNAL_WORKERS)
         self.metrics = MetricsRecorder()
         self._inodes: Dict[str, INode] = {}
@@ -127,8 +128,7 @@ class CephFSCluster:
 
     # -- routing: dynamic subtree partitioning approximation ----------------
     def mds_for(self, path: str) -> _CephMDS:
-        anchor = "/" if normalize(path) == "/" else parent_of(normalize(path))
-        return self.mds[stable_hash(anchor) % len(self.mds)]
+        return self.mds[self._partitioner.index_for(path)]
 
     def new_client(self) -> "CephFSClient":
         return CephFSClient(self)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro._util import stable_hash
 from repro.baselines.common import MetadataServer
 from repro.core.errors import FsError
 from repro.core.messages import (
@@ -28,6 +27,7 @@ from repro.core.messages import (
     PayloadClientOps,
 )
 from repro.core.operations import NamespaceOps, WriteResult
+from repro.core.partitioning import NamespacePartitioner
 from repro.metastore import NdbConfig, NdbStore
 from repro.metastore.errors import TransactionAborted
 from repro.metrics import MetricsRecorder, vm_cost
@@ -109,6 +109,7 @@ class HopsFSNameNode(MetadataServer):
                 body, retries=TXN_RETRIES
             )
             self._after_read(resolved)
+            ops.check_read(path, resolved)
             return names, False
         resolved = yield from self.cluster.store.run_transaction(
             lambda txn: ops.resolve(txn, path, known),
@@ -254,6 +255,7 @@ class HopsFSCachedNameNode(HopsFSNameNode):
                 retries=TXN_RETRIES,
             )
             self._after_read(resolved)
+            ops.check_read(path, resolved)
             if resolved[path].is_dir:
                 self._listing_cache[path] = list(names)
             return names, False
@@ -328,6 +330,7 @@ class HopsFSCluster:
         self.namenodes: List[HopsFSNameNode] = [
             self.namenode_class(self) for _ in range(self.config.num_namenodes)
         ]
+        self._partitioner = NamespacePartitioner(len(self.namenodes))
         self.metrics = MetricsRecorder()
         if any(hasattr(nn, "cache") for nn in self.namenodes):
             self.metrics.attach_cache_stats(self.aggregate_cache_stats)
@@ -367,8 +370,7 @@ class HopsFSCluster:
 
     # -- peer invalidation (cached variant) -----------------------------------
     def owner_of(self, path: str) -> HopsFSNameNode:
-        anchor = "/" if normalize(path) == "/" else parent_of(normalize(path))
-        return self.namenodes[stable_hash(anchor) % len(self.namenodes)]
+        return self.namenodes[self._partitioner.index_for(path)]
 
     def invalidate_peers(
         self, leader: HopsFSNameNode, paths, broadcast: bool = False

@@ -16,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro._util import stable_hash
 from repro.baselines.common import MetadataServer
 from repro.coordination import make_coordinator
 from repro.core.errors import AlreadyExistsError, NotFoundError
+from repro.core.partitioning import NamespacePartitioner
 from repro.faas import FaaSConfig, FaaSPlatform
 from repro.metastore import SSTableStore
 from repro.metrics import MetricsRecorder
-from repro.namespace.paths import normalize, parent_of, split
+from repro.namespace.paths import normalize, split
 from repro.rpc import ClientVM, LatencyConfig, LatencyModel
 from repro.sim import Environment, RngStreams
 
@@ -74,11 +74,11 @@ class IndexFSCluster:
         self.servers: List[_IndexFSServer] = [
             _IndexFSServer(env, self.config) for _ in range(NUM_SERVERS)
         ]
+        self._partitioner = NamespacePartitioner(len(self.servers))
         self.metrics = MetricsRecorder()
 
     def server_for(self, path: str) -> _IndexFSServer:
-        directory = parent_of(normalize(path))
-        return self.servers[stable_hash(directory) % len(self.servers)]
+        return self.servers[self._partitioner.index_for(path)]
 
     def install_namespace(self, files: List[str]) -> None:
         by_server: Dict[_IndexFSServer, Dict] = {}
@@ -237,10 +237,12 @@ class LambdaIndexFS:
         self.dbs: List[SSTableStore] = [
             SSTableStore(env) for _ in range(NUM_LEVELDB_PARTITIONS)
         ]
+        self._db_partitioner = NamespacePartitioner(len(self.dbs))
         self.metrics = MetricsRecorder()
-        self._deployments = [
-            f"IndexNN{index}" for index in range(self.config.num_deployments)
-        ]
+        self._partitioner = NamespacePartitioner(
+            self.config.num_deployments, prefix="IndexNN"
+        )
+        self._deployments = self._partitioner.deployment_names()
         for name in self._deployments:
             self.platform.register_deployment(
                 name, lambda instance: _LambdaIndexFSFunction(instance, self)
@@ -263,17 +265,15 @@ class LambdaIndexFS:
             yield AllOf(self.env, started)
 
     def deployment_for(self, path: str) -> str:
-        directory = parent_of(normalize(path))
-        return self._deployments[stable_hash(directory) % len(self._deployments)]
+        return self._partitioner.deployment_for(path)
 
     def db_for(self, path: str) -> SSTableStore:
-        directory = parent_of(normalize(path))
-        return self.dbs[stable_hash(directory) % len(self.dbs)]
+        return self.dbs[self._db_partitioner.index_for(path)]
 
     def install_namespace(self, files: List[str]) -> None:
         by_db: Dict[int, Dict] = {}
         for path in files:
-            index = stable_hash(parent_of(normalize(path))) % len(self.dbs)
+            index = self._db_partitioner.index_for(path)
             by_db.setdefault(index, {})[_meta_key(path)] = {"path": path}
         for index, rows in by_db.items():
             self.dbs[index].load_bulk(rows)

@@ -25,7 +25,7 @@ from repro.bench.harness import (
 from repro.core import OpType
 from repro.core.subtree import SubtreeConfig
 from repro.metastore import NdbConfig
-from repro.metrics import VM_VCPU_SECOND_USD, latency_cdf, percentile
+from repro.metrics import VM_VCPU_SECOND_USD, percentile
 from repro.namespace.treegen import TreeSpec, flat_directory, generate_tree
 from repro.sim import Environment
 from repro.workloads import SpotifyConfig, SpotifyWorkload, TreeTest, TreeTestConfig
@@ -63,9 +63,6 @@ class SpotifyRun:
     completed: int = 0
     trace_report: Optional[dict] = None
     """Tracer summary + invariant violations (``trace=True`` runs)."""
-
-    def read_latency_cdf(self, op: str = "read file"):
-        return latency_cdf(self.latencies_by_op.get(op, []))
 
     def perf_per_cost_timeline(self) -> List[Tuple[float, float]]:
         """ops/sec per incremental $ for each sampling interval."""
@@ -661,36 +658,3 @@ def replacement_probability_sweep(
         })
     return rows
 
-
-def concurrency_level_sweep(
-    levels: Sequence[int] = (1, 2, 4, 8),
-    clients: int = 160,
-    ops_per_client: int = 96,
-    warmup_per_client: int = 24,
-    deployments: int = 4,
-    seed: int = 0,
-) -> List[dict]:
-    """Figure 6's coarse-grained knob: per-instance ConcurrencyLevel.
-
-    Small values scale the fleet aggressively (each HTTP invocation
-    beyond the limit provisions another instance); large values
-    absorb load on fewer instances.
-    """
-    tree = generate_tree(DEFAULT_TREE)
-    rows = []
-    for level in levels:
-        env = Environment()
-        handle = build_lambdafs(
-            env, tree, seed=seed, deployments=deployments,
-            faas_overrides={"concurrency_level": level},
-            client_overrides={"replacement_probability": 0.05},
-        )
-        result = run_micro(handle, tree, OpType.READ_FILE, clients,
-                           ops_per_client, warmup_per_client, seed=seed)
-        rows.append({
-            "concurrency_level": level,
-            "throughput": result.throughput,
-            "namenodes": handle.active_servers(),
-            "cold_starts": handle.system.platform.cold_starts,
-        })
-    return rows

@@ -28,7 +28,6 @@ from repro.chaos.faults import (
     NameNodeKiller,
     make_fault,
     pick_victim,
-    validate_scenario,
 )
 from repro.chaos.runner import (
     RECOVERABLE_ERRORS,
@@ -46,7 +45,6 @@ from repro.chaos.scenario import (
     FaultSpec,
     Scenario,
     load_scenario,
-    save_scenario,
 )
 from repro.chaos.scenarios import (
     EXPECTED_FAIL,
@@ -87,10 +85,8 @@ __all__ = [
     "pick_victim",
     "run_matrix",
     "run_scenario",
-    "save_scenario",
     "scenario_record",
     "scenario_needs_datanodes",
     "scenario_needs_resilience",
     "scenario_needs_tenants",
-    "validate_scenario",
 ]

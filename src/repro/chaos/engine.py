@@ -153,11 +153,6 @@ class ChaosEngine:
         self._log(fault.kind, "deactivate")
 
     # -- introspection -------------------------------------------------
-    def active_faults(self, kind: Optional[str] = None) -> List[Fault]:
-        if kind is not None:
-            return list(self._active.get(kind, ()))
-        return [f for bucket in self._active.values() for f in bucket]
-
     @property
     def first_fault_at_ms(self) -> Optional[float]:
         """Absolute sim-time of the earliest fault activation."""

@@ -888,9 +888,3 @@ def make_fault(spec: FaultSpec, engine: Any = None) -> Fault:
             f"known: {sorted(FAULT_TYPES)}"
         )
     return cls(spec, engine)
-
-
-def validate_scenario(scenario: Any) -> None:
-    """Raise ValueError if any fault spec in ``scenario`` is invalid."""
-    for spec in scenario.faults:
-        make_fault(spec, engine=None)

@@ -132,11 +132,3 @@ def load_scenario(path: str) -> Scenario:
     with open(path) as handle:
         data = json.load(handle)
     return Scenario.from_dict(data)
-
-
-def save_scenario(scenario: Scenario, path: str) -> str:
-    """Write a scenario to a JSON file; returns the path."""
-    with open(path, "w") as handle:
-        json.dump(scenario.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path

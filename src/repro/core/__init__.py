@@ -11,7 +11,7 @@ Public surface:
   executes inside FaaS function instances.
 """
 
-from repro.core.autoscaling import AutoScalingModel, concurrency_bound, desired_scale
+from repro.core.autoscaling import desired_scale
 from repro.core.client import ClientConfig, LambdaFSClient
 from repro.core.errors import (
     AlreadyExistsError,
@@ -26,7 +26,6 @@ from repro.core.namenode import LambdaNameNode, NameNodeConfig
 
 __all__ = [
     "AlreadyExistsError",
-    "AutoScalingModel",
     "ClientConfig",
     "FsError",
     "LambdaFS",
@@ -40,6 +39,5 @@ __all__ = [
     "NotDirEmptyError",
     "NotFoundError",
     "OpType",
-    "concurrency_bound",
     "desired_scale",
 ]

@@ -10,13 +10,11 @@ Two knobs control the degree of scale-out:
   many concurrent HTTP RPCs one instance absorbs before the platform
   provisions another.
 
-The expected number of NameNodes and the platform's resource
-upper-bound follow the equations in Figure 6.
+The expected number of NameNodes follows Figure 6's equation;
+``LambdaFS._desired_namenodes`` clips it at the cluster's vCPU bound.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 def desired_scale(num_deployments: int, replace_probability: float, alpha: float) -> float:
@@ -34,41 +32,3 @@ def desired_scale(num_deployments: int, replace_probability: float, alpha: float
         raise ValueError("alpha must be non-negative")
     return num_deployments + replace_probability * alpha
 
-
-def concurrency_bound(
-    cluster_cpu: float,
-    per_namenode_cpu: float,
-    cluster_ram_gb: float,
-    per_namenode_ram_gb: float,
-) -> float:
-    """Upper bound on NameNode count from platform resources:
-    ``MIN(ClusterCPU / PerNameNodeCPU, ClusterRAM / PerNameNodeRAM)``."""
-    if min(per_namenode_cpu, per_namenode_ram_gb) <= 0:
-        raise ValueError("per-NameNode resources must be positive")
-    return min(
-        cluster_cpu / per_namenode_cpu,
-        cluster_ram_gb / per_namenode_ram_gb,
-    )
-
-
-@dataclass(frozen=True)
-class AutoScalingModel:
-    """Bundled Figure 6 model, for planning experiments."""
-
-    num_deployments: int
-    replace_probability: float
-    cluster_cpu: float
-    per_namenode_cpu: float
-    cluster_ram_gb: float
-    per_namenode_ram_gb: float
-
-    def expected_namenodes(self, alpha: float) -> float:
-        """Expected scale, clipped at the resource upper bound."""
-        expected = desired_scale(self.num_deployments, self.replace_probability, alpha)
-        bound = concurrency_bound(
-            self.cluster_cpu,
-            self.per_namenode_cpu,
-            self.cluster_ram_gb,
-            self.per_namenode_ram_gb,
-        )
-        return min(expected, bound)

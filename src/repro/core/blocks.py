@@ -76,10 +76,8 @@ class BlockManager:
     """Allocates block ids and computes replica placement.
 
     The id counter is explicit, per-manager state: it starts at
-    ``first_id`` and is exposed via :meth:`snapshot`/:meth:`restore`
-    so replayed runs resume exactly where they left off, and two
-    managers coexisting in one simulation can be given disjoint id
-    spaces instead of silently colliding.
+    ``first_id``, so two managers coexisting in one simulation can be
+    given disjoint id spaces instead of silently colliding.
     """
 
     def __init__(
@@ -97,17 +95,6 @@ class BlockManager:
         start = self._next_id
         self._next_id = start + self.config.blocks_per_file
         return tuple(range(start, self._next_id))
-
-    # -- counter state (seeded/replayable) ----------------------------
-    def snapshot(self) -> int:
-        """The next id this manager would allocate (replay state)."""
-        return self._next_id
-
-    def restore(self, state: int) -> None:
-        """Rewind/advance the counter to a :meth:`snapshot` value."""
-        if int(state) < 1:
-            raise ValueError("snapshot state must be >= 1")
-        self._next_id = int(state)
 
     def place(
         self,

@@ -238,9 +238,6 @@ class LambdaFS:
             for instance in deployment.all_instances
         ]
 
-    def total_requests_served(self) -> int:
-        return sum(instance.requests_served for instance in self.all_instances())
-
     def total_http_requests(self) -> int:
         """Billable FaaS invocations (TCP RPCs carry no request fee)."""
         return sum(

@@ -388,6 +388,7 @@ class LambdaNameNode:
             label="ls", trace_parent=span,
         )
         self._cache_resolved(resolved, span)
+        ops.check_read(path, resolved)
         if resolved[path].is_dir:
             self._listing_cache[path] = list(names)
         return names, False

@@ -5,7 +5,10 @@ the namespace among them by consistently hashing the **parent
 directory** of each file or directory.  All metadata for the entries
 of one directory therefore lands on one deployment (fast `ls`, cheap
 invalidation fan-out), while hot directories still scale because a
-deployment can run arbitrarily many instances.
+deployment can run arbitrarily many instances.  The baselines that
+partition by parent directory (HopsFS+Cache's owner, CephFS's MDS,
+IndexFS's servers and LevelDB partitions) route through the same
+:meth:`NamespacePartitioner.index_for`.
 """
 
 from __future__ import annotations

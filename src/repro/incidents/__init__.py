@@ -44,8 +44,6 @@ from repro.incidents.rules import (
     load_rules,
     rule_from_dict,
     rule_to_dict,
-    rules_to_json,
-    save_rules,
 )
 from repro.incidents.detect import Alert, AlertEngine, SEVERITY_RANK
 from repro.incidents.correlate import (
@@ -89,7 +87,5 @@ __all__ = [
     "rank_suspects",
     "rule_from_dict",
     "rule_to_dict",
-    "rules_to_json",
-    "save_rules",
     "stage_shift",
 ]

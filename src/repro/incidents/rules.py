@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.tenants.fairness import jain_index
 
@@ -397,13 +397,6 @@ def rule_from_dict(data: Mapping[str, Any]) -> Rule:
         raise ValueError(f"rule {data.get('name')!r}: {exc}") from exc
 
 
-def rules_to_json(rules: Sequence[Rule]) -> str:
-    return json.dumps(
-        {"version": 1, "rules": [rule_to_dict(rule) for rule in rules]},
-        indent=2, sort_keys=True,
-    ) + "\n"
-
-
 def load_rules(source: Union[str, Mapping[str, Any]]) -> List[Rule]:
     """Load a rule list from a JSON file path or a parsed document."""
     if isinstance(source, str):
@@ -418,12 +411,6 @@ def load_rules(source: Union[str, Mapping[str, Any]]) -> List[Rule]:
     if duplicates:
         raise ValueError(f"duplicate rule name(s): {duplicates}")
     return rules
-
-
-def save_rules(rules: Sequence[Rule], path: str) -> str:
-    with open(path, "w") as handle:
-        handle.write(rules_to_json(rules))
-    return path
 
 
 # -- the default catalog ------------------------------------------------

@@ -17,11 +17,10 @@ from repro.metrics.cost import (
     LAMBDA_PER_REQUEST_USD,
     VM_VCPU_SECOND_USD,
     lambda_cost,
-    performance_per_cost,
     simplified_cost,
     vm_cost,
 )
-from repro.metrics.recorder import MetricsRecorder, OpRecord, latency_cdf, percentile
+from repro.metrics.recorder import MetricsRecorder, OpRecord, percentile
 
 __all__ = [
     "LAMBDA_GB_SECOND_USD",
@@ -30,9 +29,7 @@ __all__ = [
     "OpRecord",
     "VM_VCPU_SECOND_USD",
     "lambda_cost",
-    "latency_cdf",
     "percentile",
-    "performance_per_cost",
     "simplified_cost",
     "vm_cost",
 ]

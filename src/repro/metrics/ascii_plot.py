@@ -1,14 +1,14 @@
 """Terminal plotting for experiment output.
 
 Benchmarks and examples print series the paper shows as figures;
-these helpers render them as sparklines, horizontal bar charts, and
-multi-series line plots in plain text.
+these helpers render them as sparklines and multi-series line plots
+in plain text.
 
-All three renderers tolerate degenerate input — NaN / ±inf values,
+Both renderers tolerate degenerate input — NaN / ±inf values,
 empty series, zero-span windows — because detector math feeds them
 windows where a rate divides by zero ops or a baseline never formed.
-Non-finite samples render as ``·`` (sparklines), a bar-less row
-(bar charts), or are dropped (line plots) instead of raising.
+Non-finite samples render as ``·`` (sparklines) or are dropped
+(line plots) instead of raising.
 """
 
 from __future__ import annotations
@@ -46,34 +46,6 @@ def sparkline(values: Sequence[float]) -> str:
         else:
             out.append(_SPARK_LEVELS[int(round((value - low) / span * steps))])
     return "".join(out)
-
-
-def bar_chart(
-    rows: Sequence[Tuple[str, float]],
-    width: int = 50,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart: one ``(label, value)`` per row.
-
-    Non-finite values get no bar and print as ``nan``/``inf``; the
-    scale peak is taken over the finite values only.
-    """
-    if not rows:
-        return ""
-    label_width = max(len(label) for label, _ in rows)
-    peak = max(_finite([value for _, value in rows]) or [0.0]) or 1.0
-    lines = []
-    for label, value in rows:
-        if math.isfinite(value):
-            bar = "█" * max(
-                1 if value > 0 else 0, int(round(value / peak * width))
-            )
-            shown = f"{value:,.0f}"
-        else:
-            bar = ""
-            shown = str(value)
-        lines.append(f"{label.ljust(label_width)}  {bar} {shown}{unit}")
-    return "\n".join(lines)
 
 
 def line_plot(

@@ -52,10 +52,3 @@ def simplified_cost(
 def vm_cost(vcpus: float, duration_ms: float) -> float:
     """Serverful cluster cost for the whole run."""
     return vcpus * (duration_ms / 1_000.0) * VM_VCPU_SECOND_USD
-
-
-def performance_per_cost(throughput_ops_per_sec: float, cost_usd: float) -> float:
-    """Operations-per-second-per-dollar (§5.2.5)."""
-    if cost_usd <= 0:
-        return 0.0
-    return throughput_ops_per_sec / cost_usd

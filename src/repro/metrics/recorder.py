@@ -7,7 +7,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,19 +208,3 @@ def percentile(values: Sequence[float], q: float) -> float:
     upper = min(lower + 1, len(ordered) - 1)
     weight = rank - lower
     return ordered[lower] * (1 - weight) + ordered[upper] * weight
-
-
-def latency_cdf(values: Iterable[float], points: int = 100) -> List[Tuple[float, float]]:
-    """(latency, cumulative fraction) pairs for plotting a CDF."""
-    ordered = sorted(values)
-    if not ordered:
-        return []
-    count = len(ordered)
-    step = max(1, count // points)
-    cdf = [
-        (ordered[index], (index + 1) / count)
-        for index in range(0, count, step)
-    ]
-    if cdf[-1][0] != ordered[-1]:
-        cdf.append((ordered[-1], 1.0))
-    return cdf

@@ -167,14 +167,6 @@ class Profile:
             )
         return out
 
-    def percentiles(
-        self, qs: Iterable[float] = (50.0, 99.0), op: Optional[str] = None
-    ) -> Dict[float, float]:
-        values = self.latencies(op=op)
-        if not values:
-            return {q: 0.0 for q in qs}
-        return {q: percentile(values, q) for q in qs}
-
     def top_contributors(self, n: int = 10) -> List[Tuple[str, str, float, float]]:
         """The heaviest (op type, stage) cells.
 

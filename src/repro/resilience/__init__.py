@@ -20,7 +20,6 @@ from repro.resilience.primitives import (
     ResilienceConfig,
     RetryBudget,
     attempt_timeout_ms,
-    remaining_budget_ms,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "RetryBudget",
     "LoadShedder",
     "attempt_timeout_ms",
-    "remaining_budget_ms",
     "CLOSED",
     "OPEN",
     "HALF_OPEN",

@@ -55,13 +55,6 @@ class ResilienceConfig:
 
 # -- deadline budget math ---------------------------------------------------
 
-def remaining_budget_ms(deadline_ms: Optional[float], now: float) -> float:
-    """Budget left before ``deadline_ms`` (+inf when no deadline)."""
-    if deadline_ms is None:
-        return math.inf
-    return deadline_ms - now
-
-
 def attempt_timeout_ms(
     config: ResilienceConfig,
     deadline_ms: Optional[float],
@@ -306,7 +299,6 @@ class LoadShedder:
 
 __all__ = [
     "ResilienceConfig",
-    "remaining_budget_ms",
     "attempt_timeout_ms",
     "CircuitBreaker",
     "BreakerTransition",

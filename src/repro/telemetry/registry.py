@@ -209,11 +209,6 @@ class Histogram:
     def sum(self, **labels: Any) -> float:
         return self._sums.get(label_key(labels), 0.0)
 
-    def quantile(self, q: float, **labels: Any) -> float:
-        """Upper bucket bound containing the ``q``-quantile (0..1)."""
-        counts = self._counts.get(label_key(labels), ())
-        return bucket_quantile(self.buckets, counts, q)
-
     def aggregate_quantile(self, q: float) -> float:
         """Quantile over the merged buckets of every labeled child."""
         merged = [0] * (len(self.buckets) + 1)
@@ -259,11 +254,6 @@ class MetricsRegistry:
         self._metrics: Dict[str, Any] = {}
         if env is not None:
             env.metrics = self
-
-    def detach(self) -> None:
-        """Disconnect from the environment (telemetry turns off)."""
-        if self.env is not None and getattr(self.env, "metrics", None) is self:
-            self.env.metrics = None
 
     # -- declaration -----------------------------------------------------
     def _declare(self, cls, name: str, *args, **kwargs):

@@ -31,7 +31,6 @@ from repro.tenants.context import (
     build_tenant_namespaces,
     chaos_tenants,
     default_tenants,
-    tag_clients,
 )
 from repro.tenants.dashboard import render_tenant_dashboard
 from repro.tenants.fairness import (
@@ -63,6 +62,5 @@ __all__ = [
     "p99_timeline",
     "render_tenant_dashboard",
     "summarize",
-    "tag_clients",
     "tenant_totals",
 ]

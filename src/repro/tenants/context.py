@@ -21,7 +21,7 @@ without it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Generator, List, Mapping, Sequence, Tuple
+from typing import Dict, Generator, Mapping, Sequence, Tuple
 
 from repro.namespace.treegen import (
     GeneratedTree,
@@ -246,10 +246,3 @@ class TenantGovernor:
             yield self.env.timeout(wait)
             if not self.enabled:
                 return
-
-
-def tag_clients(clients: Sequence, spec: TenantSpec) -> List:
-    """Set ``client.tenant`` on each client; returns the list back."""
-    for client in clients:
-        client.tenant = spec.name
-    return list(clients)

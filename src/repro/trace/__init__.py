@@ -11,7 +11,6 @@ kernel, RPC fabric, NameNodes, Coordinator, and metadata store::
     ... run any workload ...
     assert tracer.violations() == []
     print(tracer.event_hash())            # determinism fingerprint
-    print(tracer.render_tree(tracer.roots()[0].span_id))
 
 See ``docs/tracing.md`` for the span model and how to add a checker.
 """

@@ -90,7 +90,7 @@ class Tracer:
     ----------
     env:
         The simulation environment to attach to.  The tracer installs
-        itself as ``env.tracer``; call :meth:`detach` to remove it.
+        itself as ``env.tracer``.
     keep_spans:
         Retain finished span objects for causal-tree reconstruction
         and timing analysis.  Checkers receive the stream either way.
@@ -139,11 +139,6 @@ class Tracer:
         to ``open_spans`` so leaks stay visible.
         """
         return self.connections_opened - self.connections_closed
-
-    def detach(self) -> None:
-        """Disconnect from the environment (tracing turns off)."""
-        if getattr(self.env, "tracer", None) is self:
-            self.env.tracer = None
 
     # -- span stream -----------------------------------------------------
     def begin(self, kind: str, actor: str, parent: Any = None, **attrs: Any) -> Span:
@@ -211,10 +206,6 @@ class Tracer:
         return self._hash.hexdigest()
 
     # -- analysis ----------------------------------------------------------
-    def roots(self) -> List[Span]:
-        """Spans with no parent (e.g. one per client operation)."""
-        return [span for span in self.spans.values() if span.parent_id is None]
-
     def children(self, span: Any) -> List[Span]:
         """Direct children of ``span`` (a Span or span id)."""
         wanted = parent_id_of(span)
@@ -239,21 +230,6 @@ class Tracer:
             for child in reversed(by_parent.get(span.span_id, ())):
                 stack.append((depth + 1, child))
         return out
-
-    def render_tree(self, root: Any) -> str:
-        """ASCII rendering of one causal tree (for docs and debugging)."""
-        lines = []
-        for depth, span in self.tree(root):
-            attrs = " ".join(
-                f"{k}={v!r}" for k, v in sorted(span.attrs.items())
-                if k in ("op", "path", "attempt", "deployment", "inv_id")
-            )
-            duration = "open" if span.open else f"{span.duration_ms:.2f}ms"
-            lines.append(
-                f"{'  ' * depth}{span.kind} [{span.actor}] "
-                f"@{span.start_ms:.2f} {duration} {attrs}".rstrip()
-            )
-        return "\n".join(lines)
 
     def durations(self, kind: str) -> List[float]:
         """All closed-span durations for one kind (feeds percentile())."""

@@ -11,15 +11,14 @@
 * :mod:`repro.workloads.replay` — replay recorded audit-log traces
   against any client (the paper's workload is synthesized from such
   traces; users with real ones can replay them directly).
-* :mod:`repro.workloads.mltrain` — an ML-training ingest pipeline:
-  shuffled small-file read storms over a flat dataset directory with
-  per-epoch checkpoint create bursts.
 * :mod:`repro.workloads.multitenant` — N tenants with distinct op
-  mixes, think times, and burst shapes sharing one λFS (the driver
-  behind ``repro tenants`` and the noisy-neighbor chaos scenarios).
+  mixes (its ``mltrain`` archetype is a read/stat/create mix over a
+  flat dataset directory), think times, and burst shapes sharing one
+  λFS (the driver behind ``repro tenants`` and the noisy-neighbor
+  chaos scenarios).
 
-The last two are imported from their submodules, not re-exported
-here: the multi-tenant driver pulls in :mod:`repro.tenants`, which no
+The last is imported from its submodule, not re-exported here: the
+multi-tenant driver pulls in :mod:`repro.tenants`, which no
 single-tenant run needs.
 """
 

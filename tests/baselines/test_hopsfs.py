@@ -211,14 +211,17 @@ def _lambdafs(env):
     return fs
 
 
-@pytest.mark.parametrize("build", [
+SYSTEMS = pytest.mark.parametrize("build", [
     pytest.param(lambda env: HopsFSCluster(env, small_config()), id="hopsfs"),
     pytest.param(lambda env: HopsFSCachedCluster(env, small_config()), id="hopsfs-cache"),
     pytest.param(_lambdafs, id="lambdafs"),
 ])
-def test_stat_under_an_untraversable_directory_is_denied(build):
-    # A read that misses the cache resolves the path from the store and
-    # must enforce permissions as a cache hit does.
+
+
+def _denied_read(build, setup, read):
+    """Run ``setup`` paths then ``set_permission /d 0o600`` and return
+    ``read``'s response; a read that misses the cache resolves the
+    path from the store and must enforce permissions as a hit does."""
     env = Environment()
     system = build(env)
     if isinstance(system, HopsFSCluster):
@@ -226,12 +229,30 @@ def test_stat_under_an_untraversable_directory_is_denied(build):
     client = system.new_client()
 
     def scenario(env):
-        assert (yield from client.mkdirs("/d")).ok
-        assert (yield from client.create_file("/d/f")).ok
+        for step in setup:
+            assert (yield from step(client)).ok
         assert (yield from client.set_permission("/d", 0o600)).ok
-        return (yield from client.stat("/d/f"))
+        return (yield from read(client))
 
     response = drive(env, scenario(env))
     assert not response.ok
     assert response.error.startswith("AccessDeniedError"), response.error
     assert not response.cache_hit
+
+
+@SYSTEMS
+def test_stat_under_an_untraversable_directory_is_denied(build):
+    _denied_read(
+        build,
+        [lambda c: c.mkdirs("/d"), lambda c: c.create_file("/d/f")],
+        lambda c: c.stat("/d/f"),
+    )
+
+
+@SYSTEMS
+def test_ls_under_an_untraversable_directory_is_denied(build):
+    _denied_read(
+        build,
+        [lambda c: c.mkdirs("/d/e"), lambda c: c.create_file("/d/e/f")],
+        lambda c: c.ls("/d/e"),
+    )

@@ -96,16 +96,6 @@ def test_replacement_sweep_driver_tiny():
     assert all(r["throughput"] > 0 for r in rows)
 
 
-def test_concurrency_sweep_driver_tiny():
-    from repro.bench.experiments import concurrency_level_sweep
-
-    rows = concurrency_level_sweep(levels=(1, 8), clients=24,
-                                   ops_per_client=16, warmup_per_client=4)
-    assert [r["concurrency_level"] for r in rows] == [1, 8]
-    # A lower concurrency level provisions at least as many instances.
-    assert rows[0]["namenodes"] >= rows[1]["namenodes"]
-
-
 def test_scaling_point_does_not_depend_on_earlier_points():
     """Ids come from each point's own Environment, so a point run after
     others in one process equals the same point run first."""

@@ -29,14 +29,6 @@ def test_perf_per_cost_uses_incremental_cost():
     assert by_t[2000.0] == pytest.approx(300.0 / 0.02)
 
 
-def test_read_latency_cdf():
-    run = make_run()
-    cdf = run.read_latency_cdf()
-    assert cdf[0][0] == 1.0
-    assert cdf[-1] == (3.0, 1.0)
-    assert run.read_latency_cdf("missing op") == []
-
-
 def test_perf_per_cost_skips_unsampled_bins():
     run = make_run()
     run.throughput_timeline.append((5000.0, 50.0))  # no cost sample at 5 s

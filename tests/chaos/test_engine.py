@@ -12,6 +12,11 @@ def run_until(env, t):
     env.run(until=t)
 
 
+def edges(engine):
+    """The activate/deactivate edges of ``engine``'s fault log."""
+    return [(e.kind, e.action) for e in engine.log if e.action != "inject"]
+
+
 def test_schedule_activates_and_deactivates_on_the_sim_clock():
     env = Environment()
     engine = ChaosEngine(env)
@@ -19,17 +24,15 @@ def test_schedule_activates_and_deactivates_on_the_sim_clock():
         FaultSpec("tcp_drop", at_ms=10.0, duration_ms=20.0, params={"p": 1.0}),
     )))
     run_until(env, 5.0)
-    assert engine.active_faults("tcp_drop") == []
+    assert edges(engine) == []
     assert not engine.tcp_should_drop("d0")
     run_until(env, 15.0)
-    assert len(engine.active_faults("tcp_drop")) == 1
+    assert edges(engine) == [("tcp_drop", "activate")]
     assert engine.tcp_should_drop("d0")
     run_until(env, 35.0)
-    assert engine.active_faults() == []
+    assert edges(engine) == [("tcp_drop", "activate"),
+                             ("tcp_drop", "deactivate")]
     assert not engine.tcp_should_drop("d0")
-    actions = [(e.kind, e.action) for e in engine.log
-               if e.action != "inject"]
-    assert actions == [("tcp_drop", "activate"), ("tcp_drop", "deactivate")]
 
 
 def test_scenario_times_are_relative_to_engine_start():
@@ -56,10 +59,10 @@ def test_start_twice_raises_and_stop_deactivates():
     run_until(env, 1.0)
     with pytest.raises(RuntimeError):
         engine.start(Scenario("s2", faults=()))
-    assert engine.active_faults("tcp_drop")
+    assert edges(engine) == [("tcp_drop", "activate")]
     engine.stop()
-    assert engine.active_faults() == []
     assert [e.action for e in engine.log] == ["activate", "deactivate"]
+    assert not engine.tcp_should_drop("d0")
 
 
 def test_deployment_scoping_of_fabric_faults():

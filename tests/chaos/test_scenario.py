@@ -1,5 +1,7 @@
 """Scenario DSL: validation, JSON round-trips, built-in catalog."""
 
+import json
+
 import pytest
 
 from repro.chaos import (
@@ -10,11 +12,16 @@ from repro.chaos import (
     builtin_scenarios,
     get_scenario,
     load_scenario,
-    save_scenario,
-    validate_scenario,
+    make_fault,
 )
 
 pytestmark = pytest.mark.chaos
+
+
+def validate_scenario(scenario):
+    """Build every fault of ``scenario``: construction validates."""
+    for spec in scenario.faults:
+        make_fault(spec)
 
 
 def test_fault_spec_rejects_negative_times():
@@ -71,8 +78,9 @@ def test_scenario_json_round_trip(tmp_path):
         ),
         description="desc",
     )
-    path = save_scenario(scenario, str(tmp_path / "s.json"))
-    assert load_scenario(path) == scenario
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario.to_dict()))
+    assert load_scenario(str(path)) == scenario
 
 
 def test_scenario_from_dict_validates_shape():

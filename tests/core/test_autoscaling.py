@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.core.autoscaling import AutoScalingModel, concurrency_bound, desired_scale
+from repro.core import LambdaFS, LambdaFSConfig
+from repro.core.autoscaling import desired_scale
+from repro.faas import FaaSConfig
+from repro.sim import Environment
 
 
 def test_desired_scale_formula():
@@ -23,36 +26,24 @@ def test_desired_scale_validation():
         desired_scale(5, 0.01, -1)
 
 
-def test_concurrency_bound_takes_minimum():
-    # 512 cpu / 6.25 = 81.92; 960 ram / 30 = 32 -> RAM binds.
-    assert concurrency_bound(512, 6.25, 960, 30) == pytest.approx(32)
-
-
-def test_concurrency_bound_cpu_binds():
-    assert concurrency_bound(64, 8, 10_000, 1) == pytest.approx(8)
-
-
-def test_concurrency_bound_validation():
-    with pytest.raises(ValueError):
-        concurrency_bound(512, 0, 960, 30)
-
-
-def test_model_clips_at_resource_bound():
-    model = AutoScalingModel(
-        num_deployments=10,
-        replace_probability=0.01,
-        cluster_cpu=512,
-        per_namenode_cpu=6.25,
-        cluster_ram_gb=2_400,
-        per_namenode_ram_gb=30,
-    )
-    # Unbounded formula gives 10 + 0.01*1e5 = 1010; RAM bound is 80.
-    assert model.expected_namenodes(alpha=100_000) == pytest.approx(2_400 / 30)
-    # Low load: formula below the bound.
-    assert model.expected_namenodes(alpha=500) == pytest.approx(15)
-
-
 def test_replacement_probability_scales_fleet():
     low = desired_scale(16, 0.001, 50_000)
     high = desired_scale(16, 0.01, 50_000)
     assert high > low
+
+
+def test_model_clips_at_resource_bound():
+    # LambdaFS clips Figure 6's expected scale at the cluster's vCPU
+    # bound, ClusterCPU / PerNameNodeCPU.
+    def desired(deployments, vcpus):
+        fs = LambdaFS(Environment(), LambdaFSConfig(
+            num_deployments=deployments,
+            faas=FaaSConfig(cluster_vcpus=vcpus, vcpus_per_instance=4.0),
+        ))
+        return fs._desired_namenodes()
+
+    # No load (α = 0): the formula gives the deployment count, 10,
+    # and 32 / 4 = 8 NameNodes bind.
+    assert desired(10, 32.0) == pytest.approx(8)
+    # Below the bound the formula stands.
+    assert desired(4, 64.0) == pytest.approx(4)

@@ -59,8 +59,7 @@ def test_placement_stable_under_datanode_loss():
 def test_two_managers_do_not_share_a_counter():
     """Regression: the id counter is per-manager state, not process
     state — two managers in one sim must be able to run disjoint id
-    spaces instead of interleaving (or, with a shared iterator,
-    colliding after a replay restore)."""
+    spaces instead of interleaving."""
     a = BlockManager(BlockPlacementConfig(blocks_per_file=1))
     b = BlockManager(BlockPlacementConfig(blocks_per_file=1), first_id=1_000)
     assert a.allocate() == (1,)
@@ -69,21 +68,9 @@ def test_two_managers_do_not_share_a_counter():
     assert b.allocate() == (1_001,)
 
 
-def test_snapshot_restore_replays_identical_ids():
-    manager = BlockManager(BlockPlacementConfig(blocks_per_file=2))
-    manager.allocate()
-    state = manager.snapshot()
-    first = [manager.allocate() for _ in range(3)]
-    manager.restore(state)
-    replay = [manager.allocate() for _ in range(3)]
-    assert replay == first
-
-
 def test_counter_validation():
     with pytest.raises(ValueError):
         BlockManager(first_id=0)
-    with pytest.raises(ValueError):
-        BlockManager().restore(0)
 
 
 def test_rack_aware_place_spreads_racks():

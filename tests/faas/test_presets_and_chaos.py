@@ -1,34 +1,10 @@
-"""Tests for FaaS platform presets and fault injection."""
+"""Tests for FaaS fault injection: the NameNode killer."""
 
 import pytest
 
 from repro.faas import FaaSConfig, FaaSPlatform
 from repro.chaos.faults import NameNodeKiller
-from repro.faas.presets import aws_lambda, nuclio, openwhisk, preset
 from repro.sim import Environment
-
-
-def test_presets_have_distinct_envelopes():
-    ow = openwhisk()
-    nc = nuclio()
-    al = aws_lambda()
-    assert nc.cold_start_max_ms < ow.cold_start_max_ms
-    assert al.idle_reclaim_ms < ow.idle_reclaim_ms
-    assert nc.idle_reclaim_ms > ow.idle_reclaim_ms
-
-
-def test_preset_lookup_and_overrides():
-    config = preset("nuclio", concurrency_level=8)
-    assert config.concurrency_level == 8
-    assert config.cold_start_min_ms == 250.0
-    with pytest.raises(ValueError):
-        preset("knative")
-
-
-def test_preset_preserves_base_fields():
-    base = FaaSConfig(cluster_vcpus=99.0)
-    config = openwhisk(base)
-    assert config.cluster_vcpus == 99.0
 
 
 class EchoApp:

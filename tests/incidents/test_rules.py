@@ -1,6 +1,8 @@
 """The rule DSL: validation, JSON round-trips, the default catalog,
 and signal evaluation over a series."""
 
+import json
+
 import pytest
 
 from repro.incidents import (
@@ -12,8 +14,6 @@ from repro.incidents import (
     load_rules,
     rule_from_dict,
     rule_to_dict,
-    rules_to_json,
-    save_rules,
 )
 from repro.telemetry import TimeSeries
 
@@ -97,23 +97,16 @@ def test_rule_from_dict_rejects_unknown_type_and_fields():
 
 
 def test_save_and_load_rules_roundtrip(tmp_path):
-    path = str(tmp_path / "rules.json")
+    path = tmp_path / "rules.json"
     rules = default_rules()
-    save_rules(rules, path)
-    assert load_rules(path) == rules
+    path.write_text(json.dumps({"rules": [rule_to_dict(r) for r in rules]}))
+    assert load_rules(str(path)) == rules
 
 
 def test_load_rules_rejects_duplicate_names():
     entry = rule_to_dict(default_rules()[0])
     with pytest.raises(ValueError, match="duplicate rule name"):
         load_rules({"rules": [entry, entry]})
-
-
-def test_rules_to_json_is_versioned():
-    import json
-    doc = json.loads(rules_to_json(default_rules()))
-    assert doc["version"] == 1
-    assert len(doc["rules"]) == len(default_rules())
 
 
 # -- default catalog ----------------------------------------------------

@@ -1,6 +1,6 @@
 """Unit tests for the terminal plotting helpers."""
 
-from repro.metrics.ascii_plot import bar_chart, line_plot, sparkline
+from repro.metrics.ascii_plot import line_plot, sparkline
 
 
 def test_sparkline_shape():
@@ -13,21 +13,6 @@ def test_sparkline_shape():
 def test_sparkline_flat_and_empty():
     assert sparkline([]) == ""
     assert sparkline([5, 5, 5]) == "▁▁▁"
-
-
-def test_bar_chart_alignment_and_peak():
-    chart = bar_chart([("alpha", 100.0), ("b", 50.0)], width=10)
-    lines = chart.split("\n")
-    assert len(lines) == 2
-    assert lines[0].startswith("alpha")
-    assert lines[0].count("█") == 10
-    assert lines[1].count("█") == 5
-
-
-def test_bar_chart_zero_and_empty():
-    assert bar_chart([]) == ""
-    chart = bar_chart([("x", 0.0)], width=10)
-    assert "█" not in chart
 
 
 def test_line_plot_contains_markers_and_legend():
@@ -51,13 +36,6 @@ def test_sparkline_single_value():
 def test_sparkline_negative_values_normalise():
     line = sparkline([-10.0, 0.0, 10.0])
     assert line[0] == "▁" and line[-1] == "█"
-
-
-def test_bar_chart_all_zero_values():
-    # A zero peak must not divide by zero; bars are just empty.
-    chart = bar_chart([("a", 0.0), ("b", 0.0)], width=10)
-    assert "█" not in chart
-    assert len(chart.split("\n")) == 2
 
 
 def test_line_plot_single_point_series():
@@ -92,28 +70,6 @@ def test_sparkline_inf_renders_hole_without_skewing_scale():
 
 def test_sparkline_all_nonfinite():
     assert sparkline([NAN, INF, -INF]) == "···"
-
-
-def test_bar_chart_nan_row_has_no_bar():
-    chart = bar_chart([("ok", 10.0), ("bad", NAN)], width=10)
-    lines = chart.split("\n")
-    assert lines[0].count("█") == 10
-    assert "█" not in lines[1]
-    assert "nan" in lines[1]
-
-
-def test_bar_chart_inf_does_not_flatten_finite_bars():
-    chart = bar_chart([("ok", 10.0), ("hot", INF)], width=10)
-    lines = chart.split("\n")
-    # Peak is the finite 10.0, so "ok" still fills the width.
-    assert lines[0].count("█") == 10
-    assert "inf" in lines[1]
-
-
-def test_bar_chart_all_nonfinite():
-    chart = bar_chart([("a", NAN), ("b", -INF)], width=10)
-    assert "█" not in chart
-    assert len(chart.split("\n")) == 2
 
 
 def test_line_plot_drops_nonfinite_points():

@@ -7,7 +7,6 @@ from repro.metrics import (
     LAMBDA_PER_REQUEST_USD,
     VM_VCPU_SECOND_USD,
     lambda_cost,
-    performance_per_cost,
     simplified_cost,
     vm_cost,
 )
@@ -37,11 +36,6 @@ def test_vm_cost_matches_paper_calibration():
 
 def test_vm_rate_constant():
     assert VM_VCPU_SECOND_USD == pytest.approx(2.50 / (300 * 512))
-
-
-def test_performance_per_cost():
-    assert performance_per_cost(1_000.0, 0.5) == pytest.approx(2_000.0)
-    assert performance_per_cost(1_000.0, 0.0) == 0.0
 
 
 def test_per_request_price():

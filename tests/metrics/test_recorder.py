@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from repro.metrics import MetricsRecorder, OpRecord, latency_cdf, percentile
+from repro.metrics import MetricsRecorder, OpRecord, percentile
 
 
 def test_record_and_latency():
@@ -100,8 +100,7 @@ def test_single_record_statistics():
     assert recorder.average_latency() == pytest.approx(25.0)
     assert recorder.average_throughput() == pytest.approx(1_000.0 / 35.0)
     assert recorder.throughput_timeline(1_000.0) == [(0.0, 1.0)]
-    cdf = latency_cdf(recorder.latencies())
-    assert cdf == [(25.0, 1.0)]
+    assert list(recorder.latencies()) == [25.0]
 
 
 def test_average_throughput_zero_duration():
@@ -123,17 +122,6 @@ def test_percentile_validation():
         percentile([], 50)
     with pytest.raises(ValueError):
         percentile([1.0], 101)
-
-
-def test_latency_cdf_monotone():
-    values = [5.0, 1.0, 3.0, 2.0, 4.0]
-    cdf = latency_cdf(values, points=5)
-    xs = [x for x, _ in cdf]
-    ys = [y for _, y in cdf]
-    assert xs == sorted(xs)
-    assert ys == sorted(ys)
-    assert ys[-1] == 1.0
-    assert latency_cdf([]) == []
 
 
 def test_percentile_single_sample_any_q():

@@ -23,7 +23,6 @@ from repro.resilience import (
     ResilienceConfig,
     RetryBudget,
     attempt_timeout_ms,
-    remaining_budget_ms,
 )
 
 pytestmark = pytest.mark.resilience
@@ -169,7 +168,7 @@ def test_attempt_timeout_never_exceeds_budget(deadline, now, fallback,
         attempt_timeout_fraction=fraction, min_attempt_timeout_ms=floor,
     )
     timeout = attempt_timeout_ms(config, deadline, now, fallback)
-    remaining = remaining_budget_ms(deadline, now)
+    remaining = deadline - now
     assert timeout >= 0.0
     assert timeout <= fallback
     # Never promise more time than the deadline has left.
@@ -201,7 +200,6 @@ def test_attempt_timeout_non_increasing_toward_deadline(deadline, times,
 def test_no_deadline_means_legacy_fallback(now, fallback):
     config = ResilienceConfig()
     assert attempt_timeout_ms(config, None, now, fallback) == fallback
-    assert remaining_budget_ms(None, now) == float("inf")
 
 
 # -- CoDel shedder ----------------------------------------------------------

@@ -75,16 +75,16 @@ def test_histogram_buckets_and_quantile():
         histogram.observe(value, op="read")
     assert histogram.count(op="read") == 5
     assert histogram.sum(op="read") == pytest.approx(1_054.5)
-    assert histogram.quantile(0.5, op="read") == 10.0
-    assert histogram.quantile(1.0, op="read") == float("inf")
-    assert histogram.quantile(0.0, op="read") == 1.0
+    assert histogram.cumulative_buckets(label_key({"op": "read"})) == [
+        ("1.0", 1), ("10.0", 3), ("100.0", 4), ("+Inf", 5),
+    ]
 
 
 def test_histogram_quantile_empty_and_validation():
     histogram = Histogram("lat", buckets=(1.0,))
-    assert histogram.quantile(0.99) == 0.0
+    assert histogram.aggregate_quantile(0.99) == 0.0
     with pytest.raises(ValueError):
-        histogram.quantile(1.5)
+        histogram.aggregate_quantile(1.5)
     with pytest.raises(ValueError):
         Histogram("bad", buckets=())
 
@@ -105,8 +105,6 @@ def test_registry_attaches_to_env():
     assert env.metrics is None
     registry = MetricsRegistry(env)
     assert env.metrics is registry
-    registry.detach()
-    assert env.metrics is None
 
 
 def test_registry_helpers_create_lazily():

@@ -9,7 +9,6 @@ from repro.tenants import (
     build_tenant_namespaces,
     chaos_tenants,
     default_tenants,
-    tag_clients,
 )
 
 pytestmark = pytest.mark.tenant
@@ -77,15 +76,6 @@ def test_build_namespaces_rejects_shared_subtree():
     )
     with pytest.raises(ValueError, match="share subtree"):
         build_tenant_namespaces(specs)
-
-
-def test_tag_clients_sets_tenant():
-    class FakeClient:
-        tenant = None
-
-    clients = [FakeClient(), FakeClient()]
-    tag_clients(clients, TenantSpec("acme"))
-    assert all(c.tenant == "acme" for c in clients)
 
 
 # -- the token-bucket governor ------------------------------------------
