@@ -66,6 +66,15 @@ FAMILIES: Dict[str, Family] = {
             slo=RecoverySLO(window_ms=8_000.0),
         ),
     ),
+    # The rest of the catalog in the default run shape: two
+    # expected-FAIL self-tests and the composed FaaS / coordinator
+    # faults.  ``membership-flap``'s ``watch_delay`` delays nothing
+    # today (nothing outside tests registers a death watch), and its
+    # record pins exactly that.
+    "catalog": Family(
+        ("ack-loss-noretry", "datanode-kill-norepair", "membership-flap",
+         "cold-storm", "capacity-crunch", "mixed"),
+    ),
 }
 
 #: Scenarios whose verifier verdict is expected to be FAIL.

@@ -12,6 +12,7 @@ from repro.chaos import (
     FAMILIES,
     Scenario,
     baseline_drift,
+    builtin_scenarios,
     family_of,
     scenario_record,
 )
@@ -199,7 +200,12 @@ def test_every_family_scenario_belongs_to_exactly_that_family():
     for family, spec in FAMILIES.items():
         for name in spec.scenarios:
             assert family_of(name) == family
-    assert family_of("mixed") is None
+    assert family_of("no-such-scenario") is None
+
+
+def test_every_builtin_scenario_is_in_exactly_one_family():
+    listed = [name for spec in FAMILIES.values() for name in spec.scenarios]
+    assert sorted(listed) == sorted(builtin_scenarios())
 
 
 def test_unknown_family_exits_2(capsys):
