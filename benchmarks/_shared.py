@@ -2,7 +2,7 @@
 
 Heavy experiments (the Spotify suite) are computed once and shared by
 every figure that derives from them.  Tables print to stdout (run
-``pytest benchmarks/ --benchmark-only -s`` to see them) and are also
+``pytest benchmarks/ -s`` to see them) and are also
 written under ``benchmarks/results/``.
 """
 

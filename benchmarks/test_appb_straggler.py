@@ -1,15 +1,17 @@
 """Appendix B: straggler mitigation ablation under NameNode churn."""
 
+import pytest
+
 from repro.bench.experiments import appb_straggler_ablation
 
 from _shared import QUICK, report, tabulate
 
+pytestmark = pytest.mark.bench
 
-def test_appb_straggler(benchmark):
+
+def test_appb_straggler():
     kwargs = dict(clients=64, ops_per_client=96) if QUICK else {}
-    out = benchmark.pedantic(
-        appb_straggler_ablation, kwargs=kwargs, rounds=1, iterations=1
-    )
+    out = appb_straggler_ablation(**kwargs)
     report(
         "appb",
         "Appendix B — straggler mitigation (reads under NN churn)",

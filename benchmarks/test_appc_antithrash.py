@@ -1,12 +1,16 @@
 """Appendix C: anti-thrashing mode under a tight cluster vCPU cap."""
 
+import pytest
+
 from repro.bench.experiments import appc_antithrash_ablation
 
 from _shared import report, tabulate
 
+pytestmark = pytest.mark.bench
 
-def test_appc_antithrash(benchmark):
-    out = benchmark.pedantic(appc_antithrash_ablation, rounds=1, iterations=1)
+
+def test_appc_antithrash():
+    out = appc_antithrash_ablation()
     report(
         "appc",
         "Appendix C — anti-thrashing mode (tight vCPU cap)",

@@ -1,15 +1,17 @@
 """Appendix D: subtree sub-operation batch size and offloading."""
 
+import pytest
+
 from repro.bench.experiments import appd_offload_ablation
 
 from _shared import QUICK, report, tabulate
 
+pytestmark = pytest.mark.bench
 
-def test_appd_offloading(benchmark):
+
+def test_appd_offloading():
     kwargs = dict(directory_size=1_024, batch_sizes=(64, 256)) if QUICK else {}
-    rows = benchmark.pedantic(
-        appd_offload_ablation, kwargs=kwargs, rounds=1, iterations=1
-    )
+    rows = appd_offload_ablation(**kwargs)
     report(
         "appd",
         "Appendix D — subtree mv latency (ms) vs batch size",

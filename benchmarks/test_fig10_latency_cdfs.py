@@ -1,15 +1,19 @@
 """Figure 10: latency CDFs per operation type for the Spotify runs."""
 
+import pytest
+
 from repro.metrics import percentile
 
 from _shared import report, spotify_runs_25k, tabulate
+
+pytestmark = pytest.mark.bench
 
 OPS = ["read file", "stat file/dir", "ls file/dir", "create file", "mv file/dir"]
 QUANTILES = [50, 90, 99, 99.9]
 
 
-def test_fig10_latency_cdfs(benchmark):
-    runs = benchmark.pedantic(spotify_runs_25k, rounds=1, iterations=1)
+def test_fig10_latency_cdfs():
+    runs = spotify_runs_25k()
 
     rows = []
     for op in OPS:

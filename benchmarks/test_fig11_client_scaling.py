@@ -11,6 +11,8 @@ from repro.core import OpType
 
 from _shared import QUICK, report, tabulate
 
+pytestmark = pytest.mark.bench
+
 CLIENT_COUNTS = (8, 64, 256) if not QUICK else (8, 32)
 SYSTEMS = ("lambda", "hopsfs", "hopsfs_cache", "infinicache", "cephfs")
 
@@ -33,8 +35,7 @@ def _by(points, op):
     return table
 
 
-def test_fig11_client_scaling(benchmark, points):
-    benchmark.pedantic(lambda: points, rounds=1, iterations=1)
+def test_fig11_client_scaling(points):
     for op in (OpType.READ_FILE, OpType.LS, OpType.STAT,
                OpType.CREATE_FILE, OpType.MKDIRS):
         table = _by(points, op)

@@ -7,6 +7,8 @@ from repro.core import OpType
 
 from _shared import QUICK, report, tabulate
 
+pytestmark = pytest.mark.bench
+
 VCPUS = (64.0, 256.0, 512.0) if not QUICK else (64.0, 256.0)
 SYSTEMS = ("lambda", "hopsfs", "hopsfs_cache")
 OPS = (OpType.READ_FILE, OpType.LS, OpType.STAT, OpType.CREATE_FILE, OpType.MKDIRS)
@@ -20,8 +22,7 @@ def points():
     )
 
 
-def test_fig12_resource_scaling(benchmark, points):
-    benchmark.pedantic(lambda: points, rounds=1, iterations=1)
+def test_fig12_resource_scaling(points):
     for op in OPS:
         table = {}
         for point in points:

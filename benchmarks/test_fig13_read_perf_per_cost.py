@@ -1,18 +1,19 @@
 """Figure 13: perf-per-cost for read ops, λFS vs HopsFS+Cache."""
 
+import pytest
+
 from repro.bench.experiments import fig13_perf_per_cost
 
 from _shared import QUICK, report, tabulate
 
+pytestmark = pytest.mark.bench
+
 CLIENT_COUNTS = (8, 32, 128) if not QUICK else (8, 32)
 
 
-def test_fig13_read_perf_per_cost(benchmark):
-    rows = benchmark.pedantic(
-        fig13_perf_per_cost,
-        kwargs=dict(client_counts=CLIENT_COUNTS, ops_per_client=128,
-                    warmup_per_client=48),
-        rounds=1, iterations=1,
+def test_fig13_read_perf_per_cost():
+    rows = fig13_perf_per_cost(
+        client_counts=CLIENT_COUNTS, ops_per_client=128, warmup_per_client=48,
     )
     report(
         "fig13",

@@ -1,9 +1,13 @@
 """Figure 14: throughput with auto-scaling enabled/limited/disabled."""
 
+import pytest
+
 from repro.bench.experiments import fig14_autoscaling_ablation
 from repro.core import OpType
 
 from _shared import QUICK, report, tabulate
+
+pytestmark = pytest.mark.bench
 
 OPS = (
     (OpType.READ_FILE, OpType.STAT, OpType.LS, OpType.CREATE_FILE, OpType.MKDIRS)
@@ -11,11 +15,9 @@ OPS = (
 )
 
 
-def test_fig14_autoscaling_ablation(benchmark):
-    rows = benchmark.pedantic(
-        fig14_autoscaling_ablation,
-        kwargs=dict(ops=OPS, clients=160, ops_per_client=96, warmup_per_client=32),
-        rounds=1, iterations=1,
+def test_fig14_autoscaling_ablation():
+    rows = fig14_autoscaling_ablation(
+        ops=OPS, clients=160, ops_per_client=96, warmup_per_client=32,
     )
     report(
         "fig14",

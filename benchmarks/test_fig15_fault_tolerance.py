@@ -1,20 +1,22 @@
 """Figure 15: the Spotify run while NameNodes are killed round-robin."""
 
+import pytest
+
 from repro.bench.experiments import fig15_fault_tolerance
 
 from _shared import QUICK, report, tabulate
 
+pytestmark = pytest.mark.bench
 
-def test_fig15_fault_tolerance(benchmark):
+
+def test_fig15_fault_tolerance():
     # trace=True: the fault-tolerance run doubles as the invariant
     # battery's stress test — kills mid-INV-round must never let a
     # write commit early or a stale cache entry be served.
     kwargs = dict(trace=True)
     if QUICK:
         kwargs.update(duration_ms=20_000.0, clients=96, kill_interval_ms=5_000.0)
-    runs = benchmark.pedantic(
-        fig15_fault_tolerance, kwargs=kwargs, rounds=1, iterations=1
-    )
+    runs = fig15_fault_tolerance(**kwargs)
     failures, baseline = runs["failures"], runs["baseline"]
 
     base_by_t = dict(baseline.throughput_timeline)

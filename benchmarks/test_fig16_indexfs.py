@@ -1,8 +1,12 @@
 """Figure 16: λIndexFS vs IndexFS on the tree-test benchmark."""
 
+import pytest
+
 from repro.bench.experiments import fig16_indexfs
 
 from _shared import QUICK, report, tabulate
+
+pytestmark = pytest.mark.bench
 
 KW = dict(writes_per_client=150, reads_per_client=150, fixed_total=9_600)
 if QUICK:
@@ -10,8 +14,8 @@ if QUICK:
               reads_per_client=80, fixed_total=2_560)
 
 
-def test_fig16_indexfs(benchmark):
-    rows = benchmark.pedantic(fig16_indexfs, kwargs=KW, rounds=1, iterations=1)
+def test_fig16_indexfs():
+    rows = fig16_indexfs(**KW)
     report(
         "fig16",
         "Figure 16 — λIndexFS vs IndexFS, tree-test (ops/s)",

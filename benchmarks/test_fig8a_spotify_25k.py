@@ -5,11 +5,15 @@ HopsFS, HopsFS+Cache, reduced-cache λFS and cost-normalized
 HopsFS+Cache, plus the active-NameNode count on the secondary axis.
 """
 
+import pytest
+
 from _shared import report, spotify_runs_25k, tabulate
 
+pytestmark = pytest.mark.bench
 
-def test_fig8a_spotify_25k(benchmark):
-    runs = benchmark.pedantic(spotify_runs_25k, rounds=1, iterations=1)
+
+def test_fig8a_spotify_25k():
+    runs = spotify_runs_25k()
 
     rows = []
     for key, run in runs.items():

@@ -1,10 +1,14 @@
 """Figure 8(b): Spotify workload, base = 50k analogue (2x Fig 8a)."""
 
+import pytest
+
 from _shared import report, spotify_runs_50k, tabulate
 
+pytestmark = pytest.mark.bench
 
-def test_fig8b_spotify_50k(benchmark):
-    runs = benchmark.pedantic(spotify_runs_50k, rounds=1, iterations=1)
+
+def test_fig8b_spotify_50k():
+    runs = spotify_runs_50k()
 
     rows = [
         [run.name, run.avg_throughput, run.peak_throughput,

@@ -1,6 +1,10 @@
 """Figure 8(c): per-second performance-per-cost, λFS vs HopsFS+Cache."""
 
+import pytest
+
 from _shared import QUICK, report, spotify_runs_25k, spotify_runs_50k, tabulate
+
+pytestmark = pytest.mark.bench
 
 
 def _ppc_rows(runs):
@@ -14,8 +18,8 @@ def _ppc_rows(runs):
     ]
 
 
-def test_fig8c_perf_per_cost(benchmark):
-    runs25 = benchmark.pedantic(spotify_runs_25k, rounds=1, iterations=1)
+def test_fig8c_perf_per_cost():
+    runs25 = spotify_runs_25k()
     report(
         "fig8c_25k",
         "Figure 8(c) — performance-per-cost (ops/s/$), 25k analogue",

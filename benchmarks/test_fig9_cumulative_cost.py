@@ -1,10 +1,14 @@
 """Figure 9: cumulative monetary cost over the 25k Spotify run."""
 
+import pytest
+
 from _shared import report, spotify_runs_25k, tabulate
 
+pytestmark = pytest.mark.bench
 
-def test_fig9_cumulative_cost(benchmark):
-    runs = benchmark.pedantic(spotify_runs_25k, rounds=1, iterations=1)
+
+def test_fig9_cumulative_cost():
+    runs = spotify_runs_25k()
     lam = runs["lambda"]
     hops = runs.get("hopsfs")
     cache = runs.get("hopsfs_cache")

@@ -1,15 +1,17 @@
 """§3.4 ablation: the HTTP-TCP replacement probability knob."""
 
+import pytest
+
 from repro.bench.experiments import replacement_probability_sweep
 
 from _shared import QUICK, report, tabulate
 
+pytestmark = pytest.mark.bench
 
-def test_replacement_sweep(benchmark):
+
+def test_replacement_sweep():
     kwargs = dict(clients=96, ops_per_client=96) if QUICK else {}
-    rows = benchmark.pedantic(
-        replacement_probability_sweep, kwargs=kwargs, rounds=1, iterations=1
-    )
+    rows = replacement_probability_sweep(**kwargs)
     report(
         "replacement_sweep",
         "§3.4 — HTTP-TCP replacement probability sweep (reads)",

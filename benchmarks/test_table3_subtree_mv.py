@@ -1,17 +1,18 @@
 """Table 3: end-to-end latency of subtree mv for growing directories."""
 
+import pytest
+
 from repro.bench.experiments import table3_subtree_mv
 
 from _shared import QUICK, report, tabulate
 
+pytestmark = pytest.mark.bench
+
 SIZES = (4_096, 8_192, 16_384) if not QUICK else (1_024, 4_096)
 
 
-def test_table3_subtree_mv(benchmark):
-    rows = benchmark.pedantic(
-        table3_subtree_mv, kwargs=dict(directory_sizes=SIZES),
-        rounds=1, iterations=1,
-    )
+def test_table3_subtree_mv():
+    rows = table3_subtree_mv(directory_sizes=SIZES)
     report(
         "table3",
         "Table 3 — subtree mv end-to-end latency (ms)",

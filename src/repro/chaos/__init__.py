@@ -37,9 +37,6 @@ from repro.chaos.runner import (
     run_matrix,
     run_scenario,
     scenario_record,
-    scenario_needs_datanodes,
-    scenario_needs_resilience,
-    scenario_needs_tenants,
 )
 from repro.chaos.scenario import (
     FaultSpec,
@@ -86,7 +83,4 @@ __all__ = [
     "run_matrix",
     "run_scenario",
     "scenario_record",
-    "scenario_needs_datanodes",
-    "scenario_needs_resilience",
-    "scenario_needs_tenants",
 ]

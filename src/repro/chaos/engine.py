@@ -21,7 +21,7 @@ consulted while a matching fault is active, so
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim import Environment, Interrupt, RngStreams
@@ -91,6 +91,9 @@ class ChaosEngine:
         self.epoch: Optional[float] = None
         self.log: List[FaultEvent] = []
         self._active: Dict[str, List[Fault]] = {}
+        #: (id(owner), field) → (owner, original value, {fault: override})
+        #: for every field some active fault overrides.
+        self._swaps: Dict[Tuple[int, str], Tuple[Any, Any, Dict[Fault, Any]]] = {}
         self._proc = None
 
     # -- lifecycle -----------------------------------------------------
@@ -140,6 +143,7 @@ class ChaosEngine:
             fault.until = self.env.now + fault.spec.duration_ms
         self._active.setdefault(fault.kind, []).append(fault)
         self._log(fault.kind, "activate", **dict(fault.spec.params))
+        self._swap_in(fault)
         fault.on_activate()
 
     def _deactivate(self, fault: Fault) -> None:
@@ -149,8 +153,42 @@ class ChaosEngine:
         bucket.remove(fault)
         if not bucket:
             self._active.pop(fault.kind, None)
+        self._swap_out(fault)
         fault.on_deactivate()
         self._log(fault.kind, "deactivate")
+
+    # -- config swaps --------------------------------------------------
+    def _swap_in(self, fault: Fault) -> None:
+        """Set ``fault``'s overrides; the latest active fault wins."""
+        owner = fault.swap_owner()
+        if owner is None:
+            return
+
+        def original(name: str) -> Any:
+            swap = self._swaps.get((id(owner), name))
+            if swap:
+                return swap[1]
+            return getattr(getattr(owner, "config", owner), name)
+
+        for name, value in fault.overrides(original).items():
+            swap = self._swaps.setdefault(
+                (id(owner), name), (owner, original(name), {})
+            )
+            swap[2][fault] = value
+            _set_field(owner, name, value)
+
+    def _swap_out(self, fault: Fault) -> None:
+        """Drop ``fault``'s overrides: each field it set goes back to
+        the latest still-active override, or to its original value."""
+        for key, (owner, original, overrides) in list(self._swaps.items()):
+            if fault not in overrides:
+                continue
+            del overrides[fault]
+            if overrides:
+                _set_field(owner, key[1], list(overrides.values())[-1])
+            else:
+                _set_field(owner, key[1], original)
+                del self._swaps[key]
 
     # -- introspection -------------------------------------------------
     @property
@@ -188,6 +226,13 @@ class ChaosEngine:
         return digest.hexdigest()
 
     # -- injection queries (called by instrumented sites) --------------
+    def _add_delay(self, extra: float, fault: Fault) -> float:
+        """``extra`` plus ``fault``'s ``extra_ms`` and jitter draw."""
+        extra += fault.extra_ms
+        if fault.jitter_ms > 0.0:
+            extra += self.rng.uniform(0.0, fault.jitter_ms)
+        return extra
+
     def tcp_extra_delay_ms(self, deployment: str) -> float:
         """Extra latency to add before a TCP send."""
         extra = 0.0
@@ -197,41 +242,32 @@ class ChaosEngine:
             p = fault.p
             if p < 1.0 and self.rng.random() >= p:
                 continue
-            extra += fault.extra_ms
-            jitter = fault.jitter_ms
-            if jitter > 0.0:
-                extra += self.rng.uniform(0.0, jitter)
+            extra = self._add_delay(extra, fault)
         return extra
+
+    def _draw(self, kind: str, deployment: str, **detail: Any) -> bool:
+        """One ``p`` coin per active ``kind`` fault scoped to
+        ``deployment``, stopping at (and logging) the first hit."""
+        for fault in self._active.get(kind, ()):
+            if fault.matches(deployment) and self.rng.random() < fault.p:
+                self._log(kind, "inject", deployment=deployment, **detail)
+                return True
+        return False
 
     def tcp_should_drop(self, deployment: str) -> bool:
         """True when this TCP request is lost in the fabric."""
-        for fault in self._active.get("tcp_drop", ()):
-            if fault.matches(deployment) and (
-                self.rng.random() < fault.p
-            ):
-                self._log("tcp_drop", "inject", deployment=deployment)
-                return True
-        return False
+        return self._draw("tcp_drop", deployment)
 
     def tcp_should_duplicate(self, deployment: str) -> bool:
         """True when this TCP request is delivered twice."""
-        for fault in self._active.get("tcp_duplicate", ()):
-            if fault.matches(deployment) and (
-                self.rng.random() < fault.p
-            ):
-                self._log("tcp_duplicate", "inject", deployment=deployment)
-                return True
-        return False
+        return self._draw("tcp_duplicate", deployment)
 
     def gateway_effects(self) -> Tuple[float, bool]:
         """(extra delay ms, shed?) for one HTTP gateway transit."""
         extra = 0.0
         fail = False
         for fault in self._active.get("http_brownout", ()):
-            extra += fault.extra_ms
-            jitter = fault.jitter_ms
-            if jitter > 0.0:
-                extra += self.rng.uniform(0.0, jitter)
+            extra = self._add_delay(extra, fault)
             fail_p = fault.fail_p
             if fail_p > 0.0 and self.rng.random() < fail_p:
                 fail = True
@@ -303,50 +339,29 @@ class ChaosEngine:
 
     def ack_should_drop(self, deployment: str, member_id: str) -> bool:
         """True when this member's INV ACK is lost."""
-        for fault in self._active.get("ack_loss", ()):
-            if fault.matches(deployment) and (
-                self.rng.random() < fault.p
-            ):
-                self._log(
-                    "ack_loss", "inject",
-                    deployment=deployment, member=member_id,
-                )
-                return True
-        return False
+        return self._draw("ack_loss", deployment, member=member_id)
 
 
-def install_chaos(
-    env: Environment,
-    system: Any = None,
-    platform: Any = None,
-    coordinator: Any = None,
-    store: Any = None,
-    seed: int = 0,
-    fleet: Any = None,
-) -> ChaosEngine:
-    """Attach a :class:`ChaosEngine` to ``env.chaos``.
+def _set_field(owner: Any, name: str, value: Any) -> None:
+    """Set a field on ``owner``'s frozen ``config`` dataclass when it
+    has one, else on ``owner`` itself."""
+    if hasattr(owner, "config"):
+        owner.config = replace(owner.config, **{name: value})
+    else:
+        setattr(owner, name, value)
 
-    Pass a built :class:`~repro.core.LambdaFS` as ``system`` to wire
-    the platform/coordinator/store targets in one go, or supply them
-    individually (any may be None — faults needing an absent target
-    become no-ops).
+
+def install_chaos(env: Environment, system: Any, seed: int = 0) -> ChaosEngine:
+    """Attach a :class:`ChaosEngine` over a built
+    :class:`~repro.core.LambdaFS` to ``env.chaos``.
+
+    A test that needs only some targets builds a :class:`ChaosEngine`
+    directly; faults whose target is absent are no-ops.
     """
-    if system is not None:
-        platform = platform if platform is not None else getattr(system, "platform", None)
-        coordinator = (
-            coordinator if coordinator is not None
-            else getattr(system, "coordinator", None)
-        )
-        store = store if store is not None else getattr(system, "store", None)
-        fleet = (
-            fleet if fleet is not None
-            else getattr(system, "datanode_fleet", None)
-        )
     engine = ChaosEngine(
-        env, platform=platform, coordinator=coordinator, store=store, seed=seed,
-        fleet=fleet,
+        env, platform=system.platform, coordinator=system.coordinator,
+        store=system.store, seed=seed, fleet=system.datanode_fleet,
     )
-    if system is not None:
-        engine.resilience = getattr(system, "resilience", None)
+    engine.resilience = system.resilience
     env.chaos = engine
     return engine

@@ -7,9 +7,10 @@ instrumented sites across the stack query the engine
 (:meth:`ChaosEngine.tcp_should_drop` etc.), which consults the active
 faults of the matching kind.  Faults that change configuration
 (lock-timeout storms, cold-start storms, capacity crunches, watch
-delays) swap the target's frozen config dataclass on activation and
-restore the original on deactivation, so a cleared fault leaves no
-residue.
+delays, ACK loss without redelivery) name their overrides and the
+engine swaps them in (:meth:`ChaosEngine._swap_in`): while any of them
+is active a field holds the override of the latest active fault, and
+once none is, its original value, so a cleared fault leaves no residue.
 
 Every stochastic decision draws from the engine's seeded RNG, and
 **only while a matching fault is active** — an engine with no active
@@ -26,7 +27,7 @@ the next deployment), ``random`` (uniform over warm instances), or
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -163,6 +164,7 @@ class Fault:
     kind: str = ""
     requires_duration: bool = False
     allowed_params: tuple = ()
+    _proc: Any = None
 
     def __init__(self, spec: FaultSpec, engine: Any = None) -> None:
         self.spec = spec
@@ -191,18 +193,61 @@ class Fault:
         target = self.params.get("deployment")
         return target is None or target == deployment
 
+    def matches_shard(self, index: int) -> bool:
+        shard = self.params.get("shard")
+        return shard is None or int(shard) == index
+
+    def swap_owner(self) -> Any:
+        """The object whose fields :meth:`overrides` sets (None = none).
+
+        Fields live on the owner's frozen ``config`` dataclass when it
+        has one, else on the owner itself.
+        """
+        return None
+
+    def overrides(self, original: Callable[[str], Any]) -> Dict[str, Any]:
+        """Field → value while active; ``original(field)`` reads the
+        value the field has with no swapping fault active."""
+        return {}
+
     def on_activate(self) -> None:
-        """Take effect (config swaps, spawned processes)."""
+        """Take effect (spawned processes, one-way latches)."""
 
     def on_deactivate(self) -> None:
-        """Undo activation side effects."""
+        """Undo activation side effects: stop the :meth:`_spawn` loop."""
+        if self._proc is not None and self._proc.is_alive:
+            self._proc.interrupt()
+        self._proc = None
 
     # -- shared helpers ------------------------------------------------
+    def _spawn(self, loop: Generator) -> None:
+        """Run ``loop`` as a process until this fault deactivates."""
+        def run() -> Generator:
+            try:
+                yield from loop
+            except Interrupt:
+                return
+
+        self._proc = self.engine.env.process(run())
+
     def _p(self, name: str = "p", default: float = 0.1) -> float:
         value = float(self.params.get(name, default))
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{self.kind}: {name} must be in [0, 1]")
         return value
+
+    def _positive(self, name: str, default: float) -> float:
+        value = float(self.params.get(name, default))
+        if value <= 0:
+            raise ValueError(f"{self.kind}: {name} must be > 0")
+        return value
+
+    def _delay(self, default_ms: float) -> None:
+        """Parse ``extra_ms`` (+ uniform ``jitter_ms``) delay params."""
+        self.extra_ms = float(self.params.get("extra_ms", default_ms))
+        if self.extra_ms < 0:
+            raise ValueError(f"{self.kind}: extra_ms must be >= 0")
+        self.jitter_ms = float(self.params.get("jitter_ms", 0.0))
 
 
 # -- RPC fabric ---------------------------------------------------------
@@ -232,13 +277,10 @@ class TcpDelayFault(Fault):
 
     def validate(self) -> None:
         self.p = self._p(default=1.0)
-        self.extra_ms = float(self.params.get("extra_ms", 5.0))
-        if self.extra_ms < 0:
-            raise ValueError(f"{self.kind}: extra_ms must be >= 0")
-        self.jitter_ms = float(self.params.get("jitter_ms", 0.0))
+        self._delay(5.0)
 
 
-class TcpDuplicateFault(Fault):
+class TcpDuplicateFault(TcpDropFault):
     """Deliver TCP requests twice with probability ``p``.
 
     The duplicate is re-served by the same NameNode; its result cache
@@ -247,11 +289,6 @@ class TcpDuplicateFault(Fault):
     """
 
     kind = "tcp_duplicate"
-    requires_duration = True
-    allowed_params = ("p", "deployment")
-
-    def validate(self) -> None:
-        self.p = self._p()
 
 
 class TcpSeverFault(Fault):
@@ -264,28 +301,16 @@ class TcpSeverFault(Fault):
     kind = "tcp_sever"
     allowed_params = ("deployment", "repeat_ms")
 
-    def __init__(self, spec: FaultSpec, engine: Any = None) -> None:
-        super().__init__(spec, engine)
-        self._proc = None
-
     def on_activate(self) -> None:
         self._sever()
         repeat = self.params.get("repeat_ms")
         if repeat is not None and self.spec.duration_ms > 0:
-            self._proc = self.engine.env.process(self._loop(float(repeat)))
-
-    def on_deactivate(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt()
-        self._proc = None
+            self._spawn(self._loop(float(repeat)))
 
     def _loop(self, repeat_ms: float) -> Generator:
-        try:
-            while True:
-                yield self.engine.env.timeout(repeat_ms)
-                self._sever()
-        except Interrupt:
-            return
+        while True:
+            yield self.engine.env.timeout(repeat_ms)
+            self._sever()
 
     def _sever(self) -> None:
         platform = self.engine.platform
@@ -322,10 +347,7 @@ class HttpBrownoutFault(Fault):
 
     def validate(self) -> None:
         self.fail_p = self._p("fail_p", default=0.0)
-        self.extra_ms = float(self.params.get("extra_ms", 0.0))
-        if self.extra_ms < 0:
-            raise ValueError(f"{self.kind}: extra_ms must be >= 0")
-        self.jitter_ms = float(self.params.get("jitter_ms", 0.0))
+        self._delay(0.0)
 
 
 # -- metastore ----------------------------------------------------------
@@ -342,10 +364,6 @@ class ShardOutageFault(Fault):
     requires_duration = True
     allowed_params = ("shard",)
 
-    def matches_shard(self, index: int) -> bool:
-        shard = self.params.get("shard")
-        return shard is None or int(shard) == index
-
 
 class StoreSlowdownFault(Fault):
     """Multiply store service times by ``factor`` (degraded disks)."""
@@ -355,13 +373,7 @@ class StoreSlowdownFault(Fault):
     allowed_params = ("factor", "shard")
 
     def validate(self) -> None:
-        self.factor = float(self.params.get("factor", 2.0))
-        if self.factor <= 0:
-            raise ValueError(f"{self.kind}: factor must be > 0")
-
-    def matches_shard(self, index: int) -> bool:
-        shard = self.params.get("shard")
-        return shard is None or int(shard) == index
+        self.factor = self._positive("factor", 2.0)
 
 
 class LockStormFault(Fault):
@@ -375,23 +387,11 @@ class LockStormFault(Fault):
     requires_duration = True
     allowed_params = ("timeout_ms",)
 
-    def __init__(self, spec: FaultSpec, engine: Any = None) -> None:
-        super().__init__(spec, engine)
-        self._saved: Optional[float] = None
+    def swap_owner(self) -> Any:
+        return getattr(self.engine.store, "locks", None)
 
-    def on_activate(self) -> None:
-        store = self.engine.store
-        if store is None:
-            return
-        self._saved = store.locks.default_timeout_ms
-        store.locks.default_timeout_ms = float(
-            self.params.get("timeout_ms", 50.0)
-        )
-
-    def on_deactivate(self) -> None:
-        if self._saved is not None and self.engine.store is not None:
-            self.engine.store.locks.default_timeout_ms = self._saved
-        self._saved = None
+    def overrides(self, original: Callable[[str], Any]) -> Dict[str, Any]:
+        return {"default_timeout_ms": float(self.params.get("timeout_ms", 50.0))}
 
 
 # -- coordinator --------------------------------------------------------
@@ -411,28 +411,16 @@ class AckLossFault(Fault):
     requires_duration = True
     allowed_params = ("p", "deployment", "disable_retry")
 
-    def __init__(self, spec: FaultSpec, engine: Any = None) -> None:
-        super().__init__(spec, engine)
-        self._saved: Optional[Dict[str, Any]] = None
-
     def validate(self) -> None:
         self.p = self._p(default=0.5)
 
-    def on_activate(self) -> None:
-        coordinator = self.engine.coordinator
-        if coordinator is None or not self.params.get("disable_retry", False):
-            return
-        # Save only the fields this fault touches and restore them into
-        # whatever config is current at deactivate time, so overlapping
-        # config-swapping faults compose regardless of clear order.
-        self._saved = {"ack_max_retries": coordinator.config.ack_max_retries}
-        coordinator.config = replace(coordinator.config, ack_max_retries=0)
+    def swap_owner(self) -> Any:
+        if self.params.get("disable_retry", False):
+            return self.engine.coordinator
+        return None
 
-    def on_deactivate(self) -> None:
-        if self._saved is not None and self.engine.coordinator is not None:
-            coordinator = self.engine.coordinator
-            coordinator.config = replace(coordinator.config, **self._saved)
-        self._saved = None
+    def overrides(self, original: Callable[[str], Any]) -> Dict[str, Any]:
+        return {"ack_max_retries": 0}
 
 
 class MembershipFlapFault(Fault):
@@ -499,27 +487,14 @@ class WatchDelayFault(Fault):
     requires_duration = True
     allowed_params = ("factor", "watch_ms")
 
-    def __init__(self, spec: FaultSpec, engine: Any = None) -> None:
-        super().__init__(spec, engine)
-        self._saved: Optional[Dict[str, Any]] = None
+    def swap_owner(self) -> Any:
+        return self.engine.coordinator
 
-    def on_activate(self) -> None:
-        coordinator = self.engine.coordinator
-        if coordinator is None:
-            return
-        self._saved = {"watch_ms": coordinator.config.watch_ms}
+    def overrides(self, original: Callable[[str], Any]) -> Dict[str, Any]:
         watch = self.params.get("watch_ms")
         if watch is None:
-            watch = coordinator.config.watch_ms * float(
-                self.params.get("factor", 10.0)
-            )
-        coordinator.config = replace(coordinator.config, watch_ms=float(watch))
-
-    def on_deactivate(self) -> None:
-        if self._saved is not None and self.engine.coordinator is not None:
-            coordinator = self.engine.coordinator
-            coordinator.config = replace(coordinator.config, **self._saved)
-        self._saved = None
+            watch = original("watch_ms") * float(self.params.get("factor", 10.0))
+        return {"watch_ms": float(watch)}
 
 
 # -- FaaS ---------------------------------------------------------------
@@ -535,13 +510,10 @@ class NameNodeKillFault(Fault):
     requires_duration = True
     allowed_params = ("interval_ms", "policy", "deployments")
 
-    def __init__(self, spec: FaultSpec, engine: Any = None) -> None:
-        super().__init__(spec, engine)
-        self._killer: Optional[NameNodeKiller] = None
+    _killer: Optional[NameNodeKiller] = None
 
     def validate(self) -> None:
-        if float(self.params.get("interval_ms", 1_000.0)) <= 0:
-            raise ValueError(f"{self.kind}: interval_ms must be > 0")
+        self.interval_ms = self._positive("interval_ms", 1_000.0)
         policy = self.params.get("policy", "round_robin")
         if policy not in VICTIM_POLICIES:
             raise ValueError(f"{self.kind}: unknown policy {policy!r}")
@@ -554,7 +526,7 @@ class NameNodeKillFault(Fault):
         self._killer = NameNodeKiller(
             engine.env,
             engine.platform,
-            float(self.params.get("interval_ms", 1_000.0)),
+            self.interval_ms,
             deployments=list(deployments) if deployments is not None else None,
             policy=self.params.get("policy", "round_robin"),
             rng=engine.rng,
@@ -570,10 +542,6 @@ class NameNodeKillFault(Fault):
             self._killer.stop()
         self._killer = None
 
-    @property
-    def kills(self) -> List[KillRecord]:
-        return self._killer.kills if self._killer is not None else []
-
 
 class ColdStartStormFault(Fault):
     """Multiply cold-start boot times by ``factor`` for the window."""
@@ -582,34 +550,17 @@ class ColdStartStormFault(Fault):
     requires_duration = True
     allowed_params = ("factor", "min_ms", "max_ms")
 
-    def __init__(self, spec: FaultSpec, engine: Any = None) -> None:
-        super().__init__(spec, engine)
-        self._saved: Optional[Dict[str, Any]] = None
+    def swap_owner(self) -> Any:
+        return self.engine.platform
 
-    def on_activate(self) -> None:
-        platform = self.engine.platform
-        if platform is None:
-            return
-        self._saved = {
-            "cold_start_min_ms": platform.config.cold_start_min_ms,
-            "cold_start_max_ms": platform.config.cold_start_max_ms,
-        }
+    def overrides(self, original: Callable[[str], Any]) -> Dict[str, Any]:
         factor = float(self.params.get("factor", 4.0))
-        low = float(self.params.get(
-            "min_ms", platform.config.cold_start_min_ms * factor
-        ))
-        high = float(self.params.get(
-            "max_ms", platform.config.cold_start_max_ms * factor
-        ))
-        platform.config = replace(
-            platform.config, cold_start_min_ms=low, cold_start_max_ms=high
-        )
-
-    def on_deactivate(self) -> None:
-        if self._saved is not None and self.engine.platform is not None:
-            platform = self.engine.platform
-            platform.config = replace(platform.config, **self._saved)
-        self._saved = None
+        return {
+            f"cold_start_{end}_ms": float(self.params.get(
+                f"{end}_ms", original(f"cold_start_{end}_ms") * factor
+            ))
+            for end in ("min", "max")
+        }
 
 
 class CapacityCrunchFault(Fault):
@@ -623,27 +574,16 @@ class CapacityCrunchFault(Fault):
     requires_duration = True
     allowed_params = ("vcpus", "fraction")
 
-    def __init__(self, spec: FaultSpec, engine: Any = None) -> None:
-        super().__init__(spec, engine)
-        self._saved: Optional[Dict[str, Any]] = None
+    def swap_owner(self) -> Any:
+        return self.engine.platform
 
-    def on_activate(self) -> None:
-        platform = self.engine.platform
-        if platform is None:
-            return
-        self._saved = {"cluster_vcpus": platform.config.cluster_vcpus}
+    def overrides(self, original: Callable[[str], Any]) -> Dict[str, Any]:
         vcpus = self.params.get("vcpus")
         if vcpus is None:
-            vcpus = platform.config.cluster_vcpus * float(
+            vcpus = original("cluster_vcpus") * float(
                 self.params.get("fraction", 0.5)
             )
-        platform.config = replace(platform.config, cluster_vcpus=float(vcpus))
-
-    def on_deactivate(self) -> None:
-        if self._saved is not None and self.engine.platform is not None:
-            platform = self.engine.platform
-            platform.config = replace(platform.config, **self._saved)
-        self._saved = None
+        return {"cluster_vcpus": float(vcpus)}
 
 
 # -- data plane ---------------------------------------------------------
@@ -670,58 +610,41 @@ class DataNodeKillFault(Fault):
     requires_duration = True
     allowed_params = ("count", "interval_ms", "disable_repair", "restart_after_ms")
 
-    def __init__(self, spec: FaultSpec, engine: Any = None) -> None:
-        super().__init__(spec, engine)
-        self._proc = None
-        self.killed: List[str] = []
-
     def validate(self) -> None:
         if int(self.params.get("count", 1)) < 1:
             raise ValueError(f"{self.kind}: count must be >= 1")
-        if float(self.params.get("interval_ms", 400.0)) <= 0:
-            raise ValueError(f"{self.kind}: interval_ms must be > 0")
+        self.interval_ms = self._positive("interval_ms", 400.0)
         restart = self.params.get("restart_after_ms")
         if restart is not None and float(restart) <= 0:
             raise ValueError(f"{self.kind}: restart_after_ms must be > 0")
 
     def on_activate(self) -> None:
         engine = self.engine
-        fleet = getattr(engine, "fleet", None)
+        fleet = engine.fleet
         if fleet is None:
             engine._log(self.kind, "inject", note="no-fleet")
             return
         if self.params.get("disable_repair", False):
             fleet.repair_enabled = False
             engine._log(self.kind, "inject", note="repair-disabled")
-        self._proc = engine.env.process(self._loop(fleet))
-
-    def on_deactivate(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt()
-        self._proc = None
+        self._spawn(self._loop(fleet))
 
     def _loop(self, fleet: Any) -> Generator:
         engine = self.engine
-        count = int(self.params.get("count", 1))
-        interval = float(self.params.get("interval_ms", 400.0))
         restart_after = self.params.get("restart_after_ms")
-        try:
-            for _ in range(count):
-                yield engine.env.timeout(interval)
-                victims = fleet.live_node_ids()
-                if not victims:
-                    engine._log(self.kind, "inject", note="no-live-nodes")
-                    return
-                victim = victims[engine.rng.randrange(len(victims))]
-                fleet.kill(victim)
-                self.killed.append(victim)
-                engine._log(self.kind, "inject", datanode=victim)
-                if restart_after is not None:
-                    engine.env.process(
-                        self._restart_later(fleet, victim, float(restart_after))
-                    )
-        except Interrupt:
-            return
+        for _ in range(int(self.params.get("count", 1))):
+            yield engine.env.timeout(self.interval_ms)
+            victims = fleet.live_node_ids()
+            if not victims:
+                engine._log(self.kind, "inject", note="no-live-nodes")
+                return
+            victim = victims[engine.rng.randrange(len(victims))]
+            fleet.kill(victim)
+            engine._log(self.kind, "inject", datanode=victim)
+            if restart_after is not None:
+                engine.env.process(
+                    self._restart_later(fleet, victim, float(restart_after))
+                )
 
     def _restart_later(
         self, fleet: Any, victim: str, delay_ms: float
@@ -747,9 +670,7 @@ class DiskSlowFault(Fault):
     allowed_params = ("factor", "rack", "datanode")
 
     def validate(self) -> None:
-        self.factor = float(self.params.get("factor", 4.0))
-        if self.factor <= 0:
-            raise ValueError(f"{self.kind}: factor must be > 0")
+        self.factor = self._positive("factor", 4.0)
 
     def matches_datanode(self, node_id: str, rack: Optional[str]) -> bool:
         want_node = self.params.get("datanode")
@@ -796,7 +717,7 @@ class TenantFloodFault(Fault):
         engine = self.engine
         if self.params.get("disable_isolation", False):
             engine.tenant_flood_latch[self.tenant] = self.think_ms
-            governor = getattr(engine, "governor", None)
+            governor = engine.governor
             if governor is not None:
                 governor.enabled = False
             engine._log(self.kind, "inject", note="isolation-disabled",
@@ -822,9 +743,7 @@ class LoadSpikeFault(Fault):
     allowed_params = ("think_factor",)
 
     def validate(self) -> None:
-        self.think_factor = float(self.params.get("think_factor", 0.25))
-        if self.think_factor <= 0:
-            raise ValueError(f"{self.kind}: think_factor must be > 0")
+        self.think_factor = self._positive("think_factor", 0.25)
 
 
 class DisableSheddingFault(Fault):
@@ -843,7 +762,7 @@ class DisableSheddingFault(Fault):
 
     def on_activate(self) -> None:
         engine = self.engine
-        resilience = getattr(engine, "resilience", None)
+        resilience = engine.resilience
         if resilience is None:
             engine._log(self.kind, "inject", note="no-resilience")
             return

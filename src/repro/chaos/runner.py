@@ -63,25 +63,9 @@ TENANT_FAULT_KINDS = ("tenant_flood",)
 RESILIENCE_FAULT_KINDS = ("load_spike", "disable_shedding")
 
 
-def scenario_needs_datanodes(scenario: Scenario) -> bool:
-    """True when ``scenario`` injects data-plane faults."""
-    return any(
-        spec.kind in DATANODE_FAULT_KINDS for spec in scenario.faults
-    )
-
-
-def scenario_needs_tenants(scenario: Scenario) -> bool:
-    """True when ``scenario`` injects tenant-scoped faults."""
-    return any(
-        spec.kind in TENANT_FAULT_KINDS for spec in scenario.faults
-    )
-
-
-def scenario_needs_resilience(scenario: Scenario) -> bool:
-    """True when ``scenario`` injects overload/resilience faults."""
-    return any(
-        spec.kind in RESILIENCE_FAULT_KINDS for spec in scenario.faults
-    )
+def _injects(scenario: Scenario, kinds: Tuple[str, ...]) -> bool:
+    """True when ``scenario`` injects any fault of ``kinds``."""
+    return any(spec.kind in kinds for spec in scenario.faults)
 
 #: Typed errors a chaos client absorbs and retries past.
 RECOVERABLE_ERRORS = (ConnectionDropped, InstanceTerminated, RequestTimeout)
@@ -118,9 +102,6 @@ class ChaosRunConfig:
     """DataNode fleet size.  None = auto: 9 when the scenario injects
     data-plane faults, 0 (no fleet, the legacy byte-identical
     configuration) otherwise.  Explicit 0 always disables."""
-    datanode_start: bool = True
-    """False attaches the fleet without spawning any of its processes
-    (the attached-but-idle determinism regression)."""
     chunk_write_fraction: float = 0.25
     """Slice of ops that are pipelined chunk writes (only drawn when a
     fleet is attached and this is > 0 — a zero fraction consumes no
@@ -260,7 +241,7 @@ def run_scenario(
     tenant_specs = config.tenants
     if tenant_specs is None:
         tenant_specs = (
-            chaos_tenants() if scenario_needs_tenants(scenario) else ()
+            chaos_tenants() if _injects(scenario, TENANT_FAULT_KINDS) else ()
         )
     workload = None
     if tenant_specs:
@@ -273,27 +254,24 @@ def run_scenario(
         tree = generate_tree(replace(config.tree, seed=config.seed))
     datanodes = config.datanodes
     if datanodes is None:
-        datanodes = 9 if scenario_needs_datanodes(scenario) else 0
+        datanodes = 9 if _injects(scenario, DATANODE_FAULT_KINDS) else 0
     resilience_config = config.resilience
-    if resilience_config is None and scenario_needs_resilience(scenario):
+    if resilience_config is None and _injects(scenario, RESILIENCE_FAULT_KINDS):
         resilience_config = ResilienceConfig()
     fleet_config = None
     build_extra = {}
     if datanodes > 0:
         fleet_config = DataNodeFleetConfig(count=datanodes)
-        if config.datanode_start:
-            # A *running* fleet replaces the legacy report publisher;
-            # a stale-row filter makes the NameNodes drop DataNodes
-            # that stopped publishing (i.e. died).  An attached-but-
-            # idle fleet publishes nothing, so the build must stay
-            # byte-identical to the fleet-less configuration.
-            build_extra = {
-                "datanode_overrides": {"count": 0},
-                "namenode_overrides": {
-                    "datanode_stale_after_ms":
-                        2.0 * fleet_config.publish_interval_ms,
-                },
-            }
+        # The fleet replaces the legacy report publisher; a stale-row
+        # filter makes the NameNodes drop DataNodes that stopped
+        # publishing (i.e. died).
+        build_extra = {
+            "datanode_overrides": {"count": 0},
+            "namenode_overrides": {
+                "datanode_stale_after_ms":
+                    2.0 * fleet_config.publish_interval_ms,
+            },
+        }
     handle = build_lambdafs(
         env,
         tree,
@@ -316,8 +294,7 @@ def run_scenario(
             env, fleet_config, seed=config.seed, store=fs.store
         )
         fs.datanode_fleet = fleet
-        if config.datanode_start:
-            fleet.start()
+        fleet.start()
     clients = handle.make_clients(
         workload.total_clients() if workload is not None else config.clients
     )
@@ -332,7 +309,7 @@ def run_scenario(
     bench = MicroBenchmark(env, tree, seed=config.seed)
     drive(env, bench.run(clients, OpType.READ_FILE, 0, PRELUDE_READS))
 
-    engine = install_chaos(env, system=fs, seed=config.seed)
+    engine = install_chaos(env, fs, config.seed)
     engine.start(scenario)
     epoch = env.now
     clear = epoch + scenario.clear_ms
@@ -360,8 +337,7 @@ def run_scenario(
             env.process(_client_loop(
                 env, client, tree.files,
                 rngs.stream(f"chaos-client:{index}"),
-                issue_until, config, counts, errors,
-                fleet=fleet if config.datanode_start else None,
+                issue_until, config, counts, errors, fleet=fleet,
             ))
             for index, client in enumerate(clients)
         ]
@@ -416,7 +392,7 @@ def run_scenario(
         timeseries=handle.telemetry.timeseries,
         engine=engine,
         slo=config.slo,
-        fleet=fleet if config.datanode_start else None,
+        fleet=fleet,
         tenants=tenant_specs if workload is not None else None,
         incidents=incident_report,
         resilience=fs.resilience,

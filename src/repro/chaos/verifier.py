@@ -24,7 +24,7 @@ unit tests can exercise gates in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.incidents.rules import Signal
 
@@ -320,6 +320,19 @@ class ChaosVerifier:
             return None
         return sum(window) / len(window)
 
+    def _recovery(
+        self, rows: List[tuple], clear: float, in_band: Callable[..., bool]
+    ) -> Tuple[Optional[tuple], bool]:
+        """(the first ``(t, *values)`` row in (clear, clear + window]
+        whose values are ``in_band``, True), else (the window's last
+        row or None, False)."""
+        deadline = clear + self.slo.window_ms
+        post = [row for row in rows if clear < row[0] <= deadline]
+        for row in post:
+            if in_band(*row[1:]):
+                return row, True
+        return (post[-1] if post else None), False
+
     def _check_latency_slo(
         self, report: VerifierReport, first_fault: float, clear: float
     ) -> None:
@@ -330,29 +343,27 @@ class ChaosVerifier:
             return
         report.baseline_latency_ms = baseline
         bound = self.slo.latency_factor * baseline
-        deadline = clear + self.slo.window_ms
-        for t_ms, value in intervals:
-            if t_ms <= clear or t_ms > deadline:
-                continue
-            if value <= bound:
-                report.recovered_latency_ms = value
-                report.recovery_time_ms = max(0.0, t_ms - clear)
-                report._ok(
-                    f"latency SLO: {value:.2f} ms <= "
-                    f"{self.slo.latency_factor:g}x baseline "
-                    f"({baseline:.2f} ms) after {t_ms - clear:.0f} ms"
-                )
-                return
-        post = [v for t, v in intervals if clear < t <= deadline]
-        if not post:
+        row, recovered = self._recovery(
+            intervals, clear, lambda value: value <= bound
+        )
+        if row is None:
             report._fail(
                 "latency SLO: no completed ops observed in the "
                 f"{self.slo.window_ms:.0f} ms recovery window"
             )
             return
-        report.recovered_latency_ms = post[-1]
+        t_ms, value = row
+        report.recovered_latency_ms = value
+        if recovered:
+            report.recovery_time_ms = max(0.0, t_ms - clear)
+            report._ok(
+                f"latency SLO: {value:.2f} ms <= "
+                f"{self.slo.latency_factor:g}x baseline "
+                f"({baseline:.2f} ms) after {t_ms - clear:.0f} ms"
+            )
+            return
         report._fail(
-            f"latency SLO: still {post[-1]:.2f} ms "
+            f"latency SLO: still {value:.2f} ms "
             f"(> {self.slo.latency_factor:g}x baseline {baseline:.2f} ms) "
             f"{self.slo.window_ms:.0f} ms after faults cleared"
         )
@@ -367,41 +378,38 @@ class ChaosVerifier:
             return
         report.baseline_hit_rate = baseline
         floor = HIT_RATE_BAND * baseline
-        deadline = clear + self.slo.window_ms
-        for t_ms, value in intervals:
-            if t_ms <= clear or t_ms > deadline:
-                continue
-            if value >= floor:
-                report.recovered_hit_rate = value
-                report._ok(
-                    f"hit-rate SLO: {value:.2f} >= "
-                    f"{HIT_RATE_BAND:g}x baseline ({baseline:.2f}) "
-                    f"after {t_ms - clear:.0f} ms"
-                )
-                return
-        post = [v for t, v in intervals if clear < t <= deadline]
-        if not post:
+        row, recovered = self._recovery(
+            intervals, clear, lambda value: value >= floor
+        )
+        if row is None:
             report._skip("hit-rate SLO (no cache traffic after faults cleared)")
             return
-        report.recovered_hit_rate = post[-1]
+        t_ms, value = row
+        report.recovered_hit_rate = value
+        if recovered:
+            report._ok(
+                f"hit-rate SLO: {value:.2f} >= "
+                f"{HIT_RATE_BAND:g}x baseline ({baseline:.2f}) "
+                f"after {t_ms - clear:.0f} ms"
+            )
+            return
         report._fail(
-            f"hit-rate SLO: still {post[-1]:.2f} "
+            f"hit-rate SLO: still {value:.2f} "
             f"(< {HIT_RATE_BAND:g}x baseline {baseline:.2f}) "
             f"{self.slo.window_ms:.0f} ms after faults cleared"
         )
 
     # -- gate 5: tenant fairness ---------------------------------------
+    def _faults(self) -> tuple:
+        """The scenario's fault specs (none without engine or scenario)."""
+        scenario = getattr(self.engine, "scenario", None)
+        return scenario.faults if scenario is not None else ()
+
     def _noisy_tenants(self) -> List[str]:
         """Tenants the scenario floods (``tenant_flood`` targets)."""
-        scenario = (
-            getattr(self.engine, "scenario", None)
-            if self.engine is not None else None
-        )
-        if scenario is None:
-            return []
         return sorted({
             str(spec.params.get("tenant"))
-            for spec in scenario.faults
+            for spec in self._faults()
             if spec.kind == "tenant_flood" and spec.params.get("tenant")
         })
 
@@ -447,69 +455,57 @@ class ChaosVerifier:
         p99 = fairness.p99_timeline(self.timeseries, victims)
         if jain:
             report.jain_min = min(value for _t, value in jain)
-        epoch = self.engine.epoch if self.engine is not None else None
-        baseline_window = [
-            value for t, value in p99
-            if t < first_fault and (epoch is None or t > epoch)
-            and value != float("inf")
-        ]
-        if len(baseline_window) < MIN_BASELINE_SAMPLES:
+        baseline = self._baseline(
+            [(t, value) for t, value in p99 if value != float("inf")],
+            first_fault,
+        )
+        if baseline is None:
             report._skip("fairness (not enough pre-fault samples)")
             return
-        baseline = sum(baseline_window) / len(baseline_window)
         report.baseline_victim_p99_ms = baseline
         bound = max(
             VICTIM_P99_FACTOR * baseline,
             VICTIM_P99_MIN_BOUND_MS,
         )
-        deadline = clear + self.slo.window_ms
         jain_at = dict(jain)
         p99_at = dict(p99)
-        times = sorted(set(jain_at) & set(p99_at))
-        for t_ms in times:
-            if t_ms <= clear or t_ms > deadline:
-                continue
-            jain_value = jain_at[t_ms]
-            p99_value = p99_at[t_ms]
-            if jain_value >= JAIN_FLOOR and p99_value <= bound:
-                report.jain_recovered = jain_value
-                report.recovered_victim_p99_ms = p99_value
-                report.fairness_recovery_ms = max(0.0, t_ms - clear)
-                report._ok(
-                    f"fairness: Jain {jain_value:.3f} >= "
-                    f"{JAIN_FLOOR:g} and victim p99 "
-                    f"{p99_value:.1f} ms <= {bound:.1f} ms "
-                    f"after {t_ms - clear:.0f} ms"
-                )
-                return
-        post = [
-            (jain_at[t], p99_at[t]) for t in times if clear < t <= deadline
+        rows = [
+            (t, jain_at[t], p99_at[t])
+            for t in sorted(set(jain_at) & set(p99_at))
         ]
-        if not post:
+        row, recovered = self._recovery(
+            rows, clear,
+            lambda jain_value, p99_value:
+                jain_value >= JAIN_FLOOR and p99_value <= bound,
+        )
+        if row is None:
             report._fail(
                 "fairness: no tenant ops observed in the "
                 f"{self.slo.window_ms:.0f} ms recovery window"
             )
             return
-        last_jain, last_p99 = post[-1]
-        report.jain_recovered = last_jain
-        report.recovered_victim_p99_ms = last_p99
+        t_ms, jain_value, p99_value = row
+        report.jain_recovered = jain_value
+        report.recovered_victim_p99_ms = p99_value
+        if recovered:
+            report.fairness_recovery_ms = max(0.0, t_ms - clear)
+            report._ok(
+                f"fairness: Jain {jain_value:.3f} >= "
+                f"{JAIN_FLOOR:g} and victim p99 "
+                f"{p99_value:.1f} ms <= {bound:.1f} ms "
+                f"after {t_ms - clear:.0f} ms"
+            )
+            return
         report._fail(
-            f"fairness: still Jain {last_jain:.3f} "
+            f"fairness: still Jain {jain_value:.3f} "
             f"(floor {JAIN_FLOOR:g}) / victim p99 "
-            f"{last_p99:.1f} ms (bound {bound:.1f} ms) "
+            f"{p99_value:.1f} ms (bound {bound:.1f} ms) "
             f"{self.slo.window_ms:.0f} ms after faults cleared"
         )
 
     # -- gate 6: detection ---------------------------------------------
     def _injected_kinds(self) -> List[str]:
-        scenario = (
-            getattr(self.engine, "scenario", None)
-            if self.engine is not None else None
-        )
-        if scenario is None:
-            return []
-        return sorted({spec.kind for spec in scenario.faults})
+        return sorted({spec.kind for spec in self._faults()})
 
     def _check_detection(self, report: VerifierReport) -> None:
         """The detector caught the fault — and blamed the right thing.

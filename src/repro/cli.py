@@ -554,8 +554,7 @@ def _incident_rules(args):
     from repro.incidents import default_rules, load_rules
 
     if args.rules_file:
-        with open(args.rules_file) as handle:
-            return load_rules(handle.read())
+        return load_rules(args.rules_file)
     return default_rules()
 
 

@@ -36,7 +36,6 @@ from repro.tenants.dashboard import render_tenant_dashboard
 from repro.tenants.fairness import (
     FairnessReport,
     TenantStats,
-    burn_rate,
     jain_index,
     jain_timeline,
     p99_timeline,
@@ -53,7 +52,6 @@ __all__ = [
     "TenantStats",
     "WORKLOADS",
     "build_tenant_namespaces",
-    "burn_rate",
     "chaos_tenants",
     "default_tenants",
     "install_tenant_telemetry",

@@ -177,20 +177,6 @@ def slo_violation_fraction(
     return max(0.0, 1.0 - within / total)
 
 
-def burn_rate(
-    timeseries, tenant: str, slo_ms: float, error_budget: float = 0.05
-) -> float:
-    """SLO burn rate over the whole run: violation fraction divided
-    by the error budget (1.0 = exactly consuming the budget)."""
-    bounds, rows = bucket_delta_rows(timeseries, [tenant])
-    totals = [0.0] * len(bounds)
-    for _t, counts in rows:
-        for index, count in enumerate(counts):
-            totals[index] += count
-    fraction = slo_violation_fraction(bounds, totals, slo_ms)
-    return fraction / max(error_budget, 1e-9)
-
-
 # -- the per-run fairness report ----------------------------------------
 
 @dataclass

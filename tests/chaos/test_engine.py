@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import ChaosEngine, FaultSpec, Scenario, install_chaos
+from repro.chaos import ChaosEngine, FaultSpec, Scenario
 from repro.sim import Environment
 
 pytestmark = pytest.mark.chaos
@@ -168,7 +168,7 @@ def _traced_workload(attach_engine):
     env = Environment()
     tracer = install_tracer(env)
     if attach_engine:
-        install_chaos(env, seed=3)  # attached, never started
+        env.chaos = ChaosEngine(env, seed=3)  # attached, never started
     fs = LambdaFS(env, LambdaFSConfig(
         num_deployments=2,
         faas=FaaSConfig(cluster_vcpus=64.0, vcpus_per_instance=4.0),

@@ -188,6 +188,58 @@ def test_cold_start_storm_and_capacity_crunch_swap_platform_config():
     assert platform.config.cluster_vcpus == original.cluster_vcpus
 
 
+def _sample(env, engine, specs, read, times):
+    """``read()`` at each of ``times`` while ``specs`` run."""
+    engine.start(Scenario("s", faults=tuple(specs)))
+    samples = []
+    for t in times:
+        env.run(until=t)
+        samples.append(read())
+    return samples
+
+
+def test_staggered_capacity_crunches_hold_the_latest_override():
+    from repro.faas import FaaSConfig, FaaSPlatform
+
+    env = Environment()
+    platform = FaaSPlatform(env, FaaSConfig(), rng=random.Random(0))
+    original = platform.config.cluster_vcpus
+    crunch = [
+        FaultSpec("capacity_crunch", at_ms=at, duration_ms=clear - at,
+                  params={"fraction": 0.5})
+        for at, clear in ((5.0, 20.0), (10.0, 40.0))
+    ]
+    samples = _sample(
+        env, ChaosEngine(env, platform=platform), crunch,
+        lambda: platform.config.cluster_vcpus, (7.0, 15.0, 30.0, 50.0),
+    )
+    # Both overrides are half the original, not half of each other.
+    assert samples == [original / 2] * 3 + [original]
+
+
+def test_overlapping_lock_storms_hold_the_latest_active_override():
+    from repro.metastore import NdbConfig, NdbStore
+
+    def storm(at, clear, timeout):
+        return FaultSpec("lock_storm", at_ms=at, duration_ms=clear - at,
+                         params={"timeout_ms": timeout})
+
+    times = (7.0, 15.0, 30.0, 50.0)
+    for specs, expected in (
+        # Staggered: the later storm's override outlives the earlier.
+        ((storm(5.0, 20.0, 5.0), storm(10.0, 40.0, 7.0)), [5.0, 7.0, 7.0]),
+        # Nested: once the later storm clears, the earlier one's holds.
+        ((storm(5.0, 40.0, 5.0), storm(10.0, 20.0, 7.0)), [5.0, 7.0, 5.0]),
+    ):
+        env = Environment()
+        store = NdbStore(env, NdbConfig(lock_timeout_ms=2_000.0))
+        samples = _sample(
+            env, ChaosEngine(env, store=store), specs,
+            lambda: store.locks.default_timeout_ms, times,
+        )
+        assert samples == expected + [2_000.0]
+
+
 def test_tcp_sever_closes_connections_and_logs_count():
     class FakeConnection:
         def __init__(self):

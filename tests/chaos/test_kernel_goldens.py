@@ -52,26 +52,3 @@ def test_ack_loss_scenario_matches_golden_hashes():
     assert result.ops_ok == GOLDEN_OPS_OK
     assert result.outcome_digest == GOLDEN_OUTCOME_DIGEST
 
-
-def test_attached_idle_fleet_leaves_goldens_byte_identical():
-    """A DataNode fleet that is constructed and attached but never
-    started (no processes, no chunk-write draws) must be completely
-    invisible: the same goldens, bit for bit.
-
-    This pins the fleet's determinism contract — construction draws
-    nothing from any shared stream and schedules nothing.
-    """
-    from dataclasses import replace
-
-    config = replace(
-        GOLDEN_CONFIG,
-        datanodes=9,
-        datanode_start=False,
-        chunk_write_fraction=0.0,
-    )
-    result = run_scenario(builtin_scenarios()["ack-loss"], config)
-    assert result.fleet is not None
-    assert result.event_hash == GOLDEN_EVENT_HASH
-    assert result.log_hash == GOLDEN_LOG_HASH
-    assert result.ops_ok == GOLDEN_OPS_OK
-    assert result.outcome_digest == GOLDEN_OUTCOME_DIGEST

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.bench.harness import build_lambdafs
 from repro.chaos.engine import ChaosEngine, install_chaos
+from repro.core import OpType
 from repro.chaos.scenario import FaultSpec, Scenario
 from repro.datanode import DataNodeFleet, DataNodeFleetConfig
+from repro.namespace.treegen import TreeSpec, generate_tree
 from repro.sim import Environment
 from repro.trace import install_tracer
+from repro.workloads import MicroBenchmark
 
 pytestmark = pytest.mark.datanode
 
@@ -64,7 +68,7 @@ def test_disk_slow_fault_slows_matching_rack_only():
     def timed_write(rack_scope):
         env = Environment()
         fleet = DataNodeFleet(env, CONFIG, seed=0)
-        engine = install_chaos(env, seed=0, fleet=fleet)
+        engine = env.chaos = ChaosEngine(env, seed=0, fleet=fleet)
         engine.start(Scenario(
             name="slow",
             faults=(
@@ -134,3 +138,29 @@ def test_same_seed_fleet_runs_are_identical():
     second = run_once()
     assert first == second
     assert first[2]  # the scenario really exercised re-replication
+
+
+def _traced_run(attach_fleet):
+    env = Environment()
+    tree = generate_tree(TreeSpec(depth=2, seed=0))
+    handle = build_lambdafs(
+        env, tree, vcpus=64.0, deployments=2, seed=0, trace=True
+    )
+    fs = handle.system
+    if attach_fleet:
+        fs.datanode_fleet = DataNodeFleet(env, CONFIG, seed=0, store=fs.store)
+    install_chaos(env, fs, seed=0)
+    clients = handle.make_clients(4)
+    drive(env, fs.prewarm(1))
+    bench = MicroBenchmark(env, tree, seed=0)
+    drive(env, bench.run(clients, OpType.READ_FILE, 8))
+    drive(env, bench.run(clients, OpType.CREATE_FILE, 4))
+    return handle.tracer.event_hash(), fs.metrics.outcome_digest()
+
+
+def test_attached_idle_fleet_leaves_run_byte_identical():
+    """A fleet that is built and attached (to the system and to the
+    chaos engine) but never started draws from no shared stream and
+    schedules nothing: the run is identical, event for event and op
+    for op, to one without a fleet."""
+    assert _traced_run(attach_fleet=True) == _traced_run(attach_fleet=False)

@@ -1,11 +1,10 @@
-"""Jain's index, interval extraction, bucket quantiles, burn rate."""
+"""Jain's index, interval extraction, bucket quantiles, SLO violations."""
 
 import pytest
 
 from repro.telemetry.sampler import TimeSeries
 from repro.tenants import fairness
 from repro.tenants.fairness import (
-    burn_rate,
     jain_index,
     jain_timeline,
     p99_timeline,
@@ -149,19 +148,10 @@ def test_p99_timeline_skips_empty_intervals():
     assert all(v == 1.0 for _t, v in timeline)
 
 
-def test_slo_violation_fraction_and_burn_rate():
+def test_slo_violation_fraction():
     counts = [90.0, 10.0]
     assert slo_violation_fraction(["10.0", INF_LABEL], counts, 10.0) == (
         pytest.approx(0.1)
-    )
-    ts = TimeSeries()
-    ts.append(250.0, {
-        _key("tenant_latency_bucket", tenant="a", le="10.0"): 90.0,
-        _key("tenant_latency_bucket", tenant="a", le=INF_LABEL): 100.0,
-    })
-    # 10% violations over a 5% budget → burn rate 2.
-    assert burn_rate(ts, "a", slo_ms=10.0, error_budget=0.05) == (
-        pytest.approx(2.0)
     )
 
 

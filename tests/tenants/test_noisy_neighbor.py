@@ -11,8 +11,8 @@ from repro.chaos import (
     Scenario,
     builtin_scenarios,
     run_scenario,
-    scenario_needs_tenants,
 )
+from repro.chaos.runner import TENANT_FAULT_KINDS
 from repro.chaos.verifier import JAIN_FLOOR
 from repro.namespace.treegen import TreeSpec
 from repro.tenants import TenantSpec
@@ -51,13 +51,17 @@ def _flood(disable_isolation: bool) -> Scenario:
     ))
 
 
+def _floods(scenario: Scenario) -> bool:
+    return any(spec.kind in TENANT_FAULT_KINDS for spec in scenario.faults)
+
+
 def test_catalog_wiring():
     scenarios = builtin_scenarios()
     for name in FAMILIES["tenants"].scenarios:
         assert name in scenarios
-        assert scenario_needs_tenants(scenarios[name])
+        assert _floods(scenarios[name])
     assert "noisy-neighbor-runaway" in EXPECTED_FAIL
-    assert not scenario_needs_tenants(scenarios["nn-kills"])
+    assert not _floods(scenarios["nn-kills"])
 
 
 def test_governed_flood_recovers():

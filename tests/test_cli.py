@@ -95,3 +95,47 @@ def test_chaos_run_from_json_file(tmp_path, capsys):
     assert "tiny: PASS" in out
     assert "verifier: PASS" in out
     assert "fault log:" in out
+
+
+ONE_RULE = {"rules": [{
+    "type": "threshold", "name": "queue_high",
+    "signal": {"metric": "queue_depth", "mode": "gauge"},
+    "threshold": 5.0, "op": ">",
+}]}
+
+
+@pytest.fixture
+def rules_file(tmp_path):
+    import json
+
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(ONE_RULE) + "\n")
+    return str(path)
+
+
+def test_incidents_rules_reads_a_rules_file(capsys, rules_file):
+    assert main(["incidents", "rules", "--rules-file", rules_file]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    names = [row[0] for row in rows[2:] if row]
+    assert names == ["queue_high"]
+
+
+def test_incidents_analyze_applies_a_rules_file(capsys, rules_file, tmp_path):
+    import json
+
+    series = tmp_path / "telemetry.jsonl"
+    series.write_text("".join(
+        json.dumps({"t_ms": t, "values": {"queue_depth": depth}}) + "\n"
+        for t, depth in ((250.0, 1.0), (500.0, 9.0), (750.0, 9.0),
+                         (1000.0, 1.0))
+    ))
+    out_json = tmp_path / "incidents.json"
+    assert main([
+        "incidents", "analyze", str(series), "--rules-file", rules_file,
+        "--json", str(out_json),
+    ]) == 0
+    report = json.loads(out_json.read_text())
+    alerts = [
+        alert for incident in report["incidents"] for alert in incident["alerts"]
+    ]
+    assert [alert["rule"] for alert in alerts] == ["queue_high"]
