@@ -168,7 +168,7 @@ def windows(r):
 
 assert windows(analyzed) == windows(report), "analyze and run disagree"
 assert report.scenario == "ack-loss", report.scenario
-assert report.detected, "no incidents in the export"
+assert report.incidents, "no incidents in the export"
 top = report.incidents[0].top_suspect
 assert top is not None and top.fault_kind == "ack_loss", top
 assert report.mttd_ms is not None and report.mttd_ms <= 4_000.0

@@ -332,19 +332,7 @@ class HopsFSCluster:
         ]
         self._partitioner = NamespacePartitioner(len(self.namenodes))
         self.metrics = MetricsRecorder()
-        if any(hasattr(nn, "cache") for nn in self.namenodes):
-            self.metrics.attach_cache_stats(self.aggregate_cache_stats)
         self._invalidation_latency_ms = 0.4
-
-    def aggregate_cache_stats(self):
-        """Cluster-wide CacheStats rollup (cached variant only)."""
-        from repro.namespace.cache import CacheStats
-
-        return CacheStats.aggregate(
-            namenode.cache.stats
-            for namenode in self.namenodes
-            if hasattr(namenode, "cache")
-        )
 
     # -- lifecycle --------------------------------------------------------
     def format(self) -> None:

@@ -93,7 +93,6 @@ class LambdaFS:
         #: attached by the harness/runner, None in pure metadata runs.
         self.datanode_fleet = None
         self.metrics = MetricsRecorder()
-        self.metrics.attach_cache_stats(self.aggregate_cache_stats)
         #: inode id -> the READ_FILE view of that file, one for the whole
         #: fleet (see :meth:`LambdaNameNode._file_view`).  It holds at
         #: most one view per live file: deletes and subtree INVs drop

@@ -49,16 +49,6 @@ class Alert:
     resolved: bool = True
     """False when the run ended with the alert still firing."""
 
-    @property
-    def firing(self) -> bool:
-        return self.ended_ms is None
-
-    def duration_ms(self, end_ms: Optional[float] = None) -> float:
-        end = self.ended_ms if self.ended_ms is not None else end_ms
-        if end is None:
-            return 0.0
-        return max(0.0, end - self.started_ms)
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "rule": self.rule,

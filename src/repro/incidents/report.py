@@ -148,10 +148,6 @@ class IncidentReport:
     """Every firing window evaluated, incl. ones folded into incidents."""
 
     @property
-    def detected(self) -> bool:
-        return bool(self.incidents)
-
-    @property
     def mttd_ms(self) -> Optional[float]:
         """Earliest incident's detection delay (the headline MTTD)."""
         delays = [

@@ -86,10 +86,6 @@ class LockManager:
         lock = self._locks.get(key)
         return dict(lock.holders) if lock else {}
 
-    def queue_length(self, key: Any) -> int:
-        lock = self._locks.get(key)
-        return len(lock.queue) if lock else 0
-
     def acquire(self, owner: Any, key: Any, mode: LockMode, timeout_ms: Optional[float] = None):
         """Generator: acquire ``key`` in ``mode`` for ``owner``.
 

@@ -72,13 +72,6 @@ class MetricsRecorder:
         #: code -> (op, ok, via, cache_hit), and its inverse.
         self._keys: List[Tuple[str, bool, str, bool]] = []
         self._code_of: Dict[Tuple[str, bool, str, bool], int] = {}
-        self._cache_stats_provider = None
-
-    def attach_cache_stats(self, provider) -> None:
-        """Make ``provider()`` (returning a CacheStats-like object with
-        ``lookups``/``hit_ratio``) the authoritative source for
-        :meth:`cache_hit_ratio`, replacing per-record flag counting."""
-        self._cache_stats_provider = provider
 
     def record(
         self,
@@ -178,20 +171,6 @@ class MetricsRecorder:
     def average_latency(self, op: Optional[str] = None) -> float:
         values = self.latencies(op)
         return sum(values) / len(values) if values else 0.0
-
-    def cache_hit_ratio(self) -> float:
-        """Hit ratio from the attached CacheStats when available
-        (single source of truth); falls back to per-record flags for
-        standalone recorders with no system attached."""
-        if self._cache_stats_provider is not None:
-            stats = self._cache_stats_provider()
-            if stats.lookups:
-                return stats.hit_ratio
-        if not self._ends:
-            return 0.0
-        hit = [key[3] for key in self._keys]
-        hits = sum(1 for code in self._codes if hit[code])
-        return hits / len(self._ends)
 
 
 def percentile(values: Sequence[float], q: float) -> float:

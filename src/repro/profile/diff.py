@@ -14,7 +14,7 @@ diffed against itself reports zero regressions by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.metrics.recorder import percentile
 from repro.profile.critical_path import Profile
@@ -64,12 +64,6 @@ class ProfileDiff:
 
     def improvements(self) -> List[StageDelta]:
         return [delta for delta in self.stage_deltas if delta.improvement]
-
-    def worst(self) -> Optional[StageDelta]:
-        regressed = self.regressions()
-        if not regressed:
-            return None
-        return max(regressed, key=lambda delta: delta.delta_ms)
 
 
 def _mean_stages(profile: Profile) -> Dict[str, Dict[str, float]]:

@@ -242,11 +242,6 @@ class Process(Event):
         self._target: Optional[Event] = Initialize(env, self)
 
     @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
-
-    @property
     def is_alive(self) -> bool:
         """True until the wrapped generator exits."""
         return self._value is PENDING

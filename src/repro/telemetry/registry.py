@@ -206,9 +206,6 @@ class Histogram:
     def count(self, **labels: Any) -> int:
         return sum(self._counts.get(label_key(labels), ()))
 
-    def sum(self, **labels: Any) -> float:
-        return self._sums.get(label_key(labels), 0.0)
-
     def aggregate_quantile(self, q: float) -> float:
         """Quantile over the merged buckets of every labeled child."""
         merged = [0] * (len(self.buckets) + 1)

@@ -115,12 +115,6 @@ class TimeSeries:
         """Per-interval increases of a cumulative series (for rates)."""
         return interval_deltas(self.series(key))
 
-    def last(self, key: str) -> float:
-        for _, values in reversed(self.samples):
-            if key in values:
-                return values[key]
-        return 0.0
-
     def window(self, t0_ms: float, t1_ms: float) -> "TimeSeries":
         """Samples with ``t0_ms <= t <= t1_ms`` (both ends inclusive).
 
@@ -170,10 +164,6 @@ class Sampler:
         self.timeseries = TimeSeries()
         self._stopped = False
         self._proc = None
-
-    @property
-    def running(self) -> bool:
-        return self._proc is not None and not self._stopped
 
     def start(self) -> "Sampler":
         """Begin sampling at the current sim-time (idempotent)."""

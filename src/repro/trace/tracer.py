@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import count
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 
 class Span:
@@ -206,39 +206,6 @@ class Tracer:
         return self._hash.hexdigest()
 
     # -- analysis ----------------------------------------------------------
-    def children(self, span: Any) -> List[Span]:
-        """Direct children of ``span`` (a Span or span id)."""
-        wanted = parent_id_of(span)
-        return [s for s in self.spans.values() if s.parent_id == wanted]
-
-    def tree(self, root: Any) -> List[Tuple[int, Span]]:
-        """Depth-first (depth, span) pairs of the causal tree under ``root``."""
-        by_parent: Dict[Optional[int], List[Span]] = {}
-        for span in self.spans.values():
-            by_parent.setdefault(span.parent_id, []).append(span)
-        for bucket in by_parent.values():
-            bucket.sort(key=lambda s: (s.start_ms, s.span_id))
-        root_id = parent_id_of(root)
-        out: List[Tuple[int, Span]] = []
-        root_span = self.spans.get(root_id)
-        if root_span is None:
-            return out
-        stack: List[Tuple[int, Span]] = [(0, root_span)]
-        while stack:
-            depth, span = stack.pop()
-            out.append((depth, span))
-            for child in reversed(by_parent.get(span.span_id, ())):
-                stack.append((depth + 1, child))
-        return out
-
-    def durations(self, kind: str) -> List[float]:
-        """All closed-span durations for one kind (feeds percentile())."""
-        return [
-            span.duration_ms
-            for span in self.spans.values()
-            if span.kind == kind and not span.open
-        ]
-
     def open_spans(self) -> List[Span]:
         """Retained spans never closed — instrumentation leaks.
 

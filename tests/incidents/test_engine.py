@@ -154,7 +154,6 @@ def test_finish_closes_still_firing_alert_unresolved():
     assert len(alerts) == 1
     assert alerts[0].ended_ms == 500.0
     assert not alerts[0].resolved
-    assert not alerts[0].firing
 
 
 def test_duplicate_rule_names_rejected():

@@ -70,7 +70,7 @@ def test_build_report_mttd_from_first_fault():
         Evidence(),
         scenario="x", seed=3, first_fault_at_ms=1_000.0, end_ms=2_000.0,
     )
-    assert report.detected
+    assert report.incidents
     assert report.incidents[0].mttd_ms == 200.0
     assert report.mttd_ms == 200.0
 

@@ -162,7 +162,7 @@ def test_lock_timeout():
 
     run(env, holder(env), waiter(env))
     assert failures == [4]
-    assert locks.queue_length("k") == 0
+    assert locks._locks == {}
 
 
 def test_release_unheld_is_noop():

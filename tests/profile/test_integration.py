@@ -108,7 +108,7 @@ def test_doubled_store_service_time_is_flagged_in_store_stage():
     flagged = {(delta.op, delta.stage) for delta in regressions}
     assert ("create file", "store") in flagged
     # The dominant regression is the store stage, not a knock-on.
-    assert diff.worst().stage == "store"
+    assert max(regressions, key=lambda delta: delta.delta_ms).stage == "store"
 
 
 def test_self_diff_of_a_real_run_is_clean():

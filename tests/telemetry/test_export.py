@@ -29,7 +29,7 @@ def test_jsonl_roundtrip(tmp_path):
     write_jsonl(_sample_timeseries(), str(path))
     ts = read_jsonl(str(path))
     assert ts.times() == [0.0, 250.0]
-    assert ts.last("a") == 3.0
+    assert ts.series("a")[-1] == (250.0, 3.0)
     assert ts.series('b{k="v"}')[0] == (0.0, 2.5)
 
 

@@ -74,7 +74,7 @@ def test_histogram_buckets_and_quantile():
     for value in (0.5, 2.0, 2.0, 50.0, 1_000.0):
         histogram.observe(value, op="read")
     assert histogram.count(op="read") == 5
-    assert histogram.sum(op="read") == pytest.approx(1_054.5)
+    assert histogram.collect()['lat_sum{op="read"}'] == pytest.approx(1_054.5)
     assert histogram.cumulative_buckets(label_key({"op": "read"})) == [
         ("1.0", 1), ("10.0", 3), ("100.0", 4), ("+Inf", 5),
     ]

@@ -16,8 +16,7 @@ def test_timeseries_series_and_keys():
     assert ts.series("a") == [(0.0, 1.0), (100.0, 2.0)]
     # Missing points fill with the default.
     assert ts.series("b") == [(0.0, 0.0), (100.0, 5.0)]
-    assert ts.last("b") == 5.0
-    assert ts.last("missing") == 0.0
+    assert ts.series("missing") == [(0.0, 0.0), (100.0, 0.0)]
 
 
 def test_timeseries_deltas_first_interval_from_zero():
@@ -60,7 +59,7 @@ def test_sampler_samples_on_sim_clock():
     # Samples at t=0,100,...,500 plus the forced final snapshot.
     assert times == [0.0, 100.0, 200.0, 300.0, 400.0, 500.0, 500.0]
     assert sampler.timeseries.series("ops_total")[0] == (0.0, 1.0)
-    assert sampler.timeseries.last("ops_total") == 6.0
+    assert sampler.timeseries.series("ops_total")[-1] == (500.0, 6.0)
 
 
 def test_sampler_skips_duplicate_instants_unless_forced():
@@ -91,7 +90,6 @@ def test_sampler_stop_halts_the_loop():
     count = len(sampler.timeseries)
     env.run(until=1_000.0)
     assert len(sampler.timeseries) == count
-    assert not sampler.running
 
 
 def test_sampler_rejects_bad_interval():

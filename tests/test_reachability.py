@@ -49,6 +49,11 @@ ALLOWED = {
     "TcpServer.connection_count": "leaked-connection check",
     "OpProfile.attributed_ms": "attribution completeness",
     "Event.processed": "kernel tests",
+    "Environment.event": "kernel tests",
+    "Interrupt.cause": "kernel tests",
+    "Container.level": "kernel tests",
+    "LockManager.holders": "lock-table snapshot for the lock property tests",
+    "MetadataCache.paths": "cache contents for the cache property tests",
     "parse_prometheus_text": "reference parser for the Prometheus exporter",
     "load_report": "reference reader for IncidentReport.save",
     "Coordinator.watch_death": "the mechanism the watch_delay fault perturbs",

@@ -22,12 +22,6 @@ def test_span_parenting_and_tree():
     assert handle.parent_id == rpc.span_id
     assert root.attrs["ok"] is True
 
-    assert [s.span_id for s in tracer.children(root)] == [rpc.span_id]
-    tree = tracer.tree(root)
-    assert [(depth, s.kind) for depth, s in tree] == [
-        (0, "client.op"), (1, "rpc.tcp"), (2, "nn.handle")
-    ]
-
 
 def test_parent_id_of_accepts_span_id_none():
     env = Environment()
@@ -65,10 +59,10 @@ def test_durations_and_timing_by_kind():
     env.run(until=done)
     tracer.end(span)
     tracer.point("txn.end", "t1")
-    assert tracer.durations("txn") == [pytest.approx(5.0)]
-    # Open spans are excluded from durations().
-    tracer.begin("txn", "t2")
-    assert len(tracer.durations("txn")) == 1
+    assert span.duration_ms == pytest.approx(5.0)
+    # A span still open has no duration yet.
+    still_open = tracer.begin("txn", "t2")
+    assert still_open.open and still_open.duration_ms == 0.0
 
 
 def test_max_spans_drops_but_still_counts():
@@ -147,8 +141,8 @@ def test_open_spans_surfaces_leaks():
 
 
 def test_retention_cap_drops_are_safe():
-    """Spans past the cap are dropped from storage, but ending them,
-    parenting children on them, and walking trees must not raise."""
+    """Spans past the cap are dropped from storage, but ending them
+    and parenting children on them must not raise."""
     env = Environment()
     tracer = Tracer(env, max_spans=2)
     kept_a = tracer.begin("a", "x")
@@ -162,10 +156,6 @@ def test_retention_cap_drops_are_safe():
     # A child whose parent was dropped still records its parent_id...
     orphan = tracer.begin("d", "x", parent=dropped)
     assert orphan.parent_id == dropped.span_id
-    # ...and tree()/children() on missing ids are empty,
-    # not KeyErrors.
-    assert tracer.children(dropped) == []
-    assert tracer.tree(dropped.span_id) == []
     tracer.end(kept_b)
     tracer.end(kept_a)
     # Dropped spans do not count as open leaks (they are not retained).
