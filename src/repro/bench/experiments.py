@@ -87,7 +87,6 @@ def _spotify_driver(
     clients: int,
     seed: int,
     kill_interval_ms: Optional[float] = None,
-    interval_ms: float = 10_000.0,
 ) -> SpotifyRun:
     env = handle.env
     client_objects = handle.make_clients(clients)
@@ -118,7 +117,7 @@ def _spotify_driver(
         SpotifyConfig(
             base_throughput=base_throughput,
             duration_ms=duration_ms,
-            interval_ms=interval_ms,
+            interval_ms=10_000.0,
             seed=seed,
         ),
         tree,
@@ -306,9 +305,8 @@ def _one_scaling_point(
     ops_per_client: int,
     warmup_per_client: int,
     seed: int,
-    tree=None,
 ) -> ScalingPoint:
-    tree = tree if tree is not None else generate_tree(DEFAULT_TREE)
+    tree = generate_tree(DEFAULT_TREE)
     env = Environment()
     handle = SYSTEM_BUILDERS[system](env, tree, vcpus=vcpus, seed=seed)
     result = run_micro(
@@ -333,8 +331,6 @@ def fig11_client_scaling(
     systems: Sequence[str] = ("lambda", "hopsfs", "hopsfs_cache", "infinicache", "cephfs"),
     ops_per_client: int = 192,
     warmup_per_client: int = 48,
-    vcpus: float = 512.0,
-    seed: int = 0,
 ) -> List[ScalingPoint]:
     """Figure 11 (paper: 8→1024 clients at fixed 512 vCPUs)."""
     points = []
@@ -342,8 +338,8 @@ def fig11_client_scaling(
         for count in client_counts:
             for system in systems:
                 points.append(_one_scaling_point(
-                    system, op, count, vcpus, ops_per_client,
-                    warmup_per_client, seed,
+                    system, op, count, 512.0, ops_per_client,
+                    warmup_per_client, seed=0,
                 ))
     return points
 
@@ -355,7 +351,6 @@ def fig12_resource_scaling(
     clients: int = 128,
     ops_per_client: int = 192,
     warmup_per_client: int = 48,
-    seed: int = 0,
 ) -> List[ScalingPoint]:
     """Figure 12 (paper: 16→512 vCPUs)."""
     points = []
@@ -364,17 +359,15 @@ def fig12_resource_scaling(
             for system in systems:
                 points.append(_one_scaling_point(
                     system, op, clients, vcpus, ops_per_client,
-                    warmup_per_client, seed,
+                    warmup_per_client, seed=0,
                 ))
     return points
 
 
 def fig13_perf_per_cost(
     client_counts: Sequence[int] = (8, 32, 128, 256),
-    ops: Sequence[OpType] = (OpType.READ_FILE, OpType.LS, OpType.STAT),
     ops_per_client: int = 192,
     warmup_per_client: int = 48,
-    seed: int = 0,
 ) -> List[dict]:
     """Figure 13: perf-per-cost for read ops, λFS vs HopsFS+Cache.
 
@@ -386,19 +379,19 @@ def fig13_perf_per_cost(
     """
     rows = []
     tree = generate_tree(DEFAULT_TREE)
-    for op in ops:
+    for op in (OpType.READ_FILE, OpType.LS, OpType.STAT):
         for count in client_counts:
             env = Environment()
-            handle = build_lambdafs(env, tree, seed=seed)
+            handle = build_lambdafs(env, tree, seed=0)
             result = run_micro(handle, tree, op, count, ops_per_client,
-                               warmup_per_client, seed=seed)
+                               warmup_per_client, seed=0)
             lambda_cost = handle.system.cost_usd()
             lambda_ppc = result.throughput / max(lambda_cost, 1e-12)
 
             env2 = Environment()
-            handle2 = build_hopsfs_cache(env2, tree, seed=seed)
+            handle2 = build_hopsfs_cache(env2, tree, seed=0)
             result2 = run_micro(handle2, tree, op, count, ops_per_client,
-                                warmup_per_client, seed=seed)
+                                warmup_per_client, seed=0)
             cache_cost = handle2.cost_usd(env2.now)
             cache_ppc = result2.throughput / max(cache_cost, 1e-12)
             rows.append({
@@ -416,8 +409,6 @@ def fig14_autoscaling_ablation(
     clients: int = 192,
     ops_per_client: int = 128,
     warmup_per_client: int = 32,
-    deployments: int = 4,
-    seed: int = 0,
 ) -> List[dict]:
     """Figure 14: auto-scaling enabled / limited (≤3) / disabled (1).
 
@@ -433,11 +424,11 @@ def fig14_autoscaling_ablation(
         for mode, cap in modes.items():
             env = Environment()
             handle = build_lambdafs(
-                env, tree, seed=seed, deployments=deployments,
+                env, tree, seed=0, deployments=4,
                 faas_overrides={"max_instances_per_deployment": cap},
             )
             result = run_micro(handle, tree, op, clients, ops_per_client,
-                               warmup_per_client, seed=seed)
+                               warmup_per_client, seed=0)
             row[mode] = result.throughput
         rows.append(row)
     return rows
@@ -600,12 +591,7 @@ def appb_straggler_ablation(
     return out
 
 
-def appc_antithrash_ablation(
-    clients: int = 96,
-    ops_per_client: int = 160,
-    vcpus: float = 56.0,
-    seed: int = 5,
-) -> Dict[str, dict]:
+def appc_antithrash_ablation() -> Dict[str, dict]:
     """Appendix C: a vCPU cap too small for every deployment forces
     container churn; anti-thrashing mode suppresses the HTTP storms
     that drive it."""
@@ -614,15 +600,15 @@ def appc_antithrash_ablation(
     for enabled in (True, False):
         env = Environment()
         handle = build_lambdafs(
-            env, tree, vcpus=vcpus, deployments=16, seed=seed,
+            env, tree, vcpus=56.0, deployments=16, seed=5,
             client_overrides={
                 "antithrash_enabled": enabled,
                 "replacement_probability": 0.05,
             },
             faas_overrides={"idle_reclaim_ms": 2_000.0},
         )
-        result = run_micro(handle, tree, OpType.READ_FILE, clients,
-                           ops_per_client, warmup_per_client=16, seed=seed)
+        result = run_micro(handle, tree, OpType.READ_FILE, 96, 160,
+                           warmup_per_client=16, seed=5)
         platform = handle.system.platform
         out["on" if enabled else "off"] = {
             "throughput": result.throughput,

@@ -190,21 +190,16 @@ def build_infinicache(
     env: Environment,
     tree: GeneratedTree,
     vcpus: float = 512.0,
-    deployments: int = 16,
     seed: int = 0,
     ndb: Optional[NdbConfig] = None,
     trace: bool = False,
-    telemetry: bool = False,
-    telemetry_interval_ms: float = 500.0,
-    profile: bool = False,
 ) -> SystemHandle:
-    tracer = _maybe_trace(env, trace or profile)
-    profiler = _maybe_profile(tracer, profile)
-    bundle = _maybe_telemetry(env, telemetry, telemetry_interval_ms)
+    tracer = _maybe_trace(env, trace)
     # A static fleet is sized to its resources up front: one function
-    # per deployment, as many deployments as the vCPU budget fits.
+    # per deployment, as many deployments as the vCPU budget fits
+    # (at most 16, λFS's default).
     per_instance = FaaSConfig().vcpus_per_instance
-    deployments = max(1, min(deployments, int(vcpus // per_instance)))
+    deployments = max(1, min(16, int(vcpus // per_instance)))
     base = LambdaFSConfig(
         num_deployments=deployments,
         seed=seed,
@@ -234,8 +229,6 @@ def build_infinicache(
         system=fs,
         prewarm=lambda: fs.prewarm(1),
         tracer=tracer,
-        telemetry=bundle,
-        profiler=profiler,
     )
 
 
@@ -248,9 +241,8 @@ def _build_hops(
     ndb: Optional[NdbConfig],
     name: str,
     telemetry: bool = False,
-    telemetry_interval_ms: float = 500.0,
 ) -> SystemHandle:
-    bundle = _maybe_telemetry(env, telemetry, telemetry_interval_ms)
+    bundle = _maybe_telemetry(env, telemetry, 500.0)
     namenodes = max(1, int(vcpus // 16))
     config = HopsFSConfig(
         num_namenodes=namenodes,
@@ -276,10 +268,8 @@ def _build_hops(
 
 def build_hopsfs(
     env, tree, vcpus: float = 512.0, seed: int = 0, ndb=None,
-    telemetry: bool = False,
 ) -> SystemHandle:
-    return _build_hops(env, tree, False, vcpus, seed, ndb, "HopsFS",
-                       telemetry=telemetry)
+    return _build_hops(env, tree, False, vcpus, seed, ndb, "HopsFS")
 
 
 def build_hopsfs_cache(

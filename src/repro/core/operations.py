@@ -400,8 +400,8 @@ class NamespaceOps:
             raise NotFoundError(f"{path!r} does not exist")
 
     # -- reads --------------------------------------------------------
-    def stat(self, txn: Transaction, path: str, known=None) -> Generator:
-        resolved = yield from self.resolve(txn, path, known)
+    def stat(self, txn: Transaction, path: str) -> Generator:
+        resolved = yield from self.resolve(txn, path)
         return resolved
 
     def ls(self, txn: Transaction, path: str, known=None) -> Generator:
@@ -613,7 +613,7 @@ class NamespaceOps:
     def release_subtree_flag(txn: Transaction, root: INode) -> Generator:
         yield from txn.delete(("st_lock", root.id))
 
-    def collect_subtree(self, txn: Transaction, root_path: str, known=None) -> Generator:
+    def collect_subtree(self, txn: Transaction, root_path: str) -> Generator:
         """Quiesce and enumerate a subtree (Appendix D, phases 1–2).
 
         Takes write locks level by level in a predefined total order
@@ -621,7 +621,7 @@ class NamespaceOps:
         first.
         """
         root_path = normalize(root_path)
-        resolved = yield from self.resolve(txn, root_path, known)
+        resolved = yield from self.resolve(txn, root_path)
         root = resolved[root_path]
         yield from txn.lock(inode_key(root.id), exclusive=True)
         collected: List[Tuple[str, INode]] = [(root_path, root)]

@@ -83,9 +83,7 @@ class DataNodeFleet:
         )
 
     # -- data path -----------------------------------------------------
-    def client_write(
-        self, block_id: int, actor: str, parent: Any = None
-    ) -> Generator:
+    def client_write(self, block_id: int, actor: str) -> Generator:
         """Write one chunk of ``block_id`` through a replica pipeline.
 
         Placement is computed at write time from the tracker's live
@@ -95,9 +93,7 @@ class DataNodeFleet:
         targets = self.placement(block_id)
         if not targets:
             return []
-        stored = yield from write_pipeline(
-            self, block_id, targets, actor, parent=parent
-        )
+        stored = yield from write_pipeline(self, block_id, targets, actor)
         return stored
 
     def register_replicas(self, block_id: int, node_ids: Sequence[str]) -> None:

@@ -16,7 +16,7 @@ timeout, so a pipeline can never wedge the run's liveness gate.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, List, Sequence
+from typing import TYPE_CHECKING, Generator, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datanode.fleet import DataNodeFleet
@@ -33,7 +33,6 @@ def write_pipeline(
     block_id: int,
     targets: Sequence[str],
     actor: str,
-    parent: Any = None,
 ) -> Generator:
     """Write one chunk of ``block_id`` through the target pipeline.
 
@@ -46,7 +45,7 @@ def write_pipeline(
     root = None
     if tracer is not None:
         root = tracer.begin(
-            "dn.pipeline", actor, parent=parent, block=block_id, width=len(targets)
+            "dn.pipeline", actor, block=block_id, width=len(targets)
         )
     stored: List[str] = []
     for position, node_id in enumerate(targets):

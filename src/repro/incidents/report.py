@@ -103,16 +103,15 @@ class Incident:
 
 def group_alerts(
     alerts: Sequence[Alert],
-    gap_ms: float = GROUP_GAP_MS,
     end_ms: Optional[float] = None,
 ) -> List[Incident]:
     """Fold alert windows into incidents by temporal overlap.
 
     Alerts are swept in start order; an alert joins the open incident
-    when it starts within ``gap_ms`` of the incident's current end,
-    else it opens a new one.  A still-firing alert (``ended_ms`` None)
-    extends its incident to ``end_ms`` (or its own start when no run
-    end is known).
+    when it starts within :data:`GROUP_GAP_MS` of the incident's
+    current end, else it opens a new one.  A still-firing alert
+    (``ended_ms`` None) extends its incident to ``end_ms`` (or its own
+    start when no run end is known).
     """
     def end_of(alert: Alert) -> float:
         if alert.ended_ms is not None:
@@ -121,7 +120,7 @@ def group_alerts(
 
     incidents: List[Incident] = []
     for alert in sorted(alerts, key=lambda a: (a.started_ms, a.rule)):
-        if incidents and alert.started_ms <= incidents[-1].ended_ms + gap_ms:
+        if incidents and alert.started_ms <= incidents[-1].ended_ms + GROUP_GAP_MS:
             incident = incidents[-1]
             incident.alerts.append(alert)
             incident.ended_ms = max(incident.ended_ms, end_of(alert))
@@ -300,12 +299,11 @@ def build_report(
     seed: int = 0,
     first_fault_at_ms: Optional[float] = None,
     end_ms: float = 0.0,
-    gap_ms: float = GROUP_GAP_MS,
 ) -> IncidentReport:
     """Group alerts, attribute each incident, assemble the report."""
     if evidence is None:
         evidence = Evidence()
-    incidents = group_alerts(alerts, gap_ms=gap_ms, end_ms=end_ms or None)
+    incidents = group_alerts(alerts, end_ms=end_ms or None)
     for incident in incidents:
         incident.suspects = rank_suspects(incident, evidence)
         if first_fault_at_ms is not None:

@@ -357,20 +357,19 @@ class Transaction:
     def lock_many(
         self,
         keys: Iterable[Any],
-        exclusive: bool = False,
         exclusive_keys: Iterable[Any] = (),
     ) -> Generator:
         """Lock several keys in canonical order (deadlock avoidance).
 
-        ``exclusive_keys`` names keys to lock in write mode even when
-        ``exclusive`` is False — callers that know they will modify a
-        row take the write lock up front instead of upgrading later
+        Keys are locked shared, except ``exclusive_keys``, which are
+        locked in write mode: callers that know they will modify a row
+        take the write lock up front instead of upgrading later
         (upgrades between concurrent readers deadlock).
         """
         strong = set(exclusive_keys)
         self._lock_epoch += 1
         for key in sorted(set(keys) | strong, key=repr):
-            yield from self.lock(key, exclusive or key in strong, _batched=True)
+            yield from self.lock(key, key in strong, _batched=True)
 
     # -- reads -------------------------------------------------------------
     def read(self, key: Any) -> Generator:

@@ -58,7 +58,7 @@ def generate_tree(spec: TreeSpec) -> GeneratedTree:
     return tree
 
 
-def flat_directory(root: str, file_count: int, prefix: str = "f") -> GeneratedTree:
+def flat_directory(root: str, file_count: int) -> GeneratedTree:
     """A single directory holding ``file_count`` files.
 
     Used by the subtree-operation experiments (Table 3), which move
@@ -66,5 +66,5 @@ def flat_directory(root: str, file_count: int, prefix: str = "f") -> GeneratedTr
     """
     tree = GeneratedTree()
     tree.directories.append(root)
-    tree.files = [f"{root}/{prefix}{index}" for index in range(file_count)]
+    tree.files = [f"{root}/f{index}" for index in range(file_count)]
     return tree

@@ -97,17 +97,10 @@ class Telemetry:
         write_prometheus(self.registry, paths["prom"])
         return paths
 
-    def dashboard(self, width: int = 56) -> str:
-        return render_dashboard(self.timeseries, self.registry, width=width)
+    def dashboard(self) -> str:
+        return render_dashboard(self.timeseries, self.registry)
 
 
-def install_telemetry(
-    env: Any,
-    interval_ms: float = 500.0,
-    start: bool = True,
-) -> Telemetry:
+def install_telemetry(env: Any, interval_ms: float = 500.0) -> Telemetry:
     """Attach a registry to ``env.metrics`` and start the sampler."""
-    telemetry = Telemetry(env, interval_ms=interval_ms)
-    if start:
-        telemetry.start()
-    return telemetry
+    return Telemetry(env, interval_ms=interval_ms).start()

@@ -32,6 +32,10 @@ _SECTION_FAMILIES = {
     "rpc_requests_total", "cache_hit_ratio", "cache_trie_size",
     "cache_hits_total", "cache_misses_total",
 }
+#: Sparkline columns per dashboard row.
+WIDTH = 56
+#: Series the "other series" section draws before it elides the rest.
+OTHER_SERIES_SHOWN = 12
 
 
 def _resample(values: Sequence[float], width: int) -> List[float]:
@@ -143,7 +147,7 @@ def _cache_section(ts: TimeSeries, width: int) -> List[str]:
     return lines
 
 
-def _generic_section(ts: TimeSeries, width: int, limit: int = 12) -> List[str]:
+def _generic_section(ts: TimeSeries, width: int) -> List[str]:
     leftovers = [
         key for key in ts.keys()
         if parse_series_key(key)[0] not in _SECTION_FAMILIES
@@ -152,10 +156,10 @@ def _generic_section(ts: TimeSeries, width: int, limit: int = 12) -> List[str]:
     if not leftovers:
         return []
     lines = ["== other series =="]
-    for key in leftovers[:limit]:
+    for key in leftovers[:OTHER_SERIES_SHOWN]:
         lines.append(_spark_row(key, ts.series(key), width, fmt="{:,.1f}"))
-    if len(leftovers) > limit:
-        lines.append(f"  … {len(leftovers) - limit} more series "
+    if len(leftovers) > OTHER_SERIES_SHOWN:
+        lines.append(f"  … {len(leftovers) - OTHER_SERIES_SHOWN} more series "
                      f"(see the CSV/JSONL exports)")
     return lines
 
@@ -184,7 +188,6 @@ def _counters_table(registry: MetricsRegistry) -> List[str]:
 def render_dashboard(
     timeseries: TimeSeries,
     registry: Optional[MetricsRegistry] = None,
-    width: int = 56,
 ) -> str:
     """Render the full dashboard; returns a printable string."""
     if not timeseries.samples:
@@ -195,10 +198,10 @@ def render_dashboard(
               f"{(t1 - t0) / 1_000.0:.2f} s simulated "
               f"({len(timeseries.keys())} series)")
     sections: List[List[str]] = [
-        _fleet_section(timeseries, width),
-        _rpc_section(timeseries, width),
-        _cache_section(timeseries, width),
-        _generic_section(timeseries, width),
+        _fleet_section(timeseries, WIDTH),
+        _rpc_section(timeseries, WIDTH),
+        _cache_section(timeseries, WIDTH),
+        _generic_section(timeseries, WIDTH),
     ]
     if registry is not None:
         sections.append(_counters_table(registry))

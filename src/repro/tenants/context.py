@@ -198,7 +198,6 @@ class TenantGovernor:
         env: Environment,
         specs: Sequence[TenantSpec],
         headroom: float = 2.0,
-        burst_ms: float = 250.0,
     ) -> "TenantGovernor":
         """Budget each tenant at ``headroom ×`` its nominal demand.
 
@@ -209,7 +208,7 @@ class TenantGovernor:
             spec.name: max(headroom * spec.demand_ops_per_ms(), 1e-6)
             for spec in specs
         }
-        return cls(env, rates, burst_ms=burst_ms)
+        return cls(env, rates)
 
     def _refill(self, tenant: str) -> None:
         now = self.env.now

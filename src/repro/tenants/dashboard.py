@@ -20,10 +20,13 @@ from repro.tenants.fairness import (
 )
 
 
+#: Sparkline columns per tenant row.
+WIDTH = 48
+
+
 def render_tenant_dashboard(
     timeseries,
     specs: Optional[Sequence] = None,
-    width: int = 48,
     report: Optional[FairnessReport] = None,
 ) -> str:
     """The multi-tenant run at a glance."""
@@ -44,16 +47,16 @@ def render_tenant_dashboard(
     for name in names:
         lines.append(f"  {name}")
         per_interval = [(t, row[name]) for t, row in rows]
-        lines.append(_spark_row("  ops/interval", per_interval, width))
+        lines.append(_spark_row("  ops/interval", per_interval, WIDTH))
         p99 = p99_timeline(timeseries, [name])
         finite = [(t, v) for t, v in p99 if v != float("inf")]
         if finite:
             lines.append(
-                _spark_row("  p99 ms", finite, width, fmt="{:,.1f}")
+                _spark_row("  p99 ms", finite, WIDTH, fmt="{:,.1f}")
             )
     lines.append("  fairness (Jain index per interval)")
     lines.append(
-        _spark_row("  jain", report.timeline, width, fmt="{:.3f}")
+        _spark_row("  jain", report.timeline, WIDTH, fmt="{:.3f}")
     )
     lines.append("")
     lines.append(report.render())

@@ -255,7 +255,6 @@ class FairnessReport:
 def summarize(
     timeseries,
     specs: Optional[Sequence] = None,
-    weights: Optional[Mapping[str, float]] = None,
 ) -> FairnessReport:
     """Build the :class:`FairnessReport` for one sampled run.
 
@@ -265,10 +264,9 @@ def summarize(
     Every tenant's latency target is :data:`P99_SLO_MS`.
     """
     by_name = {spec.name: spec for spec in (specs or [])}
-    if weights is None and specs:
-        weights = {
-            spec.name: getattr(spec, "weight", 1.0) for spec in specs
-        }
+    weights = {
+        spec.name: getattr(spec, "weight", 1.0) for spec in specs
+    } if specs else None
     ops_by_tenant = tenant_totals(timeseries, "tenant_ops_total")
     names = list(ops_by_tenant)
     ends = {

@@ -24,13 +24,9 @@ is how the fairness gate computes windowed victim p99
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
-from repro.telemetry.registry import (
-    DEFAULT_BUCKETS_MS,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.telemetry.registry import Histogram, MetricsRegistry
 
 #: Every family the tenant layer emits (dashboard + export tooling).
 TENANT_FAMILIES = (
@@ -62,7 +58,6 @@ def _bucket_reader(
 def install_tenant_telemetry(
     metrics: MetricsRegistry,
     tenant_names: Sequence[str],
-    buckets: Iterable[float] = DEFAULT_BUCKETS_MS,
 ) -> Histogram:
     """Declare the tenant latency histogram and its bucket gauges.
 
@@ -71,8 +66,7 @@ def install_tenant_telemetry(
     callers can read end-of-run quantiles directly.
     """
     histogram = metrics.histogram(
-        "tenant_op_latency_ms", buckets=buckets,
-        help="per-tenant client op latency",
+        "tenant_op_latency_ms", help="per-tenant client op latency",
     )
     bounds: Tuple[float, ...] = histogram.buckets
     for tenant in tenant_names:

@@ -232,8 +232,8 @@ class LockDisciplineChecker(Checker):
 
     name = "locks"
 
-    def __init__(self, fail_fast: bool = False) -> None:
-        super().__init__(fail_fast)
+    def __init__(self) -> None:
+        super().__init__()
         # owner label -> key repr -> mode ("shared" | "exclusive")
         self.held: Dict[str, Dict[str, str]] = {}
         # key repr -> {owner label: mode} (for mutual-exclusion checks)
@@ -335,19 +335,14 @@ class LockDisciplineChecker(Checker):
                         del self.by_key[key]
 
 
-def default_checkers(fail_fast: bool = False) -> List[Checker]:
+def default_checkers() -> List[Checker]:
     """The standard battery: coherence + lock discipline."""
-    return [CoherenceChecker(fail_fast), LockDisciplineChecker(fail_fast)]
+    return [CoherenceChecker(), LockDisciplineChecker()]
 
 
-def install_tracer(
-    env,
-    fail_fast: bool = False,
-    keep_spans: bool = True,
-    checkers: Optional[List[Checker]] = None,
-) -> Tracer:
+def install_tracer(env) -> Tracer:
     """Attach a tracer with the default invariant battery to ``env``."""
-    tracer = Tracer(env, keep_spans=keep_spans)
-    for checker in default_checkers(fail_fast) if checkers is None else checkers:
+    tracer = Tracer(env)
+    for checker in default_checkers():
         tracer.add_checker(checker)
     return tracer

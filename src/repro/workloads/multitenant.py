@@ -68,8 +68,6 @@ class MultiTenantWorkload:
         env: Environment,
         specs: Sequence[TenantSpec],
         seed: int = 0,
-        governor: Optional[TenantGovernor] = None,
-        flood_think: Optional[Callable[[str], Optional[float]]] = None,
         absorb_errors: Tuple[type, ...] = (),
     ) -> None:
         if not specs:
@@ -77,8 +75,10 @@ class MultiTenantWorkload:
         self.env = env
         self.specs = tuple(specs)
         self.seed = seed
-        self.governor = governor
-        self.flood_think = flood_think
+        #: Set by the runner when the run has a tenant governor or a
+        #: flood override; a bare workload has neither.
+        self.governor: Optional[TenantGovernor] = None
+        self.flood_think: Optional[Callable[[str], Optional[float]]] = None
         self.absorb_errors = absorb_errors
         self.merged, self.trees = build_tenant_namespaces(specs, seed=seed)
         self.counts: Dict[str, TenantCounts] = {

@@ -370,6 +370,11 @@ def unreached(modules, run):
             if not _reached(uses, *where)}
 
 
+@functools.lru_cache(maxsize=None)
+def unreached_in_tree():
+    return unreached(*scan())
+
+
 def _reached(uses, module, cls, name, is_property):
     if name in uses.reflected:
         return True
@@ -387,7 +392,7 @@ def test_the_scan_sees_the_tree():
     assert {"repro.core.fs", "repro.sim.core"} <= set(modules)
     assert {"LambdaFS", "Environment.run"} <= {
         q for q, *_ in definitions(modules)}
-    assert "Environment.run" not in unreached(*scan())
+    assert "Environment.run" not in unreached_in_tree()
 
 
 def test_every_module_is_imported_by_run_code():
@@ -404,7 +409,7 @@ def test_every_module_is_imported_by_run_code():
 
 
 def test_every_definition_is_used_by_run_code():
-    unused = unreached(*scan())
+    unused = unreached_in_tree()
     extra = sorted(unused - set(ALLOWED))
     assert not extra, (
         f"{len(extra)} definition(s) under src/ that no run code reaches; "
