@@ -1,7 +1,9 @@
 """Shared helpers for the benchmark suite.
 
-Heavy experiments (the Spotify suite) are computed once and shared by
-every figure that derives from them.  Tables print to stdout (run
+Heavy experiments (the Spotify suite) are computed once per process
+and shared by every figure in it that derives from them.  Nothing is
+cached on disk, so a rerun always measures the current code.  Tables
+print to stdout (run
 ``pytest benchmarks/ -s`` to see them) and are also
 written under ``benchmarks/results/``.
 """
@@ -18,7 +20,6 @@ QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 """Set REPRO_BENCH_QUICK=1 to shrink every experiment further."""
 
 
-from repro.bench.cache import disk_cached  # noqa: E402
 from repro.bench.report import tabulate  # noqa: E402  (shared renderer)
 
 
@@ -30,13 +31,6 @@ def report(name: str, title: str, table: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(block)
 
 
-def _disk_cached(name, compute):
-    """Cache heavy suite results on disk so re-runs of dependent
-    figures (in fresh processes) skip the multi-minute recompute.
-    Honors REPRO_BENCH_CACHE_DIR (see :mod:`repro.bench.cache`)."""
-    return disk_cached(name, compute, RESULTS_DIR)
-
-
 @lru_cache(maxsize=None)
 def spotify_runs_25k():
     """The Figure 8(a) suite (paper's 25k-base analogue), shared by
@@ -46,7 +40,7 @@ def spotify_runs_25k():
     if QUICK:
         return fig8_spotify(duration_ms=20_000.0, clients=96,
                             systems=("lambda", "hopsfs", "hopsfs_cache"))
-    return _disk_cached("spotify25k", fig8_spotify)
+    return fig8_spotify()
 
 
 @lru_cache(maxsize=None)
@@ -62,9 +56,9 @@ def spotify_runs_50k():
     if QUICK:
         return fig8_spotify(base_throughput=12_000.0, duration_ms=20_000.0,
                             clients=192, systems=("lambda", "hopsfs"))
-    return _disk_cached("spotify50k", lambda: fig8_spotify(
+    return fig8_spotify(
         base_throughput=12_000.0,
         duration_ms=20_000.0,
         clients=384,
         systems=("lambda", "hopsfs", "hopsfs_cache"),
-    ))
+    )
