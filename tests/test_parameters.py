@@ -90,9 +90,8 @@ class Program:
                     self._add_class(node)
 
     def _add(self, name, qualname, function, bound):
-        callee = Callee(qualname, function, bound)
-        self.by_name.setdefault(name, []).append(callee)
-        return callee
+        self.by_name.setdefault(name, []).append(
+            Callee(qualname, function, bound))
 
     def _add_class(self, node):
         self.bases[node.name] = [
@@ -137,21 +136,24 @@ class Program:
         return found + ([init] if init is not None else [])
 
     def record(self, tree):
-        calls = {}
+        """Record every call in ``tree``, and every callee it uses as a
+        value.  A call is walked before its ``func``, so ``called``
+        holds each ``func`` by the time the walk reaches it."""
+        called = set()
         for cls, node in _walk_with_class(tree):
             if isinstance(node, ast.Call):
-                calls[id(node.func)] = node
+                called.add(id(node.func))
                 self._record_call(cls, node)
-        for _, node in _walk_with_class(tree):
+                continue
             name = _name(node)
-            if name is not None and id(node) not in calls and (
-                    isinstance(node.ctx, ast.Load)):
+            if (name is not None and id(node) not in called
+                    and isinstance(node.ctx, ast.Load)):
                 for callee in self.callees(name):
                     callee.passed.update(callee.defaulted)
 
     def _record_call(self, cls, call):
         func = call.func
-        if (isinstance(func, ast.Attribute) and func.attr == "__init__"):
+        if isinstance(func, ast.Attribute) and func.attr == "__init__":
             owner = func.value
             if (isinstance(owner, ast.Call) and isinstance(owner.func, ast.Name)
                     and owner.func.id == "super" and cls is not None):
@@ -170,10 +172,9 @@ class Program:
         for callee in self.callees(name):
             callee.record(call)
 
-    def unpassed(self):
-        every = [c for callees in self.by_name.values() for c in callees]
-        every += [c for c in self.inits.values() if c is not None]
-        return sorted(p for callee in every for p in callee.unpassed())
+    def every(self):
+        found = [c for callees in self.by_name.values() for c in callees]
+        return found + [c for c in self.inits.values() if c is not None]
 
 
 def _name(node):
@@ -198,14 +199,11 @@ def unpassed_parameters(src, every):
     program = Program(src)
     for tree in every:
         program.record(tree)
-    return program.unpassed()
+    return sorted(p for callee in program.every() for p in callee.unpassed())
 
 
 def defaulted_count(src):
-    program = Program(src)
-    every = [c for callees in program.by_name.values() for c in callees]
-    every += [c for c in program.inits.values() if c is not None]
-    return sum(len(c.defaulted) for c in every)
+    return sum(len(c.defaulted) for c in Program(src).every())
 
 
 def test_the_scan_sees_the_tree():
