@@ -2,10 +2,10 @@
 
 The parameter form of ``tests/test_config_fields.py``'s rule: a
 defaulted parameter of a function or method under ``src/`` that no
-call ever passes is a constant wearing a knob's clothes.  This test
-parses ``src/``, ``tests/``, ``benchmarks/``, ``perfbench/``,
-``scripts/`` and ``examples/`` (tests count as callers) and fails
-naming each such parameter.
+run-code call passes is a constant wearing a knob's clothes.  This
+test parses ``src/``, ``benchmarks/``, ``perfbench/``, ``scripts/`` and
+``examples/`` (not ``tests/``: a test that needs another value patches
+the module constant) and fails naming each such parameter.
 
 Callees are resolved by name: ``f(...)`` and ``x.f(...)`` call every
 function or method named ``f``.  ``C(...)`` calls the ``__init__``
@@ -23,7 +23,7 @@ import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src", "tests", "benchmarks", "perfbench", "scripts", "examples")
+SCANNED = ("src", "benchmarks", "perfbench", "scripts", "examples")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -215,7 +215,7 @@ def test_the_scan_sees_the_tree():
 def test_every_defaulted_parameter_is_passed_by_some_caller():
     unpassed = unpassed_parameters(*scan())
     assert not unpassed, (
-        f"{len(unpassed)} defaulted parameter(s) no caller passes; drop "
+        f"{len(unpassed)} defaulted parameter(s) no run code passes; drop "
         f"each and inline its default (or make it a module-level "
         f"constant beside its reader): {', '.join(unpassed)}"
     )
