@@ -46,12 +46,13 @@ CPU_MS_WRITE = 0.18
 JOURNAL_WORKERS = 8
 JOURNAL_SERVICE_MS = 0.20
 TCP_ONEWAY_MS = 0.22
+#: Dispatcher time per request before it reaches a CPU.
+DISPATCH_MS = 0.04
 
 
 @dataclass(frozen=True)
 class CephFSConfig:
     num_mds: int = 8
-    dispatch_ms: float = 0.04
     seed: int = 0
 
 
@@ -69,7 +70,7 @@ class _CephMDS:
     def admit(self, cpu_ms: float) -> Generator:
         with self.dispatch.request() as slot:
             yield slot
-            yield self.env.timeout(self.config.dispatch_ms)
+            yield self.env.timeout(DISPATCH_MS)
         with self.cpu.request() as core:
             yield core
             yield self.env.timeout(cpu_ms)

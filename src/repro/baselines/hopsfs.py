@@ -34,20 +34,20 @@ from repro.metrics import MetricsRecorder, vm_cost
 from repro.namespace.cache import MetadataCache
 from repro.namespace.inode import INode
 from repro.namespace.paths import is_descendant, normalize, parent_of
-from repro.rpc import LatencyConfig, LatencyModel
+from repro.rpc import LatencyModel
 from repro.sim import AllOf, Environment, RngStreams
 
 TXN_RETRIES = 8
 SUBTREE_BATCH_SIZE = 512
 #: Executor pool of the NameNode that orchestrates a subtree op.
 SUBTREE_EXECUTOR_THREADS = 4
+RPC_HANDLERS = 200
 
 
 @dataclass(frozen=True)
 class HopsFSConfig:
     num_namenodes: int = 32
     vcpus_per_namenode: int = 16
-    rpc_handlers: int = 200
     cpu_ms_per_op: float = 2.0
     """Serverful Java NameNodes burn ~2 vCPU-ms per op on the full
     RPC-handler stack (the paper observes they cannot fully utilize
@@ -59,7 +59,6 @@ class HopsFSConfig:
     cache_capacity: int = 1_000_000
     seed: int = 0
     ndb: NdbConfig = field(default_factory=NdbConfig)
-    latency: LatencyConfig = field(default_factory=LatencyConfig)
 
 
 class HopsFSNameNode(MetadataServer):
@@ -69,7 +68,7 @@ class HopsFSNameNode(MetadataServer):
         super().__init__(
             cluster.env,
             cluster.config.vcpus_per_namenode,
-            cluster.config.rpc_handlers,
+            RPC_HANDLERS,
             cluster.config.cpu_ms_per_op,
         )
         self.cluster = cluster
@@ -324,7 +323,7 @@ class HopsFSCluster:
         self.env = env
         self.config = config or HopsFSConfig()
         self.rngs = RngStreams(self.config.seed)
-        self.latency = LatencyModel(self.rngs.stream("latency"), self.config.latency)
+        self.latency = LatencyModel(self.rngs.stream("latency"))
         self.store = NdbStore(env, self.config.ndb)
         self.ops = NamespaceOps(self.store)
         self.namenodes: List[HopsFSNameNode] = [

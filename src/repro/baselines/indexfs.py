@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.baselines.common import MetadataServer
-from repro.coordination import make_coordinator
+from repro.coordination import Coordinator
 from repro.core.errors import AlreadyExistsError, NotFoundError
 from repro.core.partitioning import NamespacePartitioner
 from repro.faas import FaaSConfig, FaaSPlatform
 from repro.metastore import SSTableStore
 from repro.metrics import MetricsRecorder
 from repro.namespace.paths import normalize, split
-from repro.rpc import ClientVM, LatencyConfig, LatencyModel
+from repro.rpc import ClientVM, LatencyModel
 from repro.sim import Environment, RngStreams
 
 
@@ -37,6 +37,7 @@ def _meta_key(path: str) -> Tuple[str, str, str]:
 #: IndexFS servers co-located with the BeeGFS client VMs.
 NUM_SERVERS = 4
 VCPUS_PER_SERVER = 8
+RPC_HANDLERS = 64
 TCP_ONEWAY_MS = 0.30
 
 #: λIndexFS: one LevelDB instance per BeeGFS client VM (§5.7).
@@ -45,7 +46,6 @@ NUM_LEVELDB_PARTITIONS = 4
 
 @dataclass(frozen=True)
 class IndexFSConfig:
-    rpc_handlers: int = 64
     cpu_ms_per_op: float = 1.20
     """Vanilla IndexFS couples in-memory metadata handling with
     LevelDB/SSTable management and GIGA+ splitting on the server;
@@ -59,7 +59,7 @@ class _IndexFSServer(MetadataServer):
 
     def __init__(self, env: Environment, config: IndexFSConfig) -> None:
         super().__init__(
-            env, VCPUS_PER_SERVER, config.rpc_handlers, config.cpu_ms_per_op
+            env, VCPUS_PER_SERVER, RPC_HANDLERS, config.cpu_ms_per_op
         )
         self.db = SSTableStore(env)
 
@@ -163,7 +163,6 @@ class LambdaIndexFSConfig:
         vcpus_per_instance=4.0,
         concurrency_level=2,
     ))
-    latency: LatencyConfig = field(default_factory=LatencyConfig)
 
 
 class _LambdaIndexFSFunction:
@@ -231,8 +230,8 @@ class LambdaIndexFS:
         self.env = env
         self.config = config or LambdaIndexFSConfig()
         self.rngs = RngStreams(self.config.seed)
-        self.latency = LatencyModel(self.rngs.stream("latency"), self.config.latency)
-        self.coordinator = make_coordinator(env)
+        self.latency = LatencyModel(self.rngs.stream("latency"))
+        self.coordinator = Coordinator(env)
         self.platform = FaaSPlatform(env, self.config.faas, rng=self.rngs.stream("faas"))
         self.dbs: List[SSTableStore] = [
             SSTableStore(env) for _ in range(NUM_LEVELDB_PARTITIONS)

@@ -38,6 +38,9 @@ DEFAULT_TREE = TreeSpec(depth=3, dirs_per_dir=4, files_per_dir=8)
 #: relationship as the paper's 25k base vs its testbed's capacity, at
 #: a scale a simulation completes in minutes.
 SPOTIFY_NDB = NdbConfig()
+#: The serverful HopsFS cluster's vCPUs and λFS's FaaS budget in the
+#: Spotify runs.
+SPOTIFY_VCPUS = 512.0
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +167,6 @@ def fig8_spotify(
     base_throughput: float = 6_000.0,
     duration_ms: float = 30_000.0,
     clients: int = 192,
-    vcpus: float = 512.0,
     seed: int = 8,
     systems: Sequence[str] = (
         "lambda", "hopsfs", "hopsfs_cache", "lambda_reduced", "cn_hopsfs_cache"
@@ -198,7 +200,7 @@ def fig8_spotify(
         env = Environment()
         if system == "lambda":
             handle = build_lambdafs(
-                env, tree, vcpus=vcpus, ndb=SPOTIFY_NDB, seed=seed,
+                env, tree, vcpus=SPOTIFY_VCPUS, ndb=SPOTIFY_NDB, seed=seed,
                 faas_overrides=dict(spotify_faas), trace=trace,
             )
         elif system == "lambda_reduced":
@@ -207,15 +209,15 @@ def fig8_spotify(
             # must be a fraction of that *partition* to actually bind.
             partition = max(1, working_set // 16)
             handle = build_lambdafs(
-                env, tree, vcpus=vcpus, ndb=SPOTIFY_NDB, seed=seed,
+                env, tree, vcpus=SPOTIFY_VCPUS, ndb=SPOTIFY_NDB, seed=seed,
                 namenode_overrides={"cache_capacity": max(4, partition // 3)},
                 faas_overrides=dict(spotify_faas),
                 name="λFS (reduced cache)",
             )
         elif system == "hopsfs":
-            handle = build_hopsfs(env, tree, vcpus=vcpus, ndb=SPOTIFY_NDB, seed=seed)
+            handle = build_hopsfs(env, tree, vcpus=SPOTIFY_VCPUS, ndb=SPOTIFY_NDB, seed=seed)
         elif system == "hopsfs_cache":
-            handle = build_hopsfs_cache(env, tree, vcpus=vcpus, ndb=SPOTIFY_NDB, seed=seed)
+            handle = build_hopsfs_cache(env, tree, vcpus=SPOTIFY_VCPUS, ndb=SPOTIFY_NDB, seed=seed)
         elif system == "cn_hopsfs_cache":
             # Cost-normalized: sized so its VM cost equals λFS' run cost.
             cost = lambda_cost_usd if lambda_cost_usd else 0.05
@@ -229,7 +231,7 @@ def fig8_spotify(
             )
         elif system == "infinicache":
             handle = build_infinicache(
-                env, tree, vcpus=vcpus, ndb=SPOTIFY_NDB, seed=seed, trace=trace
+                env, tree, vcpus=SPOTIFY_VCPUS, ndb=SPOTIFY_NDB, seed=seed, trace=trace
             )
         else:
             raise ValueError(f"unknown system {system!r}")

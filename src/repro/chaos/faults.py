@@ -556,10 +556,12 @@ class ColdStartStormFault(Fault):
     def overrides(self, original: Callable[[str], Any]) -> Dict[str, Any]:
         factor = float(self.params.get("factor", 4.0))
         return {
-            f"cold_start_{end}_ms": float(self.params.get(
-                f"{end}_ms", original(f"cold_start_{end}_ms") * factor
-            ))
-            for end in ("min", "max")
+            "cold_start_min_ms": float(self.params.get(
+                "min_ms", original("cold_start_min_ms") * factor
+            )),
+            "cold_start_max_ms": float(self.params.get(
+                "max_ms", original("cold_start_max_ms") * factor
+            )),
         }
 
 

@@ -52,6 +52,7 @@ from repro.chaos.engine import ChaosEngine, install_chaos
 from repro.chaos.scenario import Scenario
 from repro.chaos.verifier import ChaosVerifier, RecoverySLO, VerifierReport
 from repro.datanode import DataNodeFleet, DataNodeFleetConfig
+from repro.datanode.node import PUBLISH_INTERVAL_MS
 
 #: Fault kinds that only do anything against a DataNode fleet.
 DATANODE_FAULT_KINDS = ("datanode_kill", "disk_slow")
@@ -269,7 +270,7 @@ def run_scenario(
             "datanode_overrides": {"count": 0},
             "namenode_overrides": {
                 "datanode_stale_after_ms":
-                    2.0 * fleet_config.publish_interval_ms,
+                    2.0 * PUBLISH_INTERVAL_MS,
             },
         }
     handle = build_lambdafs(

@@ -10,7 +10,7 @@ A chaos run passes three gates:
    that will never come shows up exactly here);
 3. **Recovery SLOs** — from the telemetry time-series: within
    ``window_ms`` after the last fault clears, per-interval mean op
-   latency returns to within ``latency_factor`` × the pre-fault
+   latency returns to within ``LATENCY_FACTOR`` × the pre-fault
    baseline, and the cache hit-rate recovers to at least
    ``HIT_RATE_BAND`` × its baseline.
 
@@ -53,6 +53,13 @@ VICTIM_P99_MIN_BOUND_MS = 10.0
 #: baseline — the metastable-collapse detector (a system stuck in the
 #: bad equilibrium stays near zero long after the fault clears).
 GOODPUT_FLOOR = 0.8
+#: Recovered per-interval mean latency ≤ factor × baseline.
+LATENCY_FACTOR = 3.0
+#: Gate 6 (detection): an incident blaming the injected fault must
+#: open within this long of the first fault activating (MTTD bound).
+#: Generous relative to the sampling interval + rule sustain windows,
+#: tight relative to the fault windows themselves.
+DETECTION_WINDOW_MS = 4_000.0
 
 
 @dataclass(frozen=True)
@@ -62,13 +69,6 @@ class RecoverySLO:
     window_ms: float = 10_000.0
     """How long after the last fault clears recovery must happen (the
     replication factor too, gate 4)."""
-    latency_factor: float = 3.0
-    """Recovered per-interval mean latency ≤ factor × baseline."""
-    detection_window_ms: float = 4_000.0
-    """Gate 6 (detection): an incident blaming the injected fault must
-    open within this long of the first fault activating (MTTD bound).
-    Generous relative to the sampling interval + rule sustain windows,
-    tight relative to the fault windows themselves."""
 
 
 @dataclass
@@ -342,7 +342,7 @@ class ChaosVerifier:
             report._skip("latency SLO (not enough pre-fault samples)")
             return
         report.baseline_latency_ms = baseline
-        bound = self.slo.latency_factor * baseline
+        bound = LATENCY_FACTOR * baseline
         row, recovered = self._recovery(
             intervals, clear, lambda value: value <= bound
         )
@@ -358,13 +358,13 @@ class ChaosVerifier:
             report.recovery_time_ms = max(0.0, t_ms - clear)
             report._ok(
                 f"latency SLO: {value:.2f} ms <= "
-                f"{self.slo.latency_factor:g}x baseline "
+                f"{LATENCY_FACTOR:g}x baseline "
                 f"({baseline:.2f} ms) after {t_ms - clear:.0f} ms"
             )
             return
         report._fail(
             f"latency SLO: still {value:.2f} ms "
-            f"(> {self.slo.latency_factor:g}x baseline {baseline:.2f} ms) "
+            f"(> {LATENCY_FACTOR:g}x baseline {baseline:.2f} ms) "
             f"{self.slo.window_ms:.0f} ms after faults cleared"
         )
 
@@ -515,7 +515,7 @@ class ChaosVerifier:
         verdict untouched.  Two contracts:
 
         * **fault scenarios** — at least one incident must open within
-          ``detection_window_ms`` of the first activation *and* its
+          ``DETECTION_WINDOW_MS`` of the first activation *and* its
           top-ranked suspect must be one of the injected fault kinds
           (a detected-but-misattributed incident is a FAIL: an on-call
           chasing the wrong suspect is as bad as no page);
@@ -542,7 +542,7 @@ class ChaosVerifier:
                 "was detected"
             )
             return
-        window = self.slo.detection_window_ms
+        window = DETECTION_WINDOW_MS
         matched = None
         for incident in incidents:
             top = incident.top_suspect

@@ -486,6 +486,7 @@ def _cmd_chaos_matrix(args) -> int:
         run_matrix,
         scenario_record,
     )
+    from repro.chaos.verifier import DETECTION_WINDOW_MS
 
     family = args.family
     config = _chaos_run_config(args, family)
@@ -522,7 +523,7 @@ def _cmd_chaos_matrix(args) -> int:
         doc = {"version": 1, "family": family, "seed": config.seed,
                "scenarios": records}
         if config.detect:
-            doc["detection_window_ms"] = config.slo.detection_window_ms
+            doc["detection_window_ms"] = DETECTION_WINDOW_MS
         _dump_json(args.bench_json, doc)
     if args.baseline:
         with open(args.baseline) as fh:

@@ -1,26 +1,19 @@
-"""The pluggable "Coordinator" service (§3.5).
+"""The "Coordinator" service (§3.5).
 
 λFS uses a coordination service to (a) track which NameNode instances
 are alive in which deployments and (b) deliver the INV/ACK messages of
-the cache-coherence protocol.  The paper supports two backends —
-ZooKeeper and MySQL NDB — which share semantics and differ only in
-message latency; both are provided here.
+the cache-coherence protocol.  The paper deploys ZooKeeper; its
+latencies are the module constants beside the Coordinator.
 """
 
 from repro.coordination.coordinator import (
     Coordinator,
     CoordinatorConfig,
     Invalidation,
-    NdbCoordinator,
-    ZooKeeperCoordinator,
-    make_coordinator,
 )
 
 __all__ = [
     "Coordinator",
     "CoordinatorConfig",
     "Invalidation",
-    "NdbCoordinator",
-    "ZooKeeperCoordinator",
-    "make_coordinator",
 ]

@@ -21,20 +21,22 @@ from typing import Callable, Dict, Generator, Iterable, Mapping, Optional, Set, 
 from repro.sim import Environment, Event
 
 
+#: One-way delivery latency of an INV to one member (ZooKeeper).
+PUBLISH_MS = 0.4
+#: One-way latency of an ACK back to the leader.
+ACK_MS = 0.4
+#: Redelivery backoff when a member's ACK goes missing (chaos ACK
+#: loss).  INV handlers are idempotent, so redelivering the whole INV
+#: is safe and the writer eventually collects every ACK.
+ACK_RETRY_MS = 5.0
+
+
 @dataclass(frozen=True)
 class CoordinatorConfig:
-    """Latency knobs for one Coordinator backend."""
+    """The Coordinator knobs chaos faults swap."""
 
-    publish_ms: float = 0.4
-    """One-way delivery latency of an INV to one member."""
-    ack_ms: float = 0.4
-    """One-way latency of an ACK back to the leader."""
     watch_ms: float = 0.3
     """Latency of a liveness notification."""
-    ack_retry_ms: float = 5.0
-    """Redelivery backoff when a member's ACK goes missing (chaos ACK
-    loss).  INV handlers are idempotent, so redelivering the whole
-    INV is safe and the writer eventually collects every ACK."""
     ack_max_retries: int = 32
     """Redelivery attempts before the coordinator gives up on a
     member (0 disables redelivery — a lost ACK then strands the
@@ -88,11 +90,11 @@ class _PendingInv:
 
 
 class Coordinator:
-    """Base Coordinator; see subclasses for backend latencies."""
+    """The ZooKeeper-backed Coordinator the paper deploys."""
 
-    def __init__(self, env: Environment, config: Optional[CoordinatorConfig] = None) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.config = config or CoordinatorConfig()
+        self.config = CoordinatorConfig()
         # deployment -> member_id -> INV handler callback
         self._members: Dict[str, Dict[str, Callable[[Invalidation], None]]] = {}
         # inv_id -> the deployment share still awaiting ACKs
@@ -270,9 +272,9 @@ class Coordinator:
         ``cohort`` lists ``(share, member_id, handler, None)`` in
         deployment order, then member order; the last field holds the
         member's ``coord.member`` span when tracing.  Every member runs on the same
-        timeline: the INV lands ``publish_ms`` after the round starts
-        (or after a redelivery), its ACK ``ack_ms`` later, and a lost
-        ACK is redelivered after ``ack_retry_ms``.  So one process
+        timeline: the INV lands ``PUBLISH_MS`` after the round starts
+        (or after a redelivery), its ACK ``ACK_MS`` later, and a lost
+        ACK is redelivered after ``ACK_RETRY_MS``.  So one process
         serves the whole round: it waits once per leg, then walks the
         members in order.  Nothing else can run between two members'
         steps at the same instant, so each member sees the timeline a
@@ -296,7 +298,7 @@ class Coordinator:
         attempt = 0
         while True:
             attempt += 1
-            yield env.timeout(config.publish_ms)
+            yield env.timeout(PUBLISH_MS)
             delivered = []
             for entry in cohort:
                 pending, member_id, handler, member_span = entry
@@ -320,7 +322,7 @@ class Coordinator:
                 delivered.append(entry)
             if not delivered:
                 return
-            yield env.timeout(config.ack_ms)
+            yield env.timeout(ACK_MS)
             chaos = env.chaos
             cohort = []
             for entry in delivered:
@@ -349,27 +351,5 @@ class Coordinator:
                 return
             # Handlers are idempotent: redeliver the whole INV after a
             # short backoff and collect the ACKs again.
-            yield env.timeout(config.ack_retry_ms)
+            yield env.timeout(ACK_RETRY_MS)
 
-
-class ZooKeeperCoordinator(Coordinator):
-    """ZooKeeper-backed Coordinator (default in the paper)."""
-
-    def __init__(self, env: Environment) -> None:
-        super().__init__(env, CoordinatorConfig(publish_ms=0.4, ack_ms=0.4, watch_ms=0.3))
-
-
-class NdbCoordinator(Coordinator):
-    """NDB-backed Coordinator: slightly slower, piggybacks on the DB."""
-
-    def __init__(self, env: Environment) -> None:
-        super().__init__(env, CoordinatorConfig(publish_ms=0.7, ack_ms=0.7, watch_ms=0.5))
-
-
-def make_coordinator(env: Environment, kind: str = "zookeeper") -> Coordinator:
-    """Factory for the pluggable Coordinator backends."""
-    if kind == "zookeeper":
-        return ZooKeeperCoordinator(env)
-    if kind == "ndb":
-        return NdbCoordinator(env)
-    raise ValueError(f"unknown coordinator kind {kind!r}")

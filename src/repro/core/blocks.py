@@ -21,18 +21,15 @@ writes to; rack-less rows keep plain rendezvous placement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro._util import stable_hash
 
 
-@dataclass(frozen=True)
-class BlockPlacementConfig:
-    replication: int = 3
-    blocks_per_file: int = 1
-    """New files get this many initial blocks (HDFS allocates on
-    write; metadata benchmarks create empty-ish files)."""
+REPLICATION = 3
+#: New files get this many initial blocks (HDFS allocates on write;
+#: metadata benchmarks create empty-ish files).
+BLOCKS_PER_FILE = 1
 
 
 def rendezvous_rank(block_id: int, datanodes: Sequence[str]) -> List[str]:
@@ -75,25 +72,18 @@ def rack_aware_place(
 class BlockManager:
     """Allocates block ids and computes replica placement.
 
-    The id counter is explicit, per-manager state: it starts at
-    ``first_id``, so two managers coexisting in one simulation can be
-    given disjoint id spaces instead of silently colliding.
+    The id counter is explicit, per-manager state starting at 1, so
+    two managers coexisting in one simulation never advance each
+    other's counter.
     """
 
-    def __init__(
-        self,
-        config: BlockPlacementConfig | None = None,
-        first_id: int = 1,
-    ) -> None:
-        if first_id < 1:
-            raise ValueError("first_id must be >= 1")
-        self.config = config or BlockPlacementConfig()
-        self._next_id = int(first_id)
+    def __init__(self) -> None:
+        self._next_id = 1
 
     def allocate(self) -> Tuple[int, ...]:
         """Block ids for one new file."""
         start = self._next_id
-        self._next_id = start + self.config.blocks_per_file
+        self._next_id = start + BLOCKS_PER_FILE
         return tuple(range(start, self._next_id))
 
     def place(
@@ -112,11 +102,11 @@ class BlockManager:
         """
         if racks is not None:
             live = {dn: racks[dn] for dn in datanodes if dn in racks}
-            return rack_aware_place(block_id, live, self.config.replication)
+            return rack_aware_place(block_id, live, REPLICATION)
         if not datanodes:
             return []
         ranked = rendezvous_rank(block_id, datanodes)
-        return ranked[: min(self.config.replication, len(ranked))]
+        return ranked[: min(REPLICATION, len(ranked))]
 
     def locations(
         self,

@@ -48,22 +48,24 @@ STRAGGLER_RESERVE = 2
 
 HTTP_TIMEOUT_MS = 30_000.0
 
+#: Resubmit when latency ≥ threshold × moving average (App. B).
+STRAGGLER_THRESHOLD = 10.0
+#: Never flag requests faster than this as stragglers.
+STRAGGLER_FLOOR_MS = 50.0
+#: Op latencies the moving average spans.
+LATENCY_WINDOW = 64
+#: Enter anti-thrashing mode past this multiple of the moving average
+#: (App. C: T between 2–3 performs best).
+ANTITHRASH_THRESHOLD = 2.5
+ANTITHRASH_COOLDOWN_MS = 5_000.0
+
 
 @dataclass(frozen=True)
 class ClientConfig:
     replacement_probability: float = 0.01
     """HTTP-TCP replacement probability (§3.4; best ≤ 1 %)."""
     straggler_enabled: bool = True
-    straggler_threshold: float = 10.0
-    """Resubmit when latency ≥ threshold × moving average (App. B)."""
-    straggler_floor_ms: float = 50.0
-    """Never flag requests faster than this as stragglers."""
-    latency_window: int = 64
     antithrash_enabled: bool = True
-    antithrash_threshold: float = 2.5
-    """Enter anti-thrashing mode past this multiple of the moving
-    average (App. C: T between 2–3 performs best)."""
-    antithrash_cooldown_ms: float = 5_000.0
 
 
 class LambdaFSClient(PayloadClientOps):
@@ -82,7 +84,7 @@ class LambdaFSClient(PayloadClientOps):
         self._rng = fs.rngs.stream(f"client:{self.id}")
         #: Resilience control plane, or None (byte-identical hot path).
         self._res = fs.resilience
-        #: The last ``latency_window`` op latencies, oldest first, as
+        #: The last ``LATENCY_WINDOW`` op latencies, oldest first, as
         #: unboxed doubles.
         self._latencies = array("d")
         self._antithrash_until = -float("inf")
@@ -367,8 +369,8 @@ class LambdaFSClient(PayloadClientOps):
             response = yield call
             return response
         threshold = max(
-            self.config.straggler_floor_ms,
-            self.config.straggler_threshold * self._moving_average(),
+            STRAGGLER_FLOOR_MS,
+            STRAGGLER_THRESHOLD * self._moving_average(),
         )
         timer = env.timeout(threshold)
         outcome = yield call | timer
@@ -407,7 +409,7 @@ class LambdaFSClient(PayloadClientOps):
             # Budget-sized attempt timeout instead of the fixed 30 s:
             # a dying op stops waiting long before its transport does.
             timeout_ms = attempt_timeout_ms(
-                res.config, request.deadline_ms, env.now, timeout_ms
+                request.deadline_ms, env.now, timeout_ms
             )
             if timeout_ms <= 0.0:
                 raise RequestTimeout("deadline exhausted before invoke")
@@ -432,12 +434,12 @@ class LambdaFSClient(PayloadClientOps):
         average = self._moving_average()
         window = self._latencies
         window.append(latency_ms)
-        if len(window) > self.config.latency_window:
+        if len(window) > LATENCY_WINDOW:
             del window[0]
         if (
             self.config.antithrash_enabled
             and average > 0
-            and latency_ms >= self.config.antithrash_threshold * average
+            and latency_ms >= ANTITHRASH_THRESHOLD * average
         ):
             if not self._antithrash_active():
                 # Count entries (not extensions): a spike during an
@@ -446,7 +448,7 @@ class LambdaFSClient(PayloadClientOps):
                 if self.fs.env.metrics is not None:
                     self.fs.env.metrics.inc("client_antithrash_entries_total")
             self._antithrash_until = (
-                self.fs.env.now + self.config.antithrash_cooldown_ms
+                self.fs.env.now + ANTITHRASH_COOLDOWN_MS
             )
 
     def _antithrash_active(self) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.coordination import make_coordinator
+from repro.coordination import Coordinator
 from repro.core.autoscaling import desired_scale
 from repro.core.client import ClientConfig, LambdaFSClient
 from repro.core.maintenance import DataNodeConfig, DataNodeService
@@ -36,7 +36,7 @@ from repro.metastore import NdbConfig, NdbStore
 from repro.metrics import MetricsRecorder, lambda_cost, simplified_cost
 from repro.namespace.cache import CacheStats
 from repro.resilience import ResilienceConfig, ResilienceManager
-from repro.rpc import ClientVM, LatencyConfig, LatencyModel
+from repro.rpc import ClientVM, LatencyModel
 from repro.sim import AllOf, Environment, RngStreams
 
 
@@ -45,13 +45,11 @@ class LambdaFSConfig:
     """Everything configurable about a λFS deployment."""
 
     num_deployments: int = 16
-    coordinator_kind: str = "zookeeper"
     seed: int = 0
     faas: FaaSConfig = field(default_factory=FaaSConfig)
     ndb: NdbConfig = field(default_factory=NdbConfig)
     namenode: NameNodeConfig = field(default_factory=NameNodeConfig)
     client: ClientConfig = field(default_factory=ClientConfig)
-    latency: LatencyConfig = field(default_factory=LatencyConfig)
     subtree: SubtreeConfig = field(default_factory=SubtreeConfig)
     datanodes: DataNodeConfig = field(default_factory=DataNodeConfig)
     resilience: Optional[ResilienceConfig] = None
@@ -66,7 +64,7 @@ class LambdaFS:
         self.env = env
         self.config = config or LambdaFSConfig()
         self.rngs = RngStreams(self.config.seed)
-        self.latency = LatencyModel(self.rngs.stream("latency"), self.config.latency)
+        self.latency = LatencyModel(self.rngs.stream("latency"))
         #: Optional resilience control plane; created before the store
         #: and platform so both can hold a reference at construction.
         self.resilience = (
@@ -81,7 +79,7 @@ class LambdaFS:
         )
         self.store.resilience = self.resilience
         self.ops = NamespaceOps(self.store)
-        self.coordinator = make_coordinator(env, self.config.coordinator_kind)
+        self.coordinator = Coordinator(env)
         self.platform = FaaSPlatform(
             env, self.config.faas, rng=self.rngs.stream("faas")
         )

@@ -18,12 +18,12 @@ from repro.metastore.ndb import NdbStore
 from repro.sim import Environment
 
 BLOCKS_PER_REPORT = 64
+REPORT_INTERVAL_MS = 3_000.0
 
 
 @dataclass(frozen=True)
 class DataNodeConfig:
     count: int = 4
-    report_interval_ms: float = 3_000.0
 
 
 @dataclass
@@ -76,7 +76,7 @@ class DataNodeService:
                 self.reports_published += 1
             else:
                 self.reports_dropped += 1
-            yield self.env.timeout(self.config.report_interval_ms)
+            yield self.env.timeout(REPORT_INTERVAL_MS)
 
 
 def publish_report(store: NdbStore, report: BlockReport) -> Generator:

@@ -112,8 +112,8 @@ class ClientOps:
     def ls(self, path: str) -> Generator:
         return (yield from self.execute(OpType.LS, path))
 
-    def delete(self, path: str, recursive: bool = False) -> Generator:
-        return (yield from self.execute(OpType.DELETE, path, recursive=recursive))
+    def delete(self, path: str) -> Generator:
+        return (yield from self.execute(OpType.DELETE, path))
 
     def mv(self, src: str, dst: str) -> Generator:
         return (yield from self.execute(OpType.MV, src, dst_path=dst))

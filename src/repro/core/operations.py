@@ -61,8 +61,8 @@ class IdAllocator:
     allocation free of simulated time.
     """
 
-    def __init__(self, start: int = ROOT_INODE_ID + 1) -> None:
-        self._ids = count(start)
+    def __init__(self) -> None:
+        self._ids = count(ROOT_INODE_ID + 1)
 
     def next_id(self) -> int:
         return next(self._ids)
@@ -90,17 +90,12 @@ class WriteResult(NamedTuple):
 class NamespaceOps:
     """Namespace operation implementations over an :class:`NdbStore`."""
 
-    def __init__(
-        self,
-        store: NdbStore,
-        allocator: Optional[IdAllocator] = None,
-        blocks: Optional["BlockManager"] = None,
-    ) -> None:
+    def __init__(self, store: NdbStore) -> None:
         from repro.core.blocks import BlockManager
 
         self.store = store
-        self.allocator = allocator or IdAllocator()
-        self.blocks = blocks or BlockManager()
+        self.allocator = IdAllocator()
+        self.blocks = BlockManager()
 
     # -- bootstrap ----------------------------------------------------
     def format(self) -> None:

@@ -37,7 +37,10 @@ class SubtreeConfig:
     """Sub-operations per batch; larger favors less offload overhead,
     smaller favors parallelism (the Appendix D trade-off)."""
     offload_enabled: bool = True
-    max_helpers: int = 8
+
+
+#: Deployments a leader offloads a subtree op's batches to, at most.
+MAX_HELPERS = 8
 
 
 class SubtreeProtocol:
@@ -123,7 +126,7 @@ class SubtreeProtocol:
                 name
                 for name in self.fs.partitioner.deployment_names()
                 if name != leader.deployment_name
-            ][: self.config.max_helpers]
+            ][:MAX_HELPERS]
             if not helpers:
                 helpers = [leader.deployment_name]
             for index, batch in enumerate(batches[1:]):

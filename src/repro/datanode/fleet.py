@@ -20,7 +20,13 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Set
 
 from repro.core.blocks import rack_aware_place
 from repro.core.maintenance import BlockReport, publish_report
-from repro.datanode.node import DataNode, DataNodeFleetConfig
+from repro.datanode.node import (
+    PUBLISH_INTERVAL_MS,
+    RACKS,
+    REPLICATION,
+    DataNode,
+    DataNodeFleetConfig,
+)
 from repro.datanode.pipeline import write_pipeline
 from repro.datanode.scanner import ReplicationScanner
 from repro.datanode.tracker import HeartbeatTracker
@@ -43,7 +49,7 @@ class DataNodeFleet:
         self.store = store
         self.rng = RngStreams(seed).stream("datanode")
         self.nodes: List[DataNode] = [
-            DataNode(self, f"dn{index}", f"rack{index % max(1, self.config.racks)}")
+            DataNode(self, f"dn{index}", f"rack{index % max(1, RACKS)}")
             for index in range(self.config.count)
         ]
         self._by_id: Dict[str, DataNode] = {dn.id: dn for dn in self.nodes}
@@ -79,7 +85,7 @@ class DataNodeFleet:
         """Rack-aware replica targets over tracker-live nodes."""
         live = self.tracker.live()
         return rack_aware_place(
-            block_id, self.racks_map(live), self.config.replication
+            block_id, self.racks_map(live), REPLICATION
         )
 
     # -- data path -----------------------------------------------------
@@ -125,7 +131,7 @@ class DataNodeFleet:
             self.env.process(dn.heartbeat_loop())
         self.env.process(self.tracker.scan_loop())
         self.env.process(self.scanner.scan_loop())
-        if self.store is not None and self.config.publish_interval_ms > 0:
+        if self.store is not None and PUBLISH_INTERVAL_MS > 0:
             for dn in self.nodes:
                 self.env.process(self._publish_loop(dn))
         metrics = self.env.metrics
@@ -156,7 +162,7 @@ class DataNodeFleet:
         staleness filter drops it from metadata placement.  A write the
         store aborts is dropped, as in the legacy service.
         """
-        interval = self.config.publish_interval_ms
+        interval = PUBLISH_INTERVAL_MS
         while True:
             if dn.alive:
                 report = BlockReport(

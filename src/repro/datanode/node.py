@@ -28,18 +28,19 @@ HEARTBEAT_INTERVAL_MS = 500.0
 DISK_MS_PER_CHUNK = 2.5
 DISK_JITTER_MS = 0.5
 
+#: Nodes are assigned round-robin to ``rack0..rack{RACKS-1}``.
+RACKS = 3
+REPLICATION = 3
+#: Block-report publishing cadence into the metadata store (the
+#: serverless heartbeat substitute of §1/Fig. 2).
+PUBLISH_INTERVAL_MS = 3_000.0
+
 
 @dataclass(frozen=True)
 class DataNodeFleetConfig:
     """Shape and timing of the DataNode fleet."""
 
     count: int = 9
-    racks: int = 3
-    """Nodes are assigned round-robin to ``rack0..rack{racks-1}``."""
-    replication: int = 3
-    publish_interval_ms: float = 3_000.0
-    """Block-report publishing cadence into the metadata store (the
-    serverless heartbeat substitute of §1/Fig. 2; 0 disables)."""
     repair_enabled: bool = True
     """Background re-replication on by default; the chaos
     ``datanode_kill`` fault's ``disable_repair`` param switches it off

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Set
 
 from repro.core.blocks import rendezvous_rank
+from repro.datanode.node import REPLICATION
 from repro.datanode.pipeline import NET_MS_PER_HOP
 from repro.datanode.tracker import SCAN_INTERVAL_MS
 
@@ -64,12 +65,12 @@ class ReplicationScanner:
     def under_replicated(self) -> Dict[int, List[str]]:
         """block id → live holders, for blocks below target RF.
 
-        Target RF is ``min(replication, live nodes)`` so a tiny
+        Target RF is ``min(REPLICATION, live nodes)`` so a tiny
         surviving fleet is not condemned for being small.
         """
         fleet = self.fleet
         live = set(fleet.tracker.live())
-        target_rf = min(fleet.config.replication, len(live))
+        target_rf = min(REPLICATION, len(live))
         deficits: Dict[int, List[str]] = {}
         for block_id, holders in fleet.blocks.items():
             live_holders = sorted(holders & live)

@@ -22,6 +22,12 @@ class InstanceTerminated(Exception):
     """The serving instance was reclaimed/killed mid-request."""
 
 
+#: Application init after a cold start's container boot.
+APP_INIT_MS = 120.0
+#: Period of the idle-instance reclaim sweep.
+RECLAIM_SWEEP_MS = 1_000.0
+
+
 @dataclass(frozen=True)
 class FaaSConfig:
     """Platform-wide configuration."""
@@ -32,9 +38,7 @@ class FaaSConfig:
     concurrency_level: int = 4
     cold_start_min_ms: float = 500.0
     cold_start_max_ms: float = 1_000.0
-    app_init_ms: float = 120.0
     idle_reclaim_ms: float = 20_000.0
-    reclaim_sweep_ms: float = 1_000.0
     allow_eviction: bool = True
     max_instances_per_deployment: Optional[int] = None
     """Cap used by the Figure 14 "limited auto-scaling" ablation."""
@@ -117,7 +121,7 @@ class FunctionInstance:
             started = self.app.on_start()
             if started is not None:
                 yield from started
-        yield self.env.timeout(self.platform.config.app_init_ms)
+        yield self.env.timeout(APP_INIT_MS)
         if self.state != "provisioning":
             return
         self.state = "warm"
@@ -542,7 +546,7 @@ class FaaSPlatform:
 
     def _reclaim_loop(self) -> Generator:
         while True:
-            yield self.env.timeout(self.config.reclaim_sweep_ms)
+            yield self.env.timeout(RECLAIM_SWEEP_MS)
             cutoff = self.config.idle_reclaim_ms
             for deployment in self.deployments.values():
                 for instance in deployment.live_instances():

@@ -18,7 +18,7 @@ from repro.metastore.errors import (
 )
 from repro.metastore.locks import LockManager, LockMode
 from repro.metastore.ndb import NdbConfig, NdbStore, Transaction
-from repro.metastore.sstable import SSTableConfig, SSTableStore
+from repro.metastore.sstable import SSTableStore
 
 __all__ = [
     "LockManager",
@@ -26,7 +26,6 @@ __all__ = [
     "LockTimeout",
     "NdbConfig",
     "NdbStore",
-    "SSTableConfig",
     "SSTableStore",
     "StoreError",
     "Transaction",

@@ -28,6 +28,17 @@ from repro.sim import Environment, Resource
 #: NameNode→shard breaker edge (outages and brownouts both manifest as
 #: latency, not exceptions).
 SHARD_LATENCY_THRESHOLD_MS = 50.0
+#: Client-to-store round trip, split evenly around each shard access.
+RTT_MS = 0.5
+#: NDB's lock-wait timeout.
+LOCK_TIMEOUT_MS = 2_000.0
+#: Extra rows in one batched query cost this fraction of a full row
+#: (models NDB batched primary-key reads; §2's single batch query).
+BATCH_ROW_DISCOUNT = 0.25
+#: First and largest full-jitter backoff before retrying an aborted
+#: transaction.
+TXN_BACKOFF_MS = 2.0
+TXN_BACKOFF_CAP_MS = 64.0
 
 
 @dataclass(frozen=True)
@@ -43,11 +54,6 @@ class NdbConfig:
     read_service_ms: float = 0.30
     write_service_ms: float = 1.30
     commit_service_ms: float = 0.50
-    rtt_ms: float = 0.5
-    lock_timeout_ms: float = 2_000.0
-    batch_row_discount: float = 0.25
-    """Extra rows in one batched query cost this fraction of a full row
-    (models NDB batched primary-key reads; §2's single batch query)."""
 
 
 @dataclass
@@ -79,7 +85,7 @@ class NdbStore:
         self._retry_rng = rng if rng is not None else random.Random(0)
         self._data: Dict[Any, Any] = {}
         self._prefix_index: Dict[Any, Set[Any]] = {}
-        self.locks = LockManager(env, self.config.lock_timeout_ms)
+        self.locks = LockManager(env, LOCK_TIMEOUT_MS)
         self._shards: List[Resource] = [
             Resource(env, capacity=self.config.workers_per_shard)
             for _ in range(self.config.shards)
@@ -157,8 +163,6 @@ class NdbStore:
         self,
         body: Callable[["Transaction"], Generator],
         retries: int = 8,
-        backoff_ms: float = 2.0,
-        backoff_cap_ms: float = 64.0,
         label: str = "",
         trace_parent=None,
         deadline_ms: Optional[float] = None,
@@ -167,7 +171,7 @@ class NdbStore:
 
         ``body`` is a generator function taking the transaction; it is
         retried when aborted (lock timeouts) after a full-jitter
-        exponential backoff capped at ``backoff_cap_ms``: aborts come
+        exponential backoff capped at ``TXN_BACKOFF_CAP_MS``: aborts come
         in storms (one timeout aborts every waiter on the row), and
         uncapped, lock-step retries would re-collide indefinitely.
 
@@ -178,7 +182,7 @@ class NdbStore:
         """
         attempt = 0
         policy = RetryPolicy(
-            base_ms=backoff_ms, factor=2.0, max_ms=backoff_cap_ms
+            base_ms=TXN_BACKOFF_MS, factor=2.0, max_ms=TXN_BACKOFF_CAP_MS
         )
         while True:
             if deadline_ms is not None and self.env.now >= deadline_ms:
@@ -238,7 +242,7 @@ class NdbStore:
                 # until the shard (NDB data-node failover) comes back.
                 yield self.env.timeout(hold)
             service_ms = service_ms * chaos.store_factor(index)
-        half_rtt = self.config.rtt_ms / 2.0
+        half_rtt = RTT_MS / 2.0
         if half_rtt:
             yield self.env.timeout(half_rtt)
         with shard.request() as slot:
@@ -270,7 +274,7 @@ class NdbStore:
         if not key_list:
             return
         cost = base_ms * (
-            1 + self.config.batch_row_discount * (len(key_list) - 1)
+            1 + BATCH_ROW_DISCOUNT * (len(key_list) - 1)
         )
         # The coordinating shard is picked by the whole key set, not
         # the first key: distinct batches spread across shards even
@@ -344,7 +348,7 @@ class Transaction:
             # once the caller would give up anyway, waiting the full
             # NDB lock-wait timeout just keeps rows poisoned longer.
             remaining = self.deadline_ms - self.store.env.now
-            timeout_ms = min(self.store.config.lock_timeout_ms, remaining)
+            timeout_ms = min(LOCK_TIMEOUT_MS, remaining)
         try:
             yield from self.store.locks.acquire(
                 self, key, mode, timeout_ms=timeout_ms

@@ -15,21 +15,21 @@ Figure 16 experiment:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from repro.sim import Environment, Resource
 
-
-@dataclass(frozen=True)
-class SSTableConfig:
-    io_threads: int = 4
-    write_service_ms: float = 0.08
-    read_service_ms: float = 0.12
-    per_run_penalty_ms: float = 0.05
-    flush_threshold: int = 4096
-    max_runs: int = 6
-    flush_ms_per_1k_entries: float = 3.0
-    compact_ms_per_1k_entries: float = 6.0
+IO_THREADS = 4
+WRITE_SERVICE_MS = 0.08
+READ_SERVICE_MS = 0.12
+#: Extra read cost per immutable run searched.
+PER_RUN_PENALTY_MS = 0.05
+#: Memtable entries that trigger a background flush.
+FLUSH_THRESHOLD = 4096
+#: Runs past this count trigger a full compaction.
+MAX_RUNS = 6
+FLUSH_MS_PER_1K_ENTRIES = 3.0
+COMPACT_MS_PER_1K_ENTRIES = 6.0
 
 
 @dataclass
@@ -46,12 +46,11 @@ class SSTableStore:
 
     _TOMBSTONE = object()
 
-    def __init__(self, env: Environment, config: Optional[SSTableConfig] = None) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.config = config or SSTableConfig()
         self._memtable: Dict[Any, Any] = {}
         self._runs: List[Dict[Any, Any]] = []
-        self._io = Resource(env, capacity=self.config.io_threads)
+        self._io = Resource(env, capacity=IO_THREADS)
         self._flushing = False
         self.stats = SSTableStats()
 
@@ -68,7 +67,7 @@ class SSTableStore:
         """WAL append + memtable insert."""
         with self._io.request() as slot:
             yield slot
-            yield self.env.timeout(self.config.write_service_ms)
+            yield self.env.timeout(WRITE_SERVICE_MS)
         self._memtable[key] = value
         self.stats.puts += 1
         self._maybe_flush()
@@ -86,7 +85,7 @@ class SSTableStore:
                 value = run.get(key, _MISSING)
                 if value is not _MISSING:
                     break
-        cost = self.config.read_service_ms + searched * self.config.per_run_penalty_ms
+        cost = READ_SERVICE_MS + searched * PER_RUN_PENALTY_MS
         with self._io.request() as slot:
             yield slot
             yield self.env.timeout(cost)
@@ -106,7 +105,7 @@ class SSTableStore:
         for key, value in self._memtable.items():
             if isinstance(key, tuple) and key[:-1] == prefix:
                 merged[key] = value
-        cost = self.config.read_service_ms * (1 + len(self._runs))
+        cost = READ_SERVICE_MS * (1 + len(self._runs))
         with self._io.request() as slot:
             yield slot
             yield self.env.timeout(cost)
@@ -118,27 +117,27 @@ class SSTableStore:
 
     # -- background maintenance -------------------------------------------
     def _maybe_flush(self) -> None:
-        if self._flushing or len(self._memtable) < self.config.flush_threshold:
+        if self._flushing or len(self._memtable) < FLUSH_THRESHOLD:
             return
         self._flushing = True
         self.env.process(self._flush())
 
     def _flush(self) -> Generator:
         frozen, self._memtable = self._memtable, {}
-        cost = self.config.flush_ms_per_1k_entries * max(1, len(frozen)) / 1000.0
+        cost = FLUSH_MS_PER_1K_ENTRIES * max(1, len(frozen)) / 1000.0
         with self._io.request() as slot:
             yield slot
             yield self.env.timeout(cost)
         self._runs.insert(0, frozen)
         self.stats.flushes += 1
         self._flushing = False
-        if len(self._runs) > self.config.max_runs:
+        if len(self._runs) > MAX_RUNS:
             yield from self._compact()
 
     def _compact(self) -> Generator:
         victims = self._runs
         total = sum(len(run) for run in victims)
-        cost = self.config.compact_ms_per_1k_entries * max(1, total) / 1000.0
+        cost = COMPACT_MS_PER_1K_ENTRIES * max(1, total) / 1000.0
         with self._io.request() as slot:
             yield slot
             yield self.env.timeout(cost)

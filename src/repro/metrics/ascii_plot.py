@@ -21,6 +21,10 @@ _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 #: Placeholder glyph for a NaN/±inf sample in a sparkline.
 _SPARK_HOLE = "·"
 
+#: ``line_plot``'s grid size in characters.
+PLOT_WIDTH = 72
+PLOT_HEIGHT = 14
+
 
 def _finite(values: Sequence[float]) -> List[float]:
     return [value for value in values if math.isfinite(value)]
@@ -50,8 +54,6 @@ def sparkline(values: Sequence[float]) -> str:
 
 def line_plot(
     series: Dict[str, Sequence[Tuple[float, float]]],
-    width: int = 72,
-    height: int = 14,
 ) -> str:
     """Plot several (x, y) series on one character grid.
 
@@ -77,6 +79,7 @@ def line_plot(
     x_span = (x_high - x_low) or 1.0
     y_span = (y_high - y_low) or 1.0
 
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     grid: List[List[str]] = [[" "] * width for _ in range(height)]
     for name, values in clean.items():
         marker = name.strip()[0] if name.strip() else "?"

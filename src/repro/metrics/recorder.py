@@ -168,8 +168,8 @@ class MetricsRecorder:
             if wanted[code]
         ]
 
-    def average_latency(self, op: Optional[str] = None) -> float:
-        values = self.latencies(op)
+    def average_latency(self) -> float:
+        values = self.latencies()
         return sum(values) / len(values) if values else 0.0
 
 

@@ -112,7 +112,7 @@ class ResilienceManager:
         breaker = self._breakers.get(key)
         if breaker is None:
             breaker = CircuitBreaker(
-                f"{edge}:{destination}", self.config, self._rng,
+                f"{edge}:{destination}", self._rng,
                 on_transition=self._log_transition,
             )
             self._breakers[key] = breaker

@@ -39,24 +39,26 @@ class ResilienceConfig:
 
     deadline_ms: float = 4_000.0
     """End-to-end budget per metadata op, stamped at issue time."""
-    min_attempt_timeout_ms: float = 100.0
-    """Floor for a budget-sized per-attempt timeout."""
-    attempt_timeout_fraction: float = 0.5
-    """Each attempt may spend at most this fraction of the remaining
-    budget, keeping headroom for at least one retry elsewhere."""
-    breaker_failure_threshold: int = 5
-    """Consecutive failure signals that open a breaker."""
-    breaker_open_ms: float = 500.0
-    """Base open-state dwell before the first half-open probe."""
-    breaker_open_jitter: float = 0.5
-    """Reopen dwell is ``open_ms * (1 + jitter * U[0,1))`` — seeded,
-    so breakers opened by the same burst do not re-probe together."""
+
+
+#: Floor for a budget-sized per-attempt timeout.
+MIN_ATTEMPT_TIMEOUT_MS = 100.0
+#: Each attempt may spend at most this fraction of the remaining
+#: budget, keeping headroom for at least one retry elsewhere.
+ATTEMPT_TIMEOUT_FRACTION = 0.5
+#: Consecutive failure signals that open a breaker.
+BREAKER_FAILURE_THRESHOLD = 5
+#: Base open-state dwell before the first half-open probe.
+BREAKER_OPEN_MS = 500.0
+#: Reopen dwell is ``BREAKER_OPEN_MS * (1 + jitter * U[0,1))`` —
+#: seeded, so breakers opened by the same burst do not re-probe
+#: together.
+BREAKER_OPEN_JITTER = 0.5
 
 
 # -- deadline budget math ---------------------------------------------------
 
 def attempt_timeout_ms(
-    config: ResilienceConfig,
     deadline_ms: Optional[float],
     now: float,
     fallback_ms: float,
@@ -64,9 +66,10 @@ def attempt_timeout_ms(
     """Size one attempt's timeout from the remaining budget.
 
     Without a deadline this is the legacy fixed ``fallback_ms``.  With
-    one, the attempt gets ``fraction`` of what is left (floored at
-    ``min_attempt_timeout_ms`` so late attempts are not starved into
-    instant timeouts) but never more than the remaining budget itself.
+    one, the attempt gets ``ATTEMPT_TIMEOUT_FRACTION`` of what is left
+    (floored at ``MIN_ATTEMPT_TIMEOUT_MS`` so late attempts are not
+    starved into instant timeouts) but never more than the remaining
+    budget itself.
     """
     if deadline_ms is None:
         return fallback_ms
@@ -74,8 +77,8 @@ def attempt_timeout_ms(
     if remaining <= 0.0:
         return 0.0
     sized = max(
-        config.min_attempt_timeout_ms,
-        remaining * config.attempt_timeout_fraction,
+        MIN_ATTEMPT_TIMEOUT_MS,
+        remaining * ATTEMPT_TIMEOUT_FRACTION,
     )
     return min(fallback_ms, remaining, sized)
 
@@ -114,14 +117,14 @@ class CircuitBreaker:
     """Per-destination closed/open/half-open breaker.
 
     Failure signals are the same ones the retry machinery sees
-    (transport errors, sheds, slow shard accesses); ``threshold``
-    *consecutive* failures open the breaker, a seeded-jitter dwell
+    (transport errors, sheds, slow shard accesses);
+    ``BREAKER_FAILURE_THRESHOLD`` *consecutive* failures open the breaker, a seeded-jitter dwell
     later one probe is admitted half-open, and its outcome closes or
     re-opens the breaker.
     """
 
     __slots__ = (
-        "name", "config", "_rng", "_on_transition", "state",
+        "name", "_rng", "_on_transition", "state",
         "consecutive_failures", "reopen_at_ms", "probes_in_flight",
         "opens", "rejections",
     )
@@ -129,12 +132,10 @@ class CircuitBreaker:
     def __init__(
         self,
         name: str,
-        config: ResilienceConfig,
         rng: random.Random,
         on_transition: Optional[Callable[[BreakerTransition], None]] = None,
     ) -> None:
         self.name = name
-        self.config = config
         self._rng = rng
         self._on_transition = on_transition
         self.state = CLOSED
@@ -149,8 +150,8 @@ class CircuitBreaker:
         self.state = to_state
         if to_state == OPEN:
             self.opens += 1
-            jitter = 1.0 + self.config.breaker_open_jitter * self._rng.random()
-            self.reopen_at_ms = now + self.config.breaker_open_ms * jitter
+            jitter = 1.0 + BREAKER_OPEN_JITTER * self._rng.random()
+            self.reopen_at_ms = now + BREAKER_OPEN_MS * jitter
             self.probes_in_flight = 0
         elif to_state == CLOSED:
             self.consecutive_failures = 0
@@ -194,7 +195,7 @@ class CircuitBreaker:
             return
         if self.state == CLOSED:
             self.consecutive_failures += 1
-            if self.consecutive_failures >= self.config.breaker_failure_threshold:
+            if self.consecutive_failures >= BREAKER_FAILURE_THRESHOLD:
                 self._transition(
                     now, OPEN,
                     f"{self.consecutive_failures} consecutive failures",
@@ -225,10 +226,10 @@ class RetryBudget:
         self.tokens = capacity
         self.exhaustions = 0
 
-    def try_spend(self, cost: float = 1.0) -> bool:
-        """Take ``cost`` tokens; False (and no change) if short."""
-        if self.tokens >= cost:
-            self.tokens -= cost
+    def try_spend(self) -> bool:
+        """Take one token; False (and no change) if short."""
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             return True
         self.exhaustions += 1
         return False

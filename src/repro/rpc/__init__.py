@@ -9,13 +9,12 @@ backoff with jitter for HTTP resubmission.
 """
 
 from repro.rpc.connections import ClientVM, ConnectionDropped, TcpConnection, TcpServer
-from repro.rpc.latency import LatencyConfig, LatencyModel
+from repro.rpc.latency import LatencyModel
 from repro.rpc.retry import RetryPolicy
 
 __all__ = [
     "ClientVM",
     "ConnectionDropped",
-    "LatencyConfig",
     "LatencyModel",
     "RetryPolicy",
     "TcpConnection",

@@ -165,9 +165,7 @@ class TcpServer:
                 return connection
         return None
 
-    def connection_count(self, deployment: Optional[str] = None) -> int:
-        if deployment is not None:
-            return len([c for c in self._by_deployment.get(deployment, []) if c.alive])
+    def connection_count(self) -> int:
         return sum(
             len([c for c in conns if c.alive])
             for conns in self._by_deployment.values()

@@ -9,25 +9,21 @@ processing) land in those windows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class LatencyConfig:
-    tcp_oneway_min_ms: float = 0.25
-    tcp_oneway_max_ms: float = 0.55
-    http_oneway_min_ms: float = 3.5
-    http_oneway_max_ms: float = 8.5
-    gateway_overhead_ms: float = 0.8
-    """Extra queueing/routing at the FaaS API gateway per invocation."""
-    intra_vm_ms: float = 0.05
-    """Hop between co-located TCP servers (connection sharing)."""
+TCP_ONEWAY_MIN_MS = 0.25
+TCP_ONEWAY_MAX_MS = 0.55
+HTTP_ONEWAY_MIN_MS = 3.5
+HTTP_ONEWAY_MAX_MS = 8.5
+#: Extra queueing/routing at the FaaS API gateway per invocation.
+GATEWAY_OVERHEAD_MS = 0.8
+#: Hop between co-located TCP servers (connection sharing).
+INTRA_VM_MS = 0.05
 
 
 class LatencyModel:
     """Draws latencies from a dedicated RNG stream.
 
-    The bound ``uniform`` method and the config bounds are cached at
+    The bound ``uniform`` method and the module's bounds are cached at
     construction (the per-draw handles of docs/kernel.md): ``tcp_oneway``
     runs several times per simulated RPC, and the cached handle makes
     each draw one call with two float locals instead of four attribute
@@ -35,14 +31,13 @@ class LatencyModel:
     ``rng.uniform`` directly.
     """
 
-    def __init__(self, rng: random.Random, config: LatencyConfig | None = None) -> None:
+    def __init__(self, rng: random.Random) -> None:
         self.rng = rng
-        self.config = config or LatencyConfig()
         self._uniform = rng.uniform
-        self._tcp_lo = self.config.tcp_oneway_min_ms
-        self._tcp_hi = self.config.tcp_oneway_max_ms
-        self._http_lo = self.config.http_oneway_min_ms
-        self._http_hi = self.config.http_oneway_max_ms
+        self._tcp_lo = TCP_ONEWAY_MIN_MS
+        self._tcp_hi = TCP_ONEWAY_MAX_MS
+        self._http_lo = HTTP_ONEWAY_MIN_MS
+        self._http_hi = HTTP_ONEWAY_MAX_MS
 
     def tcp_oneway(self) -> float:
         return self._uniform(self._tcp_lo, self._tcp_hi)
@@ -51,7 +46,7 @@ class LatencyModel:
         return self._uniform(self._http_lo, self._http_hi)
 
     def gateway(self) -> float:
-        return self.config.gateway_overhead_ms
+        return GATEWAY_OVERHEAD_MS
 
     def intra_vm(self) -> float:
-        return self.config.intra_vm_ms
+        return INTRA_VM_MS

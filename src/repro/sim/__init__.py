@@ -29,14 +29,13 @@ from repro.sim.events import (
     Process,
     Timeout,
 )
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RngStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "ConditionValue",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
@@ -44,6 +43,5 @@ __all__ = [
     "Resource",
     "RngStreams",
     "StopSimulation",
-    "Store",
     "Timeout",
 ]

@@ -98,9 +98,9 @@ class Environment:
         """Create a new pending :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that triggers after ``delay`` time units."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(self, generator: Generator) -> Process:
         """Start a new process from ``generator``."""

@@ -70,11 +70,6 @@ code must not assume ``callbacks`` is a list.
 class Interrupt(Exception):
     """Raised inside a process when another process interrupts it."""
 
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0] if self.args else None
-
 
 class Event:
     """An event that may happen at some point in simulated time."""
@@ -155,7 +150,7 @@ class Timeout(Event):
 
     __slots__ = ("_entry",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
+    def __init__(self, env: "Environment", delay: float) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         # Timeouts are the bulk of all events; the base ``__init__`` and
@@ -165,7 +160,7 @@ class Timeout(Event):
         # PRIORITY_NORMAL).
         self.env = env
         self.callbacks = _NO_CALLBACKS
-        self._value = value
+        self._value = None
         self._ok = True
         self._defused = False
         eid = env._eid_next
@@ -246,7 +241,7 @@ class Process(Event):
         """True until the wrapped generator exits."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
+    def interrupt(self) -> None:
         """Throw an :class:`Interrupt` into the process."""
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
@@ -254,7 +249,7 @@ class Process(Event):
             raise RuntimeError("a process is not allowed to interrupt itself")
         interrupt_event = Event(self.env)
         interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
+        interrupt_event._value = Interrupt()
         interrupt_event._defused = True
         # Jump the queue: deliver the interrupt before normal events.
         interrupt_event.callbacks = self._resume_interrupt

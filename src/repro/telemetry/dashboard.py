@@ -15,7 +15,7 @@ so the dashboard stays useful for registries with custom metrics.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.metrics.ascii_plot import sparkline
 from repro.telemetry.registry import (

@@ -239,8 +239,8 @@ class MetricsRegistry:
 
     Families are created lazily by the ``inc``/``set``/``observe``
     helpers so instrumentation sites stay one-liners, or declared up
-    front with :meth:`counter`/:meth:`gauge`/:meth:`histogram` to
-    attach help text and custom buckets.
+    front with :meth:`gauge`/:meth:`histogram` to attach help text and
+    custom buckets.
     """
 
     def __init__(self, env: Optional[Any] = None) -> None:
@@ -265,8 +265,8 @@ class MetricsRegistry:
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._declare(Counter, name, help=help)
+    def counter(self, name: str) -> Counter:
+        return self._declare(Counter, name)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._declare(Gauge, name, help=help)

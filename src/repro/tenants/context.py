@@ -35,6 +35,10 @@ from repro.sim import Environment
 #: :data:`repro.workloads.multitenant.WORKLOAD_MIXES` for the op mixes).
 WORKLOADS = ("mixed", "mltrain", "readstorm", "writeheavy")
 
+#: The governor budgets each tenant at this multiple of its nominal
+#: demand.
+GOVERNOR_HEADROOM = 2.0
+
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -197,15 +201,14 @@ class TenantGovernor:
         cls,
         env: Environment,
         specs: Sequence[TenantSpec],
-        headroom: float = 2.0,
     ) -> "TenantGovernor":
-        """Budget each tenant at ``headroom ×`` its nominal demand.
+        """Budget each tenant at ``GOVERNOR_HEADROOM ×`` its nominal demand.
 
         Compliant tenants never hit their cap; a flooding tenant is
         held near its historical share instead of eating the fleet.
         """
         rates = {
-            spec.name: max(headroom * spec.demand_ops_per_ms(), 1e-6)
+            spec.name: max(GOVERNOR_HEADROOM * spec.demand_ops_per_ms(), 1e-6)
             for spec in specs
         }
         return cls(env, rates)

@@ -147,9 +147,9 @@ def quantile_from_counts(
 
 
 def p99_timeline(
-    timeseries, tenants: Sequence[str], q: float = 0.99
+    timeseries, tenants: Sequence[str]
 ) -> List[Tuple[float, float]]:
-    """(sample time, interval q-quantile latency) over ``tenants``.
+    """(sample time, interval p99 latency) over ``tenants``.
 
     Intervals with no completed ops are skipped; quantiles are upper
     bucket bounds (the histogram's resolution).
@@ -158,7 +158,7 @@ def p99_timeline(
     out: List[Tuple[float, float]] = []
     for t_ms, counts in rows:
         if sum(counts) > 0:
-            out.append((t_ms, quantile_from_counts(bounds, counts, q)))
+            out.append((t_ms, quantile_from_counts(bounds, counts, 0.99)))
     return out
 
 

@@ -16,17 +16,20 @@ rest on:
   ``Transaction.lock_many``; cross-batch hierarchical orders are
   legitimate and protected by timeout+retry instead).
 
-Checkers record :class:`Violation` objects; with ``fail_fast=True``
+Checkers record :class:`Violation` objects; with ``FAIL_FAST`` set
 they raise :class:`InvariantViolation` immediately so a broken run
 dies at the first bad event instead of producing numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.trace.tracer import Span, Tracer
+
+#: Raise at the first violation instead of recording it.
+FAIL_FAST = False
 
 
 class InvariantViolation(AssertionError):
@@ -52,8 +55,7 @@ class Checker:
 
     name = "checker"
 
-    def __init__(self, fail_fast: bool = False) -> None:
-        self.fail_fast = fail_fast
+    def __init__(self) -> None:
         self.violations: List[Violation] = []
 
     def observe(self, phase: str, span: Span) -> None:  # pragma: no cover - interface
@@ -62,7 +64,7 @@ class Checker:
     def _flag(self, rule: str, message: str, span: Span) -> None:
         violation = Violation(self.name, rule, message, span.start_ms, span.actor)
         self.violations.append(violation)
-        if self.fail_fast:
+        if FAIL_FAST:
             raise InvariantViolation(str(violation))
 
 
@@ -90,8 +92,8 @@ class CoherenceChecker(Checker):
 
     name = "coherence"
 
-    def __init__(self, fail_fast: bool = False) -> None:
-        super().__init__(fail_fast)
+    def __init__(self) -> None:
+        super().__init__()
         # inv_id -> (initiator, paths, prefix, causal parent span id).
         # A NameNode serves writes concurrently, so rounds are matched
         # to commits by the originating request (the shared parent

@@ -17,7 +17,7 @@ issued immediately (backlog behaviour, like hammer-bench rollover).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Generator, Iterable, List, Optional, Sequence, TextIO
 
 from repro.core.messages import OpType
 from repro.sim import AllOf, Environment

@@ -22,6 +22,11 @@ from repro.sim import AllOf, Environment
 #: Parent of every client's ``d<index>`` directory.
 DIRECTORY_ROOT = "/tree"
 
+#: Untimed per-client operations before the measured phases (the
+#: paper's runs are long enough to amortize cold starts; short scaled
+#: runs warm explicitly instead).
+WARMUP_OPS = 8
+
 
 @dataclass(frozen=True)
 class TreeTestConfig:
@@ -30,10 +35,6 @@ class TreeTestConfig:
     fixed_total_writes: int = 1_000_000
     fixed_total_reads: int = 1_000_000
     seed: int = 0
-    warmup_ops: int = 8
-    """Untimed per-client operations before the measured phases (the
-    paper's runs are long enough to amortize cold starts; short scaled
-    runs warm explicitly instead)."""
 
 
 @dataclass
@@ -90,7 +91,7 @@ class TreeTest:
             self._paths_for(index, writes) for index in range(len(clients))
         ]
 
-        if self.config.warmup_ops:
+        if WARMUP_OPS:
             warm_procs = [
                 self.env.process(self._warmup(client, index))
                 for index, client in enumerate(clients)
@@ -123,7 +124,7 @@ class TreeTest:
 
     def _warmup(self, client, index: int) -> Generator:
         root = DIRECTORY_ROOT
-        for serial in range(self.config.warmup_ops):
+        for serial in range(WARMUP_OPS):
             path = f"{root}/d{index}/w{serial}"
             yield from client.mknod(path)
             yield from client.getattr(path)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.baselines import CephFSCluster, CephFSConfig
+from repro.baselines import CephFSCluster, CephFSConfig, cephfs
+from repro.core import OpType
 from repro.sim import Environment
 
 
@@ -59,7 +60,7 @@ def test_delete_recursive(cluster):
     client = c.new_client()
 
     def scenario(env):
-        r = yield from client.delete("/t", recursive=True)
+        r = yield from client.execute(OpType.DELETE, "/t", recursive=True)
         assert r.ok
         return (yield from client.stat("/t/sub/g"))
 
@@ -119,9 +120,10 @@ def test_install_namespace_builds_parents(cluster):
     assert response.ok and response.value == ["file"]
 
 
-def test_dispatch_serializes_per_mds():
+def test_dispatch_serializes_per_mds(monkeypatch):
+    monkeypatch.setattr(cephfs, "DISPATCH_MS", 1.0)
     env = Environment()
-    c = CephFSCluster(env, CephFSConfig(num_mds=1, dispatch_ms=1.0))
+    c = CephFSCluster(env, CephFSConfig(num_mds=1))
     c.install_namespace([], ["/d/f"])
     clients = [c.new_client() for _ in range(4)]
     finish = []

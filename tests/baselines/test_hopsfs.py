@@ -2,18 +2,24 @@
 
 import pytest
 
-from repro.baselines import HopsFSCachedCluster, HopsFSCluster, HopsFSConfig
-from repro.metastore import NdbConfig
+from repro.baselines import HopsFSCachedCluster, HopsFSCluster, HopsFSConfig, hopsfs
+from repro.core import OpType
+from repro.faas import platform
+from repro.metastore import ndb
 from repro.sim import Environment
 
 
+@pytest.fixture(autouse=True)
+def small_cluster_constants(monkeypatch):
+    """16 RPC handlers per NameNode, a 0.1 ms store round trip, and a
+    5 ms λFS app init."""
+    monkeypatch.setattr(hopsfs, "RPC_HANDLERS", 16)
+    monkeypatch.setattr(ndb, "RTT_MS", 0.1)
+    monkeypatch.setattr(platform, "APP_INIT_MS", 5.0)
+
+
 def small_config(**overrides):
-    defaults = dict(
-        num_namenodes=4,
-        vcpus_per_namenode=4,
-        rpc_handlers=16,
-        ndb=NdbConfig(rtt_ms=0.1),
-    )
+    defaults = dict(num_namenodes=4, vcpus_per_namenode=4)
     defaults.update(overrides)
     return HopsFSConfig(**defaults)
 
@@ -143,7 +149,7 @@ def test_subtree_delete(cluster):
     def scenario(env):
         yield from client.mkdirs("/top/sub")
         yield from client.create_file("/top/sub/f")
-        r = yield from client.delete("/top", recursive=True)
+        r = yield from client.execute(OpType.DELETE, "/top", recursive=True)
         assert r.ok, r.error
         gone = yield from client.stat("/top/sub/f")
         return gone
@@ -186,7 +192,7 @@ def test_cached_subtree_prefix_invalidation(cached_cluster):
         yield from client.create_file("/top/f")
         r1 = yield from client.stat("/top/f")  # cache it somewhere
         assert r1.ok
-        r = yield from client.delete("/top", recursive=True)
+        r = yield from client.execute(OpType.DELETE, "/top", recursive=True)
         assert r.ok, r.error
         r2 = yield from client.stat("/top/f")
         return r2
@@ -203,7 +209,7 @@ def _lambdafs(env):
         num_deployments=2,
         faas=FaaSConfig(
             cluster_vcpus=32.0, vcpus_per_instance=4.0,
-            cold_start_min_ms=20.0, cold_start_max_ms=30.0, app_init_ms=5.0,
+            cold_start_min_ms=20.0, cold_start_max_ms=30.0,
         ),
     ))
     fs.format()

@@ -22,10 +22,11 @@ times), so the two systems' namespace code can be restructured only
 if no store call moves.
 """
 
-from repro.baselines import HopsFSCachedCluster, HopsFSCluster, HopsFSConfig
+from repro.baselines import HopsFSCachedCluster, HopsFSCluster, HopsFSConfig, hopsfs
 from repro.bench.experiments import table3_subtree_mv
 from repro.bench.harness import build_lambdafs, drive
-from repro.metastore import NdbConfig
+from repro.core import OpType
+from repro.metastore import ndb
 from repro.namespace.treegen import flat_directory
 from repro.sim import AllOf, Environment
 from repro.trace import install_tracer
@@ -54,8 +55,7 @@ def run_hops_loop(cached):
     tracer = install_tracer(env)
     cluster_class = HopsFSCachedCluster if cached else HopsFSCluster
     cluster = cluster_class(env, HopsFSConfig(
-        num_namenodes=4, vcpus_per_namenode=4, rpc_handlers=16, seed=1,
-        ndb=NdbConfig(lock_timeout_ms=4.0),
+        num_namenodes=4, vcpus_per_namenode=4, seed=1,
     ))
     cluster.format()
     files = [f"/tree/{d}/f{i}" for d in "ab" for i in range(6)]
@@ -81,7 +81,8 @@ def run_hops_loop(cached):
                 response = yield from client.mv("/mv/src", "/mv/dst")
                 assert response.ok, response.error
             if (index, step) == (2, 3):
-                response = yield from client.delete("/rm", recursive=True)
+                response = yield from client.execute(
+                    OpType.DELETE, "/rm", recursive=True)
                 assert response.ok, response.error
 
     def run():
@@ -93,7 +94,10 @@ def run_hops_loop(cached):
     return tracer, cluster
 
 
-def test_hopsfs_mixed_loop_is_pinned():
+def test_hopsfs_mixed_loop_is_pinned(monkeypatch):
+    # 16 RPC handlers per NameNode and a 4 ms lock-wait timeout.
+    monkeypatch.setattr(hopsfs, "RPC_HANDLERS", 16)
+    monkeypatch.setattr(ndb, "LOCK_TIMEOUT_MS", 4.0)
     for cached in (False, True):
         tracer, cluster = run_hops_loop(cached)
         records = cluster.metrics.records
@@ -124,7 +128,8 @@ def test_lambdafs_recursive_delete_is_pinned():
         for client in clients:
             response = yield from client.stat("/big/f1")
             assert response.ok, response.error
-        response = yield from clients[0].delete("/big", recursive=True)
+        response = yield from clients[0].execute(
+            OpType.DELETE, "/big", recursive=True)
         assert response.ok, response.error
         response = yield from clients[1].stat("/big/f1")
         assert not response.ok

@@ -112,10 +112,10 @@ def _run_window(env, engine, spec, during, t_mid=10.0, t_end=40.0):
 
 
 def test_lock_storm_swaps_and_restores_lock_timeout():
-    from repro.metastore import NdbConfig, NdbStore
+    from repro.metastore import NdbStore
 
     env = Environment()
-    store = NdbStore(env, NdbConfig(lock_timeout_ms=2_000.0))
+    store = NdbStore(env)
     engine = ChaosEngine(env, store=store)
     original = store.locks.default_timeout_ms
 
@@ -129,10 +129,10 @@ def test_lock_storm_swaps_and_restores_lock_timeout():
 
 
 def test_ack_loss_disable_retry_swaps_coordinator_config():
-    from repro.coordination import make_coordinator
+    from repro.coordination import Coordinator
 
     env = Environment()
-    coordinator = make_coordinator(env)
+    coordinator = Coordinator(env)
     engine = ChaosEngine(env, coordinator=coordinator)
     original = coordinator.config
 
@@ -147,10 +147,10 @@ def test_ack_loss_disable_retry_swaps_coordinator_config():
 
 
 def test_watch_delay_multiplies_watch_latency():
-    from repro.coordination import make_coordinator
+    from repro.coordination import Coordinator
 
     env = Environment()
-    coordinator = make_coordinator(env)
+    coordinator = Coordinator(env)
     engine = ChaosEngine(env, coordinator=coordinator)
     original = coordinator.config.watch_ms
 
@@ -218,7 +218,7 @@ def test_staggered_capacity_crunches_hold_the_latest_override():
 
 
 def test_overlapping_lock_storms_hold_the_latest_active_override():
-    from repro.metastore import NdbConfig, NdbStore
+    from repro.metastore import NdbStore
 
     def storm(at, clear, timeout):
         return FaultSpec("lock_storm", at_ms=at, duration_ms=clear - at,
@@ -232,7 +232,7 @@ def test_overlapping_lock_storms_hold_the_latest_active_override():
         ((storm(5.0, 40.0, 5.0), storm(10.0, 20.0, 7.0)), [5.0, 7.0, 5.0]),
     ):
         env = Environment()
-        store = NdbStore(env, NdbConfig(lock_timeout_ms=2_000.0))
+        store = NdbStore(env)
         samples = _sample(
             env, ChaosEngine(env, store=store), specs,
             lambda: store.locks.default_timeout_ms, times,

@@ -108,7 +108,7 @@ def test_latency_slo_recovers_within_window():
     engine = FakeEngine(epoch=0.0, first_fault=1000.0, clear=3000.0)
     report = ChaosVerifier(
         timeseries=ts, engine=engine,
-        slo=RecoverySLO(window_ms=2000.0, latency_factor=3.0),
+        slo=RecoverySLO(window_ms=2000.0),
     ).verify()
     assert report.passed
     assert report.baseline_latency_ms == pytest.approx(2.0)
@@ -125,7 +125,7 @@ def test_latency_slo_fails_when_latency_stays_high():
     engine = FakeEngine(epoch=0.0, first_fault=1000.0, clear=3000.0)
     report = ChaosVerifier(
         timeseries=ts, engine=engine,
-        slo=RecoverySLO(window_ms=2000.0, latency_factor=3.0),
+        slo=RecoverySLO(window_ms=2000.0),
     ).verify()
     assert not report.passed
     assert any("latency SLO" in f for f in report.failures)

@@ -10,7 +10,6 @@ without a full system.
 
 import pytest
 
-from repro.coordination import make_coordinator
 from repro.coordination.coordinator import Coordinator, CoordinatorConfig
 from repro.sim import Environment
 from repro.trace import Tracer
@@ -38,10 +37,9 @@ class AckChaos:
 
 def make_env_and_coord(**config_overrides):
     env = Environment()
+    coord = Coordinator(env)
     if config_overrides:
-        coord = Coordinator(env, CoordinatorConfig(**config_overrides))
-    else:
-        coord = make_coordinator(env)
+        coord.config = CoordinatorConfig(**config_overrides)
     return env, coord
 
 
@@ -109,7 +107,7 @@ def test_deregister_mid_retry_releases_the_waiter():
 def test_retry_disabled_strands_writer_until_deregister():
     """ack_max_retries=0 is the deliberately broken path: one dropped
     ACK and the deliver loop gives up for good."""
-    env, coord = make_env_and_coord(ack_retry_ms=5.0, ack_max_retries=0)
+    env, coord = make_env_and_coord(ack_max_retries=0)
     coord.register("d", "b", lambda inv: None)
     env.chaos = AckChaos({"b": 1})  # a single drop is now fatal
 

@@ -1,8 +1,6 @@
 """Unit tests for the Coordinator (membership + INV/ACK)."""
 
-import pytest
-
-from repro.coordination import Invalidation, make_coordinator
+from repro.coordination import Coordinator, Invalidation
 from repro.sim import Environment
 
 
@@ -14,7 +12,7 @@ def run(env, *procs):
 
 def test_register_and_live_members():
     env = Environment()
-    coord = make_coordinator(env)
+    coord = Coordinator(env)
     coord.register("d1", "nn1", lambda inv: None)
     coord.register("d1", "nn2", lambda inv: None)
     coord.register("d2", "nn3", lambda inv: None)
@@ -24,7 +22,7 @@ def test_register_and_live_members():
 
 def test_deregister_removes_member():
     env = Environment()
-    coord = make_coordinator(env)
+    coord = Coordinator(env)
     coord.register("d1", "nn1", lambda inv: None)
     coord.deregister("d1", "nn1")
     assert coord.live_members("d1") == set()
@@ -32,7 +30,7 @@ def test_deregister_removes_member():
 
 def test_invalidate_delivers_to_all_members():
     env = Environment()
-    coord = make_coordinator(env)
+    coord = Coordinator(env)
     received = []
 
     def handler(name):
@@ -57,7 +55,7 @@ def test_invalidate_delivers_to_all_members():
 
 def test_invalidate_excludes_leader():
     env = Environment()
-    coord = make_coordinator(env)
+    coord = Coordinator(env)
     received = []
     coord.register("d1", "leader", lambda inv: received.append("leader"))
     coord.register("d1", "nn2", lambda inv: received.append("nn2"))
@@ -71,7 +69,7 @@ def test_invalidate_excludes_leader():
 
 def test_invalidate_empty_deployment_completes_immediately():
     env = Environment()
-    coord = make_coordinator(env)
+    coord = Coordinator(env)
     done = []
 
     def leader(env):
@@ -84,7 +82,7 @@ def test_invalidate_empty_deployment_completes_immediately():
 
 def test_dead_member_does_not_block_acks():
     env = Environment()
-    coord = make_coordinator(env)
+    coord = Coordinator(env)
     # nn2's handler never acks because we kill it mid-flight.
     coord.register("d1", "nn1", lambda inv: None)
     coord.register("d1", "nn2", lambda inv: None)
@@ -111,7 +109,7 @@ def test_subtree_invalidation_flag():
 
 def test_watch_death_fires():
     env = Environment()
-    coord = make_coordinator(env)
+    coord = Coordinator(env)
     deaths = []
     coord.register("d1", "nn1", lambda inv: None)
     coord.watch_death("nn1", lambda member: deaths.append((env.now, member)))
@@ -125,15 +123,3 @@ def test_watch_death_fires():
     assert deaths[0][1] == "nn1"
     assert deaths[0][0] > 5  # watch latency applied
 
-
-def test_ndb_coordinator_is_slower():
-    env = Environment()
-    zk = make_coordinator(env, "zookeeper")
-    ndb = make_coordinator(env, "ndb")
-    assert ndb.config.publish_ms > zk.config.publish_ms
-
-
-def test_unknown_kind_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        make_coordinator(env, "etcd")

@@ -1,12 +1,12 @@
 """Unit tests for block allocation and placement."""
 
-import pytest
+from repro.core import blocks
+from repro.core.blocks import BlockManager, rack_aware_place
 
-from repro.core.blocks import BlockManager, BlockPlacementConfig, rack_aware_place
 
-
-def test_allocate_unique_ids():
-    manager = BlockManager(BlockPlacementConfig(blocks_per_file=2))
+def test_allocate_unique_ids(monkeypatch):
+    monkeypatch.setattr(blocks, "BLOCKS_PER_FILE", 2)
+    manager = BlockManager()
     a = manager.allocate()
     b = manager.allocate()
     assert len(a) == 2
@@ -14,7 +14,7 @@ def test_allocate_unique_ids():
 
 
 def test_place_respects_replication():
-    manager = BlockManager(BlockPlacementConfig(replication=3))
+    manager = BlockManager()
     datanodes = [f"dn{i}" for i in range(6)]
     replicas = manager.place(42, datanodes)
     assert len(replicas) == 3
@@ -23,7 +23,7 @@ def test_place_respects_replication():
 
 
 def test_place_with_fewer_datanodes_than_replication():
-    manager = BlockManager(BlockPlacementConfig(replication=3))
+    manager = BlockManager()
     assert manager.place(1, ["dn0"]) == ["dn0"]
     assert manager.place(1, []) == []
 
@@ -36,17 +36,19 @@ def test_placement_is_deterministic():
     assert manager.place(7, list(reversed(datanodes))) == manager.place(7, datanodes)
 
 
-def test_placement_spreads_blocks():
-    manager = BlockManager(BlockPlacementConfig(replication=1))
+def test_placement_spreads_blocks(monkeypatch):
+    monkeypatch.setattr(blocks, "REPLICATION", 1)
+    manager = BlockManager()
     datanodes = [f"dn{i}" for i in range(4)]
     primaries = {manager.place(block, datanodes)[0] for block in range(64)}
     assert len(primaries) == 4  # every DataNode is someone's primary
 
 
-def test_placement_stable_under_datanode_loss():
+def test_placement_stable_under_datanode_loss(monkeypatch):
     """Rendezvous property: removing one DataNode only moves blocks
     that lived on it."""
-    manager = BlockManager(BlockPlacementConfig(replication=1))
+    monkeypatch.setattr(blocks, "REPLICATION", 1)
+    manager = BlockManager()
     datanodes = [f"dn{i}" for i in range(5)]
     before = {block: manager.place(block, datanodes)[0] for block in range(200)}
     survivors = [dn for dn in datanodes if dn != "dn2"]
@@ -58,19 +60,13 @@ def test_placement_stable_under_datanode_loss():
 
 def test_two_managers_do_not_share_a_counter():
     """Regression: the id counter is per-manager state, not process
-    state — two managers in one sim must be able to run disjoint id
-    spaces instead of interleaving."""
-    a = BlockManager(BlockPlacementConfig(blocks_per_file=1))
-    b = BlockManager(BlockPlacementConfig(blocks_per_file=1), first_id=1_000)
+    state — one manager's allocations never advance another's."""
+    a = BlockManager()
+    b = BlockManager()
     assert a.allocate() == (1,)
-    assert b.allocate() == (1_000,)
+    assert b.allocate() == (1,)
     assert a.allocate() == (2,)  # b's allocation did not advance a
-    assert b.allocate() == (1_001,)
-
-
-def test_counter_validation():
-    with pytest.raises(ValueError):
-        BlockManager(first_id=0)
+    assert b.allocate() == (2,)
 
 
 def test_rack_aware_place_spreads_racks():
@@ -87,8 +83,9 @@ def test_rack_aware_place_falls_back_within_one_rack():
     assert sorted(placed) == ["dn0", "dn1", "dn2"]
 
 
-def test_place_with_racks_filters_to_known_nodes():
-    manager = BlockManager(BlockPlacementConfig(replication=2))
+def test_place_with_racks_filters_to_known_nodes(monkeypatch):
+    monkeypatch.setattr(blocks, "REPLICATION", 2)
+    manager = BlockManager()
     racks = {"dn0": "rack0", "dn1": "rack1"}
     placed = manager.place(9, ["dn0", "dn1", "dn9"], racks=racks)
     assert set(placed) == {"dn0", "dn1"}

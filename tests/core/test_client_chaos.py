@@ -5,29 +5,38 @@ import pytest
 
 from repro.chaos import FaultSpec, Scenario, install_chaos
 from repro.core import LambdaFS, LambdaFSConfig
+from repro.core import client as client_module
 from repro.core.client import ClientConfig
-from repro.faas import FaaSConfig
+from repro.faas import FaaSConfig, platform
 from repro.sim import Environment
 from repro.trace import install_tracer
 
 pytestmark = pytest.mark.chaos
 
 
-def make_fs(env, **client_overrides):
-    from dataclasses import replace
+@pytest.fixture
+def make_fs(monkeypatch):
+    """Build a small λFS with a 5 ms app init: UPPER_CASE overrides
+    patch ``repro.core.client``'s constants, the rest are
+    ``ClientConfig`` fields."""
+    monkeypatch.setattr(platform, "APP_INIT_MS", 5.0)
 
-    config = LambdaFSConfig(
-        num_deployments=2,
-        faas=FaaSConfig(
-            cluster_vcpus=64.0, vcpus_per_instance=4.0,
-            cold_start_min_ms=20.0, cold_start_max_ms=30.0, app_init_ms=5.0,
-        ),
-        client=replace(ClientConfig(), **client_overrides),
-    )
-    fs = LambdaFS(env, config)
-    fs.format()
-    fs.start()
-    return fs
+    def build(env, **overrides):
+        for name in [name for name in overrides if name.isupper()]:
+            monkeypatch.setattr(client_module, name, overrides.pop(name))
+        config = LambdaFSConfig(
+            num_deployments=2,
+            faas=FaaSConfig(
+                cluster_vcpus=64.0, vcpus_per_instance=4.0,
+                cold_start_min_ms=20.0, cold_start_max_ms=30.0,
+            ),
+            client=ClientConfig(**overrides),
+        )
+        fs = LambdaFS(env, config)
+        fs.format()
+        fs.start()
+        return fs
+    return build
 
 
 def drive(env, gen):
@@ -54,14 +63,14 @@ def spans_of_kind(tracer, kind):
     return [s for s in tracer.spans.values() if s.kind == kind]
 
 
-def test_straggler_resubmitted_write_is_served_from_result_cache():
+def test_straggler_resubmitted_write_is_served_from_result_cache(make_fs):
     """The abandoned first attempt still completes in the background;
     the resubmit carries the same request id and must get the cached
     original answer instead of re-running the write."""
     env = Environment()
     tracer = install_tracer(env)
     fs = make_fs(env, replacement_probability=0.0,
-                 straggler_floor_ms=10.0, straggler_threshold=2.0)
+                 STRAGGLER_FLOOR_MS=10.0, STRAGGLER_THRESHOLD=2.0)
     client = fs.new_client()
     warm(env, fs, client)
 
@@ -93,7 +102,7 @@ def test_straggler_resubmitted_write_is_served_from_result_cache():
     assert tracer.violations() == []
 
 
-def test_chaos_tcp_duplicate_is_answered_by_result_cache():
+def test_chaos_tcp_duplicate_is_answered_by_result_cache(make_fs):
     """tcp_duplicate delivers every TCP request twice; the second
     serve must come out of the NameNode result cache."""
     env = Environment()
@@ -122,9 +131,9 @@ def test_chaos_tcp_duplicate_is_answered_by_result_cache():
     assert tracer.violations() == []
 
 
-def test_antithrash_reentry_is_counted_once_per_cooldown():
+def test_antithrash_reentry_is_counted_once_per_cooldown(make_fs):
     env = Environment()
-    fs = make_fs(env, antithrash_threshold=2.0, antithrash_cooldown_ms=100.0)
+    fs = make_fs(env, ANTITHRASH_THRESHOLD=2.0, ANTITHRASH_COOLDOWN_MS=100.0)
     client = fs.new_client()
     for _ in range(4):
         client._observe(1.0)

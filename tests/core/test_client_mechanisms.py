@@ -4,26 +4,35 @@ anti-thrashing, retry fallback."""
 import pytest
 
 from repro.core import LambdaFS, LambdaFSConfig
+from repro.core import client as client_module
 from repro.core.client import ClientConfig
-from repro.faas import FaaSConfig
+from repro.faas import FaaSConfig, platform
 from repro.sim import Environment
 
 
-def make_fs(env, **client_overrides):
-    from dataclasses import replace
+@pytest.fixture
+def make_fs(monkeypatch):
+    """Build a small λFS with a 5 ms app init: UPPER_CASE overrides
+    patch ``repro.core.client``'s constants, the rest are
+    ``ClientConfig`` fields."""
+    monkeypatch.setattr(platform, "APP_INIT_MS", 5.0)
 
-    config = LambdaFSConfig(
-        num_deployments=2,
-        faas=FaaSConfig(
-            cluster_vcpus=64.0, vcpus_per_instance=4.0,
-            cold_start_min_ms=20.0, cold_start_max_ms=30.0, app_init_ms=5.0,
-        ),
-        client=replace(ClientConfig(), **client_overrides),
-    )
-    fs = LambdaFS(env, config)
-    fs.format()
-    fs.start()
-    return fs
+    def build(env, **overrides):
+        for name in [name for name in overrides if name.isupper()]:
+            monkeypatch.setattr(client_module, name, overrides.pop(name))
+        config = LambdaFSConfig(
+            num_deployments=2,
+            faas=FaaSConfig(
+                cluster_vcpus=64.0, vcpus_per_instance=4.0,
+                cold_start_min_ms=20.0, cold_start_max_ms=30.0,
+            ),
+            client=ClientConfig(**overrides),
+        )
+        fs = LambdaFS(env, config)
+        fs.format()
+        fs.start()
+        return fs
+    return build
 
 
 def drive(env, gen):
@@ -46,7 +55,7 @@ def warm(env, fs, client):
     drive(env, setup(env))
 
 
-def test_replacement_probability_one_forces_http():
+def test_replacement_probability_one_forces_http(make_fs):
     env = Environment()
     fs = make_fs(env, replacement_probability=1.0)
     client = fs.new_client()
@@ -60,7 +69,7 @@ def test_replacement_probability_one_forces_http():
     assert client.stats_tcp_rpcs == 0
 
 
-def test_replacement_probability_zero_prefers_tcp():
+def test_replacement_probability_zero_prefers_tcp(make_fs):
     env = Environment()
     fs = make_fs(env, replacement_probability=0.0)
     client = fs.new_client()
@@ -76,7 +85,7 @@ def test_replacement_probability_zero_prefers_tcp():
     assert client.stats_tcp_rpcs >= 10
 
 
-def test_moving_average_updates():
+def test_moving_average_updates(make_fs):
     env = Environment()
     fs = make_fs(env)
     client = fs.new_client()
@@ -86,9 +95,9 @@ def test_moving_average_updates():
     assert client._moving_average() == pytest.approx(3.0)
 
 
-def test_latency_window_is_bounded():
+def test_latency_window_is_bounded(make_fs):
     env = Environment()
-    fs = make_fs(env, latency_window=4)
+    fs = make_fs(env, LATENCY_WINDOW=4)
     client = fs.new_client()
     for value in (100.0,) * 4:
         client._observe(value)
@@ -97,9 +106,9 @@ def test_latency_window_is_bounded():
     assert client._moving_average() == pytest.approx(1.0)
 
 
-def test_antithrash_triggers_on_latency_spike():
+def test_antithrash_triggers_on_latency_spike(make_fs):
     env = Environment()
-    fs = make_fs(env, antithrash_threshold=2.0, antithrash_cooldown_ms=500.0)
+    fs = make_fs(env, ANTITHRASH_THRESHOLD=2.0, ANTITHRASH_COOLDOWN_MS=500.0)
     client = fs.new_client()
     for _ in range(8):
         client._observe(1.0)
@@ -108,9 +117,9 @@ def test_antithrash_triggers_on_latency_spike():
     assert client._antithrash_active()
 
 
-def test_antithrash_cooldown_expires():
+def test_antithrash_cooldown_expires(make_fs):
     env = Environment()
-    fs = make_fs(env, antithrash_threshold=2.0, antithrash_cooldown_ms=100.0)
+    fs = make_fs(env, ANTITHRASH_THRESHOLD=2.0, ANTITHRASH_COOLDOWN_MS=100.0)
     client = fs.new_client()
     for _ in range(4):
         client._observe(1.0)
@@ -124,7 +133,7 @@ def test_antithrash_cooldown_expires():
     assert not client._antithrash_active()
 
 
-def test_antithrash_disabled_never_triggers():
+def test_antithrash_disabled_never_triggers(make_fs):
     env = Environment()
     fs = make_fs(env, antithrash_enabled=False)
     client = fs.new_client()
@@ -134,9 +143,9 @@ def test_antithrash_disabled_never_triggers():
     assert not client._antithrash_active()
 
 
-def test_antithrash_mode_suppresses_replacement():
+def test_antithrash_mode_suppresses_replacement(make_fs):
     env = Environment()
-    fs = make_fs(env, replacement_probability=1.0, antithrash_threshold=2.0)
+    fs = make_fs(env, replacement_probability=1.0, ANTITHRASH_THRESHOLD=2.0)
     client = fs.new_client()
     warm(env, fs, client)
     # Force anti-thrash mode, then issue reads: despite p=1.0, TCP
@@ -155,9 +164,9 @@ def test_antithrash_mode_suppresses_replacement():
     assert client.stats_tcp_rpcs == tcp_before + 5
 
 
-def test_straggler_resubmits_slow_request():
+def test_straggler_resubmits_slow_request(make_fs):
     env = Environment()
-    fs = make_fs(env, straggler_floor_ms=10.0, straggler_threshold=2.0)
+    fs = make_fs(env, STRAGGLER_FLOOR_MS=10.0, STRAGGLER_THRESHOLD=2.0)
     client = fs.new_client()
     warm(env, fs, client)
 
@@ -183,7 +192,7 @@ def test_straggler_resubmits_slow_request():
     assert client.stats_stragglers >= 1
 
 
-def test_straggler_disabled_waits():
+def test_straggler_disabled_waits(make_fs):
     env = Environment()
     fs = make_fs(env, straggler_enabled=False)
     client = fs.new_client()
@@ -209,7 +218,7 @@ def test_straggler_disabled_waits():
     assert env.now - start >= 290  # waited out the stall
 
 
-def test_http_fallback_when_no_connections():
+def test_http_fallback_when_no_connections(make_fs):
     env = Environment()
     fs = make_fs(env, replacement_probability=0.0)
     client = fs.new_client()

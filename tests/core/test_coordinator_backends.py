@@ -1,69 +1,34 @@
-"""λFS with each pluggable Coordinator backend (§3.5)."""
+"""λFS with its Coordinator, the ZooKeeper-backed one (§3.5)."""
 
-import pytest
-
-from repro.coordination import NdbCoordinator, ZooKeeperCoordinator
+from repro.coordination import Coordinator
 from repro.core import LambdaFS, LambdaFSConfig
-from repro.faas import FaaSConfig
+from repro.faas import FaaSConfig, platform
 from repro.sim import Environment
 
 
-def make_fs(env, kind):
-    config = LambdaFSConfig(
+def test_zookeeper_backend_works(monkeypatch):
+    monkeypatch.setattr(platform, "APP_INIT_MS", 5.0)
+    env = Environment()
+    fs = LambdaFS(env, LambdaFSConfig(
         num_deployments=2,
-        coordinator_kind=kind,
         faas=FaaSConfig(
             cluster_vcpus=32.0, vcpus_per_instance=4.0,
-            cold_start_min_ms=20.0, cold_start_max_ms=30.0, app_init_ms=5.0,
+            cold_start_min_ms=20.0, cold_start_max_ms=30.0,
         ),
-    )
-    fs = LambdaFS(env, config)
+    ))
     fs.format()
     fs.start()
-    return fs
-
-
-def run_write_scenario(kind):
-    env = Environment()
-    fs = make_fs(env, kind)
     client = fs.new_client()
     box = {}
 
     def scenario(env):
         yield from client.mkdirs("/d")
-        start = env.now
         response = yield from client.create_file("/d/f")
-        box["latency"] = env.now - start
         box["ok"] = response.ok
         check = yield from client.stat("/d/f")
         box["stat_ok"] = check.ok
 
     done = env.process(scenario(env))
     env.run(until=done)
-    return fs, box
-
-
-def test_zookeeper_backend_works():
-    fs, box = run_write_scenario("zookeeper")
     assert box["ok"] and box["stat_ok"]
-    assert isinstance(fs.coordinator, ZooKeeperCoordinator)
-
-
-def test_ndb_backend_works():
-    fs, box = run_write_scenario("ndb")
-    assert box["ok"] and box["stat_ok"]
-    assert isinstance(fs.coordinator, NdbCoordinator)
-
-
-def test_unknown_backend_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        LambdaFS(env, LambdaFSConfig(coordinator_kind="etcd"))
-
-
-def test_ndb_backend_adds_write_latency():
-    _fs_zk, zk = run_write_scenario("zookeeper")
-    _fs_ndb, ndb = run_write_scenario("ndb")
-    # The NDB-backed Coordinator's slower pub/ack shows on the write
-    # path (the INV/ACK round), everything else being equal.
-    assert ndb["latency"] > zk["latency"]
+    assert isinstance(fs.coordinator, Coordinator)

@@ -8,6 +8,8 @@ NameNode's live DataNode set gives, it follows INode replacement and
 membership changes, and it stays sized by the files that still exist.
 """
 
+import pytest
+
 from repro.core import LambdaFS, LambdaFSConfig
 from repro.core.blocks import BlockManager
 from repro.core.client import ClientConfig
@@ -15,10 +17,16 @@ from repro.core.messages import MetadataRequest, OpType
 from repro.core.maintenance import BlockReport, DataNodeConfig
 from repro.core.namenode import NameNodeConfig
 from repro.datanode import DataNodeFleet, DataNodeFleetConfig
-from repro.faas import FaaSConfig
+from repro.faas import FaaSConfig, platform
 from repro.sim import Environment
 
 STALE_AFTER_MS = 6_000.0
+
+
+@pytest.fixture(autouse=True)
+def fast_app_init(monkeypatch):
+    """A 10 ms app init after each cold start."""
+    monkeypatch.setattr(platform, "APP_INIT_MS", 10.0)
 
 
 def make_fs(env, datanodes=4, deployments=1):
@@ -27,7 +35,7 @@ def make_fs(env, datanodes=4, deployments=1):
         faas=FaaSConfig(
             cluster_vcpus=16.0, vcpus_per_instance=4.0,
             cold_start_min_ms=50.0, cold_start_max_ms=80.0,
-            app_init_ms=10.0, idle_reclaim_ms=600_000.0,
+            idle_reclaim_ms=600_000.0,
         ),
         client=ClientConfig(replacement_probability=0.0),
         datanodes=DataNodeConfig(count=datanodes),
@@ -58,7 +66,7 @@ def namenode_of(fs, response):
 def assert_fresh(namenode, view, racks=None):
     """``view`` equals placement computed from scratch now."""
     live = list(namenode._datanode_view)
-    fresh = BlockManager(namenode.fs.ops.blocks.config)
+    fresh = BlockManager()
     assert view["locations"] == live
     assert view["blocks"] == {
         block_id: fresh.place(block_id, live, racks)

@@ -3,8 +3,14 @@
 import pytest
 
 from repro.core import LambdaFS, LambdaFSConfig
-from repro.faas import FaaSConfig
+from repro.faas import FaaSConfig, platform
 from repro.sim import Environment
+
+
+@pytest.fixture(autouse=True)
+def fast_app_init(monkeypatch):
+    """A 5 ms app init after each cold start."""
+    monkeypatch.setattr(platform, "APP_INIT_MS", 5.0)
 
 
 def quick_config(**overrides):
@@ -12,7 +18,7 @@ def quick_config(**overrides):
         num_deployments=4,
         faas=FaaSConfig(
             cluster_vcpus=64.0, vcpus_per_instance=4.0,
-            cold_start_min_ms=20.0, cold_start_max_ms=30.0, app_init_ms=5.0,
+            cold_start_min_ms=20.0, cold_start_max_ms=30.0,
         ),
     )
     defaults.update(overrides)
@@ -47,7 +53,7 @@ def test_prewarm_respects_vcpu_cap():
     env = Environment()
     fs = LambdaFS(env, quick_config(faas=FaaSConfig(
         cluster_vcpus=8.0, vcpus_per_instance=4.0,
-        cold_start_min_ms=20.0, cold_start_max_ms=30.0, app_init_ms=5.0,
+        cold_start_min_ms=20.0, cold_start_max_ms=30.0,
     )))
     fs.format()
     drive(env, fs.prewarm(4))

@@ -6,9 +6,16 @@ from repro.core import LambdaFS, LambdaFSConfig, OpType
 from repro.core.client import ClientConfig
 from repro.core.messages import MetadataRequest
 from repro.core.namenode import NameNodeConfig
-from repro.faas import FaaSConfig
-from repro.metastore import NdbConfig
+from repro.faas import FaaSConfig, platform
+from repro.metastore import ndb
 from repro.sim import Environment
+
+
+@pytest.fixture(autouse=True)
+def fast_cluster(monkeypatch):
+    """A 10 ms app init and a 0.2 ms store round trip."""
+    monkeypatch.setattr(platform, "APP_INIT_MS", 10.0)
+    monkeypatch.setattr(ndb, "RTT_MS", 0.2)
 
 
 def make_fs(env, **overrides):
@@ -21,10 +28,8 @@ def make_fs(env, **overrides):
             concurrency_level=2,
             cold_start_min_ms=50.0,
             cold_start_max_ms=80.0,
-            app_init_ms=10.0,
             idle_reclaim_ms=60_000.0,
         ),
-        ndb=NdbConfig(rtt_ms=0.2),
         client=ClientConfig(replacement_probability=0.01),
     )
     defaults.update(overrides)
@@ -138,7 +143,7 @@ def test_subtree_delete_removes_descendants():
         yield from client.mkdirs("/top/sub")
         yield from client.create_file("/top/f1")
         yield from client.create_file("/top/sub/f2")
-        r = yield from client.delete("/top", recursive=True)
+        r = yield from client.execute(OpType.DELETE, "/top", recursive=True)
         assert r.ok, r.error
         r1 = yield from client.stat("/top")
         r2 = yield from client.stat("/top/sub/f2")

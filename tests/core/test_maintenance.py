@@ -1,15 +1,24 @@
 """Unit tests for serverless-compatible DFS maintenance."""
 
+import pytest
+
+from repro.core import maintenance
 from repro.core.maintenance import BlockReport, DataNodeConfig, DataNodeService
-from repro.metastore import NdbConfig, NdbStore
+from repro.metastore import NdbStore, ndb
 from repro.sim import Environment
 
 
-def test_datanodes_publish_reports():
+@pytest.fixture(autouse=True)
+def instant_store(monkeypatch):
+    """A store with no round trip."""
+    monkeypatch.setattr(ndb, "RTT_MS", 0.0)
+
+
+def test_datanodes_publish_reports(monkeypatch):
+    monkeypatch.setattr(maintenance, "REPORT_INTERVAL_MS", 100.0)
     env = Environment()
-    store = NdbStore(env, NdbConfig(rtt_ms=0.0))
-    service = DataNodeService(env, store, DataNodeConfig(count=3,
-                                                         report_interval_ms=100.0))
+    store = NdbStore(env)
+    service = DataNodeService(env, store, DataNodeConfig(count=3))
     service.start()
     env.run(until=1_000)
     assert service.reports_published >= 3 * 9
@@ -19,11 +28,11 @@ def test_datanodes_publish_reports():
         assert report.healthy
 
 
-def test_reports_refresh_over_time():
+def test_reports_refresh_over_time(monkeypatch):
+    monkeypatch.setattr(maintenance, "REPORT_INTERVAL_MS", 50.0)
     env = Environment()
-    store = NdbStore(env, NdbConfig(rtt_ms=0.0))
-    service = DataNodeService(env, store, DataNodeConfig(count=1,
-                                                         report_interval_ms=50.0))
+    store = NdbStore(env)
+    service = DataNodeService(env, store, DataNodeConfig(count=1))
     service.start()
     env.run(until=100)
     first = store.peek(("datanode", "dn0")).published_at_ms
@@ -32,11 +41,11 @@ def test_reports_refresh_over_time():
     assert second > first
 
 
-def test_start_is_idempotent():
+def test_start_is_idempotent(monkeypatch):
+    monkeypatch.setattr(maintenance, "REPORT_INTERVAL_MS", 100.0)
     env = Environment()
-    store = NdbStore(env, NdbConfig(rtt_ms=0.0))
-    service = DataNodeService(env, store, DataNodeConfig(count=1,
-                                                         report_interval_ms=100.0))
+    store = NdbStore(env)
+    service = DataNodeService(env, store, DataNodeConfig(count=1))
     service.start()
     service.start()
     env.run(until=250)

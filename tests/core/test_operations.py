@@ -11,15 +11,16 @@ from repro.core.errors import (
 from repro.core.messages import MetadataRequest, OpType
 from repro.core.operations import IdAllocator, NamespaceOps
 from repro.metastore.errors import TransactionAborted
-from repro.metastore import NdbConfig, NdbStore
+from repro.metastore import NdbStore, ndb
 from repro.namespace.inode import ROOT_INODE_ID, dirent_key, inode_key
 from repro.sim import Environment
 
 
 @pytest.fixture()
-def setup():
+def setup(monkeypatch):
+    monkeypatch.setattr(ndb, "RTT_MS", 0.0)
     env = Environment()
-    store = NdbStore(env, NdbConfig(rtt_ms=0.0))
+    store = NdbStore(env)
     ops = NamespaceOps(store)
     ops.format()
     return env, store, ops

@@ -3,8 +3,14 @@
 import pytest
 
 from repro.core import LambdaFS, LambdaFSConfig
-from repro.faas import FaaSConfig
+from repro.faas import FaaSConfig, platform
 from repro.sim import Environment
+
+
+@pytest.fixture(autouse=True)
+def fast_app_init(monkeypatch):
+    """A 5 ms app init after each cold start."""
+    monkeypatch.setattr(platform, "APP_INIT_MS", 5.0)
 
 
 @pytest.fixture()
@@ -14,7 +20,7 @@ def system():
         num_deployments=2,
         faas=FaaSConfig(
             cluster_vcpus=32.0, vcpus_per_instance=4.0,
-            cold_start_min_ms=20.0, cold_start_max_ms=30.0, app_init_ms=5.0,
+            cold_start_min_ms=20.0, cold_start_max_ms=30.0,
         ),
     ))
     fs.format()
@@ -137,14 +143,13 @@ def test_restore_permission_restores_access(system):
     assert response.ok
 
 
-def test_hopsfs_supports_set_permission():
+def test_hopsfs_supports_set_permission(monkeypatch):
     from repro.baselines import HopsFSCluster, HopsFSConfig
-    from repro.metastore import NdbConfig
+    from repro.metastore import ndb
 
+    monkeypatch.setattr(ndb, "RTT_MS", 0.1)
     env = Environment()
-    cluster = HopsFSCluster(env, HopsFSConfig(
-        num_namenodes=2, ndb=NdbConfig(rtt_ms=0.1),
-    ))
+    cluster = HopsFSCluster(env, HopsFSConfig(num_namenodes=2))
     cluster.format()
     client = cluster.new_client()
 

@@ -29,7 +29,7 @@ import pytest
 
 from repro.bench.harness import build_lambdafs, drive
 from repro.core import OpType
-from repro.core.client import ClientConfig
+from repro.core.client import LATENCY_WINDOW
 from repro.core.messages import MetadataRequest, MetadataResponse
 from repro.core.namenode import LambdaNameNode
 from repro.metrics.recorder import OpRecord
@@ -139,7 +139,7 @@ def test_latency_window_sums_like_the_deque_it_replaced():
     env = Environment()
     tree = generate_tree(TreeSpec(depth=1, dirs_per_dir=1, files_per_dir=1))
     client = build_lambdafs(env, tree, deployments=1, seed=3).make_clients(1)[0]
-    window = ClientConfig().latency_window
+    window = LATENCY_WINDOW
     reference = deque(maxlen=window)
     rng = random.Random(11)
     for _ in range(200):

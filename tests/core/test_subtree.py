@@ -2,24 +2,28 @@
 
 import pytest
 
-from repro.core import LambdaFS, LambdaFSConfig
+from repro.core import LambdaFS, LambdaFSConfig, OpType, subtree
 from repro.core.subtree import SubtreeConfig
-from repro.faas import FaaSConfig
+from repro.faas import FaaSConfig, platform
 from repro.namespace.treegen import flat_directory
 from repro.sim import Environment
 
 
-def make_fs(env, batch_size=64, offload=True, max_helpers=4):
+@pytest.fixture(autouse=True)
+def small_cluster(monkeypatch):
+    """A 5 ms app init, and subtree ops offload to at most 4 helpers."""
+    monkeypatch.setattr(platform, "APP_INIT_MS", 5.0)
+    monkeypatch.setattr(subtree, "MAX_HELPERS", 4)
+
+
+def make_fs(env, batch_size=64, offload=True):
     config = LambdaFSConfig(
         num_deployments=4,
         faas=FaaSConfig(
             cluster_vcpus=128.0, vcpus_per_instance=4.0,
-            cold_start_min_ms=20.0, cold_start_max_ms=30.0, app_init_ms=5.0,
+            cold_start_min_ms=20.0, cold_start_max_ms=30.0,
         ),
-        subtree=SubtreeConfig(
-            batch_size=batch_size, offload_enabled=offload,
-            max_helpers=max_helpers,
-        ),
+        subtree=SubtreeConfig(batch_size=batch_size, offload_enabled=offload),
     )
     fs = LambdaFS(env, config)
     fs.format()
@@ -51,7 +55,7 @@ def test_subtree_delete_removes_all_rows():
     client = fs.new_client()
 
     def scenario(env):
-        r = yield from client.delete("/big", recursive=True)
+        r = yield from client.execute(OpType.DELETE, "/big", recursive=True)
         assert r.ok, r.error
         return (yield from client.stat("/big/f42"))
 
@@ -109,7 +113,7 @@ def test_subtree_prefix_invalidation_reaches_caches():
     def scenario(env):
         r1 = yield from client_b.stat("/big/f10")  # cache it on b's NN
         assert r1.ok
-        r = yield from client_a.delete("/big", recursive=True)
+        r = yield from client_a.execute(OpType.DELETE, "/big", recursive=True)
         assert r.ok, r.error
         return (yield from client_b.stat("/big/f10"))
 
@@ -148,7 +152,8 @@ def test_subtree_on_missing_dir_fails_cleanly():
     env = Environment()
     fs = make_fs(env)
     client = fs.new_client()
-    response = drive(env, client.delete("/nothing", recursive=True))
+    response = drive(
+        env, client.execute(OpType.DELETE, "/nothing", recursive=True))
     assert not response.ok
 
 
@@ -159,7 +164,7 @@ def test_mkdir_during_subtree_delete_is_serializable():
     client = fs.new_client()
 
     def scenario(env):
-        r = yield from client.delete("/big", recursive=True)
+        r = yield from client.execute(OpType.DELETE, "/big", recursive=True)
         assert r.ok
         # Recreating afterwards works from a clean slate.
         r = yield from client.mkdirs("/big/new")

@@ -10,7 +10,7 @@ from repro.sim import Environment
 
 pytestmark = pytest.mark.datanode
 
-SMALL = DataNodeFleetConfig(count=6, racks=3, publish_interval_ms=0.0)
+SMALL = DataNodeFleetConfig(count=6)
 
 
 def make_fleet(env, config=SMALL, start=True):

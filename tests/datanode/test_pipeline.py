@@ -14,7 +14,7 @@ from repro.workloads import MicroBenchmark
 
 pytestmark = pytest.mark.datanode
 
-CONFIG = DataNodeFleetConfig(count=9, racks=3, publish_interval_ms=0.0)
+CONFIG = DataNodeFleetConfig(count=9)
 
 
 def drive(env, generator):

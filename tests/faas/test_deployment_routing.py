@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from repro.faas import FaaSConfig, FaaSPlatform
+from repro.faas import platform as faas_platform
 from repro.sim import Environment
 
 
@@ -15,10 +18,16 @@ class NullApp:
         return request
 
 
+@pytest.fixture(autouse=True)
+def instant_app_init(monkeypatch):
+    """No app init after a cold start's boot."""
+    monkeypatch.setattr(faas_platform, "APP_INIT_MS", 0.0)
+
+
 def make(env, concurrency=2):
     platform = FaaSPlatform(env, FaaSConfig(
         concurrency_level=concurrency,
-        cold_start_min_ms=5.0, cold_start_max_ms=5.0, app_init_ms=0.0,
+        cold_start_min_ms=5.0, cold_start_max_ms=5.0,
     ), rng=random.Random(0))
     deployment = platform.register_deployment("D", NullApp)
     return platform, deployment

@@ -5,7 +5,15 @@ import random
 import pytest
 
 from repro.faas import FaaSConfig, FaaSPlatform
+from repro.faas import platform as faas_platform
 from repro.sim import Environment
+
+
+@pytest.fixture(autouse=True)
+def fast_platform(monkeypatch):
+    """A 10 ms app init and a 100 ms reclaim sweep."""
+    monkeypatch.setattr(faas_platform, "APP_INIT_MS", 10.0)
+    monkeypatch.setattr(faas_platform, "RECLAIM_SWEEP_MS", 100.0)
 
 
 class EchoApp:
@@ -36,9 +44,7 @@ def make_platform(env, **overrides):
         concurrency_level=2,
         cold_start_min_ms=100.0,
         cold_start_max_ms=100.0,
-        app_init_ms=10.0,
         idle_reclaim_ms=1_000.0,
-        reclaim_sweep_ms=100.0,
     )
     defaults.update(overrides)
     platform = FaaSPlatform(env, FaaSConfig(**defaults), rng=random.Random(0))
@@ -130,9 +136,10 @@ def test_max_instances_per_deployment():
     assert len(deployment.all_instances) == 1
 
 
-def test_idle_reclaim_scales_in():
+def test_idle_reclaim_scales_in(monkeypatch):
+    monkeypatch.setattr(faas_platform, "RECLAIM_SWEEP_MS", 50.0)
     env = Environment()
-    platform = make_platform(env, idle_reclaim_ms=500.0, reclaim_sweep_ms=50.0)
+    platform = make_platform(env, idle_reclaim_ms=500.0)
     deployment = platform.register_deployment("NN0", EchoApp)
     platform.start()
 
@@ -234,9 +241,10 @@ def test_billing_busy_time_tracked():
     assert instance.requests_served == 2
 
 
-def test_scale_events_recorded():
+def test_scale_events_recorded(monkeypatch):
+    monkeypatch.setattr(faas_platform, "RECLAIM_SWEEP_MS", 50.0)
     env = Environment()
-    platform = make_platform(env, idle_reclaim_ms=200.0, reclaim_sweep_ms=50.0)
+    platform = make_platform(env, idle_reclaim_ms=200.0)
     platform.register_deployment("NN0", EchoApp)
     platform.start()
 

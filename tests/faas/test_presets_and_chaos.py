@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faas import FaaSConfig, FaaSPlatform
+from repro.faas import platform as faas_platform
 from repro.chaos.faults import NameNodeKiller
 from repro.sim import Environment
 
@@ -16,10 +17,11 @@ class EchoApp:
         return request
 
 
-def test_killer_terminates_round_robin():
+def test_killer_terminates_round_robin(monkeypatch):
+    monkeypatch.setattr(faas_platform, "APP_INIT_MS", 0.0)
     env = Environment()
     platform = FaaSPlatform(env, FaaSConfig(
-        cold_start_min_ms=10.0, cold_start_max_ms=10.0, app_init_ms=0.0,
+        cold_start_min_ms=10.0, cold_start_max_ms=10.0,
     ))
     for name in ("A", "B"):
         deployment = platform.register_deployment(name, EchoApp)

@@ -8,7 +8,7 @@ detection, misattribution, late detection, and the happy path.
 
 import pytest
 
-from repro.chaos import ChaosVerifier, RecoverySLO
+from repro.chaos import ChaosVerifier, verifier
 from repro.incidents import Alert, Evidence, build_report
 
 pytestmark = pytest.mark.incident
@@ -109,11 +109,11 @@ def test_fault_run_fails_on_misattribution():
     assert report.top_suspect == "fault:ack_loss"
 
 
-def test_fault_run_fails_on_late_detection():
-    slo = RecoverySLO(detection_window_ms=100.0)
+def test_fault_run_fails_on_late_detection(monkeypatch):
+    monkeypatch.setattr(verifier, "DETECTION_WINDOW_MS", 100.0)
     late = _report(alert_at=1_500.0)  # MTTD 500 ms > 100 ms window
     report, lines = _gate_lines(ChaosVerifier(
-        engine=_EngineStub("ack_loss"), incidents=late, slo=slo))
+        engine=_EngineStub("ack_loss"), incidents=late))
     assert not report.passed
     assert "within 100 ms" in lines[0]
 

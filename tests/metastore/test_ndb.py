@@ -2,23 +2,32 @@
 
 import pytest
 
-from repro.metastore import NdbConfig, NdbStore, TransactionAborted
+from repro.metastore import NdbConfig, NdbStore, TransactionAborted, ndb
 from repro.metastore.errors import LockTimeout
 from repro.sim import Environment
 
 
-def make_store(env, **overrides):
-    defaults = dict(
-        shards=2,
-        workers_per_shard=2,
-        read_service_ms=1.0,
-        write_service_ms=2.0,
-        commit_service_ms=1.0,
-        rtt_ms=0.0,
-        lock_timeout_ms=100.0,
-    )
-    defaults.update(overrides)
-    return NdbStore(env, NdbConfig(**defaults))
+@pytest.fixture
+def make_store(monkeypatch):
+    """Build a small store with no round trip and a 100 ms lock-wait
+    timeout: UPPER_CASE overrides patch ``repro.metastore.ndb``'s
+    constants, the rest are ``NdbConfig`` fields."""
+    monkeypatch.setattr(ndb, "RTT_MS", 0.0)
+    monkeypatch.setattr(ndb, "LOCK_TIMEOUT_MS", 100.0)
+
+    def build(env, **overrides):
+        for name in [name for name in overrides if name.isupper()]:
+            monkeypatch.setattr(ndb, name, overrides.pop(name))
+        defaults = dict(
+            shards=2,
+            workers_per_shard=2,
+            read_service_ms=1.0,
+            write_service_ms=2.0,
+            commit_service_ms=1.0,
+        )
+        defaults.update(overrides)
+        return NdbStore(env, NdbConfig(**defaults))
+    return build
 
 
 def run(env, *procs):
@@ -27,7 +36,7 @@ def run(env, *procs):
     env.run()
 
 
-def test_write_visible_after_commit():
+def test_write_visible_after_commit(make_store):
     env = Environment()
     store = make_store(env)
     seen = []
@@ -43,7 +52,7 @@ def test_write_visible_after_commit():
     assert seen == ["v1"]
 
 
-def test_abort_discards_staged_writes():
+def test_abort_discards_staged_writes(make_store):
     env = Environment()
     store = make_store(env)
 
@@ -57,7 +66,7 @@ def test_abort_discards_staged_writes():
     assert store.stats.aborts == 1
 
 
-def test_read_own_writes():
+def test_read_own_writes(make_store):
     env = Environment()
     store = make_store(env)
     got = []
@@ -73,7 +82,7 @@ def test_read_own_writes():
     assert got == ["mine"]
 
 
-def test_read_costs_service_time():
+def test_read_costs_service_time(make_store):
     env = Environment()
     store = make_store(env, read_service_ms=3.0)
     store.load_bulk({("k", 1): "v"})
@@ -89,7 +98,7 @@ def test_read_costs_service_time():
     assert times == [3.0]
 
 
-def test_worker_pool_queues_requests():
+def test_worker_pool_queues_requests(make_store):
     env = Environment()
     store = make_store(env, shards=1, workers_per_shard=1, read_service_ms=5.0)
     store.load_bulk({("k", i): i for i in range(3)})
@@ -106,7 +115,7 @@ def test_worker_pool_queues_requests():
     assert finish == [5.0, 10.0, 15.0]
 
 
-def test_concurrent_writers_serialize_on_same_key():
+def test_concurrent_writers_serialize_on_same_key(make_store):
     env = Environment()
     store = make_store(env)
     order = []
@@ -124,9 +133,9 @@ def test_concurrent_writers_serialize_on_same_key():
     assert store.peek(("k", 1)) == "b"
 
 
-def test_lock_timeout_aborts_txn():
+def test_lock_timeout_aborts_txn(make_store):
     env = Environment()
-    store = make_store(env, lock_timeout_ms=5.0)
+    store = make_store(env, LOCK_TIMEOUT_MS=5.0)
     failures = []
 
     def holder(env):
@@ -148,7 +157,7 @@ def test_lock_timeout_aborts_txn():
     assert store.peek(("k", 1)) == "held"
 
 
-def test_delete_removes_row_and_index():
+def test_delete_removes_row_and_index(make_store):
     env = Environment()
     store = make_store(env)
     store.load_bulk({("dirent", 1, "a"): 2})
@@ -163,7 +172,7 @@ def test_delete_removes_row_and_index():
     assert store.keys_with_prefix(("dirent", 1)) == []
 
 
-def test_scan_prefix_sees_committed_and_own_staged():
+def test_scan_prefix_sees_committed_and_own_staged(make_store):
     env = Environment()
     store = make_store(env)
     store.load_bulk({("dirent", 1, "a"): 2, ("dirent", 1, "b"): 3, ("dirent", 9, "z"): 4})
@@ -184,7 +193,7 @@ def test_scan_prefix_sees_committed_and_own_staged():
     }
 
 
-def test_scan_excludes_staged_deletes():
+def test_scan_excludes_staged_deletes(make_store):
     env = Environment()
     store = make_store(env)
     store.load_bulk({("dirent", 1, "a"): 2, ("dirent", 1, "b"): 3})
@@ -201,10 +210,10 @@ def test_scan_excludes_staged_deletes():
     assert results[0] == {("dirent", 1, "b"): 3}
 
 
-def test_read_many_batches():
+def test_read_many_batches(make_store):
     env = Environment()
     store = make_store(env, shards=1, workers_per_shard=1, read_service_ms=2.0,
-                       batch_row_discount=0.5)
+                       BATCH_ROW_DISCOUNT=0.5)
     store.load_bulk({("k", i): i for i in range(4)})
     times = []
 
@@ -219,7 +228,7 @@ def test_read_many_batches():
     assert times == [(5.0, 2)]
 
 
-def test_finished_txn_rejects_use():
+def test_finished_txn_rejects_use(make_store):
     env = Environment()
     store = make_store(env)
 
@@ -232,9 +241,9 @@ def test_finished_txn_rejects_use():
     run(env, proc(env))
 
 
-def test_run_transaction_retries_after_timeout():
+def test_run_transaction_retries_after_timeout(make_store):
     env = Environment()
-    store = make_store(env, lock_timeout_ms=5.0)
+    store = make_store(env, LOCK_TIMEOUT_MS=5.0)
     outcome = []
 
     def holder(env):
@@ -255,7 +264,7 @@ def test_run_transaction_retries_after_timeout():
     assert outcome and store.peek(("k", 1)) == "second"
 
 
-def test_stats_accumulate():
+def test_stats_accumulate(make_store):
     env = Environment()
     store = make_store(env)
     store.load_bulk({("k", 1): "v"})
@@ -273,7 +282,7 @@ def test_stats_accumulate():
     assert store.stats.busy_ms > 0
 
 
-def test_run_transaction_releases_locks_on_application_error():
+def test_run_transaction_releases_locks_on_application_error(make_store):
     """Regression: an exception from the body (e.g. NotFound) must
     abort the transaction — leaked locks poison rows forever."""
     env = Environment()

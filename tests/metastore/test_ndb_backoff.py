@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.metastore import NdbConfig, NdbStore
+from repro.metastore import NdbConfig, NdbStore, ndb
 from repro.rpc.retry import RetryPolicy
 from repro.sim import Environment
 
@@ -57,12 +57,14 @@ class RecordingRng(random.Random):
         return super().uniform(a, b)
 
 
-def test_run_transaction_backoff_uses_capped_full_jitter():
+def test_run_transaction_backoff_uses_capped_full_jitter(monkeypatch):
+    monkeypatch.setattr(ndb, "RTT_MS", 0.0)
+    monkeypatch.setattr(ndb, "LOCK_TIMEOUT_MS", 20.0)
+    monkeypatch.setattr(ndb, "TXN_BACKOFF_CAP_MS", 16.0)
     env = Environment()
     store = NdbStore(env, NdbConfig(
         shards=2, workers_per_shard=2,
         read_service_ms=1.0, write_service_ms=2.0, commit_service_ms=1.0,
-        rtt_ms=0.0, lock_timeout_ms=20.0,
     ))
     rng = RecordingRng()
     store._retry_rng = rng
@@ -77,7 +79,7 @@ def test_run_transaction_backoff_uses_capped_full_jitter():
         yield env.timeout(1.0)
         yield from store.run_transaction(
             body=lambda txn: txn.write("row", 1),
-            retries=6, backoff_ms=2.0, backoff_cap_ms=16.0,
+            retries=6,
         )
 
     hold_txn = store.begin()

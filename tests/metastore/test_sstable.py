@@ -1,6 +1,8 @@
 """Unit tests for the LevelDB-like SSTable store."""
 
-from repro.metastore import SSTableConfig, SSTableStore
+import pytest
+
+from repro.metastore import SSTableStore, sstable
 from repro.sim import Environment
 
 
@@ -10,24 +12,31 @@ def run(env, *procs):
     env.run()
 
 
-def small_config(**overrides):
-    defaults = dict(
-        io_threads=2,
-        write_service_ms=1.0,
-        read_service_ms=1.0,
-        per_run_penalty_ms=0.5,
-        flush_threshold=4,
-        max_runs=2,
-        flush_ms_per_1k_entries=1.0,
-        compact_ms_per_1k_entries=1.0,
-    )
-    defaults.update(overrides)
-    return SSTableConfig(**defaults)
+SMALL = dict(
+    IO_THREADS=2,
+    WRITE_SERVICE_MS=1.0,
+    READ_SERVICE_MS=1.0,
+    PER_RUN_PENALTY_MS=0.5,
+    FLUSH_THRESHOLD=4,
+    MAX_RUNS=2,
+    FLUSH_MS_PER_1K_ENTRIES=1.0,
+    COMPACT_MS_PER_1K_ENTRIES=1.0,
+)
 
 
-def test_put_get_roundtrip():
+@pytest.fixture
+def small_store(monkeypatch):
+    """Build a store with the ``SMALL`` constants (plus overrides)."""
+    def build(env, **overrides):
+        for name, value in {**SMALL, **overrides}.items():
+            monkeypatch.setattr(sstable, name, value)
+        return SSTableStore(env)
+    return build
+
+
+def test_put_get_roundtrip(small_store):
     env = Environment()
-    store = SSTableStore(env, small_config())
+    store = small_store(env)
     got = []
 
     def proc(env):
@@ -39,9 +48,9 @@ def test_put_get_roundtrip():
     assert got == ["hello"]
 
 
-def test_get_missing_returns_none():
+def test_get_missing_returns_none(small_store):
     env = Environment()
-    store = SSTableStore(env, small_config())
+    store = small_store(env)
     got = []
 
     def proc(env):
@@ -52,9 +61,9 @@ def test_get_missing_returns_none():
     assert got == [None]
 
 
-def test_delete_hides_value():
+def test_delete_hides_value(small_store):
     env = Environment()
-    store = SSTableStore(env, small_config())
+    store = small_store(env)
     got = []
 
     def proc(env):
@@ -67,9 +76,9 @@ def test_delete_hides_value():
     assert got == [None]
 
 
-def test_flush_creates_run():
+def test_flush_creates_run(small_store):
     env = Environment()
-    store = SSTableStore(env, small_config(flush_threshold=3))
+    store = small_store(env, FLUSH_THRESHOLD=3)
 
     def proc(env):
         for i in range(3):
@@ -81,9 +90,9 @@ def test_flush_creates_run():
     assert store.stats.flushes == 1
 
 
-def test_value_found_in_run_after_flush():
+def test_value_found_in_run_after_flush(small_store):
     env = Environment()
-    store = SSTableStore(env, small_config(flush_threshold=2))
+    store = small_store(env, FLUSH_THRESHOLD=2)
     got = []
 
     def proc(env):
@@ -98,9 +107,9 @@ def test_value_found_in_run_after_flush():
     assert store.stats.runs_searched >= 1
 
 
-def test_memtable_shadows_runs():
+def test_memtable_shadows_runs(small_store):
     env = Environment()
-    store = SSTableStore(env, small_config(flush_threshold=2))
+    store = small_store(env, FLUSH_THRESHOLD=2)
     got = []
 
     def proc(env):
@@ -115,9 +124,9 @@ def test_memtable_shadows_runs():
     assert got == ["v2"]
 
 
-def test_compaction_bounds_runs():
+def test_compaction_bounds_runs(small_store):
     env = Environment()
-    store = SSTableStore(env, small_config(flush_threshold=2, max_runs=2))
+    store = small_store(env, FLUSH_THRESHOLD=2, MAX_RUNS=2)
 
     def proc(env):
         for i in range(12):
@@ -129,9 +138,9 @@ def test_compaction_bounds_runs():
     assert store.stats.compactions >= 1
 
 
-def test_compaction_preserves_data():
+def test_compaction_preserves_data(small_store):
     env = Environment()
-    store = SSTableStore(env, small_config(flush_threshold=2, max_runs=1))
+    store = small_store(env, FLUSH_THRESHOLD=2, MAX_RUNS=1)
     got = []
 
     def proc(env):
@@ -146,9 +155,9 @@ def test_compaction_preserves_data():
     assert got == [i * 10 for i in range(8)]
 
 
-def test_scan_prefix_merges_layers():
+def test_scan_prefix_merges_layers(small_store):
     env = Environment()
-    store = SSTableStore(env, small_config(flush_threshold=2))
+    store = small_store(env, FLUSH_THRESHOLD=2)
     results = []
 
     def proc(env):
@@ -164,9 +173,9 @@ def test_scan_prefix_merges_layers():
     assert results[0] == {("d", 1, "a"): 1, ("d", 1, "b"): 2, ("d", 1, "c"): 3}
 
 
-def test_load_bulk_visible():
+def test_load_bulk_visible(small_store):
     env = Environment()
-    store = SSTableStore(env, small_config())
+    store = small_store(env)
     store.load_bulk({("f", 1): "seed"})
     got = []
 

@@ -1,6 +1,12 @@
 """Unit tests for the terminal plotting helpers."""
 
+from repro.metrics import ascii_plot
 from repro.metrics.ascii_plot import line_plot, sparkline
+
+
+def small_grid(monkeypatch, width, height):
+    monkeypatch.setattr(ascii_plot, "PLOT_WIDTH", width)
+    monkeypatch.setattr(ascii_plot, "PLOT_HEIGHT", height)
 
 
 def test_sparkline_shape():
@@ -15,11 +21,12 @@ def test_sparkline_flat_and_empty():
     assert sparkline([5, 5, 5]) == "▁▁▁"
 
 
-def test_line_plot_contains_markers_and_legend():
+def test_line_plot_contains_markers_and_legend(monkeypatch):
+    small_grid(monkeypatch, 20, 6)
     plot = line_plot({
         "lambda": [(0, 0), (10, 100)],
         "hops": [(0, 50), (10, 50)],
-    }, width=20, height=6)
+    })
     assert "l" in plot and "h" in plot
     assert "l = lambda" in plot
     assert "100" in plot  # y-axis max label
@@ -38,8 +45,9 @@ def test_sparkline_negative_values_normalise():
     assert line[0] == "▁" and line[-1] == "█"
 
 
-def test_line_plot_single_point_series():
-    plot = line_plot({"s": [(5.0, 5.0)]}, width=12, height=4)
+def test_line_plot_single_point_series(monkeypatch):
+    small_grid(monkeypatch, 12, 4)
+    plot = line_plot({"s": [(5.0, 5.0)]})
     assert "s" in plot
     assert "s = s" in plot
 
@@ -72,10 +80,11 @@ def test_sparkline_all_nonfinite():
     assert sparkline([NAN, INF, -INF]) == "···"
 
 
-def test_line_plot_drops_nonfinite_points():
+def test_line_plot_drops_nonfinite_points(monkeypatch):
+    small_grid(monkeypatch, 20, 6)
     plot = line_plot({
         "s": [(0.0, 0.0), (5.0, NAN), (INF, 3.0), (10.0, 100.0)],
-    }, width=20, height=6)
+    })
     assert "s" in plot
     assert "100" in plot
 

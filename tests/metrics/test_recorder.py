@@ -16,8 +16,8 @@ def test_record_and_latency():
     recorder.record("read file", 1.0, 5.0)
     assert len(recorder) == 2
     assert recorder.average_latency() == pytest.approx(3.0)
-    assert recorder.average_latency("read file") == pytest.approx(3.0)
-    assert recorder.average_latency("stat file/dir") == 0.0
+    assert recorder.latencies("read file") == [2.0, 4.0]
+    assert recorder.latencies("stat file/dir") == []
 
 
 def test_throughput_timeline_bins():

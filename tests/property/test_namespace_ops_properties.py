@@ -5,12 +5,14 @@ transactional store must leave exactly the namespace a plain
 set-of-paths model predicts.
 """
 
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import FsError
 from repro.core.operations import NamespaceOps
-from repro.metastore import NdbConfig, NdbStore
+from repro.metastore import NdbStore, ndb
 from repro.metastore.errors import TransactionAborted
 from repro.namespace.paths import is_descendant, parent_of
 from repro.sim import Environment
@@ -83,64 +85,65 @@ class Model:
 @settings(max_examples=50, deadline=None)
 @given(st.lists(operation, min_size=1, max_size=20))
 def test_namespace_ops_match_model(program):
-    env = Environment()
-    store = NdbStore(env, NdbConfig(rtt_ms=0.0))
-    ops = NamespaceOps(store)
-    ops.format()
-    ops.install_paths(["/a/b"], [])
-    model = Model()
-    mismatches = []
+    with patch.object(ndb, "RTT_MS", 0.0):
+        env = Environment()
+        store = NdbStore(env)
+        ops = NamespaceOps(store)
+        ops.format()
+        ops.install_paths(["/a/b"], [])
+        model = Model()
+        mismatches = []
 
-    def run_op(txn_body):
-        return store.run_transaction(txn_body)
+        def run_op(txn_body):
+            return store.run_transaction(txn_body)
 
-    def scenario(env):
-        serial = 0
-        for kind, directory, name in program:
-            serial += 1
-            path = f"{directory}/{name}".replace("//", "/")
-            try:
+        def scenario(env):
+            serial = 0
+            for kind, directory, name in program:
+                serial += 1
+                path = f"{directory}/{name}".replace("//", "/")
+                try:
+                    if kind == "create":
+                        yield from run_op(lambda txn: ops.create_file(txn, path))
+                        ok = True
+                    elif kind == "mkdirs":
+                        yield from run_op(lambda txn: ops.mkdirs(txn, path))
+                        ok = True
+                    elif kind == "delete":
+                        yield from run_op(lambda txn: ops.delete_single(txn, path))
+                        ok = True
+                    else:
+                        dst = f"{directory}/mv{serial}".replace("//", "/")
+                        yield from run_op(lambda txn: ops.mv_single(txn, path, dst))
+                        ok = True
+                except (FsError, TransactionAborted):
+                    ok = False
+
                 if kind == "create":
-                    yield from run_op(lambda txn: ops.create_file(txn, path))
-                    ok = True
+                    expected = model.create(path)
                 elif kind == "mkdirs":
-                    yield from run_op(lambda txn: ops.mkdirs(txn, path))
-                    ok = True
+                    expected = model.mkdirs(path)
                 elif kind == "delete":
-                    yield from run_op(lambda txn: ops.delete_single(txn, path))
-                    ok = True
+                    expected = model.delete(path)
                 else:
-                    dst = f"{directory}/mv{serial}".replace("//", "/")
-                    yield from run_op(lambda txn: ops.mv_single(txn, path, dst))
-                    ok = True
-            except (FsError, TransactionAborted):
-                ok = False
+                    expected = model.mv(path, dst)
+                if ok != expected:
+                    mismatches.append((kind, path, ok, expected))
 
-            if kind == "create":
-                expected = model.create(path)
-            elif kind == "mkdirs":
-                expected = model.mkdirs(path)
-            elif kind == "delete":
-                expected = model.delete(path)
-            else:
-                expected = model.mv(path, dst)
-            if ok != expected:
-                mismatches.append((kind, path, ok, expected))
-
-    done = env.process(scenario(env))
-    env.run(until=done)
-    assert mismatches == []
-    # The store's committed rows agree with the model's survivors.
-    for path, is_dir in model.entries.items():
-        if path == "/":
-            continue
-        box = {}
-
-        def check(env, path=path):
-            box["r"] = yield from store.run_transaction(
-                lambda txn: ops.resolve(txn, path)
-            )
-
-        done = env.process(check(env))
+        done = env.process(scenario(env))
         env.run(until=done)
-        assert box["r"][path].is_dir == is_dir
+        assert mismatches == []
+        # The store's committed rows agree with the model's survivors.
+        for path, is_dir in model.entries.items():
+            if path == "/":
+                continue
+            box = {}
+
+            def check(env, path=path):
+                box["r"] = yield from store.run_transaction(
+                    lambda txn: ops.resolve(txn, path)
+                )
+
+            done = env.process(check(env))
+            env.run(until=done)
+            assert box["r"][path].is_dir == is_dir

@@ -1,14 +1,12 @@
 """Property-based tests for rendezvous + rack-aware block placement."""
 
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blocks import (
-    BlockManager,
-    BlockPlacementConfig,
-    rack_aware_place,
-    rendezvous_rank,
-)
+from repro.core import blocks
+from repro.core.blocks import BlockManager, rack_aware_place, rendezvous_rank
 
 node_ids = st.lists(
     st.integers(0, 40).map(lambda i: f"dn{i}"),
@@ -21,8 +19,8 @@ replication = st.integers(1, 4)
 @settings(max_examples=200)
 @given(block_ids, node_ids, replication)
 def test_placement_never_duplicates(block_id, datanodes, rf):
-    manager = BlockManager(BlockPlacementConfig(replication=rf))
-    placed = manager.place(block_id, datanodes)
+    with patch.object(blocks, "REPLICATION", rf):
+        placed = BlockManager().place(block_id, datanodes)
     assert len(placed) == len(set(placed))
     assert len(placed) == min(rf, len(datanodes))
     assert set(placed) <= set(datanodes)
@@ -38,10 +36,11 @@ def test_placement_stable_under_node_growth(block_id, datanodes, rf):
     changes nothing — the surviving incumbents keep their copies, so
     a cluster expansion re-replicates at most one replica per block.
     """
-    manager = BlockManager(BlockPlacementConfig(replication=rf))
-    before = set(manager.place(block_id, datanodes))
     new_node = f"dn{len(datanodes) + 100}"
-    after = set(manager.place(block_id, datanodes + [new_node]))
+    with patch.object(blocks, "REPLICATION", rf):
+        manager = BlockManager()
+        before = set(manager.place(block_id, datanodes))
+        after = set(manager.place(block_id, datanodes + [new_node]))
     # Nothing moves between incumbents: every change involves new_node.
     assert before - after <= before  # sanity
     assert after - before <= {new_node}

@@ -8,11 +8,13 @@ shrink with) the remaining deadline budget.
 """
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.resilience import primitives
 from repro.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -20,7 +22,6 @@ from repro.resilience import (
     VALID_TRANSITIONS,
     CircuitBreaker,
     LoadShedder,
-    ResilienceConfig,
     RetryBudget,
     attempt_timeout_ms,
 )
@@ -30,10 +31,7 @@ pytestmark = pytest.mark.resilience
 
 # -- retry budget -----------------------------------------------------------
 
-budget_op = st.one_of(
-    st.tuples(st.just("spend"), st.floats(0.1, 4.0)),
-    st.tuples(st.just("refill"), st.none()),
-)
+budget_op = st.sampled_from(("spend", "refill"))
 
 
 @settings(max_examples=200)
@@ -45,12 +43,12 @@ budget_op = st.one_of(
 def test_retry_budget_bounds(capacity, refill, ops):
     """Tokens stay in [0, capacity]; a refused spend changes nothing."""
     budget = RetryBudget(capacity, refill)
-    for kind, cost in ops:
+    for kind in ops:
         before = budget.tokens
         if kind == "spend":
-            ok = budget.try_spend(cost)
+            ok = budget.try_spend()
             if ok:
-                assert budget.tokens == before - cost
+                assert budget.tokens == before - 1.0
             else:
                 assert budget.tokens == before
         else:
@@ -91,57 +89,54 @@ breaker_op = st.one_of(
 def test_breaker_transitions_always_legal(threshold, seed, ops):
     """Every logged edge is in VALID_TRANSITIONS, and CLOSED→OPEN fires
     only after exactly ``threshold`` consecutive failures."""
-    config = ResilienceConfig(breaker_failure_threshold=threshold)
-    transitions = []
-    breaker = CircuitBreaker(
-        "edge", config, random.Random(seed), transitions.append
-    )
-    now = 0.0
-    failures_since_success = 0
-    for kind, delta in ops:
-        now += delta
-        if kind == "success":
-            was_closed = breaker.state == CLOSED
-            breaker.record_success(now)
-            if was_closed:
-                failures_since_success = 0
-        elif kind == "failure":
-            was_closed = breaker.state == CLOSED
-            breaker.record_failure(now)
-            if was_closed:
-                failures_since_success += 1
-                if breaker.state == OPEN:
-                    # The trip happened at exactly the threshold, never
-                    # before and never late.
-                    assert failures_since_success == threshold
+    with patch.object(primitives, "BREAKER_FAILURE_THRESHOLD", threshold):
+        transitions = []
+        breaker = CircuitBreaker("edge", random.Random(seed), transitions.append)
+        now = 0.0
+        failures_since_success = 0
+        for kind, delta in ops:
+            now += delta
+            if kind == "success":
+                was_closed = breaker.state == CLOSED
+                breaker.record_success(now)
+                if was_closed:
                     failures_since_success = 0
-                else:
-                    assert failures_since_success < threshold
-        else:  # allow / wait both poll admission
-            admitted = breaker.allow(now)
-            if breaker.state == OPEN:
-                assert not admitted
-            if breaker.state == CLOSED:
-                assert admitted
-            if breaker.state != CLOSED:
-                failures_since_success = 0
-    for event in transitions:
-        assert (event.from_state, event.to_state) in VALID_TRANSITIONS
-    assert breaker.opens == sum(
-        1 for e in transitions if e.to_state == OPEN
-    )
+            elif kind == "failure":
+                was_closed = breaker.state == CLOSED
+                breaker.record_failure(now)
+                if was_closed:
+                    failures_since_success += 1
+                    if breaker.state == OPEN:
+                        # The trip happened at exactly the threshold, never
+                        # before and never late.
+                        assert failures_since_success == threshold
+                        failures_since_success = 0
+                    else:
+                        assert failures_since_success < threshold
+            else:  # allow / wait both poll admission
+                admitted = breaker.allow(now)
+                if breaker.state == OPEN:
+                    assert not admitted
+                if breaker.state == CLOSED:
+                    assert admitted
+                if breaker.state != CLOSED:
+                    failures_since_success = 0
+        for event in transitions:
+            assert (event.from_state, event.to_state) in VALID_TRANSITIONS
+        assert breaker.opens == sum(
+            1 for e in transitions if e.to_state == OPEN
+        )
 
 
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2**16), jitter=st.floats(0.0, 1.0))
 def test_breaker_open_dwell_within_jitter_band(seed, jitter):
-    """The reopen time lands in [open_ms, open_ms * (1 + jitter))."""
-    config = ResilienceConfig(
-        breaker_failure_threshold=1, breaker_open_ms=500.0,
-        breaker_open_jitter=jitter,
-    )
-    breaker = CircuitBreaker("edge", config, random.Random(seed))
-    breaker.record_failure(1_000.0)
+    """The reopen time lands in [BREAKER_OPEN_MS (500 ms),
+    BREAKER_OPEN_MS * (1 + jitter))."""
+    with patch.multiple(primitives, BREAKER_FAILURE_THRESHOLD=1,
+                        BREAKER_OPEN_JITTER=jitter):
+        breaker = CircuitBreaker("edge", random.Random(seed))
+        breaker.record_failure(1_000.0)
     assert breaker.state == OPEN
     dwell = breaker.reopen_at_ms - 1_000.0
     assert 500.0 <= dwell <= 500.0 * (1.0 + jitter)
@@ -164,10 +159,9 @@ def test_breaker_open_dwell_within_jitter_band(seed, jitter):
 )
 def test_attempt_timeout_never_exceeds_budget(deadline, now, fallback,
                                               fraction, floor):
-    config = ResilienceConfig(
-        attempt_timeout_fraction=fraction, min_attempt_timeout_ms=floor,
-    )
-    timeout = attempt_timeout_ms(config, deadline, now, fallback)
+    with patch.multiple(primitives, ATTEMPT_TIMEOUT_FRACTION=fraction,
+                        MIN_ATTEMPT_TIMEOUT_MS=floor):
+        timeout = attempt_timeout_ms(deadline, now, fallback)
     remaining = deadline - now
     assert timeout >= 0.0
     assert timeout <= fallback
@@ -186,9 +180,8 @@ def test_attempt_timeout_never_exceeds_budget(deadline, now, fallback,
 def test_attempt_timeout_non_increasing_toward_deadline(deadline, times,
                                                         fallback):
     """As sim time advances, per-attempt timeouts only shrink."""
-    config = ResilienceConfig()
     timeouts = [
-        attempt_timeout_ms(config, deadline, now, fallback)
+        attempt_timeout_ms(deadline, now, fallback)
         for now in sorted(times)
     ]
     for earlier, later in zip(timeouts, timeouts[1:]):
@@ -198,8 +191,7 @@ def test_attempt_timeout_non_increasing_toward_deadline(deadline, times,
 @settings(max_examples=100)
 @given(now=st.floats(0.0, 1e7), fallback=st.floats(1.0, 60_000.0))
 def test_no_deadline_means_legacy_fallback(now, fallback):
-    config = ResilienceConfig()
-    assert attempt_timeout_ms(config, None, now, fallback) == fallback
+    assert attempt_timeout_ms(None, now, fallback) == fallback
 
 
 # -- CoDel shedder ----------------------------------------------------------

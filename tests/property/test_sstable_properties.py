@@ -5,10 +5,12 @@ dict would show, regardless of how flushes and compactions have
 arranged the data across the memtable and runs.
 """
 
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metastore import SSTableConfig, SSTableStore
+from repro.metastore import SSTableStore, sstable
 from repro.sim import Environment
 
 operation = st.one_of(
@@ -21,17 +23,18 @@ operation = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(st.lists(operation, max_size=40), st.integers(2, 6), st.integers(1, 3))
 def test_sstable_matches_dict_model(program, flush_threshold, max_runs):
+    with patch.multiple(
+        sstable, IO_THREADS=2, WRITE_SERVICE_MS=0.1, READ_SERVICE_MS=0.1,
+        PER_RUN_PENALTY_MS=0.05, FLUSH_THRESHOLD=flush_threshold,
+        MAX_RUNS=max_runs, FLUSH_MS_PER_1K_ENTRIES=1.0,
+        COMPACT_MS_PER_1K_ENTRIES=1.0,
+    ):
+        assert _run_program(program) == []
+
+
+def _run_program(program):
     env = Environment()
-    store = SSTableStore(env, SSTableConfig(
-        io_threads=2,
-        write_service_ms=0.1,
-        read_service_ms=0.1,
-        per_run_penalty_ms=0.05,
-        flush_threshold=flush_threshold,
-        max_runs=max_runs,
-        flush_ms_per_1k_entries=1.0,
-        compact_ms_per_1k_entries=1.0,
-    ))
+    store = SSTableStore(env)
     model = {}
     mismatches = []
 
@@ -58,15 +61,22 @@ def test_sstable_matches_dict_model(program, flush_threshold, max_runs):
 
     done = env.process(scenario(env))
     env.run(until=done)
-    assert mismatches == []
+    return mismatches
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 99)),
                 min_size=1, max_size=60))
 def test_scan_prefix_matches_model(puts):
+    with patch.multiple(sstable, FLUSH_THRESHOLD=5, MAX_RUNS=2):
+        result, model = _scan_after(puts)
+    expected = {k: v for k, v in model.items() if k[:2] == ("d", 0)}
+    assert result == expected
+
+
+def _scan_after(puts):
     env = Environment()
-    store = SSTableStore(env, SSTableConfig(flush_threshold=5, max_runs=2))
+    store = SSTableStore(env)
     model = {}
     result = {}
 
@@ -79,5 +89,4 @@ def test_scan_prefix_matches_model(puts):
 
     done = env.process(scenario(env))
     env.run(until=done)
-    expected = {k: v for k, v in model.items() if k[:2] == ("d", 0)}
-    assert result == expected
+    return result, model

@@ -1,9 +1,11 @@
 """Property-based tests for transactional store invariants."""
 
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metastore import LockMode, NdbConfig, NdbStore
+from repro.metastore import LockMode, NdbConfig, NdbStore, ndb
 from repro.metastore.locks import LockManager
 from repro.sim import Environment
 
@@ -47,28 +49,28 @@ def test_lock_manager_mutual_exclusion(program):
 @given(st.integers(2, 12), st.integers(1, 4))
 def test_concurrent_increments_are_serializable(writers, shards):
     """Read-modify-write increments under 2PL never lose updates."""
-    env = Environment()
-    store = NdbStore(env, NdbConfig(
-        shards=shards, workers_per_shard=2,
-        read_service_ms=0.5, write_service_ms=0.5, commit_service_ms=0.2,
-        rtt_ms=0.0, lock_timeout_ms=1e9,
-    ))
-    store.load_bulk({("counter",): 0})
+    with patch.multiple(ndb, RTT_MS=0.0, LOCK_TIMEOUT_MS=1e9):
+        env = Environment()
+        store = NdbStore(env, NdbConfig(
+            shards=shards, workers_per_shard=2,
+            read_service_ms=0.5, write_service_ms=0.5, commit_service_ms=0.2,
+        ))
+        store.load_bulk({("counter",): 0})
 
-    def increment(txn):
-        # Exclusive up-front: the canonical 2PL read-modify-write.
-        yield from txn.lock(("counter",), exclusive=True)
-        value = yield from txn.read(("counter",))
-        yield from txn.write(("counter",), value + 1)
+        def increment(txn):
+            # Exclusive up-front: the canonical 2PL read-modify-write.
+            yield from txn.lock(("counter",), exclusive=True)
+            value = yield from txn.read(("counter",))
+            yield from txn.write(("counter",), value + 1)
 
-    def worker(env, delay):
-        yield env.timeout(delay)
-        yield from store.run_transaction(increment)
+        def worker(env, delay):
+            yield env.timeout(delay)
+            yield from store.run_transaction(increment)
 
-    for index in range(writers):
-        env.process(worker(env, index % 3))
-    env.run()
-    assert store.peek(("counter",)) == writers
+        for index in range(writers):
+            env.process(worker(env, index % 3))
+        env.run()
+        assert store.peek(("counter",)) == writers
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,21 +82,22 @@ def test_concurrent_increments_are_serializable(writers, shards):
 )
 def test_committed_writes_always_visible(writes):
     """Sequential transactions: peek equals the last committed write."""
-    env = Environment()
-    store = NdbStore(env, NdbConfig(rtt_ms=0.0))
-    expected = {}
+    with patch.object(ndb, "RTT_MS", 0.0):
+        env = Environment()
+        store = NdbStore(env)
+        expected = {}
 
-    def run_writes(env):
-        for key_index, value in writes:
-            key = ("row", key_index)
+        def run_writes(env):
+            for key_index, value in writes:
+                key = ("row", key_index)
 
-            def body(txn, key=key, value=value):
-                yield from txn.write(key, value)
+                def body(txn, key=key, value=value):
+                    yield from txn.write(key, value)
 
-            yield from store.run_transaction(body)
-            expected[key] = value
+                yield from store.run_transaction(body)
+                expected[key] = value
 
-    done = env.process(run_writes(env))
-    env.run(until=done)
-    for key, value in expected.items():
-        assert store.peek(key) == value
+        done = env.process(run_writes(env))
+        env.run(until=done)
+        for key, value in expected.items():
+            assert store.peek(key) == value

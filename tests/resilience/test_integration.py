@@ -15,14 +15,22 @@ from repro.core import LambdaFS, LambdaFSConfig, OpType
 from repro.core.client import ClientConfig
 from repro.core.messages import MetadataRequest
 from repro.core.namenode import STALE_READ_BOUND_MS
-from repro.faas import FaaSConfig
-from repro.metastore import NdbConfig
+from repro.core.maintenance import REPORT_INTERVAL_MS
+from repro.faas import FaaSConfig, platform
+from repro.metastore import ndb
 from repro.metastore.errors import TransactionAborted
 from repro.resilience import ResilienceConfig
 from repro.sim import Environment
 from repro.trace import install_tracer
 
 pytestmark = pytest.mark.resilience
+
+
+@pytest.fixture(autouse=True)
+def fast_cluster(monkeypatch):
+    """A 10 ms app init and a 0.2 ms store round trip."""
+    monkeypatch.setattr(platform, "APP_INIT_MS", 10.0)
+    monkeypatch.setattr(ndb, "RTT_MS", 0.2)
 
 
 def make_fs(env, **overrides):
@@ -35,10 +43,8 @@ def make_fs(env, **overrides):
             concurrency_level=4,
             cold_start_min_ms=50.0,
             cold_start_max_ms=80.0,
-            app_init_ms=10.0,
             idle_reclaim_ms=60_000.0,
         ),
-        ndb=NdbConfig(rtt_ms=0.2),
         client=ClientConfig(replacement_probability=0.0),
     )
     defaults.update(overrides)
@@ -268,8 +274,7 @@ def test_datanode_reports_survive_store_outage(monkeypatch):
         yield  # pragma: no cover - marks this as a generator function
 
     monkeypatch.setattr(fs.store, "run_transaction", always_aborts)
-    interval = fs.datanodes.config.report_interval_ms
-    env.run(until=interval * 3 + 1.0)
+    env.run(until=REPORT_INTERVAL_MS * 3 + 1.0)
     # Every edition failed, none killed the reporter loops.
     assert fs.datanodes.reports_published == 0
     assert fs.datanodes.reports_dropped >= fs.datanodes.config.count * 3

@@ -7,9 +7,9 @@ import pytest
 from repro.rpc import (
     ClientVM,
     ConnectionDropped,
-    LatencyConfig,
     LatencyModel,
     TcpServer,
+    latency,
 )
 from repro.sim import Environment
 
@@ -34,14 +34,17 @@ class FakeInstance:
         self.connections.append(connection)
 
 
-def fixed_latency(**overrides):
-    defaults = dict(
-        tcp_oneway_min_ms=0.5, tcp_oneway_max_ms=0.5,
-        http_oneway_min_ms=5.0, http_oneway_max_ms=5.0,
-        gateway_overhead_ms=1.0, intra_vm_ms=0.1,
-    )
-    defaults.update(overrides)
-    return LatencyConfig(**defaults)
+@pytest.fixture
+def fixed_latency(monkeypatch):
+    """A latency model with fixed draws: 0.5 ms TCP, 5 ms HTTP, 1 ms
+    gateway and 0.1 ms intra-VM."""
+    for name, value in dict(
+        TCP_ONEWAY_MIN_MS=0.5, TCP_ONEWAY_MAX_MS=0.5,
+        HTTP_ONEWAY_MIN_MS=5.0, HTTP_ONEWAY_MAX_MS=5.0,
+        GATEWAY_OVERHEAD_MS=1.0, INTRA_VM_MS=0.1,
+    ).items():
+        monkeypatch.setattr(latency, name, value)
+    return LatencyModel(random.Random(0))
 
 
 def test_latency_draws_within_bounds():
@@ -51,10 +54,9 @@ def test_latency_draws_within_bounds():
         assert 3.5 <= model.http_oneway() <= 8.5
 
 
-def test_tcp_call_roundtrip_latency():
+def test_tcp_call_roundtrip_latency(fixed_latency):
     env = Environment()
-    latency = LatencyModel(random.Random(0), fixed_latency())
-    vm = ClientVM(env, latency)
+    vm = ClientVM(env, fixed_latency)
     server = vm.assign_server()
     instance = FakeInstance(env)
     connection = server.connect_from(instance)
@@ -71,10 +73,9 @@ def test_tcp_call_roundtrip_latency():
     assert instance.served == [("req1", "tcp")]
 
 
-def test_call_on_dead_instance_raises():
+def test_call_on_dead_instance_raises(fixed_latency):
     env = Environment()
-    latency = LatencyModel(random.Random(0), fixed_latency())
-    vm = ClientVM(env, latency)
+    vm = ClientVM(env, fixed_latency)
     server = vm.assign_server()
     instance = FakeInstance(env)
     connection = server.connect_from(instance)
@@ -93,20 +94,20 @@ def test_call_on_dead_instance_raises():
     assert server.find("NameNode0") is None  # connection dropped
 
 
-def test_connect_from_dedupes_same_instance():
+def test_connect_from_dedupes_same_instance(fixed_latency):
     env = Environment()
-    vm = ClientVM(env, LatencyModel(random.Random(0), fixed_latency()))
+    vm = ClientVM(env, fixed_latency)
     server = vm.assign_server()
     instance = FakeInstance(env)
     c1 = server.connect_from(instance)
     c2 = server.connect_from(instance)
     assert c1 is c2
-    assert server.connection_count("NameNode0") == 1
+    assert server.connection_count() == 1
 
 
-def test_clients_per_server_spawns_servers():
+def test_clients_per_server_spawns_servers(fixed_latency):
     env = Environment()
-    vm = ClientVM(env, LatencyModel(random.Random(0), fixed_latency()),
+    vm = ClientVM(env, fixed_latency,
                   clients_per_server=2)
     servers = [vm.assign_server() for _ in range(5)]
     assert servers[0] is servers[1]
@@ -115,9 +116,9 @@ def test_clients_per_server_spawns_servers():
     assert len(vm.servers) == 3
 
 
-def test_connection_sharing_across_servers():
+def test_connection_sharing_across_servers(fixed_latency):
     env = Environment()
-    vm = ClientVM(env, LatencyModel(random.Random(0), fixed_latency()),
+    vm = ClientVM(env, fixed_latency,
                   clients_per_server=1)
     own = vm.assign_server()
     other = vm.assign_server()
@@ -135,9 +136,9 @@ def test_connection_sharing_across_servers():
     assert found[0][0] == pytest.approx(0.1)  # one intra-VM hop
 
 
-def test_find_shared_prefers_own_server():
+def test_find_shared_prefers_own_server(fixed_latency):
     env = Environment()
-    vm = ClientVM(env, LatencyModel(random.Random(0), fixed_latency()),
+    vm = ClientVM(env, fixed_latency,
                   clients_per_server=1)
     own = vm.assign_server()
     vm.assign_server()
@@ -154,9 +155,9 @@ def test_find_shared_prefers_own_server():
     assert found[0][0] == 0  # no intra-VM hop paid
 
 
-def test_find_shared_returns_none_when_absent():
+def test_find_shared_returns_none_when_absent(fixed_latency):
     env = Environment()
-    vm = ClientVM(env, LatencyModel(random.Random(0), fixed_latency()))
+    vm = ClientVM(env, fixed_latency)
     own = vm.assign_server()
     result = []
 
@@ -175,9 +176,9 @@ def test_vm_rejects_bad_clients_per_server():
         ClientVM(env, LatencyModel(random.Random(0)), clients_per_server=0)
 
 
-def test_find_rotates_over_live_connections():
+def test_find_rotates_over_live_connections(fixed_latency):
     env = Environment()
-    vm = ClientVM(env, LatencyModel(random.Random(0), fixed_latency()))
+    vm = ClientVM(env, fixed_latency)
     server = vm.assign_server()
     first = FakeInstance(env, deployment_name="NN7")
     second = FakeInstance(env, deployment_name="NN7")
@@ -192,9 +193,9 @@ def test_find_rotates_over_live_connections():
     assert {picks[0], picks[1]} == {c1, c2}
 
 
-def test_find_skips_dead_connection_in_rotation():
+def test_find_skips_dead_connection_in_rotation(fixed_latency):
     env = Environment()
-    vm = ClientVM(env, LatencyModel(random.Random(0), fixed_latency()))
+    vm = ClientVM(env, fixed_latency)
     server = vm.assign_server()
     alive = FakeInstance(env, deployment_name="NN8")
     dying = FakeInstance(env, deployment_name="NN8")

@@ -35,7 +35,7 @@ def _race(cancel):
     def racer(env):
         timer = env.timeout(1_000.0)
         timers.append(timer)
-        outcome = yield env.timeout(1.0, value="fast") | timer
+        outcome = yield env.timeout(1.0) | timer
         assert timer not in outcome
         if cancel:
             timer.cancel()
@@ -67,7 +67,7 @@ def test_cancel_after_fire_and_second_cancel_are_no_ops():
     steps = env.steps
     fired.cancel()
     pending = env.timeout(5.0)
-    other = env.timeout(6.0, value="other")
+    other = env.timeout(6.0)
     pending.cancel()
     pending.cancel()
     assert len(env._queue) == 1

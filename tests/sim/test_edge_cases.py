@@ -19,9 +19,10 @@ def _race_against_late_failure(explicit_defuse):
 
     def racer(env):
         slow = env.process(failing(env))
-        fast = env.timeout(1, value="fast")
+        fast = env.timeout(1)
         result = yield AnyOf(env, [fast, slow])
-        outcome.append(list(result.values()))
+        outcome.append(["fast" if event is fast else event
+                        for event in result.keys()])
         if explicit_defuse:
             slow.defused()
         yield env.timeout(100)  # outlive the late failure
@@ -202,19 +203,23 @@ def test_fired_condition_is_freed_while_losing_timer_pends(fail_fast):
 def test_losing_member_still_wakes_its_other_subscribers():
     env = Environment()
     log = []
-    shared = env.timeout(20, value="shared")
+    shared = env.timeout(20)
+
+    def label(result):
+        return ["shared" if event is shared else "other"
+                for event in result.keys()]
 
     def first(env):
-        result = yield env.timeout(1, value="fast") | shared
-        log.append(("first", env.now, list(result.values())))
+        result = yield env.timeout(1) | shared
+        log.append(("first", env.now, label(result)))
 
     def second(env):
-        result = yield shared | env.timeout(30, value="slower")
-        log.append(("second", env.now, list(result.values())))
+        result = yield shared | env.timeout(30)
+        log.append(("second", env.now, label(result)))
 
     def waiter(env):
-        value = yield shared
-        log.append(("waiter", env.now, value))
+        yield shared
+        log.append(("waiter", env.now, "shared"))
 
     env.process(first(env))
     env.process(second(env))
@@ -223,7 +228,7 @@ def test_losing_member_still_wakes_its_other_subscribers():
     # The waiter resumes in the timer's own dispatch; the second
     # condition wakes its process one step later.
     assert log == [
-        ("first", 1, ["fast"]),
+        ("first", 1, ["other"]),
         ("waiter", 20, "shared"),
         ("second", 20, ["shared"]),
     ]

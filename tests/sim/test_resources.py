@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Container and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Environment, Resource
 
 
 def test_resource_grants_up_to_capacity():
@@ -81,106 +81,3 @@ def test_resource_cancel_pending_request():
     env.process(last(env))
     env.run()
     assert order == ["cancelled", ("last", 10)]
-
-
-def test_container_get_blocks_until_put():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    log = []
-
-    def consumer(env):
-        yield tank.get(30)
-        log.append(("got", env.now))
-
-    def producer(env):
-        yield env.timeout(5)
-        yield tank.put(50)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert log == [("got", 5)]
-    assert tank.level == 20
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    log = []
-
-    def producer(env):
-        yield tank.put(5)
-        log.append(("put", env.now))
-
-    def consumer(env):
-        yield env.timeout(7)
-        yield tank.get(6)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert log == [("put", 7)]
-    assert tank.level == 9
-
-
-def test_container_validates_bounds():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=6)
-    tank = Container(env, capacity=5)
-    with pytest.raises(ValueError):
-        tank.get(0)
-    with pytest.raises(ValueError):
-        tank.put(-1)
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    def producer(env):
-        for item in "xyz":
-            yield env.timeout(1)
-            store.put(item)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == ["x", "y", "z"]
-
-
-def test_store_predicate_get():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get(lambda i: i % 2 == 0)
-        got.append(item)
-
-    def producer(env):
-        for item in (1, 3, 4, 5):
-            yield env.timeout(1)
-            store.put(item)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [4]
-    assert list(store.items) == [1, 3, 5]
-
-
-def test_store_len():
-    env = Environment()
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-    assert len(store) == 2

@@ -144,9 +144,7 @@ def test_governor_no_float_spin_at_large_now():
 
 def test_for_tenants_budgets_headroom():
     specs = (TenantSpec("a", clients=4, think_ms=20.0),)
-    governor = TenantGovernor.for_tenants(
-        Environment(), specs, headroom=2.0
-    )
+    governor = TenantGovernor.for_tenants(Environment(), specs)
     assert governor.rates["a"] == pytest.approx(2.0 * 4 / 20.0)
 
 

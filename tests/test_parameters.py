@@ -34,10 +34,8 @@ def _trees(directory):
 
 @functools.lru_cache(maxsize=None)
 def scan():
-    """``(src, every)``: the ``src/`` trees and every scanned tree."""
-    src = tuple(_trees("src"))
-    return src, src + tuple(
-        tree for directory in SCANNED[1:] for tree in _trees(directory))
+    """``{directory: trees}`` for every run-code directory."""
+    return {directory: tuple(_trees(directory)) for directory in SCANNED}
 
 
 def _decorators(node):
@@ -202,18 +200,26 @@ def unpassed_parameters(src, every):
     return sorted(p for callee in program.every() for p in callee.unpassed())
 
 
+def unpassed_in(trees_by_directory):
+    """:func:`unpassed_parameters` of the ``src`` trees over every
+    run-code tree; any other directory (``tests``) is ignored."""
+    return unpassed_parameters(trees_by_directory["src"], [
+        tree for directory in SCANNED
+        for tree in trees_by_directory.get(directory, ())])
+
+
 def defaulted_count(src):
     return sum(len(c.defaulted) for c in Program(src).every())
 
 
 def test_the_scan_sees_the_tree():
-    src, every = scan()
-    assert len(every) > len(src)
-    assert defaulted_count(src) > 200
+    trees = scan()
+    assert all(trees[directory] for directory in SCANNED)
+    assert defaulted_count(trees["src"]) > 200
 
 
 def test_every_defaulted_parameter_is_passed_by_some_caller():
-    unpassed = unpassed_parameters(*scan())
+    unpassed = unpassed_in(scan())
     assert not unpassed, (
         f"{len(unpassed)} defaulted parameter(s) no run code passes; drop "
         f"each and inline its default (or make it a module-level "
@@ -252,3 +258,16 @@ def test_inherited_super_and_spread_calls_pass_parameters():
         unused()
     ''')
     assert unpassed_parameters(src, src + callers) == ["unused(z)"]
+
+
+def test_a_parameter_only_tests_pass_is_flagged():
+    src, run, tests = _synthetic('''
+        def plot(series, width=72, height=14):
+            pass
+    ''', '''
+        plot([], width=40)
+    ''', '''
+        plot([], height=4)
+    ''')
+    assert unpassed_in({"src": (src,), "examples": (run,),
+                        "tests": (tests,)}) == ["plot(height)"]

@@ -50,8 +50,6 @@ ALLOWED = {
     "OpProfile.attributed_ms": "attribution completeness",
     "Event.processed": "kernel tests",
     "Environment.event": "kernel tests",
-    "Interrupt.cause": "kernel tests",
-    "Container.level": "kernel tests",
     "LockManager.holders": "lock-table snapshot for the lock property tests",
     "MetadataCache.paths": "cache contents for the cache property tests",
     "parse_prometheus_text": "reference parser for the Prometheus exporter",
@@ -478,3 +476,75 @@ def test_a_method_hidden_by_a_same_named_field_is_flagged():
     assert "Cache.paths" in found
     assert "Cache._on_invalidation" not in found
     assert "Cache.attach" not in found
+
+
+def _bound_imports(tree):
+    """``(local name, line)`` for each name the module-level imports
+    of ``tree`` bind, ``__future__`` aside; imports nested in a
+    top-level ``if``/``try`` (``TYPE_CHECKING``) count as module-level."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            stack.extend(ast.iter_child_nodes(node))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree):
+    """Names ``tree`` loads, in code or in a forward-reference string,
+    and the entries of its ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                parsed = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(modules):
+    """``module:line name`` for each module-level import a non-package
+    module never uses (a package ``__init__`` re-exports)."""
+    found = []
+    for module, (tree, is_package) in sorted(modules.items()):
+        if is_package:
+            continue
+        used = _used_names(tree)
+        found += [f"{module}:{line} {name}"
+                  for name, line in _bound_imports(tree) if name not in used]
+    return found
+
+
+def test_every_src_import_is_used():
+    modules, _ = scan()
+    unused = unused_imports(modules)
+    assert not unused, (
+        f"{len(unused)} import(s) under src/ that their module never uses; "
+        f"delete each: {', '.join(unused)}"
+    )
+
+
+def test_an_unused_import_is_flagged():
+    source = textwrap.dedent("""
+        from __future__ import annotations
+        import os
+        from typing import TYPE_CHECKING, Dict, List
+        if TYPE_CHECKING:
+            from pkg.fs import LambdaFS
+        __all__ = ["List"]
+
+        def build(fs: "LambdaFS") -> None:
+            return os.getcwd()
+    """)
+    modules = {"pkg.mod": (ast.parse(source), False),
+               "pkg": (ast.parse("from pkg.mod import build"), True)}
+    assert unused_imports(modules) == ["pkg.mod:4 Dict"]

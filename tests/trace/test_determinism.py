@@ -9,7 +9,14 @@ fresh interpreter would.
 
 import pytest
 
+from repro.bench import experiments
 from repro.bench.experiments import fig8_spotify
+
+
+@pytest.fixture(autouse=True)
+def small_cluster(monkeypatch):
+    """64 vCPUs instead of the Spotify runs' 512."""
+    monkeypatch.setattr(experiments, "SPOTIFY_VCPUS", 64.0)
 
 
 def _run(seed):
@@ -17,7 +24,6 @@ def _run(seed):
         base_throughput=800.0,
         duration_ms=4_000.0,
         clients=16,
-        vcpus=64.0,
         seed=seed,
         systems=("lambda",),
         trace=True,

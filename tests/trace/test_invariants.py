@@ -9,7 +9,7 @@ import pytest
 from repro.bench.harness import drive
 from repro.coordination import Coordinator
 from repro.core import LambdaFS, LambdaFSConfig
-from repro.faas import FaaSConfig
+from repro.faas import FaaSConfig, platform
 from repro.sim import Environment
 from repro.trace import (
     CoherenceChecker,
@@ -17,6 +17,7 @@ from repro.trace import (
     LockDisciplineChecker,
     Tracer,
     install_tracer,
+    invariants,
 )
 
 
@@ -127,8 +128,9 @@ def test_reput_after_invalidation_revalidates():
     assert checker.violations == []
 
 
-def test_fail_fast_raises():
-    checker = CoherenceChecker(fail_fast=True)
+def test_fail_fast_raises(monkeypatch):
+    monkeypatch.setattr(invariants, "FAIL_FAST", True)
+    checker = CoherenceChecker()
     tracer = make(checker)
     tracer.point("coord.inv_deliver", "nn2", paths=("/a",))
     with pytest.raises(InvariantViolation):
@@ -220,7 +222,7 @@ def build_fs(env):
         num_deployments=2,
         faas=FaaSConfig(
             cluster_vcpus=32.0, vcpus_per_instance=4.0,
-            cold_start_min_ms=10.0, cold_start_max_ms=15.0, app_init_ms=2.0,
+            cold_start_min_ms=10.0, cold_start_max_ms=15.0,
         ),
     )
     fs = LambdaFS(env, config)
@@ -230,7 +232,8 @@ def build_fs(env):
     return fs
 
 
-def test_clean_run_has_zero_violations():
+def test_clean_run_has_zero_violations(monkeypatch):
+    monkeypatch.setattr(platform, "APP_INIT_MS", 2.0)
     env = Environment()
     tracer = install_tracer(env)
     fs = build_fs(env)
@@ -257,6 +260,7 @@ def test_clean_run_has_zero_violations():
 
 
 def test_broken_coherence_is_caught(monkeypatch):
+    monkeypatch.setattr(platform, "APP_INIT_MS", 2.0)
     """Skip the ACK wait before commit — the checker must notice.
 
     The patched ``Coordinator.invalidate`` fires the INV round but

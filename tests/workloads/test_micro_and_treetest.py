@@ -6,7 +6,7 @@ from repro.baselines import IndexFSCluster
 from repro.core.messages import OpType
 from repro.namespace.treegen import TreeSpec, generate_tree
 from repro.sim import Environment
-from repro.workloads import MicroBenchmark, TreeTest, TreeTestConfig
+from repro.workloads import MicroBenchmark, TreeTest, TreeTestConfig, treetest
 
 
 class StubClient:
@@ -100,12 +100,12 @@ def test_micro_rejects_unsupported_op():
         bench._target(OpType.MV, __import__("random").Random(0), 0, 0, "m")
 
 
-def test_treetest_phases_and_counts():
+def test_treetest_phases_and_counts(monkeypatch):
+    monkeypatch.setattr(treetest, "WARMUP_OPS", 2)
     env = Environment()
     cluster = IndexFSCluster(env)
     clients = [cluster.new_client() for _ in range(2)]
-    config = TreeTestConfig(writes_per_client=20, reads_per_client=15,
-                            warmup_ops=2)
+    config = TreeTestConfig(writes_per_client=20, reads_per_client=15)
     box = {}
 
     def main(env):
@@ -121,12 +121,12 @@ def test_treetest_phases_and_counts():
     assert result.aggregate_throughput > 0
 
 
-def test_treetest_fixed_splits_total():
+def test_treetest_fixed_splits_total(monkeypatch):
+    monkeypatch.setattr(treetest, "WARMUP_OPS", 0)
     env = Environment()
     cluster = IndexFSCluster(env)
     clients = [cluster.new_client() for _ in range(4)]
-    config = TreeTestConfig(fixed_total_writes=80, fixed_total_reads=40,
-                            warmup_ops=0)
+    config = TreeTestConfig(fixed_total_writes=80, fixed_total_reads=40)
     box = {}
 
     def main(env):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import LambdaFS, LambdaFSConfig
 from repro.core.messages import OpType
-from repro.faas import FaaSConfig
+from repro.faas import FaaSConfig, platform
 from repro.sim import Environment
 from repro.workloads.replay import (
     TraceParseError,
@@ -62,13 +62,14 @@ def test_load_trace_from_file_object():
     assert len(records) == 6
 
 
-def test_replay_end_to_end():
+def test_replay_end_to_end(monkeypatch):
+    monkeypatch.setattr(platform, "APP_INIT_MS", 2.0)
     env = Environment()
     fs = LambdaFS(env, LambdaFSConfig(
         num_deployments=2,
         faas=FaaSConfig(
             cluster_vcpus=32.0, vcpus_per_instance=4.0,
-            cold_start_min_ms=10.0, cold_start_max_ms=15.0, app_init_ms=2.0,
+            cold_start_min_ms=10.0, cold_start_max_ms=15.0,
         ),
     ))
     fs.format()
