@@ -215,9 +215,11 @@ def fig8_spotify(
                 name="λFS (reduced cache)",
             )
         elif system == "hopsfs":
-            handle = build_hopsfs(env, tree, vcpus=SPOTIFY_VCPUS, ndb=SPOTIFY_NDB, seed=seed)
+            handle = build_hopsfs(
+                env, tree, vcpus=SPOTIFY_VCPUS, ndb=SPOTIFY_NDB, seed=seed)
         elif system == "hopsfs_cache":
-            handle = build_hopsfs_cache(env, tree, vcpus=SPOTIFY_VCPUS, ndb=SPOTIFY_NDB, seed=seed)
+            handle = build_hopsfs_cache(
+                env, tree, vcpus=SPOTIFY_VCPUS, ndb=SPOTIFY_NDB, seed=seed)
         elif system == "cn_hopsfs_cache":
             # Cost-normalized: sized so its VM cost equals λFS' run cost.
             cost = lambda_cost_usd if lambda_cost_usd else 0.05

@@ -399,7 +399,7 @@ class LockStormFault(Fault):
 class AckLossFault(Fault):
     """Drop INV ACKs with probability ``p``.
 
-    The coordinator redelivers after ``ack_retry_ms`` (handlers are
+    The coordinator redelivers after ``ACK_RETRY_MS`` (handlers are
     idempotent), so writers eventually unblock.  With
     ``disable_retry`` the coordinator's redelivery is switched off for
     the window — the deliberately broken recovery path: a dropped ACK

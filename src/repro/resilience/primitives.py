@@ -118,9 +118,9 @@ class CircuitBreaker:
 
     Failure signals are the same ones the retry machinery sees
     (transport errors, sheds, slow shard accesses);
-    ``BREAKER_FAILURE_THRESHOLD`` *consecutive* failures open the breaker, a seeded-jitter dwell
-    later one probe is admitted half-open, and its outcome closes or
-    re-opens the breaker.
+    ``BREAKER_FAILURE_THRESHOLD`` *consecutive* failures open the
+    breaker, a seeded-jitter dwell later one probe is admitted
+    half-open, and its outcome closes or re-opens the breaker.
     """
 
     __slots__ = (
