@@ -14,13 +14,18 @@ that ``C`` defines or inherits, and ``super().__init__(...)`` and
 A call passes a parameter by keyword, by position, or by any
 ``*args`` / ``**kwargs`` it spreads.  A function used as a value
 (stored in a dict, passed as a callback, used as a decorator) may be
-called with anything, so it counts as passed everything.
+called with anything, so it counts as passed everything.  A bare name
+that an enclosing function binds (a parameter, an assignment, a
+``for``/``with``/``except`` target) is that local, not a function used
+as a value, as in ``tests/test_reachability.py``.
 """
 
 import ast
 import functools
 import textwrap
 from pathlib import Path
+
+from tests.test_reachability import SCOPES, _locals
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "benchmarks", "perfbench", "scripts", "examples")
@@ -138,14 +143,15 @@ class Program:
         value.  A call is walked before its ``func``, so ``called``
         holds each ``func`` by the time the walk reaches it."""
         called = set()
-        for cls, node in _walk_with_class(tree):
+        for cls, hidden, node in _walk(tree):
             if isinstance(node, ast.Call):
                 called.add(id(node.func))
                 self._record_call(cls, node)
                 continue
             name = _name(node)
             if (name is not None and id(node) not in called
-                    and isinstance(node.ctx, ast.Load)):
+                    and isinstance(node.ctx, ast.Load)
+                    and not (isinstance(node, ast.Name) and name in hidden)):
                 for callee in self.callees(name):
                     callee.passed.update(callee.defaulted)
 
@@ -183,14 +189,18 @@ def _name(node):
     return None
 
 
-def _walk_with_class(tree):
-    """``(enclosing class name or None, node)`` for every node."""
-    stack = [(None, tree)]
+def _walk(tree):
+    """``(enclosing class name or None, names the enclosing functions
+    bind, node)`` for every node."""
+    stack = [(None, frozenset(), tree)]
     while stack:
-        cls, node = stack.pop()
-        yield cls, node
+        cls, hidden, node = stack.pop()
+        yield cls, hidden, node
         inner = node.name if isinstance(node, ast.ClassDef) else cls
-        stack.extend((inner, child) for child in ast.iter_child_nodes(node))
+        if isinstance(node, SCOPES):
+            hidden = hidden | _locals(node)
+        stack.extend(
+            (inner, hidden, child) for child in ast.iter_child_nodes(node))
 
 
 def unpassed_parameters(src, every):
@@ -271,3 +281,36 @@ def test_a_parameter_only_tests_pass_is_flagged():
     ''')
     assert unpassed_in({"src": (src,), "examples": (run,),
                         "tests": (tests,)}) == ["plot(height)"]
+
+
+def test_a_local_of_the_same_name_is_not_a_use():
+    src = _synthetic('''
+        def stop(final=True):
+            pass
+
+        def sample(every=1):
+            pass
+
+        def hook(when=0):
+            pass
+    ''')
+    callers = _synthetic('''
+        def run(stop):
+            return stop
+
+        def last(ends):
+            sample = ends[-1]
+            try:
+                pass
+            except ValueError as sample:
+                pass
+            for sample in ends:
+                pass
+            return sample
+
+        stop()
+        sample()
+        callbacks = [hook]
+    ''')
+    assert unpassed_parameters(src, src + callers) == [
+        "sample(every)", "stop(final)"]

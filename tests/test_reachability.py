@@ -222,8 +222,8 @@ def _declares_all(node):
 
 
 def _locals(scope):
-    """Names a function or lambda binds itself (its parameters and
-    stores), not counting nested scopes."""
+    """Names a function or lambda binds itself (its parameters, stores
+    and ``except`` targets), not counting nested scopes."""
     args = scope.args
     names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
     names.update(a.arg for a in (args.vararg, args.kwarg) if a)
@@ -236,6 +236,8 @@ def _locals(scope):
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
         stack.extend(ast.iter_child_nodes(node))
     return names
 
