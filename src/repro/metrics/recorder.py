@@ -156,17 +156,8 @@ class MetricsRecorder:
         return max((ops for _, ops in timeline), default=0.0)
 
     # -- latency ----------------------------------------------------------
-    def latencies(self, op: Optional[str] = None, read_only: bool = False) -> List[float]:
-        read_ops = {"read file", "stat file/dir", "ls file/dir"}
-        wanted = [
-            (op is None or key[0] == op) and (not read_only or key[0] in read_ops)
-            for key in self._keys
-        ]
-        return [
-            end - start
-            for start, end, code in zip(self._starts, self._ends, self._codes)
-            if wanted[code]
-        ]
+    def latencies(self) -> List[float]:
+        return [end - start for start, end in zip(self._starts, self._ends)]
 
     def average_latency(self) -> float:
         values = self.latencies()

@@ -154,19 +154,6 @@ class Profile:
             return {stage: 0.0 for stage in totals}
         return {stage: value / grand for stage, value in totals.items()}
 
-    def latencies(
-        self, op: Optional[str] = None, stage: Optional[str] = None
-    ) -> List[float]:
-        """Per-op values: end-to-end ms, or one stage's ms when given."""
-        out = []
-        for record in self.ops:
-            if op is not None and record.op != op:
-                continue
-            out.append(
-                record.total_ms if stage is None else record.stages.get(stage, 0.0)
-            )
-        return out
-
     def top_contributors(self, n: int = 10) -> List[Tuple[str, str, float, float]]:
         """The heaviest (op type, stage) cells.
 

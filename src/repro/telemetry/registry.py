@@ -239,8 +239,7 @@ class MetricsRegistry:
 
     Families are created lazily by the ``inc``/``set``/``observe``
     helpers so instrumentation sites stay one-liners, or declared up
-    front with :meth:`gauge`/:meth:`histogram` to attach help text and
-    custom buckets.
+    front with :meth:`gauge`/:meth:`histogram` to attach help text.
     """
 
     def __init__(self, env: Optional[Any] = None) -> None:
@@ -271,13 +270,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._declare(Gauge, name, help=help)
 
-    def histogram(
-        self,
-        name: str,
-        buckets: Iterable[float] = DEFAULT_BUCKETS_MS,
-        help: str = "",
-    ) -> Histogram:
-        return self._declare(Histogram, name, buckets, help=help)
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._declare(Histogram, name, help=help)
 
     def get(self, name: str) -> Optional[Any]:
         return self._metrics.get(name)

@@ -16,8 +16,7 @@ def test_record_and_latency():
     recorder.record("read file", 1.0, 5.0)
     assert len(recorder) == 2
     assert recorder.average_latency() == pytest.approx(3.0)
-    assert recorder.latencies("read file") == [2.0, 4.0]
-    assert recorder.latencies("stat file/dir") == []
+    assert recorder.latencies() == [2.0, 4.0]
 
 
 def test_throughput_timeline_bins():
@@ -50,14 +49,6 @@ def test_cache_hit_ratio_and_breakdown():
     recorder.record("read file", 0, 1, cache_hit=False)
     recorder.record("ls file/dir", 0, 1, cache_hit=True)
     assert [r.cache_hit for r in recorder.records] == [True, False, True]
-
-
-def test_read_only_latency_filter():
-    recorder = MetricsRecorder()
-    recorder.record("read file", 0, 1)
-    recorder.record("create file", 0, 100)
-    reads = recorder.latencies(read_only=True)
-    assert reads == [1]
 
 
 def test_timeline_accepts_out_of_order_records():
@@ -197,9 +188,6 @@ def test_records_read_like_the_list_of_oprecords():
         assert list(view) == list(view)  # a view iterates again
     assert recorder.outcome_digest() == _reference_digest(reference)
     assert recorder.latencies() == [r.latency_ms for r in reference]
-    assert recorder.latencies(read_only=True) == [
-        r.latency_ms for r in reference if r.op in ("read file", "stat file/dir")
-    ]
 
 
 def test_a_slice_is_fixed_when_taken():
