@@ -44,7 +44,6 @@ from repro.resilience import ResilienceConfig
 from repro.rpc.connections import ConnectionDropped
 from repro.sim import AllOf, AnyOf, Environment, RngStreams
 from repro.tenants.context import TenantGovernor, TenantSpec, chaos_tenants
-from repro.tenants.telemetry import install_tenant_telemetry
 from repro.workloads import MicroBenchmark
 from repro.workloads.multitenant import MultiTenantWorkload
 
@@ -299,10 +298,6 @@ def run_scenario(
     clients = handle.make_clients(
         workload.total_clients() if workload is not None else config.clients
     )
-    if workload is not None:
-        install_tenant_telemetry(
-            env.metrics, [spec.name for spec in tenant_specs]
-        )
     drive(env, fs.prewarm(PREWARM_INSTANCES))
     # Prelude runs before clients are tenant-tagged, so its warm-up
     # reads stay out of the per-tenant series (and the SLO baseline

@@ -166,31 +166,10 @@ class LambdaFSClient(PayloadClientOps):
             raise
         if tracer is not None:
             tracer.end(op_span, ok=response.ok, via=via, cache_hit=cache_hit)
-        latency = env.now - start
-        self._observe(latency)
-        metrics = env.metrics
-        if metrics is not None:
-            metrics.inc("ops_total", op=op.value)
-            if not response.ok:
-                metrics.inc("ops_failed_total", op=op.value)
-            metrics.observe("op_latency_ms", latency, op=op.value)
-            tenant = self.tenant
-            if tenant is not None:
-                # Separate tenant_* families (not tenant labels on the
-                # fleet-global ones): the chaos verifier sums every
-                # series in a family, so labelled duplicates would
-                # double-count each op in the recovery-SLO gate.
-                metrics.inc("tenant_ops_total", op=op.value, tenant=tenant)
-                if not response.ok:
-                    metrics.inc("tenant_ops_failed_total", tenant=tenant)
-                metrics.observe("tenant_op_latency_ms", latency, tenant=tenant)
-                if cache_hit:
-                    metrics.inc("tenant_cache_hits_total", tenant=tenant)
-                else:
-                    metrics.inc("tenant_cache_misses_total", tenant=tenant)
+        self._observe(env.now - start)
         self.fs.metrics.record(
             op=op.value, start_ms=start, end_ms=env.now,
-            ok=response.ok, via=via, cache_hit=cache_hit,
+            ok=response.ok, via=via, cache_hit=cache_hit, tenant=self.tenant,
         )
         return response
 

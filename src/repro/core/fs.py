@@ -108,7 +108,8 @@ class LambdaFS:
             self._register_telemetry_gauges(env.metrics)
 
     def _register_telemetry_gauges(self, metrics) -> None:
-        """Cache and fleet-scale gauges, evaluated at sample time."""
+        """Cache and fleet-scale gauges, evaluated at sample time, and
+        the op records the client's op families are folded from."""
         for name in self.partitioner.deployment_names():
             deployment = self.platform.deployments[name]
 
@@ -150,6 +151,8 @@ class LambdaFS:
             "fleet_desired_namenodes", self._desired_namenodes,
             help="Figure 6 expected scale for the instantaneous load",
         )
+        if metrics.bundle is not None:
+            metrics.bundle.track_ops(self.metrics)
 
     def _desired_namenodes(self) -> float:
         """Figure 6's expected scale, with in-flight requests as α."""

@@ -457,8 +457,6 @@ class Transaction:
                 self.store._apply_write(key, value)
             self.store.stats.writes += len(self._staged)
         self.store.stats.commits += 1
-        if env.metrics is not None:
-            env.metrics.inc("store_txns_total", outcome="commit")
         self._finish(committed=True)
 
     def abort(self) -> None:
@@ -466,9 +464,6 @@ class Transaction:
         if self._done:
             return
         self.store.stats.aborts += 1
-        env = self.store.env
-        if env.metrics is not None:
-            env.metrics.inc("store_txns_total", outcome="abort")
         self._finish(committed=False)
 
     # -- internals -------------------------------------------------------------

@@ -20,6 +20,7 @@ class OpRecord:
     ok: bool = True
     via: str = "tcp"
     cache_hit: bool = False
+    tenant: Optional[str] = None
 
     @property
     def latency_ms(self) -> float:
@@ -61,7 +62,7 @@ class MetricsRecorder:
 
     Ops are kept as packed columns, not objects: the sim-clock start and
     end as doubles, and a small-int code naming the op's interned
-    ``(op, ok, via, cache_hit)`` key, about 18 bytes per op.
+    ``(op, ok, via, cache_hit, tenant)`` key, about 18 bytes per op.
     :attr:`records` presents them as a sequence of :class:`OpRecord`.
     """
 
@@ -69,9 +70,9 @@ class MetricsRecorder:
         self._starts = array("d")
         self._ends = array("d")
         self._codes = array("H")
-        #: code -> (op, ok, via, cache_hit), and its inverse.
-        self._keys: List[Tuple[str, bool, str, bool]] = []
-        self._code_of: Dict[Tuple[str, bool, str, bool], int] = {}
+        #: code -> (op, ok, via, cache_hit, tenant), and its inverse.
+        self._keys: List[Tuple[str, bool, str, bool, Optional[str]]] = []
+        self._code_of: Dict[Tuple[str, bool, str, bool, Optional[str]], int] = {}
 
     def record(
         self,
@@ -81,8 +82,9 @@ class MetricsRecorder:
         ok: bool = True,
         via: str = "tcp",
         cache_hit: bool = False,
+        tenant: Optional[str] = None,
     ) -> None:
-        key = (op, ok, via, cache_hit)
+        key = (op, ok, via, cache_hit, tenant)
         code = self._code_of.get(key)
         if code is None:
             code = self._code_of[key] = len(self._keys)
@@ -97,18 +99,25 @@ class MetricsRecorder:
         return OpRecords(self, range(len(self._ends)))
 
     def _row(self, index: int) -> OpRecord:
-        op, ok, via, cache_hit = self._keys[self._codes[index]]
-        return OpRecord(op, self._starts[index], self._ends[index], ok, via, cache_hit)
+        op, ok, via, cache_hit, tenant = self._keys[self._codes[index]]
+        return OpRecord(
+            op, self._starts[index], self._ends[index], ok, via, cache_hit, tenant
+        )
 
     def __len__(self) -> int:
         return len(self._ends)
+
+    def tenants(self) -> List[str]:
+        """Every tenant some op was recorded for, sorted."""
+        return sorted({key[4] for key in self._keys if key[4] is not None})
 
     def outcome_digest(self) -> str:
         """Hex blake2b over every record, in completion order.
 
         Covers each op's type, sim-clock start and end (``repr``, so
-        bit-exact), success, transport and cache hit: two runs agree
-        iff every op ended the same way at the same sim time.  Unlike
+        bit-exact), success, transport and cache hit, not its tenant:
+        two runs agree iff every op ended the same way at the same sim
+        time.  Unlike
         the tracer's event hash it does not see how the kernel got
         there, so a change that only reschedules internal events
         (fewer steps, other eids) leaves it unchanged.
@@ -117,7 +126,7 @@ class MetricsRecorder:
         update = digest.update
         keys = [
             (op, f"|{ok:d}|{via}|{cache_hit:d}\n")
-            for op, ok, via, cache_hit in self._keys
+            for op, ok, via, cache_hit, _tenant in self._keys
         ]
         for start, end, code in zip(self._starts, self._ends, self._codes):
             op, tail = keys[code]

@@ -11,8 +11,8 @@ ascii report (``repro telemetry``).
 Typical wiring (what ``bench.harness`` does for ``telemetry=True``)::
 
     telemetry = install_telemetry(env, interval_ms=500.0)
-    ...  # build system, run workload
-    telemetry.stop()
+    ...  # build system (LambdaFS calls telemetry.track_ops), run workload
+    telemetry.stop()                  # also folds the client op families
     telemetry.export("out/")          # telemetry.{jsonl,csv,prom}
     print(telemetry.dashboard())
 """
@@ -81,8 +81,16 @@ class Telemetry:
         self.sampler.start()
         return self
 
-    def stop(self, final_sample: bool = True) -> None:
-        self.sampler.stop(final_sample=final_sample)
+    def track_ops(self, recorder: Any) -> None:
+        """Fold the client's op families from ``recorder`` at :meth:`stop`."""
+        if self.sampler.ops not in (None, recorder):
+            raise ValueError("a telemetry bundle folds one op recorder")
+        self.sampler.ops = recorder
+
+    def stop(self) -> None:
+        """Stop sampling and fold the client's op families
+        (:meth:`Sampler.stop`)."""
+        self.sampler.stop()
 
     def export(self, directory: str, basename: str = "telemetry") -> Dict[str, str]:
         """Write all three formats into ``directory``; returns the paths."""

@@ -37,6 +37,9 @@ DEFAULT_BUCKETS_MS = (
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
+#: The ``le`` label of a histogram's last, unbounded bucket.
+INF_LABEL = "+Inf"
+
 
 def bucket_quantile(
     bounds: Sequence[float], counts: Sequence[float], q: float
@@ -222,15 +225,15 @@ class Histogram:
         return out
 
     def cumulative_buckets(self, key: LabelKey) -> List[Tuple[str, int]]:
-        """(le, cumulative count) pairs for the Prometheus dump."""
-        counts = self._counts.get(key, [])
+        """(le, cumulative count) pairs, every bucket's (all 0 for a
+        child with no observations)."""
+        counts = self._counts.get(key) or [0] * (len(self.buckets) + 1)
         out: List[Tuple[str, int]] = []
         running = 0
         for bound, bucket_count in zip(self.buckets, counts):
             running += bucket_count
             out.append((repr(bound), running))
-        running += counts[-1] if counts else 0
-        out.append(("+Inf", running))
+        out.append((INF_LABEL, running + counts[-1]))
         return out
 
 

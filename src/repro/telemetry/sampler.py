@@ -13,13 +13,56 @@ measurement, consumes no RNG, and its timeout events interleave with
 the workload without reordering it — enabling telemetry cannot change
 simulation results (it does change the kernel event-sequence hash,
 since the sample timeouts are themselves events).
+
+The client's op families are not sampled live.  Each client op is
+recorded once, as a row of the system's
+:class:`~repro.metrics.MetricsRecorder`; :meth:`Sampler.stop` replays
+those rows through the registry's own counters and histograms
+(:func:`fold_ops`) and writes these families into every sample:
+
+* ``ops_total{op=}`` / ``ops_failed_total{op=}``;
+* ``op_latency_ms{op=}`` (histogram: ``_count``/``_sum``);
+* for ops with a tenant, ``tenant_ops_total{tenant=,op=}`` /
+  ``tenant_ops_failed_total{tenant=}``, ``tenant_op_latency_ms{tenant=}``
+  and ``tenant_cache_hits_total{tenant=}`` /
+  ``tenant_cache_misses_total{tenant=}``;
+* ``tenant_latency_bucket{tenant=,le=}``, the tenant histogram's
+  cumulative bucket counts, from the first sample on for every tenant
+  in the records.  Their interval deltas give per-interval latency
+  distributions (:func:`repro.tenants.fairness.p99_timeline`), which a
+  sample's ``_count``/``_sum`` cannot.
+
+The tenant families are separate from the fleet-global ones, not
+tenant labels on them: the chaos verifier sums every series in a
+family, so labelled duplicates would count each op twice.
+
+A sample holds exactly the ops the recorder held when it was taken
+(the sampler notes that count), so an op that ends at a sample's
+instant but after it counts from the next sample on.  Each histogram
+child adds its latencies in completion order, so every ``_sum`` is the
+float a live counter would have read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.telemetry.registry import MetricsRegistry, parse_series_key
+from repro.telemetry.registry import MetricsRegistry, label_key, parse_series_key
+
+#: Every family :func:`fold_ops` writes.
+OP_FAMILIES = (
+    "ops_total",
+    "ops_failed_total",
+    "op_latency_ms",
+    "tenant_ops_total",
+    "tenant_ops_failed_total",
+    "tenant_op_latency_ms",
+    "tenant_cache_hits_total",
+    "tenant_cache_misses_total",
+    "tenant_latency_bucket",
+)
+
+TENANT_LATENCY_HELP = "per-tenant client op latency"
 
 
 class TimeSeries:
@@ -162,6 +205,13 @@ class Sampler:
         self.registry = registry
         self.interval_ms = interval_ms
         self.timeseries = TimeSeries()
+        #: The op records (a :class:`~repro.metrics.MetricsRecorder`)
+        #: the op families are folded from; :attr:`op_counts` notes how
+        #: many they held at each sample.
+        self.ops = None
+        self.op_counts: List[int] = []
+        #: Samples the op families are folded into.
+        self._folded = 0
         self._stopped = False
         self._proc = None
 
@@ -171,15 +221,23 @@ class Sampler:
             self._proc = self.env.process(self._run())
         return self
 
-    def stop(self, final_sample: bool = True) -> None:
-        """Stop sampling; optionally take one last snapshot now.
+    def stop(self) -> None:
+        """Stop sampling, take one last snapshot now, and fold the op
+        families into every sample since the last stop.
 
         The loop exits on its next wake-up; no events are injected, so
         stopping is safe even after the run loop has drained.
         """
         self._stopped = True
-        if final_sample:
-            self.sample_now(force=True)
+        self.sample_now(force=True)
+        folded = self._folded
+        if self.ops is not None:
+            fold_ops(
+                self.registry, self.timeseries.samples[folded:],
+                self.op_counts[folded:], self.ops,
+                self.op_counts[folded - 1] if folded else 0,
+            )
+        self._folded = len(self.timeseries)
 
     def sample_now(self, force: bool = False) -> None:
         """Take one snapshot immediately.
@@ -192,8 +250,64 @@ class Sampler:
         if not force and samples and samples[-1][0] == now:
             return
         self.timeseries.append(now, self.registry.collect())
+        self.op_counts.append(0 if self.ops is None else len(self.ops))
 
     def _run(self):
         while not self._stopped:
             self.sample_now()
             yield self.env.timeout(self.interval_ms)
+
+
+def fold_ops(
+    registry: MetricsRegistry,
+    samples: Sequence[Tuple[float, Dict[str, float]]],
+    counts: Sequence[int],
+    recorder,
+    done: int,
+) -> None:
+    """Add ``recorder``'s ops ``done:counts[-1]`` to ``registry``'s op
+    families and write the families into ``samples``, whose ``i``-th
+    sample was taken when ``recorder`` held ``counts[i]`` ops."""
+    records = recorder.records
+    tenants = recorder.tenants()
+    for (_, values), count in zip(samples, counts):
+        _replay(registry, records[done:count])
+        done = count
+        if tenants:
+            histogram = registry.histogram(
+                "tenant_op_latency_ms", help=TENANT_LATENCY_HELP
+            )
+            buckets = registry.gauge("tenant_latency_bucket")
+            for tenant in tenants:
+                key = label_key({"tenant": tenant})
+                for le, cumulative in histogram.cumulative_buckets(key):
+                    buckets.set(cumulative, tenant=tenant, le=le)
+        for name in OP_FAMILIES:
+            family = registry.get(name)
+            if family is not None:
+                values.update(family.collect())
+
+
+def _replay(registry: MetricsRegistry, records) -> None:
+    """Count ``records`` into the op families, as each op's end would."""
+    tally: Dict[tuple, int] = {}
+    for record in records:
+        op, tenant, latency = record.op, record.tenant, record.latency_ms
+        key = (op, record.ok, tenant, record.cache_hit)
+        tally[key] = tally.get(key, 0) + 1
+        registry.histogram("op_latency_ms").observe(latency, op=op)
+        if tenant is not None:
+            registry.histogram(
+                "tenant_op_latency_ms", help=TENANT_LATENCY_HELP
+            ).observe(latency, tenant=tenant)
+    for (op, ok, tenant, cache_hit), count in tally.items():
+        registry.counter("ops_total").inc(count, op=op)
+        if not ok:
+            registry.counter("ops_failed_total").inc(count, op=op)
+        if tenant is None:
+            continue
+        registry.counter("tenant_ops_total").inc(count, op=op, tenant=tenant)
+        if not ok:
+            registry.counter("tenant_ops_failed_total").inc(count, tenant=tenant)
+        hits = "tenant_cache_hits_total" if cache_hit else "tenant_cache_misses_total"
+        registry.counter(hits).inc(count, tenant=tenant)

@@ -4,14 +4,12 @@
 the operator can see *per-tenant* behavior: who is driving load, who
 is missing their latency SLO, and whether one tenant's storm degrades
 everyone else.  This package threads a tenant context end-to-end
-through the simulator:
+through the simulator (the ``tenant_*`` metric families are folded
+from the op records when telemetry stops, :mod:`repro.telemetry.sampler`):
 
 - :mod:`repro.tenants.context` — :class:`TenantSpec` traffic shapes,
   disjoint per-tenant namespaces, and the :class:`TenantGovernor`
   token-bucket QoS isolation;
-- :mod:`repro.tenants.telemetry` — the ``tenant_*`` metric families
-  (op counters, latency histogram, cache hits, cumulative bucket
-  gauges for windowed quantiles);
 - :mod:`repro.tenants.fairness` — Jain's fairness index, per-tenant
   interval p50/p99, SLO burn rate, and the :class:`FairnessReport`;
 - :mod:`repro.tenants.dashboard` — the ascii per-tenant dashboard.
@@ -42,11 +40,9 @@ from repro.tenants.fairness import (
     summarize,
     tenant_totals,
 )
-from repro.tenants.telemetry import TENANT_FAMILIES, install_tenant_telemetry
 
 __all__ = [
     "FairnessReport",
-    "TENANT_FAMILIES",
     "TenantGovernor",
     "TenantSpec",
     "TenantStats",
@@ -54,7 +50,6 @@ __all__ = [
     "build_tenant_namespaces",
     "chaos_tenants",
     "default_tenants",
-    "install_tenant_telemetry",
     "jain_index",
     "jain_timeline",
     "p99_timeline",

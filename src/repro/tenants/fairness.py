@@ -4,7 +4,7 @@ Pure read-side math over a sampled
 :class:`~repro.telemetry.sampler.TimeSeries`: Jain's fairness index
 over per-tenant interval throughput, per-interval tenant latency
 quantiles reconstructed from the cumulative bucket-count series
-(:mod:`repro.tenants.telemetry`), and SLO burn rates.  The chaos
+(:mod:`repro.telemetry.sampler`), and SLO burn rates.  The chaos
 verifier's fairness gate and the ``repro tenants`` dashboard both
 consume these helpers; nothing here touches the simulation.
 """
@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.tenants.telemetry import INF_LABEL
-from repro.telemetry.registry import bucket_quantile
+from repro.telemetry.registry import INF_LABEL, bucket_quantile
 from repro.telemetry.sampler import interval_deltas
 
 #: Every tenant's latency SLO target (burn-rate input).

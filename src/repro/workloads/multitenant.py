@@ -7,7 +7,7 @@ op mix, its own think time, and an optional deterministic on/off
 burst cycle (phase-shifted per client so a bursty tenant ramps rather
 than steps).  Clients are tagged with ``client.tenant`` so every op
 lands in the per-tenant telemetry families
-(:mod:`repro.tenants.telemetry`).
+(:mod:`repro.telemetry.sampler`).
 
 Two injection points exist for the chaos layer: a
 :class:`~repro.tenants.context.TenantGovernor` (each op acquires a

@@ -223,3 +223,16 @@ def test_records_are_packed():
     finally:
         tracemalloc.stop()
     assert retained / count < 32, retained / count
+
+
+def test_tenant_is_interned_and_left_out_of_the_digest():
+    plain, tagged = MetricsRecorder(), MetricsRecorder()
+    for index in range(6):
+        plain.record("read file", float(index), index + 0.5)
+        tagged.record("read file", float(index), index + 0.5,
+                      tenant="ab"[index % 2])
+    assert tagged._codes.typecode == "H"
+    assert len(tagged._keys) == 2
+    assert [r.tenant for r in tagged.records] == ["a", "b"] * 3
+    assert tagged.tenants() == ["a", "b"] and plain.tenants() == []
+    assert tagged.outcome_digest() == plain.outcome_digest()

@@ -56,7 +56,7 @@ def test_instrumented_run_populates_key_families():
     assert live is not None
     assert sum(live.collect().values()) == handle.active_servers()
     # Metastore: the namespace install + reads committed transactions.
-    assert registry.get("store_txns_total").value(outcome="commit") > 0
+    assert registry.get("store_commits").value() > 0
     # Client ops and their latency distribution.
     assert registry.get("ops_total").total() > 0
     assert registry.get("op_latency_ms").aggregate_quantile(0.99) > 0

@@ -86,7 +86,7 @@ def test_sampler_stop_halts_the_loop():
     registry = MetricsRegistry(env)
     sampler = Sampler(env, registry, interval_ms=100.0).start()
     env.run(until=250.0)
-    sampler.stop(final_sample=False)
+    sampler.stop()
     count = len(sampler.timeseries)
     env.run(until=1_000.0)
     assert len(sampler.timeseries) == count

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.telemetry.registry import INF_LABEL
 from repro.telemetry.sampler import TimeSeries
 from repro.tenants import fairness
 from repro.tenants.fairness import (
@@ -13,7 +14,6 @@ from repro.tenants.fairness import (
     summarize,
     tenant_totals,
 )
-from repro.tenants.telemetry import INF_LABEL
 
 pytestmark = pytest.mark.tenant
 
