@@ -14,33 +14,18 @@ the workload without reordering it — enabling telemetry cannot change
 simulation results (it does change the kernel event-sequence hash,
 since the sample timeouts are themselves events).
 
-The client's op families are not sampled live.  Each client op is
-recorded once, as a row of the system's
-:class:`~repro.metrics.MetricsRecorder`; :meth:`Sampler.stop` replays
-those rows through the registry's own counters and histograms
-(:func:`fold_ops`) and writes these families into every sample:
-
-* ``ops_total{op=}`` / ``ops_failed_total{op=}``;
-* ``op_latency_ms{op=}`` (histogram: ``_count``/``_sum``);
-* for ops with a tenant, ``tenant_ops_total{tenant=,op=}`` /
-  ``tenant_ops_failed_total{tenant=}``, ``tenant_op_latency_ms{tenant=}``
-  and ``tenant_cache_hits_total{tenant=}`` /
-  ``tenant_cache_misses_total{tenant=}``;
-* ``tenant_latency_bucket{tenant=,le=}``, the tenant histogram's
-  cumulative bucket counts, from the first sample on for every tenant
-  in the records.  Their interval deltas give per-interval latency
-  distributions (:func:`repro.tenants.fairness.p99_timeline`), which a
-  sample's ``_count``/``_sum`` cannot.
-
-The tenant families are separate from the fleet-global ones, not
-tenant labels on them: the chaos verifier sums every series in a
-family, so labelled duplicates would count each op twice.
-
-A sample holds exactly the ops the recorder held when it was taken
-(the sampler notes that count), so an op that ends at a sample's
-instant but after it counts from the next sample on.  Each histogram
-child adds its latencies in completion order, so every ``_sum`` is the
-float a live counter would have read.
+The client's op families (:data:`OP_FAMILIES`) are not sampled live.
+Each client op is one row of the system's
+:class:`~repro.metrics.MetricsRecorder`, and :meth:`Sampler.stop`
+replays, per sample, exactly the rows the recorder held when that
+sample was taken through the registry's own counters and histograms
+(:func:`fold_ops`).  So an op that ends at a sample's instant but after
+it counts from the next sample on, and each ``_sum`` adds in completion
+order, as live counting did.  The ``tenant_*`` families are separate
+from the fleet-global ones because the chaos verifier sums whole
+families; ``tenant_latency_bucket{tenant=,le=}`` holds the tenant
+histogram's cumulative bucket counts, whose interval deltas give
+per-interval quantiles (:func:`repro.tenants.fairness.p99_timeline`).
 """
 
 from __future__ import annotations
